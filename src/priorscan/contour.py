@@ -7,12 +7,16 @@ become per-quadrant scaling factors ``c_x(phi)``, ``c_y(phi)`` so that the
 contour is close to the unit circle in scaled coordinates. Each direction
 is then a one-dimensional root-finding problem in ``z = log r``:
 
-    H(base, base + exp(z) * (cos(phi) c_x, sin(phi) c_y)) = epsilon,
+    H(base, base + exp(z) * (cos(phi) c_x, sin(phi) c_y)) = epsilon.
 
-solved by bracketing plus Brent refinement. The log-radius keeps the
-problem well conditioned across the many orders of magnitude separating
-axis scales (for diffuse priors the two cardinal moduli can differ by a
-factor of 1e4 and more).
+All directions are solved together as array operations: each gets its
+own bracket, widened within the family domain until it encloses the
+root, and then a bisection that halves every bracket at once until it
+is narrower than ``1e-14 + 4 eps |z|``. Of all points evaluated in the
+bracket, the one with the smallest defect ``|H - epsilon|`` is returned.
+The log-radius keeps the problem well conditioned across the many
+orders of magnitude separating axis scales (for diffuse priors the two
+cardinal moduli can differ by a factor of 1e4 and more).
 """
 
 from __future__ import annotations
@@ -21,10 +25,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ContourUnreachableError, DomainError, PartialGridError
-from .families import Family, ParamPoint, PriorSpec, hellinger_analytic
+from .families import Family, ParamPoint, PriorSpec, hellinger_closed_form
 
 # Acceptable defect |H - epsilon| relative to epsilon for a solved point.
 RESIDUAL_RTOL = 1e-4
@@ -32,13 +35,14 @@ RESIDUAL_RTOL = 1e-4
 # Search window for z = log r around the pre-explored unit radius.
 _Z_INIT = 6.0
 _Z_MAX = 20.0
+# Bisection stops once a bracket is narrower than _Z_XTOL + _Z_RTOL * |z|.
+_Z_XTOL = 1e-14
+_Z_RTOL = 4.0 * np.finfo(float).eps
 
-_CARDINAL = {
-    0.0: (1.0, 0.0),
-    math.pi / 2.0: (0.0, 1.0),
-    math.pi: (-1.0, 0.0),
-    -math.pi / 2.0: (0.0, -1.0),
-}
+# Cardinal directions in preexplore order: angle, unit step (ux, uy).
+_CARDINAL_PHI = np.array([0.0, math.pi / 2.0, math.pi, -math.pi / 2.0])
+_CARDINAL_UX = np.array([1.0, 0.0, -1.0, 0.0])
+_CARDINAL_UY = np.array([0.0, 1.0, 0.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -89,57 +93,77 @@ class PolarGrid:
         return len(self.points) + len(self.failed_angles)
 
 
-def _offset_point(base: PriorSpec, r: float, ux: float, uy: float) -> ParamPoint:
-    return ParamPoint(base.point.gamma1 + r * ux, base.point.gamma2 + r * uy)
+def _bisect_radii(
+    base: PriorSpec, epsilon: float, ux: np.ndarray, uy: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve H(r) = epsilon along every direction ``(ux, uy)`` at once.
 
-
-def _max_radius(base: PriorSpec, ux: float, uy: float) -> float:
-    """Largest radius keeping the offset point inside the family domain."""
-    caps = []
-    if uy < 0.0:
-        caps.append(base.point.gamma2 / -uy)
-    if base.family is Family.GAMMA and ux < 0.0:
-        caps.append(base.point.gamma1 / -ux)
-    return min(caps) if caps else math.inf
-
-
-def _distance_at(base: PriorSpec, r: float, ux: float, uy: float) -> float:
-    return hellinger_analytic(base.family, base.point, _offset_point(base, r, ux, uy))
-
-
-def _solve_direction(base: PriorSpec, epsilon: float, ux: float, uy: float, phi: float) -> float:
-    """Solve H(r) = epsilon along a fixed direction, returning the radius r.
-
-    Works on z = log r. The lower bracket end is pushed down until the
-    distance falls below epsilon, the upper end up until it exceeds
-    epsilon, both within the domain cap; failure to bracket means the
-    contour is unreachable along this direction.
+    Works on z = log r. Per direction, the lower bracket end is pushed
+    down until the distance falls below epsilon and the upper end up
+    until it exceeds epsilon, both within the domain cap; then all
+    brackets are bisected together. Returns the radius and the defect
+    ``|H - epsilon|`` at the returned point, both NaN for directions that
+    could not be bracketed (the contour is unreachable there).
     """
-    r_cap = _max_radius(base, ux, uy)
+    g1, g2 = base.point.gamma1, base.point.gamma2
+
+    def g(z):
+        r = np.exp(z)
+        return hellinger_closed_form(base.family, g1, g2, g1 + r * ux, g2 + r * uy) - epsilon
+
+    # largest radius keeping each offset point inside the family domain
+    cap = np.full(ux.shape, math.inf)
+    down = uy < 0.0
+    cap[down] = g2 / -uy[down]
+    if base.family is Family.GAMMA:
+        left = ux < 0.0
+        cap[left] = np.minimum(cap[left], g1 / -ux[left])
     # stay strictly inside the domain when the cap is finite
-    z_cap = math.log(r_cap) + math.log1p(-1e-12) if math.isfinite(r_cap) else math.inf
+    z_cap = np.log(cap) + math.log1p(-1e-12)
+    z_top = np.minimum(_Z_MAX, z_cap)
+    z_lo = np.minimum(-_Z_INIT, z_cap - 2.0 * _Z_INIT)
+    z_hi = np.minimum(_Z_INIT, z_cap)
+    g_lo, g_hi = g(z_lo), g(z_hi)
+    while True:
+        widen_lo = (g_lo > 0.0) & (z_lo > -_Z_MAX)
+        widen_hi = (g_hi < 0.0) & (z_hi < z_top)
+        if not (widen_lo.any() or widen_hi.any()):
+            break
+        z_lo = np.where(widen_lo, np.maximum(z_lo - 4.0, -_Z_MAX), z_lo)
+        z_hi = np.where(widen_hi, np.minimum(z_hi + 4.0, z_top), z_hi)
+        g_lo = np.where(widen_lo, g(z_lo), g_lo)
+        g_hi = np.where(widen_hi, g(z_hi), g_hi)
 
-    def g(z: float) -> float:
-        return _distance_at(base, math.exp(z), ux, uy) - epsilon
+    bracketed = (g_lo < 0.0) & (g_hi > 0.0)
+    use_lo = np.abs(g_lo) <= np.abs(g_hi)
+    z_best = np.where(use_lo, z_lo, z_hi)
+    g_best = np.where(use_lo, np.abs(g_lo), np.abs(g_hi))
+    while True:
+        z_mid = 0.5 * (z_lo + z_hi)
+        active = bracketed & (z_hi - z_lo > _Z_XTOL + _Z_RTOL * np.abs(z_mid))
+        if not active.any():
+            break
+        g_mid = g(z_mid)
+        below = active & (g_mid < 0.0)
+        above = active & ~(g_mid < 0.0)
+        z_lo, g_lo = np.where(below, z_mid, z_lo), np.where(below, g_mid, g_lo)
+        z_hi, g_hi = np.where(above, z_mid, z_hi), np.where(above, g_mid, g_hi)
+        # near the root the closed form's rounding noise can exceed the
+        # residual tolerance, so keep the best point seen, not the last
+        better = active & (np.abs(g_mid) < g_best)
+        z_best = np.where(better, z_mid, z_best)
+        g_best = np.where(better, np.abs(g_mid), g_best)
 
-    z_hi = min(_Z_INIT, z_cap)
-    z_lo = min(-_Z_INIT, z_cap - 2.0 * _Z_INIT)
-    g_lo = g(z_lo)
-    while g_lo > 0.0 and z_lo > -_Z_MAX:
-        z_lo = max(z_lo - 4.0, -_Z_MAX)
-        g_lo = g(z_lo)
-    g_hi = g(z_hi)
-    while g_hi < 0.0 and z_hi < min(_Z_MAX, z_cap):
-        z_hi = min(z_hi + 4.0, _Z_MAX, z_cap)
-        g_hi = g(z_hi)
-    if not (g_lo < 0.0 < g_hi):
-        raise ContourUnreachableError(
-            phi,
-            f"no Hellinger-{epsilon} point along angle {phi:.6f} within "
-            f"log-radius [{z_lo:.1f}, {z_hi:.1f}] (domain cap {r_cap!r})",
-        )
-    z = brentq(g, z_lo, z_hi, xtol=1e-14, rtol=4 * np.finfo(float).eps, maxiter=256)
-    return math.exp(z)
+    r = np.where(bracketed, np.exp(z_best), math.nan)
+    return r, np.where(bracketed, g_best, math.nan)
+
+
+def _unreachable(phi: float, epsilon: float) -> ContourUnreachableError:
+    return ContourUnreachableError(
+        phi,
+        f"no Hellinger-{epsilon} point along angle {phi:.6f} within log-radius "
+        f"[{-_Z_MAX:.1f}, {_Z_MAX:.1f}] inside the family domain",
+    )
 
 
 def preexplore(base: PriorSpec, epsilon: float) -> CardinalModuli:
@@ -149,50 +173,68 @@ def preexplore(base: PriorSpec, epsilon: float) -> CardinalModuli:
     factors by the full polar search.
     """
     _check_epsilon(epsilon)
-    moduli = {}
-    for delta, (ux, uy) in _CARDINAL.items():
-        moduli[delta] = _solve_direction(base, epsilon, ux, uy, delta)
-    return CardinalModuli(
-        plus_x=moduli[0.0],
-        plus_y=moduli[math.pi / 2.0],
-        minus_x=moduli[math.pi],
-        minus_y=moduli[-math.pi / 2.0],
-    )
+    r, _ = _bisect_radii(base, epsilon, _CARDINAL_UX, _CARDINAL_UY)
+    failed = np.flatnonzero(np.isnan(r))
+    if failed.size:
+        raise _unreachable(float(_CARDINAL_PHI[failed[0]]), epsilon)
+    return CardinalModuli(*r.tolist())
 
 
-def scaling_factors(phi: float, moduli: CardinalModuli) -> tuple[float, float]:
+def scaling_factors(phi: float | np.ndarray, moduli: CardinalModuli):
     """Piecewise-constant axis scalings for angle ``phi`` in [-pi, pi].
 
     ``c_x`` is the +x modulus on the closed interval [-pi/2, pi/2] and the
     -x modulus elsewhere; ``c_y`` is the +y modulus on the closed interval
     [0, pi] and the -y modulus elsewhere. At the boundary angles the first
     (closed) interval wins; the choice is immaterial because the affected
-    coordinate carries a vanishing cos/sin factor there.
+    coordinate carries a vanishing cos/sin factor there. ``phi`` may be an
+    array, in which case both scalings are arrays of its shape.
     """
-    if not (-math.pi <= phi <= math.pi):
+    phi = np.asarray(phi, dtype=float)
+    if not np.all((-math.pi <= phi) & (phi <= math.pi)):
         raise DomainError(f"angle must lie in [-pi, pi], got {phi!r}")
-    cx = moduli.plus_x if -math.pi / 2.0 <= phi <= math.pi / 2.0 else moduli.minus_x
-    cy = moduli.plus_y if 0.0 <= phi <= math.pi else moduli.minus_y
+    cx = np.where((-math.pi / 2.0 <= phi) & (phi <= math.pi / 2.0), moduli.plus_x, moduli.minus_x)
+    cy = np.where((0.0 <= phi) & (phi <= math.pi), moduli.plus_y, moduli.minus_y)
+    if phi.ndim == 0:
+        return float(cx), float(cy)
     return cx, cy
+
+
+def _solve_radii(
+    base: PriorSpec, epsilon: float, phi: np.ndarray, cx: np.ndarray, cy: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Contour points ``(gamma1, gamma2)`` and defects for every angle of ``phi``.
+
+    The defect is NaN where the direction could not be bracketed.
+    """
+    ux = np.cos(phi) * cx
+    uy = np.sin(phi) * cy
+    r, residual = _bisect_radii(base, epsilon, ux, uy)
+    return base.point.gamma1 + r * ux, base.point.gamma2 + r * uy, residual
 
 
 def solve_radius(
     base: PriorSpec, epsilon: float, phi: float, cx: float, cy: float
 ) -> ParamPoint:
-    """Contour point along ``phi`` using axis scalings ``cx``, ``cy``."""
+    """Contour point along ``phi`` using axis scalings ``cx``, ``cy``.
+
+    The one-angle case of the batched solve used by :func:`compute_grid`.
+    """
     _check_epsilon(epsilon)
     if cx <= 0.0 or cy <= 0.0:
         raise DomainError("scaling factors must be positive")
-    ux = math.cos(phi) * cx
-    uy = math.sin(phi) * cy
-    r = _solve_direction(base, epsilon, ux, uy, phi)
-    point = _offset_point(base, r, ux, uy)
-    residual = abs(hellinger_analytic(base.family, base.point, point) - epsilon)
-    if residual > epsilon * RESIDUAL_RTOL:
+    gamma1, gamma2, residual = _solve_radii(
+        base, epsilon, np.array([phi], dtype=float), np.array([cx]), np.array([cy])
+    )
+    if math.isnan(residual[0]):
+        raise _unreachable(phi, epsilon)
+    if residual[0] > epsilon * RESIDUAL_RTOL:
         raise ContourUnreachableError(
-            phi, f"solver defect {residual!r} exceeds {epsilon * RESIDUAL_RTOL!r} at angle {phi!r}"
+            phi,
+            f"solver defect {float(residual[0])!r} exceeds {epsilon * RESIDUAL_RTOL!r} "
+            f"at angle {phi!r}",
         )
-    return point
+    return ParamPoint(float(gamma1[0]), float(gamma2[0]))
 
 
 def compute_grid(
@@ -205,40 +247,42 @@ def compute_grid(
 
     Angles run over [-pi, pi) as ``-pi + 2 pi k / n_angles`` so that no
     direction is duplicated and, for the default 400, the cardinal
-    directions land exactly on grid angles. With ``allow_partial`` the
-    grid is returned with unreachable directions recorded in
-    ``failed_angles`` instead of raising :class:`PartialGridError`.
+    directions land exactly on grid angles. A direction fails if it
+    cannot be bracketed or its defect exceeds ``RESIDUAL_RTOL * epsilon``.
+    With ``allow_partial`` the grid is returned with failed directions
+    recorded in ``failed_angles`` instead of raising
+    :class:`PartialGridError`.
 
-    The search is deterministic: identical inputs produce bitwise
-    identical grids. Directions are independent of one another, so the
-    per-angle solves could run in any order; results are always reported
-    in increasing-angle order.
+    All directions are solved in one batch of array operations; the
+    search is deterministic, so identical inputs produce bitwise
+    identical grids, reported in increasing-angle order.
     """
     _check_epsilon(epsilon)
     if n_angles < 8:
         raise DomainError(f"n_angles must be at least 8, got {n_angles}")
     cardinal = preexplore(base, epsilon)
     phis = -math.pi + 2.0 * math.pi * np.arange(n_angles) / n_angles
-    points = []
-    failed = []
-    for phi in phis:
-        phi = float(phi)
-        cx, cy = scaling_factors(phi, cardinal)
-        try:
-            point = solve_radius(base, epsilon, phi, cx, cy)
-        except ContourUnreachableError:
-            failed.append(phi)
-            continue
-        residual = abs(hellinger_analytic(base.family, base.point, point) - epsilon)
-        points.append(GridPoint(phi=phi, point=point, residual=residual))
+    cx, cy = scaling_factors(phis, cardinal)
+    gamma1, gamma2, residual = _solve_radii(base, epsilon, phis, cx, cy)
+    solved = residual <= epsilon * RESIDUAL_RTOL
+    points = tuple(
+        GridPoint(phi=phi, point=ParamPoint(g1, g2), residual=res)
+        for phi, g1, g2, res in zip(
+            phis[solved].tolist(),
+            gamma1[solved].tolist(),
+            gamma2[solved].tolist(),
+            residual[solved].tolist(),
+        )
+    )
+    failed = tuple(phis[~solved].tolist())
     if failed and not allow_partial:
         raise PartialGridError(failed)
     return PolarGrid(
         base=base,
         epsilon=epsilon,
-        points=tuple(points),
+        points=points,
         cardinal=cardinal,
-        failed_angles=tuple(failed),
+        failed_angles=failed,
     )
 
 

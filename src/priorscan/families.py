@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import gamma as _gamma_dist
+from scipy.special import gammaincinv, gammaln
 
 from .errors import DomainError
 from .grids import DensityGrid, Scale, normalize_grid
@@ -104,24 +103,32 @@ def eval_prior_density(spec: PriorSpec, x, scale: Scale = Scale.NATURAL):
     return out if isinstance(out, np.ndarray) and out.ndim else float(out)
 
 
-def log_density_without_jacobian(spec: PriorSpec, support: np.ndarray, scale: Scale):
-    """Log natural density evaluated at the parameter values of ``support``.
+def _log_bc(family: Family, g1_0, g2_0, g1, g2):
+    """Closed-form log Bhattacharyya coefficient, elementwise over arrays."""
+    if family is Family.NORMAL:
+        return 0.5 * (
+            math.log(2.0) + 0.5 * (np.log(g2_0) + np.log(g2)) - np.log(g2_0 + g2)
+        ) - (g1 - g1_0) ** 2 * (g2_0 * g2) / (4.0 * (g2_0 + g2))
+    abar = 0.5 * (g1_0 + g1)
+    bbar = 0.5 * (g2_0 + g2)
+    return (
+        gammaln(abar)
+        - abar * np.log(bbar)
+        + 0.5 * (g1_0 * np.log(g2_0) + g1 * np.log(g2))
+        - 0.5 * (gammaln(g1_0) + gammaln(g1))
+    )
 
-    For ``LOG_PARAMETER`` grids the parameter is ``exp(z)`` and the Jacobian
-    is deliberately omitted: in prior-ratio computations it cancels between
-    numerator and denominator, and dropping it on both sides avoids the
-    spurious overflow of ``exp(z)`` factors at the grid edges.
+
+def hellinger_closed_form(family: Family, g1_0, g2_0, g1, g2) -> np.ndarray:
+    """Closed-form Hellinger distance from ``(g1_0, g2_0)`` to each ``(g1, g2)``.
+
+    Array version of :func:`hellinger_analytic` without domain validation:
+    ``sqrt(1 - BC)`` with ``BC`` clamped to at most 1, exactly 0 where the
+    two points coincide, and 0 where the coefficient is not a number.
     """
-    theta = np.exp(support) if scale is Scale.LOG_PARAMETER else np.asarray(support, dtype=float)
-    g1, g2 = spec.point.gamma1, spec.point.gamma2
-    if spec.family is Family.NORMAL:
-        return 0.5 * (math.log(g2) - _LOG_2PI) - 0.5 * g2 * (theta - g1) ** 2
-    if scale is Scale.LOG_PARAMETER:
-        # (g1 - 1) * log(exp(z)) computed directly from z, no exp/log round trip
-        return g1 * math.log(g2) - gammaln(g1) + (g1 - 1.0) * support - g2 * theta
-    if np.any(theta <= 0.0):
-        raise DomainError("gamma density requires positive support")
-    return g1 * math.log(g2) - gammaln(g1) + (g1 - 1.0) * np.log(theta) - g2 * theta
+    h2 = -np.expm1(np.minimum(_log_bc(family, g1_0, g2_0, g1, g2), 0.0))
+    h = np.sqrt(np.where(h2 > 0.0, h2, 0.0))
+    return np.where((g1 == g1_0) & (g2 == g2_0), 0.0, h)
 
 
 def hellinger_normal(p0: ParamPoint, p1: ParamPoint) -> float:
@@ -146,14 +153,7 @@ def hellinger_normal(p0: ParamPoint, p1: ParamPoint) -> float:
     """
     validate_point(Family.NORMAL, p0)
     validate_point(Family.NORMAL, p1)
-    if p0 == p1:
-        return 0.0
-    m0, l0 = p0.as_tuple()
-    m1, l1 = p1.as_tuple()
-    log_bc = 0.5 * (
-        math.log(2.0) + 0.5 * (math.log(l0) + math.log(l1)) - math.log(l0 + l1)
-    ) - (m1 - m0) ** 2 * (l0 * l1) / (4.0 * (l0 + l1))
-    return math.sqrt(max(0.0, -math.expm1(min(log_bc, 0.0))))
+    return float(hellinger_closed_form(Family.NORMAL, *p0.as_tuple(), *p1.as_tuple()))
 
 
 def hellinger_gamma(p0: ParamPoint, p1: ParamPoint) -> float:
@@ -174,19 +174,7 @@ def hellinger_gamma(p0: ParamPoint, p1: ParamPoint) -> float:
     """
     validate_point(Family.GAMMA, p0)
     validate_point(Family.GAMMA, p1)
-    if p0 == p1:
-        return 0.0
-    a0, b0 = p0.as_tuple()
-    a1, b1 = p1.as_tuple()
-    abar = 0.5 * (a0 + a1)
-    bbar = 0.5 * (b0 + b1)
-    log_bc = (
-        gammaln(abar)
-        - abar * math.log(bbar)
-        + 0.5 * (a0 * math.log(b0) + a1 * math.log(b1))
-        - 0.5 * (gammaln(a0) + gammaln(a1))
-    )
-    return math.sqrt(max(0.0, -math.expm1(min(log_bc, 0.0))))
+    return float(hellinger_closed_form(Family.GAMMA, *p0.as_tuple(), *p1.as_tuple()))
 
 
 def hellinger_analytic(family: Family, p0: ParamPoint, p1: ParamPoint) -> float:
@@ -197,8 +185,8 @@ def hellinger_analytic(family: Family, p0: ParamPoint, p1: ParamPoint) -> float:
 
 
 def _gamma_log_quantile(a: float, b: float, p: float) -> float:
-    """log of the gamma quantile, robust for tiny shapes where ppf underflows."""
-    q = _gamma_dist.ppf(p, a, scale=1.0 / b)
+    """log of the gamma quantile, robust for tiny shapes where the quantile underflows."""
+    q = gammaincinv(a, p) / b
     if q > 0.0 and math.isfinite(q):
         return math.log(q)
     # lower-tail asymptotic: P(X <= q) ~ (b q)^a / Gamma(a + 1)

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.fft import dct
 
 from .contour import compute_grid
 from .errors import DomainError, IngestionError, NumericalError
@@ -47,6 +48,9 @@ _WINDOW_DROP = 60.0  # exp(-60) ~ 9e-27 relative tail cut for quadrature
 _TABLE_DROP = 28.0  # exp(-28) < 1e-12 relative boundary for tabulation
 _SCAN_LIMIT = 300.0
 _MAX_LEVEL = 16
+# Cells (tau values x eigenvalues) per block of the spectral sums, so the
+# temporaries stay at 4 MB for any series length.
+_BLOCK_CELLS = 1 << 19
 
 DEFAULT_PRIOR = ParamPoint(1.0, 0.005)
 
@@ -159,19 +163,21 @@ def _spectral_weights(model: RW1Model) -> np.ndarray:
 
     The free-boundary second-difference matrix is diagonalized by the
     orthonormal DCT-II vectors ``v_k(j) = cos(pi k (2j-1) / (2n))`` (up to
-    normalization), with eigenvalues ``2 - 2 cos(pi k / n)``.
+    normalization), with eigenvalues ``2 - 2 cos(pi k / n)``, so the
+    coordinates are one orthonormal fast DCT-II of ``y``.
     """
     w = model._cache.get("yhat2")
     if w is None:
-        n = model.n
-        k = np.arange(n)
-        j = np.arange(1, n + 1)
-        basis = np.cos(np.pi * np.outer(k, 2 * j - 1) / (2 * n))
-        basis /= np.sqrt(np.where(k == 0, n, n / 2.0))[:, None]
-        w = (basis @ model.y) ** 2
+        w = dct(model.y, type=2, norm="ortho") ** 2
         w.setflags(write=False)
         model._cache["yhat2"] = w
     return w
+
+
+def _tau_blocks(taus: np.ndarray, n: int):
+    """Slices of ``taus`` whose (taus x eigenvalues) products fit one block."""
+    step = max(1, _BLOCK_CELLS // n)
+    return (slice(lo, lo + step) for lo in range(0, taus.size, step))
 
 
 def _quad_terms_batch(model: RW1Model, taus: np.ndarray) -> np.ndarray:
@@ -186,7 +192,9 @@ def _quad_terms_batch(model: RW1Model, taus: np.ndarray) -> np.ndarray:
     taus = np.asarray(taus, dtype=float)
     eig = _eigenvalues(model)
     yhat2 = _spectral_weights(model)
-    qf = np.sum(yhat2 / (np.outer(taus, eig) + model.kappa), axis=1)
+    qf = np.empty(taus.size)
+    for block in _tau_blocks(taus, model.n):
+        qf[block] = np.sum(yhat2 / (np.outer(taus[block], eig) + model.kappa), axis=1)
     return 0.5 * model.kappa**2 * qf
 
 
@@ -199,7 +207,9 @@ def _s_values(model: RW1Model, us: np.ndarray) -> np.ndarray:
         mu = np.array(missing)
         taus = np.exp(mu)
         eig = _eigenvalues(model)
-        logdet = np.sum(np.log(np.outer(taus, eig) + model.kappa), axis=1)
+        logdet = np.empty(taus.size)
+        for block in _tau_blocks(taus, model.n):
+            logdet[block] = np.sum(np.log(np.outer(taus[block], eig) + model.kappa), axis=1)
         quads = _quad_terms_batch(model, taus)
         for u, s in zip(missing, (-0.5 * logdet + quads).tolist()):
             cache[u] = s

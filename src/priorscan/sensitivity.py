@@ -13,11 +13,13 @@ import math
 import statistics
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .calibration import SATURATION_H, calibrated_ratio
 from .contour import CardinalModuli, PolarGrid, scaling_factors
 from .errors import DomainError, ReweightingError
 from .families import ParamPoint, PriorSpec
-from .reweight import PosteriorInput, posterior_distance
+from .reweight import _NO_FINITE_MASS, PosteriorInput, _posterior_distances
 
 REFERENCE_LEVELS = tuple(round(0.1 * k, 1) for k in range(1, 11))
 
@@ -34,13 +36,18 @@ class SensitivityEntry:
 
 @dataclass(frozen=True)
 class SensitivityResult:
-    """Sensitivity of a posterior to prior perturbations of size epsilon."""
+    """Sensitivity of a posterior to prior perturbations of size epsilon.
+
+    ``worst_index`` is the position in ``entries`` of the worst direction,
+    the first one attaining the maximum ratio.
+    """
 
     epsilon: float
     base: PriorSpec
     entries: tuple[SensitivityEntry, ...]
     worst_case: float
     worst_angle: float
+    worst_index: int
     mean: float
     median: float
     min: float
@@ -78,14 +85,15 @@ def assemble_result(
         for phi, point, h in raw
     )
     ratios = [e.ratio for e in entries]
-    worst_idx = max(range(len(ratios)), key=lambda i: (ratios[i], -i))
-    worst = entries[worst_idx]
+    worst_index = max(range(len(ratios)), key=lambda i: (ratios[i], -i))
+    worst = entries[worst_index]
     return SensitivityResult(
         epsilon=epsilon,
         base=base,
         entries=entries,
         worst_case=worst.ratio,
         worst_angle=worst.phi,
+        worst_index=worst_index,
         mean=statistics.fmean(ratios),
         median=statistics.median(ratios),
         min=min(ratios),
@@ -99,21 +107,30 @@ def circular_sensitivity(inp: PosteriorInput, grid: PolarGrid) -> SensitivityRes
     """Per-direction posterior/prior distance ratios over a contour grid.
 
     The grid must have been computed around the posterior's own base
-    prior. Posterior distances come from prior-ratio reweighting; grids
-    obtained with ``allow_partial`` keep their failed angles excluded
-    from the summary statistics.
+    prior. Posterior distances come from prior-ratio reweighting, all
+    directions in one batched sweep; grids obtained with ``allow_partial``
+    keep their failed angles excluded from the summary statistics.
     """
     if grid.base != inp.base_prior:
         raise DomainError(
             f"contour grid base {grid.base} does not match posterior base {inp.base_prior}"
         )
     raw = []
-    for gp in grid.points:
+    if grid.points:
+        phis = [gp.phi for gp in grid.points]
         try:
-            h = posterior_distance(inp, PriorSpec(grid.base.family, gp.point))
+            h = _posterior_distances(
+                inp,
+                [gp.point.gamma1 for gp in grid.points],
+                [gp.point.gamma2 for gp in grid.points],
+            )
         except ReweightingError as exc:
-            raise ReweightingError(f"angle {gp.phi:.6f}: {exc}") from exc
-        raw.append((gp.phi, gp.point, h))
+            # the base prior check does not depend on the direction
+            raise ReweightingError(f"angle {phis[0]:.6f}: {exc}") from exc
+        no_mass = np.flatnonzero(np.isnan(h))
+        if no_mass.size:
+            raise ReweightingError(f"angle {phis[no_mass[0]]:.6f}: {_NO_FINITE_MASS}")
+        raw = [(gp.phi, gp.point, hp) for gp, hp in zip(grid.points, h.tolist())]
     return assemble_result(
         grid.base, grid.epsilon, raw, cardinal=grid.cardinal, failed_angles=grid.failed_angles
     )
@@ -155,10 +172,7 @@ def summarize(result: SensitivityResult) -> str:
             "  flag: boundary regime, posterior perturbations track prior perturbations "
             "one for one (worst case within 0.001 of 1)"
         )
-    worst_entry = result.entries[
-        max(range(len(result.entries)), key=lambda i: (result.entries[i].ratio, -i))
-    ]
-    if worst_entry.h_post >= SATURATION_H:
+    if result.entries[result.worst_index].h_post >= SATURATION_H:
         lines.append("  flag: calibration saturated, worst-case distance is numerically 1")
     return "\n".join(lines)
 
@@ -176,30 +190,35 @@ def export_plot_data(result: SensitivityResult) -> tuple[list[dict], list[dict]]
         raise DomainError("result carries no cardinal moduli; polar export is undefined")
     g1 = result.base.point.gamma1
     g2 = result.base.point.gamma2
+    phis = [e.phi for e in result.entries]
+    cxs, cys = scaling_factors(phis, result.cardinal)
+    # cos, c_x, sin, c_y per angle, computed once for all eleven series
+    axes = [
+        (math.cos(phi), cx, math.sin(phi), cy)
+        for phi, cx, cy in zip(phis, cxs.tolist(), cys.tolist())
+    ]
 
-    def xy(phi: float, rho: float) -> tuple[float, float]:
-        cx, cy = scaling_factors(phi, result.cardinal)
-        return g1 + rho * math.cos(phi) * cx, g2 + rho * math.sin(phi) * cy
+    def trace(series: str, rhos) -> list[dict]:
+        return [
+            {
+                "series": series,
+                "phi": phi,
+                "ratio": rho,
+                "x": g1 + rho * c * cx,
+                "y": g2 + rho * s * cy,
+            }
+            for phi, rho, (c, cx, s, cy) in zip(phis, rhos, axes)
+        ]
 
-    polar = []
-    for e in result.entries:
-        x, y = xy(e.phi, e.ratio)
-        polar.append({"series": "sensitivity", "phi": e.phi, "ratio": e.ratio, "x": x, "y": y})
+    polar = trace("sensitivity", [e.ratio for e in result.entries])
     for level in REFERENCE_LEVELS:
-        for e in result.entries:
-            x, y = xy(e.phi, level)
-            polar.append(
-                {"series": f"ref_{level:.1f}", "phi": e.phi, "ratio": level, "x": x, "y": y}
-            )
+        polar += trace(f"ref_{level:.1f}", [level] * len(phis))
 
-    worst_idx = max(
-        range(len(result.entries)), key=lambda i: (result.entries[i].ratio, -i)
-    )
     rolled = [
         {
             "phi": e.phi,
             "ratio": e.ratio,
-            "is_worst": int(i == worst_idx),
+            "is_worst": int(i == result.worst_index),
             "ref_half": 0.5,
             "ref_one": 1.0,
         }

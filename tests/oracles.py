@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 from scipy import integrate
-from scipy.special import gammaln
+from scipy.special import gammaln, polygamma
 
 
 def log_normal_pdf(x, mu, lam):
@@ -50,6 +50,42 @@ def hellinger_gamma_quad(p0, p1):
     return math.sqrt(max(0.0, 1.0 - bc))
 
 
+def log_bc_difference_form(family, p0, p1):
+    """log Bhattacharyya coefficient of two same-family priors, written in
+    differences so that no O(1) terms cancel for nearby points.
+
+    Normal (mean, precision): the precision part is log1p of minus the
+    squared gap of root precisions. Gamma (shape, rate): with
+    ``m +- h`` the shapes and ``r`` the relative rate gap, the log-gamma
+    part is minus half the central second difference
+    ``int_0^h (h - t) (psi1(m + t) + psi1(m - t)) dt``, integrated
+    adaptively, and the rate part uses log1p.
+    """
+    (g10, g20), (g11, g21) = p0, p1
+    if family == "normal":
+        gap = (g21 - g20) / (math.sqrt(g21) + math.sqrt(g20))
+        return 0.5 * math.log1p(-(gap**2) / (g20 + g21)) - (g11 - g10) ** 2 * g20 * g21 / (
+            4.0 * (g20 + g21)
+        )
+    m, h = 0.5 * (g10 + g11), 0.5 * (g11 - g10)
+    second, _ = integrate.quad(
+        lambda t: (abs(h) - t) * (polygamma(1, m + t) + polygamma(1, m - t)),
+        0.0,
+        abs(h),
+        epsabs=0.0,
+        epsrel=1e-12,
+    )
+    r = (g21 - g20) / (g21 + g20)
+    return -0.5 * second + 0.5 * m * math.log1p(-r * r) + 0.5 * h * (
+        math.log1p(r) - math.log1p(-r)
+    )
+
+
+def hellinger_difference_form(family, p0, p1):
+    """Hellinger distance from :func:`log_bc_difference_form`."""
+    return math.sqrt(max(0.0, -math.expm1(min(log_bc_difference_form(family, p0, p1), 0.0))))
+
+
 def dense_structure(n):
     """The random-walk structure matrix assembled entry by entry."""
     R = np.zeros((n, n))
@@ -71,6 +107,20 @@ def dense_quad_term(y, tau, kappa):
     n = y.size
     Q = tau * dense_structure(n) + kappa * np.eye(n)
     return 0.5 * kappa**2 * float(y @ np.linalg.solve(Q, y))
+
+
+def dense_spectral_weights(y):
+    """Squared coordinates of ``y`` in the dense orthonormal DCT-II basis.
+
+    Row ``k`` of the basis is ``cos(pi k (2j - 1) / (2n))``, ``j = 1..n``,
+    scaled to unit length: the eigenvectors of the structure matrix.
+    """
+    n = y.size
+    k = np.arange(n)
+    j = np.arange(1, n + 1)
+    basis = np.cos(np.pi * np.outer(k, 2 * j - 1) / (2 * n))
+    basis /= np.sqrt(np.where(k == 0, n, n / 2.0))[:, None]
+    return (basis @ y) ** 2
 
 
 def brute_force_log_normconst_n2(y, kappa, alpha, beta):

@@ -233,14 +233,13 @@ class TestComputeGrid:
     def test_partial_grid_raises_by_default(self, monkeypatch):
         import priorscan.contour as contour_mod
 
-        original = contour_mod.solve_radius
+        original = contour_mod._solve_radii
 
         def flaky(base, epsilon, phi, cx, cy):
-            if phi > 1.5:
-                raise ContourUnreachableError(phi)
-            return original(base, epsilon, phi, cx, cy)
+            gamma1, gamma2, residual = original(base, epsilon, phi, cx, cy)
+            return gamma1, gamma2, np.where(phi > 1.5, np.nan, residual)
 
-        monkeypatch.setattr(contour_mod, "solve_radius", flaky)
+        monkeypatch.setattr(contour_mod, "_solve_radii", flaky)
         with pytest.raises(PartialGridError) as exc:
             contour_mod.compute_grid(GAMMA_BASE, EPS0, n_angles=16)
         assert all(phi > 1.5 for phi in exc.value.failed_angles)
@@ -249,14 +248,13 @@ class TestComputeGrid:
     def test_partial_grid_allowed(self, monkeypatch):
         import priorscan.contour as contour_mod
 
-        original = contour_mod.solve_radius
+        original = contour_mod._solve_radii
 
         def flaky(base, epsilon, phi, cx, cy):
-            if phi > 1.5:
-                raise ContourUnreachableError(phi)
-            return original(base, epsilon, phi, cx, cy)
+            gamma1, gamma2, residual = original(base, epsilon, phi, cx, cy)
+            return gamma1, gamma2, np.where(phi > 1.5, np.nan, residual)
 
-        monkeypatch.setattr(contour_mod, "solve_radius", flaky)
+        monkeypatch.setattr(contour_mod, "_solve_radii", flaky)
         grid = contour_mod.compute_grid(GAMMA_BASE, EPS0, n_angles=16, allow_partial=True)
         assert grid.n_angles == 16
         assert len(grid.failed_angles) >= 1

@@ -7,6 +7,7 @@ from oracles import (
     brute_force_log_normconst_n2,
     dense_logdet_q,
     dense_quad_term,
+    dense_spectral_weights,
     dense_structure,
     log_offset_constant_n2,
 )
@@ -35,7 +36,7 @@ from priorscan import (
     tridiagonal_solve,
     trapezoid_mass,
 )
-from priorscan.rw1 import _quad_terms_batch, normconst
+from priorscan.rw1 import _quad_terms_batch, _spectral_weights, normconst
 
 
 def small_model(n=12, kappa=2.0, prior=DEFAULT_PRIOR, seed=7):
@@ -208,6 +209,14 @@ class TestQuadTerm:
     def test_domain(self):
         with pytest.raises(DomainError):
             quad_term(small_model(), -0.5)
+
+
+class TestSpectralWeights:
+    @pytest.mark.parametrize("n", [2, 3, 192])
+    def test_fast_transform_matches_dense_basis(self, n):
+        m = small_model(n=n, seed=n)
+        expected = dense_spectral_weights(m.y)
+        assert np.allclose(_spectral_weights(m), expected, rtol=1e-12, atol=1e-14 * expected.max())
 
 
 class TestLogUnnormalizedPosterior:

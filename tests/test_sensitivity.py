@@ -1,10 +1,15 @@
 import json
 import math
+import warnings
 
+import numpy as np
 import pytest
 
+from oracles import hellinger_difference_form
 from priorscan import (
     REFERENCE_LEVELS,
+    DegeneratePosteriorWarning,
+    DensityGrid,
     DomainError,
     Family,
     ParamPoint,
@@ -17,8 +22,10 @@ from priorscan import (
     circular_sensitivity,
     compute_grid,
     export_plot_data,
+    hellinger_grid,
     preexplore,
     result_to_json_dict,
+    reweight_posterior,
     summarize,
     tabulate_prior,
 )
@@ -110,17 +117,65 @@ class TestCircularSensitivity:
             circular_sensitivity(inp, grid)
 
     def test_reweighting_failure_reports_the_angle(self):
-        import numpy as np
-
-        from priorscan import DensityGrid
-
         sharp = PriorSpec(Family.GAMMA, ParamPoint(100.0, 100.0))
         support = np.linspace(20.0, 40.0, 9)
         grid_density = DensityGrid(support, np.full(9, 0.05), Scale.NATURAL)
         inp = PosteriorInput(grid_density, sharp, Scale.NATURAL)
         contour = compute_grid(sharp, EPS0, n_angles=8)
-        with pytest.raises(ReweightingError, match="angle"):
+        with pytest.raises(ReweightingError, match=r"angle -3\.141593: base prior underflows"):
             circular_sensitivity(inp, contour)
+
+    @pytest.mark.parametrize("epsilon", [1e-3, 0.00354, 1e-2])
+    @pytest.mark.parametrize(
+        "base,posterior,scale",
+        [
+            (GAMMA_BASE, PriorSpec(Family.GAMMA, ParamPoint(4.0, 2.5)), Scale.LOG_PARAMETER),
+            (GAMMA_BASE, PriorSpec(Family.GAMMA, ParamPoint(4.0, 2.5)), Scale.NATURAL),
+            (NORMAL_BASE, PriorSpec(Family.NORMAL, ParamPoint(0.4, 6.0)), Scale.NATURAL),
+        ],
+    )
+    def test_batched_sweep_matches_one_grid_per_direction(self, base, posterior, scale, epsilon):
+        inp = PosteriorInput(tabulate_prior(posterior, scale), base, scale)
+        res = circular_sensitivity(inp, compute_grid(base, epsilon, n_angles=24))
+        for e in res.entries:
+            moved = reweight_posterior(inp, PriorSpec(base.family, e.point))
+            assert abs(e.h_post - hellinger_grid(moved, inp.posterior)) <= 1e-9
+
+    @pytest.mark.parametrize("epsilon", [1e-5, 1e-6])
+    @pytest.mark.parametrize(
+        "base,scale", [(GAMMA_BASE, Scale.LOG_PARAMETER), (NORMAL_BASE, Scale.NATURAL)]
+    )
+    def test_small_epsilon_flat_likelihood_matches_closed_form(self, base, scale, epsilon):
+        # 1 - BC would be cancellation noise here; the ratios must still
+        # follow the prior distance of each contour point
+        grid = compute_grid(base, epsilon, n_angles=64, allow_partial=True)
+        inp = PosteriorInput(tabulate_prior(base, scale), base, scale)
+        res = circular_sensitivity(inp, grid)
+        assert len(res.entries) >= 60
+        for e in res.entries:
+            truth = hellinger_difference_form(
+                base.family.value, base.point.as_tuple(), e.point.as_tuple()
+            )
+            assert abs(e.ratio - truth / epsilon) <= 1e-4
+
+    def test_degenerate_directions_warn(self):
+        # prior scale lengths far below the support spacing: the rate-raising
+        # directions leave all mass on the first support point
+        base = PriorSpec(Family.GAMMA, ParamPoint(1.0, 1.0))
+        flat = DensityGrid(np.linspace(0.5, 600.5, 9), np.full(9, 1.0 / 600.0), Scale.NATURAL)
+        inp = PosteriorInput(flat, base, Scale.NATURAL)
+        with pytest.warns(DegeneratePosteriorWarning, match="of 8 direction"):
+            res = circular_sensitivity(inp, compute_grid(base, 0.3, n_angles=8))
+        assert len(res.entries) == 8
+
+    def test_well_resolved_sweep_does_not_warn(self):
+        grid = compute_grid(GAMMA_BASE, EPS0, n_angles=16)
+        inp = PosteriorInput(
+            tabulate_prior(GAMMA_BASE, Scale.LOG_PARAMETER), GAMMA_BASE, Scale.LOG_PARAMETER
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegeneratePosteriorWarning)
+            circular_sensitivity(inp, grid)
 
 
 class TestSummarize:
