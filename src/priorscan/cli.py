@@ -55,6 +55,10 @@ EXIT_INPUT = 2
 EXIT_CONTOUR = 3
 EXIT_NUMERICAL = 4
 
+# config-file values of switches such as --log-scale
+_SWITCH_VALUES = {"1": True, "true": True, "yes": True, "on": True,
+                  "0": False, "false": False, "no": False, "off": False}
+
 
 @dataclass
 class RunConfig:
@@ -134,20 +138,35 @@ def _load_config_file(path: str) -> dict:
         values[key.replace("-", "_")] = value
     return values
 
-_CONFIG_COERCIONS = {
-    "epsilon": float,
-    "n_angles": int,
-    "kappa": float,
-    "h": float,
-    "mu": float,
-    "gamma0": _parse_point,
-    "prior": _parse_point,
-    "log_scale": lambda v: v.lower() in ("1", "true", "yes"),
-    "allow_partial": lambda v: v.lower() in ("1", "true", "yes"),
-}
+
+def _config_values(path: str, command: argparse.ArgumentParser) -> dict:
+    """Config-file entries checked and coerced like the subcommand's own flags.
+
+    Each key must name an option of ``command``; its value goes through that
+    option's ``type`` and ``choices``, or for a switch ``_SWITCH_VALUES``.
+    """
+    actions = {action.dest: action for action in command._actions if action.dest != "help"}
+    values = {}
+    for key, text in _load_config_file(path).items():
+        action = actions.get(key)
+        if action is None:
+            raise IngestionError(f"unknown config key {key!r} for {command.prog}")
+        switch = action.nargs == 0  # such as --log-scale
+        try:
+            value = text.lower() if switch else (action.type or str)(text)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise IngestionError(f"config key {key!r}: {exc}") from exc
+        allowed = _SWITCH_VALUES if switch else action.choices
+        if allowed is not None and value not in allowed:
+            choices = ", ".join(map(repr, allowed))
+            raise IngestionError(
+                f"config key {key!r}: invalid choice {value!r} (choose from {choices})"
+            )
+        values[key] = _SWITCH_VALUES[value] if switch else value
+    return values
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="priorscan",
         description="Local sensitivity of Bayesian posteriors to prior hyperparameters",
@@ -193,37 +212,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rw1.add_argument("--engine", choices=["exact", "reweight"], default=None,
                        help="posterior distances: closed-form constants or grid reweighting")
     add_common(p_rw1)
-    return parser
+    return parser, sub.choices
 
 
 def _resolve_config(argv: list[str]) -> RunConfig:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
-    file_values = _load_config_file(args.config) if args.config else {}
+    file_values = _config_values(args.config, commands[args.command]) if args.config else {}
 
     def pick(name: str, default):
         flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        if name in file_values:
-            coerce = _CONFIG_COERCIONS.get(name, str)
-            try:
-                return coerce(file_values[name])
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise IngestionError(f"config key {name!r}: {exc}") from exc
-        return default
+        return flag if flag is not None else file_values.get(name, default)
 
-    outdir = Path(pick("outdir", os.environ.get(OUTDIR_ENV, ".")))
     family = pick("family", None)
-    gamma0 = pick("gamma0", None)
-    if isinstance(gamma0, str):
-        gamma0 = _parse_point(gamma0)
-    config = RunConfig(
+    return RunConfig(
         command=args.command,
-        epsilon=float(pick("epsilon", DEFAULT_EPSILON)),
-        n_angles=int(pick("n_angles", DEFAULT_ANGLES)),
+        epsilon=pick("epsilon", DEFAULT_EPSILON),
+        n_angles=pick("n_angles", DEFAULT_ANGLES),
         family=Family(family) if family else None,
-        gamma0=gamma0,
+        gamma0=pick("gamma0", None),
         log_scale=bool(pick("log_scale", False)),
         allow_partial=bool(pick("allow_partial", False)),
         posterior=Path(p) if (p := pick("posterior", None)) else None,
@@ -234,12 +241,9 @@ def _resolve_config(argv: list[str]) -> RunConfig:
         engine=pick("engine", None) or "exact",
         h=pick("h", None),
         mu=pick("mu", None),
-        outdir=outdir,
+        outdir=Path(pick("outdir", os.environ.get(OUTDIR_ENV, "."))),
         out_prefix=pick("out_prefix", args.command),
     )
-    if isinstance(config.prior, str):
-        config = RunConfig(**{**config.__dict__, "prior": _parse_point(config.prior)})
-    return config
 
 
 def _emit_sensitivity(config: RunConfig, result: SensitivityResult) -> None:

@@ -124,13 +124,19 @@ def bhattacharyya_grid(g0: DensityGrid, g1: DensityGrid) -> float:
 
 
 def hellinger_grid(g0: DensityGrid, g1: DensityGrid) -> float:
-    """Hellinger distance ``sqrt(1 - BC)`` between two tabulated densities.
+    """Hellinger distance between two tabulated, normalized densities.
 
-    Grids on different supports are aligned with :func:`common_support`
-    before the coefficient is computed.
+    Grids on different supports are aligned with :func:`common_support`.
+    ``H^2 = 1/2 * integral of (sqrt(p0) - sqrt(p1))^2`` over the common
+    support, plus half the mass each grid has outside it. Unlike
+    ``sqrt(1 - BC)``, this stays accurate for distances far below
+    sqrt(machine epsilon).
     """
     a0, a1 = common_support(g0, g1)
-    return float(np.sqrt(max(0.0, 1.0 - bhattacharyya_grid(a0, a1))))
+    h2 = 0.5 * np.trapezoid((np.sqrt(a0.values) - np.sqrt(a1.values)) ** 2, a0.support)
+    for grid, aligned in ((g0, a0), (g1, a1)):
+        h2 += 0.5 * (trapezoid_mass(grid) - trapezoid_mass(aligned))
+    return float(np.sqrt(min(1.0, max(0.0, h2))))
 
 
 def read_density_csv(path, scale: Scale = Scale.NATURAL) -> DensityGrid:

@@ -7,21 +7,20 @@ rank ``n - 1`` with smoothing precision ``tau`` and structure matrix ``R``
 diagonal). With a gamma ``(alpha, beta)`` prior on ``tau`` the latent field
 integrates out in closed form and the marginal posterior of ``tau`` is
 
-    pi(tau | y) ~ tau^(alpha + (n-1)/2 - 1) |Q|^(-1/2)
-                  exp(-beta tau + kappa^2 y' Q^-1 y / 2),
-    Q = tau R + kappa I.
+    pi(tau | y) ~ tau^(alpha + (n-1)/2 - 1) exp(-beta tau + S(log tau)),
+    S(u) = -log|Q|/2 + kappa^2 y' Q^-1 y / 2,   Q = e^u R + kappa I.
 
-``R`` has eigenvalues ``2 - 2 cos(pi (i - 1) / n)``, ``i = 1..n``, so the
-determinant is a stable product and the quadratic form is one tridiagonal
-solve. Because the posterior depends on ``(alpha, beta)`` only through the
-``tau^(alpha-1) exp(-beta tau)`` tilt, posteriors under different gamma
-priors share a normalizing-constant identity that yields the posterior
-Hellinger distance exactly:
+``R`` has eigenvalues ``2 - 2 cos(pi (i - 1) / n)``, ``i = 1..n``, so ``S`` is
+two sums over the spectrum, evaluated once per model on one dyadic log-tau
+lattice. All priors of a sweep (base, contour points, midpoints) are
+integrated on that lattice in one array pass, and with ``t`` the prior log
+ratio and ``E0`` the expectation under the base posterior,
 
-    H^2 = 1 - C((a0+a1)/2, (b0+b1)/2) / sqrt(C(a0, b0) C(a1, b1)),
+    log BC = log1p(E0[expm1(t/2)]) - 1/2 log1p(E0[expm1(t)])
 
-with ``C`` the normalizing constant. This module is the exact oracle the
-generic reweighting engine is validated against.
+gives the exact Hellinger distance without differences of O(100) log
+normalizing constants. This module is the exact oracle the reweighting
+engine is validated against, and shares no tilt or integral code with it.
 """
 
 from __future__ import annotations
@@ -41,16 +40,17 @@ from .grids import DensityGrid, Scale, normalize_grid
 from .reweight import PosteriorInput
 from .sensitivity import SensitivityResult, assemble_result
 
-# Log-tau quadrature lattice: nodes are u = k * LATTICE_STEP / 2^level, so
-# integrand evaluations are shared across normalizing constants.
+# Log-tau lattice: level L holds u = k * _LATTICE_STEP / 2^L, so each level
+# contains the one below; modes and windows are found on level 0.
 _LATTICE_STEP = 0.5
 _WINDOW_DROP = 60.0  # exp(-60) ~ 9e-27 relative tail cut for quadrature
 _TABLE_DROP = 28.0  # exp(-28) < 1e-12 relative boundary for tabulation
 _SCAN_LIMIT = 300.0
+_SCAN_WIDEN = 100  # level-0 nodes (50 on the log-tau axis) added per widening
 _MAX_LEVEL = 16
-# Cells (tau values x eigenvalues) per block of the spectral sums, so the
-# temporaries stay at 4 MB for any series length.
-_BLOCK_CELLS = 1 << 19
+# Cells per block of the (tau values x eigenvalues) and (priors x nodes) products: 120 kB
+# temporaries stay in cache and under malloc's 128 kB mmap threshold, so no page faults.
+_BLOCK_CELLS = 15 << 10
 
 DEFAULT_PRIOR = ParamPoint(1.0, 0.005)
 
@@ -132,14 +132,6 @@ def tridiagonal_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rh
     return v
 
 
-def _eigenvalues(model: RW1Model) -> np.ndarray:
-    eig = model._cache.get("eig")
-    if eig is None:
-        eig = rw1_eigenvalues(model.n)
-        model._cache["eig"] = eig
-    return eig
-
-
 def logdet_q(tau: float, kappa: float, n: int) -> float:
     """``log det(tau R + kappa I)`` via the eigenvalue product."""
     if tau < 0.0 or kappa <= 0.0:
@@ -174,46 +166,52 @@ def _spectral_weights(model: RW1Model) -> np.ndarray:
     return w
 
 
-def _tau_blocks(taus: np.ndarray, n: int):
-    """Slices of ``taus`` whose (taus x eigenvalues) products fit one block."""
-    step = max(1, _BLOCK_CELLS // n)
-    return (slice(lo, lo + step) for lo in range(0, taus.size, step))
+def _blocks(rows: int, width: int):
+    """Row slices of a (rows x width) array that fit one block of cells."""
+    step = max(1, _BLOCK_CELLS // width)
+    return (slice(lo, lo + step) for lo in range(0, rows, step))
 
 
-def _quad_terms_batch(model: RW1Model, taus: np.ndarray) -> np.ndarray:
-    """``kappa^2 y' Q^-1 y / 2`` across many tau values via the eigenbasis.
+def _spectral_sums(model: RW1Model, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``kappa^2 y' Q^-1 y / 2`` and ``log det Q`` across many tau values.
 
     Elimination-based solves lose the ``kappa I`` regularization once
-    ``kappa / tau`` drops below machine epsilon (the structure matrix is
-    singular, so the last pivot cancels to zero); the spectral form
-    ``sum yhat_k^2 / (tau lambda_k + kappa)`` stays accurate for any
-    ``tau >= 0``.
+    ``kappa / tau`` drops below machine epsilon (the last pivot cancels to
+    zero); the spectral form ``sum yhat_k^2 / (tau lambda_k + kappa)`` stays
+    accurate for any ``tau >= 0``.
     """
     taus = np.asarray(taus, dtype=float)
-    eig = _eigenvalues(model)
-    yhat2 = _spectral_weights(model)
-    qf = np.empty(taus.size)
-    for block in _tau_blocks(taus, model.n):
-        qf[block] = np.sum(yhat2 / (np.outer(taus[block], eig) + model.kappa), axis=1)
-    return 0.5 * model.kappa**2 * qf
+    eig, yhat2 = rw1_eigenvalues(model.n), _spectral_weights(model)
+    quad, logdet = np.empty((2, taus.size))
+    for block in _blocks(taus.size, model.n):
+        d = np.outer(taus[block], eig) + model.kappa
+        quad[block], logdet[block] = np.sum(yhat2 / d, axis=1), np.sum(np.log(d), axis=1)
+    return 0.5 * model.kappa**2 * quad, logdet
 
 
-def _s_values(model: RW1Model, us: np.ndarray) -> np.ndarray:
-    """Prior-independent part ``-logdet(Q)/2 + quad`` at ``tau = exp(u)``, cached."""
-    cache = model._cache.setdefault("S", {})
-    us = np.asarray(us, dtype=float)
-    missing = [u for u in us.tolist() if u not in cache]
-    if missing:
-        mu = np.array(missing)
-        taus = np.exp(mu)
-        eig = _eigenvalues(model)
-        logdet = np.empty(taus.size)
-        for block in _tau_blocks(taus, model.n):
-            logdet[block] = np.sum(np.log(np.outer(taus[block], eig) + model.kappa), axis=1)
-        quads = _quad_terms_batch(model, taus)
-        for u, s in zip(missing, (-0.5 * logdet + quads).tolist()):
-            cache[u] = s
-    return np.array([cache[u] for u in us.tolist()])
+def _s_terms(model: RW1Model, us: np.ndarray) -> np.ndarray:
+    """Prior-independent part ``S(u) = -logdet(Q)/2 + quad`` at ``tau = exp(u)``."""
+    quad, logdet = _spectral_sums(model, np.exp(us))
+    return quad - 0.5 * logdet
+
+
+def _s_nodes(model: RW1Model, level: int, lo: int, hi: int) -> np.ndarray:
+    """``S`` at the nodes ``j = lo .. hi - 1`` that lattice level ``level`` adds.
+
+    Level 0 holds ``u = j * _LATTICE_STEP``, level ``L >= 1`` the odd nodes
+    ``u = (2j + 1) * _LATTICE_STEP / 2^L``. Each level is kept on the model
+    as one contiguous array that grows to cover every range asked for.
+    """
+    cache = model._cache.setdefault("lattice", {})
+    j0, values = cache.get(level, (lo, np.empty(0)))
+    j1 = j0 + values.size
+    if lo < j0 or hi > j1:
+        odd, h = int(level > 0), _LATTICE_STEP / 2**level
+        left, right = np.arange(min(lo, j0), j0), np.arange(j1, max(hi, j1))
+        values = np.r_[_s_terms(model, ((1 + odd) * left + odd) * h), values,
+                       _s_terms(model, ((1 + odd) * right + odd) * h)]
+        cache[level] = j0, values = min(lo, j0), values
+    return values[lo - j0 : hi - j0]
 
 
 def log_unnormalized_posterior(model: RW1Model, tau: float) -> float:
@@ -229,144 +227,147 @@ def log_unnormalized_posterior(model: RW1Model, tau: float) -> float:
     )
 
 
-def _log_target(model: RW1Model, alpha: float, beta: float, us: np.ndarray) -> np.ndarray:
-    """Log posterior density of ``u = log tau`` under a gamma (alpha, beta) prior.
+def _log_target(model: RW1Model, priors: np.ndarray, us: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Log posterior density of ``u = log tau`` given ``s = S(us)``, one row per
+    gamma prior (alpha, beta); ``alpha + (n-1)/2`` absorbs the log Jacobian."""
+    return (priors[:, :1] + (model.n - 1) / 2.0) * us - priors[:, 1:] * np.exp(us) + s
 
-    The exponent ``alpha + (n-1)/2`` absorbs the Jacobian of the log
-    transform.
+
+def _windows(model: RW1Model, priors: np.ndarray, drop: float):
+    """Level-0 window ends and peak log density of every prior's posterior.
+
+    Each window ends at the nearest coarse node on either side of the mode
+    where the log density has fallen by ``drop``. The scan widens while a mode
+    sits on its edge, up to ``+-_SCAN_LIMIT``, or a window is open, up to twice that.
     """
-    us = np.asarray(us, dtype=float)
-    out = (alpha + (model.n - 1) / 2.0) * us - beta * np.exp(us) + _s_values(model, us)
-    if not np.all(np.isfinite(out)):
-        bad = us[~np.isfinite(out)][0]
-        raise NumericalError(f"non-finite posterior integrand at log tau = {bad!r}")
-    return out
-
-
-def _scan_mode(model: RW1Model, alpha: float, beta: float) -> tuple[float, float]:
-    """Coarse lattice scan for the posterior mode on the log-tau axis."""
-    lo, hi = -50.0, 50.0
+    lo, hi, limit = -_SCAN_WIDEN, _SCAN_WIDEN, _SCAN_LIMIT / _LATTICE_STEP
+    top, left, right = np.empty((3, len(priors)), dtype=int)
+    peak = np.empty(len(priors))
     while True:
-        us = np.arange(lo, hi + _LATTICE_STEP, _LATTICE_STEP)
-        g = _log_target(model, alpha, beta, us)
-        k = int(np.argmax(g))
-        if 0 < k < us.size - 1:
-            return float(us[k]), float(g[k])
-        if k == 0:
-            lo -= 50.0
-        else:
-            hi += 50.0
-        if lo < -_SCAN_LIMIT or hi > _SCAN_LIMIT:
-            raise NumericalError(
-                f"posterior mode for prior ({alpha}, {beta}) escaped the "
-                f"log-tau scan range [{-_SCAN_LIMIT}, {_SCAN_LIMIT}]"
-            )
+        ks = np.arange(lo, hi + 1)
+        us, s = ks * _LATTICE_STEP, _s_nodes(model, 0, lo, hi + 1)
+        for block in _blocks(len(priors), ks.size):
+            g = _log_target(model, priors[block], us, s)
+            if not np.all(np.isfinite(g)):
+                bad = us[np.nonzero(~np.isfinite(g))[1][0]]
+                raise NumericalError(f"non-finite posterior integrand at log tau = {bad!r}")
+            top[block], peak[block] = ks[np.argmax(g, axis=1)], g.max(axis=1)
+            below, mode = g <= peak[block, None] - drop, top[block, None]
+            left[block] = np.where(below & (ks < mode), ks, lo - 1).max(axis=1)
+            right[block] = np.where(below & (ks > mode), ks, hi + 1).min(axis=1)
+        open_lo, open_hi = left < lo, right > hi
+        if not (open_lo.any() or open_hi.any()):
+            return left, right, peak
+        edge = (top == lo) | (top == hi)
+        lo, hi = lo - _SCAN_WIDEN * open_lo.any(), hi + _SCAN_WIDEN * open_hi.any()
+        if edge.any() and (lo < -limit or hi > limit):
+            a, b = priors[np.argmax(edge)]
+            raise NumericalError(f"posterior mode for prior ({a}, {b}) escaped the log-tau "
+                                 f"scan range [{-_SCAN_LIMIT}, {_SCAN_LIMIT}]")
+        if lo < -2 * limit or hi > 2 * limit:
+            a, b = priors[np.argmax(open_lo | open_hi)]
+            raise NumericalError(f"posterior tail for prior ({a}, {b}) does not decay on the log-tau axis")
 
 
-def _expand_window(
-    model: RW1Model, alpha: float, beta: float, u_star: float, g_star: float, drop: float
-) -> tuple[float, float]:
-    """Walk outward on the lattice until the log density falls by ``drop``."""
-    bounds = []
-    for direction in (-1.0, 1.0):
-        u = u_star
-        while True:
-            us = u + direction * _LATTICE_STEP * np.arange(1, 65)
-            g = _log_target(model, alpha, beta, us)
-            hit = np.nonzero(g <= g_star - drop)[0]
-            if hit.size:
-                bounds.append(float(us[hit[0]]))
-                break
-            u = float(us[-1])
-            if abs(u) > 2.0 * _SCAN_LIMIT:
-                raise NumericalError("posterior tail does not decay on the log-tau axis")
-    return bounds[0], bounds[1]
+def _lattice_pass(model: RW1Model, anchor, points, rel_tol: float = 1e-11):
+    """``log C`` of an anchor gamma prior and of each point, and the posterior
+    Hellinger distance to each point, from one quadrature on the shared lattice.
+
+    With ``t`` the log ratio of a point's posterior kernel to the anchor's,
+    less the gap of their peaks (a constant, which leaves BC unchanged),
+    ``log BC = log E[exp(t/2)] - log E[exp(t)] / 2`` under the anchor's
+    posterior, each ``log E`` formed as ``log1p(E[expm1(.)])``. The window
+    covers the anchor, points and midpoints. Trapezoid sums gain each level's
+    new nodes; all Simpson sums must change by at most ``rel_tol`` times the
+    integral of their absolute value between two levels by ``_MAX_LEVEL``.
+    """
+    anchor, points = np.asarray(anchor, dtype=float), np.asarray(points, dtype=float).reshape(-1, 2)
+    n_pts = len(points)
+    priors = np.vstack([anchor, 0.5 * (anchor + points), points])
+    k_lo, k_hi, peak = _windows(model, priors, _WINDOW_DROP)
+    lo, hi = int(k_lo.min()), int(k_hi.max())
+    gap = peak[1 + n_pts :] - peak[0]
+    half_tilt = 0.5 * np.c_[points - anchor, gap] * [1.0, -1.0, -1.0]
+
+    def sums(us, s, weights):
+        # sums of f and |f|; rows: 1, then exp(log_w) * expm1(t/2), then * expm1(t)
+        log_w = _log_target(model, anchor[None], us, s)[0] - peak[0]
+        base = weights * np.exp(log_w)
+        out = np.empty((2, len(priors)))
+        out[:, 0] = base.sum()
+        stats = np.vstack([us, np.exp(us), np.ones(us.size)])  # t / 2 = half_tilt @ stats
+        for block in _blocks(n_pts, us.size):
+            half = half_tilt[block] @ stats
+            for first_row, t in ((1, half), (1 + n_pts, 2.0 * half)):
+                p, far = base * np.expm1(np.minimum(t, 1.0)), np.nonzero(t >= 1.0)
+                # log_w + t <= ~0, so this form cannot overflow where log_w underflows
+                p[far] = weights[far[1]] * np.exp(log_w[far[1]] + t[far]) - base[far[1]]
+                out[:, first_row + np.arange(n_pts)[block]] = p.sum(axis=1), np.abs(p, out=p).sum(axis=1)
+        return out
+
+    first = max(1, math.ceil(math.log2(128 / (hi - lo))))  # first level with >= 128 intervals
+    weights = _LATTICE_STEP * np.r_[0.5, np.ones(hi - lo - 1), 0.5]
+    trap = sums(_LATTICE_STEP * np.arange(lo, hi + 1), _s_nodes(model, 0, lo, hi + 1), weights)
+    converged = np.zeros(len(priors), dtype=bool)
+    for level in range(1, _MAX_LEVEL + 1):
+        h, j = _LATTICE_STEP / 2**level, np.arange(lo << (level - 1), hi << (level - 1))
+        s = _s_nodes(model, level, int(j[0]), int(j[-1]) + 1)
+        finer = 0.5 * trap + sums((2 * j + 1) * h, s, np.full(j.size, h))
+        simpson = (4.0 * finer - trap) / 3.0
+        if level > first:
+            converged = np.abs(simpson[0] - prev[0]) <= rel_tol * simpson[1]
+            if converged.all():
+                with np.errstate(divide="ignore"):  # BC below 1e-308 gives H = 1
+                    log_e = np.log1p(simpson[0, 1:] / simpson[0, 0])
+                log_bc = np.minimum(log_e[:n_pts] - 0.5 * log_e[n_pts:], 0.0)
+                log_c = float(peak[0] + math.log(simpson[0, 0]))
+                log_c_points = log_c + log_e[n_pts:] + gap
+                return log_c, log_c_points, np.sqrt(np.maximum(0.0, -np.expm1(log_bc)))
+        trap, prev = finer, simpson
+    a, b = np.vstack([anchor, points, points])[np.argmin(converged)]
+    raise NumericalError(f"quadrature for prior ({a}, {b}) did not converge to {rel_tol} "
+                         f"within {_MAX_LEVEL} refinement levels")
 
 
 def normconst(model: RW1Model, alpha: float, beta: float, rel_tol: float = 1e-11) -> float:
     """Log normalizing constant ``log C(alpha, beta)`` of the tau posterior.
 
-    Composite Simpson quadrature on the log-tau axis, centered at the
-    posterior mode, with the window expanded until the integrand drops by
-    a factor of exp(-60) and nodes doubled until the integral changes by
-    at most ``rel_tol`` relative. Node positions live on a fixed dyadic
-    lattice so evaluations are shared across calls for the same model.
+    The one-prior case of the lattice quadrature a sweep shares: composite
+    Simpson over the log-tau window where the integrand stays above exp(-60)
+    of its peak, nodes doubled until it changes by at most ``rel_tol``.
     """
     if alpha <= 0.0 or beta <= 0.0:
         raise DomainError(f"gamma prior parameters must be positive, got ({alpha}, {beta})")
-    u_star, g_star = _scan_mode(model, alpha, beta)
-    u_lo, u_hi = _expand_window(model, alpha, beta, u_star, g_star, _WINDOW_DROP)
-    width = u_hi - u_lo
-    k_int = max(1, round(width / _LATTICE_STEP))
-    level = 1
-    while k_int * 2**level < 128:
-        level += 1
-    prev = None
-    while level <= _MAX_LEVEL:
-        m = k_int * 2**level
-        # u_lo and h are exact binary multiples, so nodes land exactly on
-        # the dyadic lattice and cached values are reused across calls
-        h = _LATTICE_STEP / 2**level
-        us = u_lo + h * np.arange(m + 1)
-        g = _log_target(model, alpha, beta, us)
-        w = np.exp(g - g_star)
-        integral = (h / 3.0) * (w[0] + w[-1] + 4.0 * w[1:-1:2].sum() + 2.0 * w[2:-1:2].sum())
-        if prev is not None and abs(integral - prev) <= rel_tol * abs(integral):
-            return g_star + math.log(integral)
-        prev = integral
-        level += 1
-    raise NumericalError(
-        f"normalizing-constant quadrature did not converge to {rel_tol} "
-        f"within {_MAX_LEVEL} refinement levels"
-    )
-
-
-def _normconst_cached(model: RW1Model, alpha: float, beta: float) -> float:
-    cache = model._cache.setdefault("C", {})
-    key = (alpha, beta)
-    if key not in cache:
-        cache[key] = normconst(model, alpha, beta)
-    return cache[key]
+    return _lattice_pass(model, (alpha, beta), [], rel_tol)[0]
 
 
 def exact_posterior_hellinger(model: RW1Model, p0: ParamPoint, p1: ParamPoint) -> float:
     """Exact Hellinger distance between tau posteriors under two gamma priors.
 
-    Uses the normalizing-constant identity; no density grids are involved.
+    The one-pair case of :func:`exact_sensitivity`'s lattice pass, anchored
+    at the smaller (alpha, beta) tuple so that swapped arguments agree exactly.
     """
     validate_point(Family.GAMMA, p0)
     validate_point(Family.GAMMA, p1)
-    if p0 == p1:
-        return 0.0
-    log_c0 = _normconst_cached(model, p0.gamma1, p0.gamma2)
-    log_c1 = _normconst_cached(model, p1.gamma1, p1.gamma2)
-    log_cm = _normconst_cached(model, 0.5 * (p0.gamma1 + p1.gamma1), 0.5 * (p0.gamma2 + p1.gamma2))
-    log_bc = log_cm - 0.5 * (log_c0 + log_c1)
-    return math.sqrt(max(0.0, -math.expm1(min(log_bc, 0.0))))
+    anchor, other = sorted((p0.as_tuple(), p1.as_tuple()))
+    return float(_lattice_pass(model, anchor, [other])[2][0])
 
 
 def tabulate_posterior(model: RW1Model, n_points: int = 2001) -> PosteriorInput:
     """Tabulate the exact posterior of ``log tau`` for the reweighting engine.
 
-    The grid covers the mode plus enough spread that the boundary density
-    falls below 1e-12 of the peak, holds ``n_points`` equispaced points,
-    and is returned already paired with the model's gamma base prior and
+    ``n_points`` equispaced points span the window where the density stays
+    above 1e-12 of its peak, paired with the model's gamma base prior and
     the log-parameter flag.
     """
     if n_points < 8:
         raise DomainError("tabulation needs at least 8 points")
-    alpha, beta = model.prior.as_tuple()
-    u_star, g_star = _scan_mode(model, alpha, beta)
-    u_lo, u_hi = _expand_window(model, alpha, beta, u_star, g_star, _TABLE_DROP)
-    us = np.linspace(u_lo, u_hi, n_points)
-    g = _log_target(model, alpha, beta, us)
-    values = np.exp(g - g.max())
-    grid = normalize_grid(DensityGrid(us, values, Scale.LOG_PARAMETER))
-    return PosteriorInput(
-        posterior=grid,
-        base_prior=PriorSpec(Family.GAMMA, model.prior),
-        parametrization=Scale.LOG_PARAMETER,
-    )
+    prior = np.array([model.prior.as_tuple()])
+    k_lo, k_hi, _ = _windows(model, prior, _TABLE_DROP)
+    us = np.linspace(k_lo[0] * _LATTICE_STEP, k_hi[0] * _LATTICE_STEP, n_points)
+    g = _log_target(model, prior, us, _s_terms(model, us))[0]
+    grid = normalize_grid(DensityGrid(us, np.exp(g - g.max()), Scale.LOG_PARAMETER))
+    return PosteriorInput(grid, PriorSpec(Family.GAMMA, model.prior), Scale.LOG_PARAMETER)
 
 
 def exact_sensitivity(
@@ -374,16 +375,14 @@ def exact_sensitivity(
 ) -> SensitivityResult:
     """Circular sensitivity with exact posterior distances on every direction.
 
-    Traces the epsilon-contour of the gamma prior around ``model.prior``
-    and evaluates each direction through the normalizing-constant
-    identity.
+    All directions of the epsilon-contour around ``model.prior`` share one
+    lattice pass anchored at the base posterior.
     """
     base = PriorSpec(Family.GAMMA, model.prior)
     grid = compute_grid(base, epsilon, n_angles=n_angles, allow_partial=allow_partial)
-    raw = []
-    for gp in grid.points:
-        h = exact_posterior_hellinger(model, model.prior, gp.point)
-        raw.append((gp.phi, gp.point, h))
+    points = [gp.point.as_tuple() for gp in grid.points]
+    dists = _lattice_pass(model, model.prior.as_tuple(), points)[2]
+    raw = [(gp.phi, gp.point, float(h)) for gp, h in zip(grid.points, dists)]
     return assemble_result(
         base, epsilon, raw, cardinal=grid.cardinal, failed_angles=grid.failed_angles
     )

@@ -168,6 +168,45 @@ def log_offset_constant_n2(y, kappa, alpha, beta):
     )
 
 
+def tabulation_window(y, kappa, alpha, beta, drop=28.0, step=0.5):
+    """Support bounds of the tabulated log-tau posterior, by an outward walk.
+
+    The log density ``(alpha + (n-1)/2) u - beta e^u - log|Q|/2 + quad`` of
+    ``u = log tau`` is evaluated one node at a time from the closed-form
+    eigenvalues and the dense DCT basis. The mode is the best node of a scan
+    over [-50, 50] in steps of ``step``, widened by 50 while the best node
+    sits on an edge; each bound is the first node, walking outward from the
+    mode, where the density has fallen by ``drop``.
+    """
+    n = y.size
+    lam = 2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)
+    yhat2 = dense_spectral_weights(y)
+
+    def log_density(k):
+        u = k * step
+        d = math.exp(u) * lam + kappa
+        return ((alpha + (n - 1) / 2.0) * u - beta * math.exp(u)
+                - 0.5 * float(np.sum(np.log(d))) + 0.5 * kappa**2 * float(np.sum(yhat2 / d)))
+
+    lo, hi = -100, 100
+    while True:
+        values = [log_density(k) for k in range(lo, hi + 1)]
+        best = int(np.argmax(values))
+        if best == 0:
+            lo -= 100
+        elif best == len(values) - 1:
+            hi += 100
+        else:
+            break
+    bounds = []
+    for direction in (-1, 1):
+        k = lo + best + direction
+        while log_density(k) > values[best] - drop:
+            k += direction
+        bounds.append(k * step)
+    return tuple(bounds)
+
+
 def make_monthly_counts(seed=20260815, n_months=192, level=35.0, sig_rw=0.30,
                         sig_noise=1.2):
     """Synthetic monthly-count series: seasonal pattern, slow drift, noise.

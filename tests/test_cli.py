@@ -332,6 +332,48 @@ class TestConfigResolution:
         cfg.write_text("this line has no equals sign\n")
         assert main(["--config", str(cfg), "calibrate", "--h", "0.1"]) == 2
 
+    def assert_config_rejected(self, tmp_path, capsys, text, args, match):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        outdir = tmp_path / "out"
+        assert main(["--config", str(cfg), *args, "--outdir", str(outdir)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and match in err[0]
+        assert not outdir.exists()
+
+    def test_config_engine_checked_against_choices(self, tmp_path, small_counts_csv, capsys):
+        self.assert_config_rejected(
+            tmp_path, capsys, "engine = exakt\n", ["rw1", "--data", str(small_counts_csv)],
+            "invalid choice 'exakt'",
+        )
+
+    def test_config_family_checked_against_choices(self, tmp_path, capsys):
+        self.assert_config_rejected(
+            tmp_path, capsys, "family = gama\ngamma0 = 1,0.34\n", ["grid"],
+            "invalid choice 'gama'",
+        )
+
+    def test_config_window_checked_against_choices(self, tmp_path, small_counts_csv, capsys):
+        self.assert_config_rejected(
+            tmp_path, capsys, "window = last12\n", ["rw1", "--data", str(small_counts_csv)],
+            "invalid choice 'last12'",
+        )
+
+    def test_config_switch_value_checked(self, tmp_path, posterior_csv, capsys):
+        self.assert_config_rejected(
+            tmp_path, capsys, "log-scale = ture\n",
+            ["sensitivity", "--family", "gamma", "--gamma0", "1,0.34",
+             "--posterior", str(posterior_csv)],
+            "invalid choice 'ture'",
+        )
+
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        self.assert_config_rejected(
+            tmp_path, capsys, "epsilom = 0.01\n",
+            ["grid", "--family", "gamma", "--gamma0", "1,0.34", "--n-angles", "16"],
+            "unknown config key 'epsilom'",
+        )
+
     def test_outdir_env_fallback(self, tmp_path, monkeypatch, capsys):
         envdir = tmp_path / "fromenv"
         monkeypatch.setenv("PRIORSCAN_OUTDIR", str(envdir))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import hellinger_gamma_quad
+from oracles import hellinger_difference_form, hellinger_gamma_quad
 from priorscan import (
     AlignmentError,
     DensityGrid,
@@ -195,6 +195,26 @@ class TestHellingerGrid:
         log0 = tabulate_prior(PriorSpec(Family.GAMMA, p0), Scale.LOG_PARAMETER)
         log1 = tabulate_prior(PriorSpec(Family.GAMMA, p1), Scale.LOG_PARAMETER)
         assert abs(hellinger_grid(nat0, nat1) - hellinger_grid(log0, log1)) <= 2e-4
+
+    @pytest.mark.parametrize("family", ["normal", "gamma"])
+    def test_tiny_distance_has_no_cancellation(self, family):
+        # H ~ 1e-6 on one shared support: sqrt(1 - BC) keeps only about
+        # five digits here, the (sqrt p0 - sqrt p1)^2 form nearly all
+        if family == "normal":
+            x = np.linspace(-12.0, 12.0, 2001)
+            p0, p1 = (0.0, 1.0), (2.8e-6, 1.0)
+            log0, log1 = -0.5 * x**2, -0.5 * (x - p1[0]) ** 2
+            scale = Scale.NATURAL
+        else:
+            x = np.linspace(-8.0, 4.0, 2001)
+            p0, p1 = (3.0, 2.0), (3.0 + 4.5e-6, 2.0)
+            log0, log1 = p0[0] * x - 2.0 * np.exp(x), p1[0] * x - 2.0 * np.exp(x)
+            scale = Scale.LOG_PARAMETER
+        g0 = normalize_grid(DensityGrid(x, np.exp(log0), scale))
+        g1 = normalize_grid(DensityGrid(x, np.exp(log1), scale))
+        expected = hellinger_difference_form(family, p0, p1)
+        assert 5e-7 < expected < 2e-6
+        assert hellinger_grid(g0, g1) == pytest.approx(expected, rel=1e-7)
 
     def test_log_scale_matches_quadrature(self):
         p0, p1 = ParamPoint(2.0, 1.0), ParamPoint(4.0, 2.0)

@@ -10,6 +10,8 @@ from oracles import (
     dense_spectral_weights,
     dense_structure,
     log_offset_constant_n2,
+    make_monthly_counts,
+    tabulation_window,
 )
 from priorscan import (
     DEFAULT_PRIOR,
@@ -36,7 +38,16 @@ from priorscan import (
     tridiagonal_solve,
     trapezoid_mass,
 )
-from priorscan.rw1 import _quad_terms_batch, _spectral_weights, normconst
+from priorscan import rw1
+from priorscan.rw1 import _lattice_pass, _spectral_sums, _spectral_weights, normconst
+
+
+@pytest.fixture(scope="module")
+def model2004(tmp_path_factory):
+    counts = make_monthly_counts(seed=2004, n_months=2004)
+    path = tmp_path_factory.mktemp("data2004") / "counts.csv"
+    path.write_text("count\n" + "".join(f"{int(c)}\n" for c in counts))
+    return ingest_timeseries(path)
 
 
 def small_model(n=12, kappa=2.0, prior=DEFAULT_PRIOR, seed=7):
@@ -190,7 +201,7 @@ class TestQuadTerm:
         # sweep; they must coincide wherever both are well conditioned
         m = small_model(n=30)
         taus = np.array([1e-3, 0.01, 0.5, 1.0, 20.0, 1e4])
-        batch = _quad_terms_batch(m, taus)
+        batch = _spectral_sums(m, taus)[0]
         scalar = np.array([quad_term(m, t) for t in taus])
         assert np.allclose(batch, scalar, rtol=1e-10)
 
@@ -201,7 +212,7 @@ class TestQuadTerm:
         rng = np.random.default_rng(3)
         y = rng.normal(1.0, 1.0, 16)
         m = RW1Model(y=y, kappa=2.0)
-        val = float(_quad_terms_batch(m, np.array([math.exp(39.0)]))[0])
+        val = float(_spectral_sums(m, np.array([math.exp(39.0)]))[0][0])
         limit = 0.5 * m.kappa * y.sum() ** 2 / y.size
         assert math.isfinite(val)
         assert val == pytest.approx(limit, rel=1e-6)
@@ -256,6 +267,27 @@ class TestNormconst:
             brute = brute_force_log_normconst_n2(y, kappa, a, b)
             offset = log_offset_constant_n2(y, kappa, a, b)
             assert normconst(m, a, b) == pytest.approx(brute - offset, abs=1e-8)
+
+    def test_batched_against_brute_force_n2(self):
+        # one lattice pass gives log C of the anchor and of every point
+        y = np.array([0.3, -0.2])
+        kappa = 1.7
+        anchor = (1.3, 0.7)
+        points = [(1.3 * (1 + da), 0.7 * (1 + db)) for da, db in
+                  ((0.05, 0.0), (0.0, -0.05), (-0.03, 0.04), (1e-4, 1e-4), (0.2, -0.1))]
+        log_c, log_c_points, _ = _lattice_pass(RW1Model(y=y, kappa=kappa), anchor, points)
+        for (a, b), value in zip([anchor, *points], [log_c, *log_c_points]):
+            brute = brute_force_log_normconst_n2(y, kappa, a, b)
+            assert value == pytest.approx(brute - log_offset_constant_n2(y, kappa, a, b), abs=1e-8)
+
+    def test_unconverged_prior_is_named(self, monkeypatch):
+        # a far, sharply peaked prior needs finer nodes than the others of
+        # the sweep; capping the refinement must name it, not the base
+        m = small_model(n=24)
+        monkeypatch.setattr(rw1, "_MAX_LEVEL", 4)
+        _lattice_pass(m, (1.0, 0.005), [(1.01, 0.005), (1.0, 0.0051)])
+        with pytest.raises(NumericalError, match=r"prior \(200\.0, 1\.0\) did not converge"):
+            _lattice_pass(m, (1.0, 0.005), [(1.01, 0.005), (200.0, 1.0)])
 
     def test_self_convergence_under_tolerance_change(self):
         m = small_model(n=24)
@@ -341,6 +373,13 @@ class TestTabulatePosterior:
         inp = tabulate_posterior(small_model(prior=prior))
         assert inp.base_prior == PriorSpec(Family.GAMMA, prior)
 
+    @pytest.mark.parametrize("prior", [DEFAULT_PRIOR, ParamPoint(1.3, 0.01), ParamPoint(40.0, 2.0)])
+    def test_support_matches_reference_walk(self, prior):
+        m = small_model(n=24, prior=prior)
+        support = tabulate_posterior(m).posterior.support
+        a, b = prior.as_tuple()
+        assert (support[0], support[-1]) == tabulation_window(m.y, m.kappa, a, b)
+
     def test_resolution_is_converged(self):
         m = small_model(n=24)
         coarse = tabulate_posterior(RW1Model(y=m.y, kappa=m.kappa), n_points=2001).posterior
@@ -367,6 +406,23 @@ class TestExactSensitivity:
         for e_exact, e_grid in zip(exact.entries, reweighted.entries):
             assert e_exact.phi == e_grid.phi
             assert abs(e_exact.ratio - e_grid.ratio) <= 1e-4
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-5])
+@pytest.mark.parametrize("fixture", ["model192", "model2004"])
+def test_small_epsilon_agrees_with_reweighting(fixture, eps, request):
+    # at small eps a difference of O(100) log normalizing constants is
+    # rounding noise (errors near 1e-2 at n = 2004, ratios of exactly 0);
+    # the tilted lattice sums must match reweighting angle by angle
+    model = request.getfixturevalue(fixture)
+    exact = exact_sensitivity(model, eps, n_angles=400)
+    grid = compute_grid(PriorSpec(Family.GAMMA, model.prior), eps, n_angles=400)
+    reweighted = circular_sensitivity(tabulate_posterior(model), grid)
+    assert len(exact.entries) == len(reweighted.entries) == 400
+    assert not exact.failed_angles and not grid.failed_angles
+    ratios = np.array([e.ratio for e in exact.entries])
+    assert np.all(ratios > 0.0)
+    assert np.max(np.abs(ratios - [e.ratio for e in reweighted.entries])) <= 1e-4
 
 
 def write_counts(path, counts):
