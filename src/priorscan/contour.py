@@ -11,12 +11,14 @@ is then a one-dimensional root-finding problem in ``z = log r``:
 
 All directions are solved together as array operations: each gets its
 own bracket, widened within the family domain until it encloses the
-root, and then a bisection that halves every bracket at once until it
-is narrower than ``1e-14 + 4 eps |z|``. Of all points evaluated in the
-bracket, the one with the smallest defect ``|H - epsilon|`` is returned.
-The log-radius keeps the problem well conditioned across the many
-orders of magnitude separating axis scales (for diffuse priors the two
-cardinal moduli can differ by a factor of 1e4 and more).
+root, and then Illinois regula falsi on ``f(z) = log(H / epsilon)``,
+which is nearly linear in ``z``: typically 5 to 12 evaluations per direction.
+A direction stops once ``|H - epsilon| <= 1e-10 epsilon`` or once its
+bracket is narrower than ``1e-14 + 4 eps |z|``. Of all points evaluated
+in the bracket, the one with the smallest defect ``|H - epsilon|`` is
+returned. The log-radius keeps the problem well conditioned across the
+many orders of magnitude separating axis scales (for diffuse priors the
+two cardinal moduli can differ by a factor of 1e4 and more).
 """
 
 from __future__ import annotations
@@ -35,7 +37,9 @@ RESIDUAL_RTOL = 1e-4
 # Search window for z = log r around the pre-explored unit radius.
 _Z_INIT = 6.0
 _Z_MAX = 20.0
-# Bisection stops once a bracket is narrower than _Z_XTOL + _Z_RTOL * |z|.
+# A direction is solved once |H - epsilon| <= _F_RTOL * epsilon, or once its
+# bracket is narrower than _Z_XTOL + _Z_RTOL * |z|.
+_F_RTOL = 1e-10
 _Z_XTOL = 1e-14
 _Z_RTOL = 4.0 * np.finfo(float).eps
 
@@ -93,23 +97,26 @@ class PolarGrid:
         return len(self.points) + len(self.failed_angles)
 
 
-def _bisect_radii(
+def _radii(
     base: PriorSpec, epsilon: float, ux: np.ndarray, uy: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve H(r) = epsilon along every direction ``(ux, uy)`` at once.
 
-    Works on z = log r. Per direction, the lower bracket end is pushed
-    down until the distance falls below epsilon and the upper end up
-    until it exceeds epsilon, both within the domain cap; then all
-    brackets are bisected together. Returns the radius and the defect
-    ``|H - epsilon|`` at the returned point, both NaN for directions that
-    could not be bracketed (the contour is unreachable there).
+    Works on f(z) = log(H / epsilon), z = log r. Per direction, the lower
+    bracket end is pushed down until the distance falls below epsilon and
+    the upper end up until it exceeds epsilon, both within the domain
+    cap; then all brackets are narrowed together by Illinois regula
+    falsi. Returns the radius and the defect ``|H - epsilon|`` at the
+    returned point, both NaN for directions that could not be bracketed
+    (the contour is unreachable there).
     """
     g1, g2 = base.point.gamma1, base.point.gamma2
 
-    def g(z):
+    def f(z, i=slice(None)):
         r = np.exp(z)
-        return hellinger_closed_form(base.family, g1, g2, g1 + r * ux, g2 + r * uy) - epsilon
+        h = hellinger_closed_form(base.family, g1, g2, g1 + r * ux[i], g2 + r * uy[i])
+        with np.errstate(divide="ignore"):
+            return np.log(h / epsilon), np.abs(h - epsilon)
 
     # largest radius keeping each offset point inside the family domain
     cap = np.full(ux.shape, math.inf)
@@ -123,39 +130,43 @@ def _bisect_radii(
     z_top = np.minimum(_Z_MAX, z_cap)
     z_lo = np.minimum(-_Z_INIT, z_cap - 2.0 * _Z_INIT)
     z_hi = np.minimum(_Z_INIT, z_cap)
-    g_lo, g_hi = g(z_lo), g(z_hi)
+    (f_lo, d_lo), (f_hi, d_hi) = f(z_lo), f(z_hi)
     while True:
-        widen_lo = (g_lo > 0.0) & (z_lo > -_Z_MAX)
-        widen_hi = (g_hi < 0.0) & (z_hi < z_top)
+        widen_lo = (f_lo > 0.0) & (z_lo > -_Z_MAX)
+        widen_hi = (f_hi < 0.0) & (z_hi < z_top)
         if not (widen_lo.any() or widen_hi.any()):
             break
         z_lo = np.where(widen_lo, np.maximum(z_lo - 4.0, -_Z_MAX), z_lo)
         z_hi = np.where(widen_hi, np.minimum(z_hi + 4.0, z_top), z_hi)
-        g_lo = np.where(widen_lo, g(z_lo), g_lo)
-        g_hi = np.where(widen_hi, g(z_hi), g_hi)
+        f_lo, d_lo = np.where(widen_lo, f(z_lo), (f_lo, d_lo))
+        f_hi, d_hi = np.where(widen_hi, f(z_hi), (f_hi, d_hi))
 
-    bracketed = (g_lo < 0.0) & (g_hi > 0.0)
-    use_lo = np.abs(g_lo) <= np.abs(g_hi)
+    bracketed = (f_lo < 0.0) & (f_hi > 0.0)
+    use_lo = d_lo <= d_hi
     z_best = np.where(use_lo, z_lo, z_hi)
-    g_best = np.where(use_lo, np.abs(g_lo), np.abs(g_hi))
-    while True:
-        z_mid = 0.5 * (z_lo + z_hi)
-        active = bracketed & (z_hi - z_lo > _Z_XTOL + _Z_RTOL * np.abs(z_mid))
-        if not active.any():
-            break
-        g_mid = g(z_mid)
-        below = active & (g_mid < 0.0)
-        above = active & ~(g_mid < 0.0)
-        z_lo, g_lo = np.where(below, z_mid, z_lo), np.where(below, g_mid, g_lo)
-        z_hi, g_hi = np.where(above, z_mid, z_hi), np.where(above, g_mid, g_hi)
-        # near the root the closed form's rounding noise can exceed the
-        # residual tolerance, so keep the best point seen, not the last
-        better = active & (np.abs(g_mid) < g_best)
-        z_best = np.where(better, z_mid, z_best)
-        g_best = np.where(better, np.abs(g_mid), g_best)
+    d_best = np.where(use_lo, d_lo, d_hi)
+    # Illinois regula falsi on the open directions, as compressed arrays; side is
+    # +1 (-1) where the last step moved the upper (lower) end
+    idx = np.flatnonzero(bracketed & (d_best > _F_RTOL * epsilon))
+    lo, hi, f_lo, f_hi, side = z_lo[idx], z_hi[idx], f_lo[idx], f_hi[idx], np.zeros(idx.size)
+    while idx.size:
+        z = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        # an end with H = 0 (f = -inf) or rounding can put the step on an end
+        z = np.where((lo < z) & (z < hi), z, 0.5 * (lo + hi))
+        fz, dz = f(z, idx)
+        up = fz >= 0.0
+        # when the same end moves twice running, halve the other end's f
+        f_lo = np.where(up, np.where(side > 0.0, 0.5 * f_lo, f_lo), fz)
+        f_hi = np.where(up, fz, np.where(side < 0.0, 0.5 * f_hi, f_hi))
+        lo, hi, side = np.where(up, lo, z), np.where(up, z, hi), np.where(up, 1.0, -1.0)
+        # near the root rounding noise can exceed the tolerance: keep the best point
+        better = dz < d_best[idx]
+        z_best[idx[better]], d_best[idx[better]] = z[better], dz[better]
+        keep = (d_best[idx] > _F_RTOL * epsilon) & (hi - lo > _Z_XTOL + _Z_RTOL * np.abs(z))
+        idx, lo, hi, f_lo, f_hi, side = (a[keep] for a in (idx, lo, hi, f_lo, f_hi, side))
 
     r = np.where(bracketed, np.exp(z_best), math.nan)
-    return r, np.where(bracketed, g_best, math.nan)
+    return r, np.where(bracketed, d_best, math.nan)
 
 
 def _unreachable(phi: float, epsilon: float) -> ContourUnreachableError:
@@ -173,7 +184,7 @@ def preexplore(base: PriorSpec, epsilon: float) -> CardinalModuli:
     factors by the full polar search.
     """
     _check_epsilon(epsilon)
-    r, _ = _bisect_radii(base, epsilon, _CARDINAL_UX, _CARDINAL_UY)
+    r, _ = _radii(base, epsilon, _CARDINAL_UX, _CARDINAL_UY)
     failed = np.flatnonzero(np.isnan(r))
     if failed.size:
         raise _unreachable(float(_CARDINAL_PHI[failed[0]]), epsilon)
@@ -209,7 +220,7 @@ def _solve_radii(
     """
     ux = np.cos(phi) * cx
     uy = np.sin(phi) * cy
-    r, residual = _bisect_radii(base, epsilon, ux, uy)
+    r, residual = _radii(base, epsilon, ux, uy)
     return base.point.gamma1 + r * ux, base.point.gamma2 + r * uy, residual
 
 
@@ -256,6 +267,10 @@ def compute_grid(
     All directions are solved in one batch of array operations; the
     search is deterministic, so identical inputs produce bitwise
     identical grids, reported in increasing-angle order.
+
+    The cardinal search window is absolute, moduli in [exp(-20), exp(20)]:
+    for the normal base (0, 0.001) the precision modulus is about
+    ``4e-3 epsilon``, so ``epsilon <= 1e-7`` is unreachable.
     """
     _check_epsilon(epsilon)
     if n_angles < 8:

@@ -39,7 +39,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DegeneratePosteriorWarning, DomainError, ReweightingError
 from .families import Family, PriorSpec
@@ -106,7 +105,7 @@ def _kept_statistics(inp: PosteriorInput) -> tuple[np.ndarray, np.ndarray, np.nd
     else:
         log_scale = inp.parametrization is Scale.LOG_PARAMETER
         t1, t2 = (x, -np.exp(x)) if log_scale else (np.log(x), -x)
-        log_base = g1 * math.log(g2) - gammaln(g1) + (g1 - 1.0) * t1 + g2 * t2
+        log_base = g1 * math.log(g2) - math.lgamma(g1) + (g1 - 1.0) * t1 + g2 * t2
     if np.any(log_base < _LOG_PRIOR_FLOOR):
         worst = float(x[np.argmin(log_base)])
         raise ReweightingError(

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.fft import dct
 
 from .contour import compute_grid
 from .errors import DomainError, IngestionError, NumericalError
@@ -150,17 +149,26 @@ def quad_term(model: RW1Model, tau: float) -> float:
     return 0.5 * model.kappa**2 * float(np.dot(model.y, v))
 
 
+def _dct2(y: np.ndarray) -> np.ndarray:
+    """Orthonormal DCT-II of ``y`` from one FFT of ``y`` reordered even indices up, odd down."""
+    k = np.arange(y.size)
+    v = np.fft.fft(np.concatenate((y[::2], y[1::2][::-1]))) * np.exp(-0.5j * np.pi * k / y.size)
+    return v.real * np.sqrt(np.where(k == 0, 1.0, 2.0) / y.size)
+
+
 def _spectral_weights(model: RW1Model) -> np.ndarray:
     """Squared coordinates of ``y`` in the eigenbasis of the structure matrix.
 
     The free-boundary second-difference matrix is diagonalized by the
     orthonormal DCT-II vectors ``v_k(j) = cos(pi k (2j-1) / (2n))`` (up to
     normalization), with eigenvalues ``2 - 2 cos(pi k / n)``, so the
-    coordinates are one orthonormal fast DCT-II of ``y``.
+    coordinates are one orthonormal DCT-II of ``y``: with ``V`` the FFT of
+    ``y`` reordered (:func:`_dct2`), ``sum_j y_j cos(pi k (2j+1) / (2n))``
+    is ``Re(exp(-i pi k / (2n)) V_k)``.
     """
     w = model._cache.get("yhat2")
     if w is None:
-        w = dct(model.y, type=2, norm="ortho") ** 2
+        w = _dct2(model.y) ** 2
         w.setflags(write=False)
         model._cache["yhat2"] = w
     return w

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import hellinger_difference_form
 from priorscan import (
     RESIDUAL_RTOL,
     CardinalModuli,
@@ -219,6 +220,28 @@ class TestComputeGrid:
             dy = gp.point.gamma2 - base.point.gamma2
             r = math.hypot(dx / cx, dy / cy)
             assert abs(math.log(r)) <= 3.0
+
+    @pytest.mark.parametrize(
+        "base,epsilon",
+        [
+            (GAMMA_BASE, 1e-5),
+            (GAMMA_BASE, 1e-6),
+            (GAMMA_BASE, 1e-7),
+            (GAMMA_BASE, 1e-8),
+            (NORMAL_BASE, 1e-5),
+            (NORMAL_BASE, 1e-6),
+        ],
+    )
+    def test_small_epsilon_solves_every_angle(self, base, epsilon):
+        # checked against the independent difference form, not against the
+        # closed form the solver itself evaluates
+        grid = compute_grid(base, epsilon, n_angles=400)
+        assert len(grid.points) == 400
+        for gp in grid.points:
+            h = hellinger_difference_form(
+                base.family.value, base.point.as_tuple(), gp.point.as_tuple()
+            )
+            assert abs(h - epsilon) <= RESIDUAL_RTOL * epsilon
 
     def test_rejects_small_grids_and_bad_epsilon(self):
         with pytest.raises(DomainError):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import hellinger_gamma_quad, hellinger_normal_quad
+from oracles import hellinger_difference_form, hellinger_gamma_quad, hellinger_normal_quad
 from priorscan import (
     DomainError,
     Family,
@@ -21,6 +21,7 @@ from priorscan import (
     trapezoid_mass,
     validate_point,
 )
+from priorscan.families import hellinger_closed_form
 
 param = st.floats(0.01, 100.0)
 
@@ -166,6 +167,56 @@ class TestHellingerGamma:
         assert hellinger_analytic(Family.GAMMA, p0, p1) == hellinger_gamma(p0, p1)
         q0, q1 = ParamPoint(0.0, 1.0), ParamPoint(1.0, 4.0)
         assert hellinger_analytic(Family.NORMAL, q0, q1) == hellinger_normal(q0, q1)
+
+
+class TestClosedFormDifferenceForm:
+    """The array closed form against the independent difference-form oracle."""
+
+    STEPS = np.geomspace(1e-12, 1.0, 25)
+    ANGLES = np.linspace(-math.pi, math.pi, 8, endpoint=False) + math.pi / 4.0
+
+    def check(self, family, base, g1, g2):
+        h = hellinger_closed_form(family, *base, g1, g2)
+        ref = np.array(
+            [hellinger_difference_form(family.value, base, p) for p in zip(g1, g2)]
+        )
+        kept = (ref >= 1e-8) & (ref <= 0.5)
+        assert np.all(np.abs(h[kept] - ref[kept]) <= 1e-9 * ref[kept])
+        return ref[kept]
+
+    @pytest.mark.parametrize("shape", [0.01, 0.3, 1.0, 7.0, 120.0, 1e4])
+    @pytest.mark.parametrize("rate", [0.05, 2.0, 30.0])
+    def test_gamma(self, shape, rate):
+        # relative steps; the angle pi/4 moves along a line of constant mean,
+        # where the shape and rate parts of log BC cancel the most
+        t, phi = np.meshgrid(self.STEPS, self.ANGLES)
+        g1 = shape * (1.0 + t.ravel() * np.cos(phi.ravel()))
+        g2 = rate * (1.0 + t.ravel() * np.sin(phi.ravel()))
+        inside = (g1 > 0.0) & (g2 > 0.0)
+        ref = self.check(Family.GAMMA, (shape, rate), g1[inside], g2[inside])
+        assert ref.min() < 1e-7 and ref.max() > 0.1
+
+    @pytest.mark.parametrize("precision", [0.01, 1.0, 1e4])
+    def test_normal(self, precision):
+        t, phi = np.meshgrid(self.STEPS, self.ANGLES)
+        g1 = 0.5 + t.ravel() * np.cos(phi.ravel()) / math.sqrt(precision)
+        g2 = precision * (1.0 + t.ravel() * np.sin(phi.ravel()))
+        inside = g2 > 0.0
+        ref = self.check(Family.NORMAL, (0.5, precision), g1[inside], g2[inside])
+        assert ref.min() < 1e-7 and ref.max() > 0.1
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_non_finite_input_gives_zero(self, family):
+        with np.errstate(invalid="ignore"):
+            h = hellinger_closed_form(
+                family, 1.0, 1.0, np.array([math.nan, 2.0, 1.0]), np.array([1.0, 1.0, math.nan])
+            )
+            assert hellinger_closed_form(family, 1.0, 1.0, math.nan, math.nan) == 0.0
+        assert h[0] == 0.0 and h[2] == 0.0
+        assert 0.3 < h[1] < 0.4
+        if family is Family.GAMMA:
+            with np.errstate(invalid="ignore"):
+                assert hellinger_closed_form(family, 1.0, 1.0, math.inf, 1.0) == 0.0
 
 
 class TestTabulatePrior:

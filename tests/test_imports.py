@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -5,13 +6,51 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def test_import_loads_neither_scipy_stats_nor_optimize():
-    # both weigh about a second of start-up, which every CLI call pays
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import priorscan; "
-        "print(' '.join(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"
-    )
+def scipy_modules_after(code, *args):
+    """Names of the ``scipy`` modules loaded once ``code`` has run in a fresh interpreter."""
+    prelude = "import sys; sys.path.insert(0, sys.argv[1])\n"
+    report = "\nprint(*(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
     out = subprocess.run(
-        [sys.executable, "-c", code, str(SRC)], capture_output=True, text=True, check=True
+        [sys.executable, "-c", prelude + code + report, str(SRC), *args],
+        capture_output=True,
+        text=True,
+        check=True,
     )
-    assert out.stdout.strip() == ""
+    return out.stdout.split()
+
+
+def test_import_loads_no_scipy():
+    # every scipy subpackage costs start-up that each CLI call pays: scipy.stats and
+    # scipy.optimize about a second, scipy.special and scipy.fft (with its array-API
+    # layer and numpy.f2py) most of the rest
+    assert scipy_modules_after("import priorscan, priorscan.cli") == []
+
+
+def test_cli_subcommands_load_no_scipy(tmp_path, counts_csv):
+    from priorscan import Family, ParamPoint, PriorSpec, Scale, tabulate_prior, write_density_csv
+
+    posterior = tmp_path / "posterior.csv"
+    base = PriorSpec(Family.GAMMA, ParamPoint(1.0, 0.34))
+    write_density_csv(posterior, tabulate_prior(base, Scale.LOG_PARAMETER))
+    gamma = ["--family", "gamma", "--gamma0", "1,0.34"]
+    runs = [
+        ["grid", *gamma],
+        ["sensitivity", *gamma, "--log-scale", "--posterior", str(posterior)],
+        ["rw1", "--data", str(counts_csv), "--engine", "exact"],
+        ["rw1", "--data", str(counts_csv), "--engine", "reweight"],
+    ]
+    runs = [
+        [*args, "--n-angles", "64", "--outdir", str(tmp_path / str(i))]
+        for i, args in enumerate(runs)
+    ]
+    code = (
+        "import contextlib, io, json\n"
+        "from priorscan.cli import main\n"
+        "for args in json.loads(sys.argv[2]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        status = main(args)\n"
+        "    if status != 0:\n"
+        "        sys.exit(f'exit code {status} from {args}')"
+    )
+    assert scipy_modules_after(code, json.dumps(runs)) == []
+    assert all((tmp_path / str(i)).is_dir() for i in range(len(runs)))

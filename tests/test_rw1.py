@@ -39,7 +39,7 @@ from priorscan import (
     trapezoid_mass,
 )
 from priorscan import rw1
-from priorscan.rw1 import _lattice_pass, _spectral_sums, _spectral_weights, normconst
+from priorscan.rw1 import _dct2, _lattice_pass, _spectral_sums, _spectral_weights, normconst
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +228,14 @@ class TestSpectralWeights:
         m = small_model(n=n, seed=n)
         expected = dense_spectral_weights(m.y)
         assert np.allclose(_spectral_weights(m), expected, rtol=1e-12, atol=1e-14 * expected.max())
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 192, 2004, 8004])
+    def test_fft_dct_matches_scipy(self, n):
+        from scipy.fft import dct
+
+        y = np.random.default_rng(n).normal(3.0, 2.0, n)
+        expected = dct(y, type=2, norm="ortho")
+        assert np.all(np.abs(_dct2(y) - expected) <= 1e-14 * np.abs(expected).max())
 
 
 class TestLogUnnormalizedPosterior:
