@@ -9,16 +9,20 @@ is then a one-dimensional root-finding problem in ``z = log r``:
 
     H(base, base + exp(z) * (cos(phi) c_x, sin(phi) c_y)) = epsilon.
 
-All directions are solved together as array operations: each gets its
-own bracket, widened within the family domain until it encloses the
-root, and then Illinois regula falsi on ``f(z) = log(H / epsilon)``,
-which is nearly linear in ``z``: typically 5 to 12 evaluations per direction.
-A direction stops once ``|H - epsilon| <= 1e-10 epsilon`` or once its
-bracket is narrower than ``1e-14 + 4 eps |z|``. Of all points evaluated
-in the bracket, the one with the smallest defect ``|H - epsilon|`` is
-returned. The log-radius keeps the problem well conditioned across the
-many orders of magnitude separating axis scales (for diffuse priors the
-two cardinal moduli can differ by a factor of 1e4 and more).
+All directions are solved together as array operations. To second order
+``H^2 = r^2 u' I u / 8`` along a step ``r u``, ``I`` the base prior's Fisher
+information, so each bracket opens at ``z0 = log(epsilon sqrt(8 / u' I u))``
+``-+ (0.01 + 4 epsilon)``. It widens geometrically within the family domain
+and within ``+-20`` of ``log sqrt(8 / u' I u)``, so any base reaches epsilon
+down to about ``exp(-20)``. Illinois regula falsi on ``f(z) = log(H / epsilon)``,
+nearly linear in ``z``, then takes 1 to 3 steps for ``epsilon <= 1e-2``. A
+direction stops once ``|H - epsilon| <= 1e-10 epsilon``, once both bracket ends
+give the same or adjacent floats in each coordinate, or once the bracket is
+narrower than ``1e-14 + 4 eps |z|``. Of all points evaluated in the bracket,
+the one with the smallest defect ``|H - epsilon|`` is returned. The
+log-radius keeps the problem well conditioned across the many orders of
+magnitude separating axis scales (for diffuse priors the two cardinal
+moduli can differ by a factor of 1e4 and more).
 """
 
 from __future__ import annotations
@@ -29,13 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContourUnreachableError, DomainError, PartialGridError
-from .families import Family, ParamPoint, PriorSpec, hellinger_closed_form
+from .families import Family, ParamPoint, PriorSpec, _fisher, hellinger_closed_form
 
 # Acceptable defect |H - epsilon| relative to epsilon for a solved point.
 RESIDUAL_RTOL = 1e-4
 
-# Search window for z = log r around the pre-explored unit radius.
-_Z_INIT = 6.0
+# Search window for z = log r: +-_Z_MAX around the log radius of unit Fisher distance.
 _Z_MAX = 20.0
 # A direction is solved once |H - epsilon| <= _F_RTOL * epsilon, or once its
 # bracket is narrower than _Z_XTOL + _Z_RTOL * |z|.
@@ -102,19 +105,19 @@ def _radii(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve H(r) = epsilon along every direction ``(ux, uy)`` at once.
 
-    Works on f(z) = log(H / epsilon), z = log r. Per direction, the lower
-    bracket end is pushed down until the distance falls below epsilon and
-    the upper end up until it exceeds epsilon, both within the domain
-    cap; then all brackets are narrowed together by Illinois regula
-    falsi. Returns the radius and the defect ``|H - epsilon|`` at the
-    returned point, both NaN for directions that could not be bracketed
-    (the contour is unreachable there).
+    Works on f(z) = log(H / epsilon), z = log r, with the Fisher-seeded
+    brackets and the stop rules of the module docstring. Returns the radius and
+    the defect ``|H - epsilon|`` at the returned point, both NaN for directions
+    that could not be bracketed (the contour is unreachable there).
     """
     g1, g2 = base.point.gamma1, base.point.gamma2
 
-    def f(z, i=slice(None)):
+    def point(z, i):
         r = np.exp(z)
-        h = hellinger_closed_form(base.family, g1, g2, g1 + r * ux[i], g2 + r * uy[i])
+        return g1 + r * ux[i], g2 + r * uy[i]
+
+    def f(z, i):
+        h = hellinger_closed_form(base.family, g1, g2, *point(z, i))
         with np.errstate(divide="ignore"):
             return np.log(h / epsilon), np.abs(h - epsilon)
 
@@ -125,21 +128,29 @@ def _radii(
     if base.family is Family.GAMMA:
         left = ux < 0.0
         cap[left] = np.minimum(cap[left], g1 / -ux[left])
+    # H^2 = (r u)' I (r u) / 8 to second order: z_unit is the log radius of H = 1
+    i11, i12, i22 = _fisher(base.family, g1, g2)
+    z_unit = 0.5 * np.log(8.0 / (i11 * ux * ux + 2.0 * i12 * ux * uy + i22 * uy * uy))
     # stay strictly inside the domain when the cap is finite
-    z_cap = np.log(cap) + math.log1p(-1e-12)
-    z_top = np.minimum(_Z_MAX, z_cap)
-    z_lo = np.minimum(-_Z_INIT, z_cap - 2.0 * _Z_INIT)
-    z_hi = np.minimum(_Z_INIT, z_cap)
-    (f_lo, d_lo), (f_hi, d_hi) = f(z_lo), f(z_hi)
+    z_top = np.minimum(z_unit + _Z_MAX, np.log(cap) + math.log1p(-1e-12))
+    z_floor = z_unit - _Z_MAX
+    step = 0.01 + 4.0 * epsilon
+    z0 = np.clip(z_unit + math.log(epsilon), z_floor + step, z_top - step)
+    z_lo, z_hi = z0 - step, z0 + step
     while True:
-        widen_lo = (f_lo > 0.0) & (z_lo > -_Z_MAX)
+        # both bracket ends in one closed-form call
+        fs, ds = f(np.r_[z_lo, z_hi], np.tile(np.arange(ux.size), 2))
+        (f_lo, f_hi), (d_lo, d_hi) = fs.reshape(2, -1), ds.reshape(2, -1)
+        widen_lo = (f_lo > 0.0) & (z_lo > z_floor)
         widen_hi = (f_hi < 0.0) & (z_hi < z_top)
         if not (widen_lo.any() or widen_hi.any()):
             break
-        z_lo = np.where(widen_lo, np.maximum(z_lo - 4.0, -_Z_MAX), z_lo)
-        z_hi = np.where(widen_hi, np.minimum(z_hi + 4.0, z_top), z_hi)
-        f_lo, d_lo = np.where(widen_lo, f(z_lo), (f_lo, d_lo))
-        f_hi, d_hi = np.where(widen_hi, f(z_hi), (f_hi, d_hi))
+        # a widened end moves out by a doubling step; its old place bounds the other side
+        step *= 2.0
+        z_lo, z_hi = (
+            np.where(widen_lo, np.maximum(z_lo - step, z_floor), np.where(widen_hi, z_hi, z_lo)),
+            np.where(widen_hi, np.minimum(z_hi + step, z_top), np.where(widen_lo, z_lo, z_hi)),
+        )
 
     bracketed = (f_lo < 0.0) & (f_hi > 0.0)
     use_lo = d_lo <= d_hi
@@ -162,7 +173,11 @@ def _radii(
         # near the root rounding noise can exceed the tolerance: keep the best point
         better = dz < d_best[idx]
         z_best[idx[better]], d_best[idx[better]] = z[better], dz[better]
+        # done once both ends give the same or adjacent floats in each coordinate:
+        # then the spacing of representable points, not the solver, bounds the defect
+        (x0, y0), (x1, y1) = point(lo, idx), point(hi, idx)
         keep = (d_best[idx] > _F_RTOL * epsilon) & (hi - lo > _Z_XTOL + _Z_RTOL * np.abs(z))
+        keep &= (np.nextafter(x0, x1) != x1) | (np.nextafter(y0, y1) != y1)
         idx, lo, hi, f_lo, f_hi, side = (a[keep] for a in (idx, lo, hi, f_lo, f_hi, side))
 
     r = np.where(bracketed, np.exp(z_best), math.nan)
@@ -173,7 +188,7 @@ def _unreachable(phi: float, epsilon: float) -> ContourUnreachableError:
     return ContourUnreachableError(
         phi,
         f"no Hellinger-{epsilon} point along angle {phi:.6f} within log-radius "
-        f"[{-_Z_MAX:.1f}, {_Z_MAX:.1f}] inside the family domain",
+        f"+-{_Z_MAX:.1f} of the unit Fisher radius inside the family domain",
     )
 
 
@@ -268,9 +283,9 @@ def compute_grid(
     search is deterministic, so identical inputs produce bitwise
     identical grids, reported in increasing-angle order.
 
-    The cardinal search window is absolute, moduli in [exp(-20), exp(20)]:
-    for the normal base (0, 0.001) the precision modulus is about
-    ``4e-3 epsilon``, so ``epsilon <= 1e-7`` is unreachable.
+    Each direction is searched within a factor ``exp(+-20)`` of the radius
+    of unit Fisher distance, so every base reaches ``epsilon`` down to about
+    ``exp(-20) = 2e-9``, and ``epsilon = 1e-12`` is unreachable.
     """
     _check_epsilon(epsilon)
     if n_angles < 8:

@@ -135,6 +135,28 @@ def _lgamma_second_difference(m, h):
     )
 
 
+# Bernoulli numbers B_2 .. B_16 of the asymptotic series of trigamma
+_B2K = np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510])
+
+
+def _trigamma(a):
+    """``psi_1(a)``, ``a > 0``, elementwise: the recurrence shifts the argument to
+    ``x >= 8``, then ``(1 + 1/(2x) + sum B_2k x^-2k) / x``, accurate to 1e-14."""
+    a = np.asarray(a, dtype=float)
+    n = math.ceil(8.0 - min(float(np.fmin.reduce(a, axis=None, initial=8.0)), 8.0))
+    x = a + n
+    series = (1.0 + 0.5 / x + (x[..., None] ** -np.arange(2.0, 17.0, 2.0)) @ _B2K) / x
+    return (1.0 / (a[..., None] + np.arange(n)) ** 2).sum(axis=-1) + series
+
+
+def _fisher(family: Family, g1, g2):
+    """Entries ``(I11, I12, I22)`` of the prior's Fisher information at ``(g1, g2)``:
+    ``diag(lam, 1 / (2 lam^2))`` for normal, ``[[psi_1(a), -1/b], [-1/b, a/b^2]]`` for gamma."""
+    if family is Family.NORMAL:
+        return g2, 0.0, 0.5 / (g2 * g2)
+    return float(_trigamma(g1)), -1.0 / g2, g1 / (g2 * g2)
+
+
 def _log_bc(family: Family, g1_0, g2_0, g1, g2):
     """Closed-form log Bhattacharyya coefficient, elementwise over arrays.
 

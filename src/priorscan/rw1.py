@@ -46,6 +46,7 @@ _WINDOW_DROP = 60.0  # exp(-60) ~ 9e-27 relative tail cut for quadrature
 _TABLE_DROP = 28.0  # exp(-28) < 1e-12 relative boundary for tabulation
 _SCAN_LIMIT = 300.0
 _SCAN_WIDEN = 100  # level-0 nodes (50 on the log-tau axis) added per widening
+_SEED_MARGIN = 4  # level-0 nodes a side added to the anchor's window to scan all priors
 _MAX_LEVEL = 16
 # Cells per block of the (tau values x eigenvalues) and (priors x nodes) products: 120 kB
 # temporaries stay in cache and under malloc's 128 kB mmap threshold, so no page faults.
@@ -245,16 +246,19 @@ def _windows(model: RW1Model, priors: np.ndarray, drop: float):
     """Level-0 window ends and peak log density of every prior's posterior.
 
     Each window ends at the nearest coarse node on either side of the mode
-    where the log density has fallen by ``drop``. The scan widens while a mode
-    sits on its edge, up to ``+-_SCAN_LIMIT``, or a window is open, up to twice that.
+    where the log density has fallen by ``drop``. The first prior (the anchor)
+    is scanned alone from ``u`` in [-50, 50], then all priors from its window
+    plus ``_SEED_MARGIN`` nodes a side: nearby priors have nearby windows. A scan
+    widens while a window is open; a mode on its edge past ``+-_SCAN_LIMIT``, or
+    a window open past twice that, is an error.
     """
-    lo, hi, limit = -_SCAN_WIDEN, _SCAN_WIDEN, _SCAN_LIMIT / _LATTICE_STEP
+    lo, hi, rows, limit = -_SCAN_WIDEN, _SCAN_WIDEN, 1, _SCAN_LIMIT / _LATTICE_STEP
     top, left, right = np.empty((3, len(priors)), dtype=int)
     peak = np.empty(len(priors))
     while True:
         ks = np.arange(lo, hi + 1)
         us, s = ks * _LATTICE_STEP, _s_nodes(model, 0, lo, hi + 1)
-        for block in _blocks(len(priors), ks.size):
+        for block in _blocks(rows, ks.size):
             g = _log_target(model, priors[block], us, s)
             if not np.all(np.isfinite(g)):
                 bad = us[np.nonzero(~np.isfinite(g))[1][0]]
@@ -263,10 +267,13 @@ def _windows(model: RW1Model, priors: np.ndarray, drop: float):
             below, mode = g <= peak[block, None] - drop, top[block, None]
             left[block] = np.where(below & (ks < mode), ks, lo - 1).max(axis=1)
             right[block] = np.where(below & (ks > mode), ks, hi + 1).min(axis=1)
-        open_lo, open_hi = left < lo, right > hi
+        open_lo, open_hi = left[:rows] < lo, right[:rows] > hi
         if not (open_lo.any() or open_hi.any()):
-            return left, right, peak
-        edge = (top == lo) | (top == hi)
+            if rows == len(priors):
+                return left, right, peak
+            lo, hi, rows = left[0] - _SEED_MARGIN, right[0] + _SEED_MARGIN, len(priors)
+            continue
+        edge = (top[:rows] == lo) | (top[:rows] == hi)
         lo, hi = lo - _SCAN_WIDEN * open_lo.any(), hi + _SCAN_WIDEN * open_hi.any()
         if edge.any() and (lo < -limit or hi > limit):
             a, b = priors[np.argmax(edge)]

@@ -9,6 +9,7 @@ integration of the joint density.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -168,6 +169,11 @@ def log_offset_constant_n2(y, kappa, alpha, beta):
     )
 
 
+@functools.lru_cache(maxsize=4)
+def _dense_weights_of(y_bytes):
+    return dense_spectral_weights(np.frombuffer(y_bytes))
+
+
 def tabulation_window(y, kappa, alpha, beta, drop=28.0, step=0.5):
     """Support bounds of the tabulated log-tau posterior, by an outward walk.
 
@@ -180,7 +186,7 @@ def tabulation_window(y, kappa, alpha, beta, drop=28.0, step=0.5):
     """
     n = y.size
     lam = 2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)
-    yhat2 = dense_spectral_weights(y)
+    yhat2 = _dense_weights_of(np.asarray(y, dtype=float).tobytes())
 
     def log_density(k):
         u = k * step

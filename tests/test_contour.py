@@ -230,6 +230,8 @@ class TestComputeGrid:
             (GAMMA_BASE, 1e-8),
             (NORMAL_BASE, 1e-5),
             (NORMAL_BASE, 1e-6),
+            (NORMAL_BASE, 1e-7),
+            (NORMAL_BASE, 1e-8),
         ],
     )
     def test_small_epsilon_solves_every_angle(self, base, epsilon):
@@ -242,6 +244,32 @@ class TestComputeGrid:
                 base.family.value, base.point.as_tuple(), gp.point.as_tuple()
             )
             assert abs(h - epsilon) <= RESIDUAL_RTOL * epsilon
+
+    @pytest.mark.parametrize(
+        "base,epsilon,pre_calls,solve_calls",
+        [(b, eps, 6, 6) for b in (GAMMA_BASE, NORMAL_BASE) for eps in (1e-6, 1e-3, EPS0, 1e-2)]
+        + [(PriorSpec(Family.GAMMA, ParamPoint(200.0, 0.1)), 1e-6, 6, 10)],
+    )
+    def test_closed_form_calls(self, monkeypatch, base, epsilon, pre_calls, solve_calls):
+        # brackets seeded from the Fisher information start next to the root, and a
+        # direction stops once its bracket ends are neighbouring floats
+        import priorscan.contour as contour_mod
+
+        calls = []
+        closed_form = contour_mod.hellinger_closed_form
+
+        def counted(*args):
+            calls.append(None)
+            return closed_form(*args)
+
+        monkeypatch.setattr(contour_mod, "hellinger_closed_form", counted)
+        cardinal = preexplore(base, epsilon)
+        assert len(calls) <= pre_calls
+        calls.clear()
+        phis = -math.pi + 2.0 * math.pi * np.arange(400) / 400
+        _, _, residual = contour_mod._solve_radii(base, epsilon, phis, *scaling_factors(phis, cardinal))
+        assert len(calls) <= solve_calls
+        assert np.all(residual <= RESIDUAL_RTOL * epsilon)
 
     def test_rejects_small_grids_and_bad_epsilon(self):
         with pytest.raises(DomainError):

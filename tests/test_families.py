@@ -21,7 +21,7 @@ from priorscan import (
     trapezoid_mass,
     validate_point,
 )
-from priorscan.families import hellinger_closed_form
+from priorscan.families import _trigamma, hellinger_closed_form
 
 param = st.floats(0.01, 100.0)
 
@@ -217,6 +217,17 @@ class TestClosedFormDifferenceForm:
         if family is Family.GAMMA:
             with np.errstate(invalid="ignore"):
                 assert hellinger_closed_form(family, 1.0, 1.0, math.inf, 1.0) == 0.0
+
+
+def test_trigamma_matches_scipy():
+    from scipy.special import polygamma
+
+    a = np.r_[np.logspace(-3.0, 4.0, 701), 7.9, 8.0, 8.1]
+    expected = polygamma(1, a)
+    assert np.max(np.abs(_trigamma(a) / expected - 1.0)) <= 1e-12
+    # scalars and 2-d arrays are evaluated elementwise
+    assert abs(float(_trigamma(0.5)) / polygamma(1, 0.5) - 1.0) <= 1e-12
+    assert np.array_equal(_trigamma(a.reshape(-1, 2)), _trigamma(a).reshape(-1, 2))
 
 
 class TestTabulatePrior:

@@ -317,6 +317,22 @@ class TestNormconst:
             normconst(m, 1e6, 1e-300)
 
 
+@pytest.mark.parametrize("eps", [1e-4, 0.5])
+@pytest.mark.parametrize("fixture", ["model192", "model2004"])
+def test_sweep_windows_match_reference_walk(fixture, eps, request):
+    # the anchor's window seeds the scan of every other prior of the sweep; each
+    # window must still be the one an independent outward walk finds
+    model = request.getfixturevalue(fixture)
+    anchor = np.array(model.prior.as_tuple())
+    grid = compute_grid(PriorSpec(Family.GAMMA, model.prior), eps, n_angles=16)
+    points = np.array([gp.point.as_tuple() for gp in grid.points])
+    priors = np.vstack([anchor, 0.5 * (anchor + points), points])
+    k_lo, k_hi, _ = rw1._windows(model, priors, 60.0)
+    for (a, b), lo, hi in zip(priors, k_lo, k_hi):
+        expected = tabulation_window(model.y, model.kappa, a, b, drop=60.0)
+        assert (lo * rw1._LATTICE_STEP, hi * rw1._LATTICE_STEP) == expected
+
+
 class TestExactPosteriorHellinger:
     def test_identity(self):
         m = small_model()
