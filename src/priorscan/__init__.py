@@ -12,9 +12,7 @@ closed form, which doubles as an oracle for the reweighting route.
 
 from .calibration import (
     SATURATION_H,
-    CalibratedValue,
     calibrate,
-    calibrate_value,
     calibrated_ratio,
     inverse_calibrate,
 )
@@ -26,7 +24,6 @@ from .contour import (
     compute_grid,
     preexplore,
     scaling_factors,
-    solve_radius,
 )
 from .errors import (
     AlignmentError,
@@ -44,10 +41,7 @@ from .families import (
     Family,
     ParamPoint,
     PriorSpec,
-    eval_prior_density,
     hellinger_analytic,
-    hellinger_gamma,
-    hellinger_normal,
     log_prior_density,
     tabulate_prior,
     validate_point,
@@ -55,7 +49,6 @@ from .families import (
 from .grids import (
     DensityGrid,
     Scale,
-    bhattacharyya_grid,
     common_support,
     hellinger_grid,
     normalize_grid,
@@ -63,21 +56,16 @@ from .grids import (
     trapezoid_mass,
     write_density_csv,
 )
-from .reweight import TAIL_GUARD, PosteriorInput, posterior_distance, reweight_posterior
+from .reweight import TAIL_GUARD, PosteriorInput, reweight_posterior
 from .rw1 import (
     DEFAULT_PRIOR,
     RW1Model,
     exact_posterior_hellinger,
     exact_sensitivity,
     ingest_timeseries,
-    log_unnormalized_posterior,
-    logdet_q,
     normconst,
-    quad_term,
     rw1_eigenvalues,
-    structure_matrix,
     tabulate_posterior,
-    tridiagonal_solve,
 )
 from .sensitivity import (
     REFERENCE_LEVELS,
@@ -94,7 +82,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlignmentError",
-    "CalibratedValue",
     "CardinalModuli",
     "ContourUnreachableError",
     "DEFAULT_PRIOR",
@@ -113,8 +100,8 @@ __all__ = [
     "PriorSpec",
     "REFERENCE_LEVELS",
     "RESIDUAL_RTOL",
-    "ReweightingError",
     "RW1Model",
+    "ReweightingError",
     "SATURATION_H",
     "SaturatedCalibrationWarning",
     "Scale",
@@ -122,43 +109,31 @@ __all__ = [
     "SensitivityResult",
     "TAIL_GUARD",
     "assemble_result",
-    "bhattacharyya_grid",
     "calibrate",
-    "calibrate_value",
     "calibrated_ratio",
     "circular_sensitivity",
     "common_support",
     "compute_grid",
-    "eval_prior_density",
     "exact_posterior_hellinger",
     "exact_sensitivity",
     "export_plot_data",
     "hellinger_analytic",
-    "hellinger_gamma",
     "hellinger_grid",
-    "hellinger_normal",
     "ingest_timeseries",
     "inverse_calibrate",
     "log_prior_density",
-    "log_unnormalized_posterior",
-    "logdet_q",
     "normalize_grid",
     "normconst",
-    "posterior_distance",
     "preexplore",
-    "quad_term",
     "read_density_csv",
     "result_to_json_dict",
     "reweight_posterior",
     "rw1_eigenvalues",
     "scaling_factors",
-    "solve_radius",
-    "structure_matrix",
     "summarize",
     "tabulate_posterior",
     "tabulate_prior",
     "trapezoid_mass",
-    "tridiagonal_solve",
     "validate_point",
     "write_density_csv",
 ]

@@ -14,22 +14,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 from .errors import DomainError, SaturatedCalibrationWarning
 
 # Distances this close to 1 carry no usable magnitude information in
 # float64; they are mapped to a finite value but flagged as saturated.
 SATURATION_H = 1.0 - 1e-15
-
-
-@dataclass(frozen=True)
-class CalibratedValue:
-    """A Hellinger distance ``h`` with its benchmark mean shift ``mu``."""
-
-    h: float
-    mu: float
-    saturated: bool = False
 
 
 def calibrate(h: float) -> float:
@@ -58,35 +48,20 @@ def inverse_calibrate(mu: float) -> float:
     return math.sqrt(-math.expm1(-mu * mu / 8.0))
 
 
-def calibrate_value(h: float) -> CalibratedValue:
-    """Package ``h`` with its calibrated shift and a saturation flag.
-
-    Unlike :func:`calibrate` this accepts ``h`` up to and including 1:
-    grid quadrature of a super-sensitive posterior can round a distance
-    to exactly 1, and the report then needs a finite lower-bound shift
-    flagged as saturated rather than an exception.
-    """
-    if not (0.0 <= h <= 1.0):
-        raise DomainError(f"calibration needs 0 <= h <= 1, got {h!r}")
-    saturated = h >= SATURATION_H
-    clamped = min(h, SATURATION_H)
-    return CalibratedValue(
-        h=h, mu=math.sqrt(-8.0 * math.log1p(-clamped * clamped)), saturated=saturated
-    )
-
-
 def calibrated_ratio(h_post: float, epsilon: float) -> tuple[float, float]:
     """Exact and first-order calibrated sensitivity ratios.
 
     Returns ``(mu(h_post) / mu(epsilon), h_post / epsilon)``. For small
     distances the two agree to ``O(h^2)``, which is why the raw distance
     ratio is a faithful summary in the usual ``epsilon ~ 1e-3`` regime.
-    A saturated ``h_post`` (within 1e-15 of 1) yields a finite lower
-    bound for the exact ratio.
+    A saturated ``h_post`` (within 1e-15 of 1) is clamped to
+    ``SATURATION_H`` without a warning, so the exact ratio is a finite
+    lower bound.
     """
     if not (0.0 < epsilon < 1.0):
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     if not (0.0 <= h_post <= 1.0):
         raise DomainError(f"posterior distance must lie in [0, 1], got {h_post!r}")
-    exact = calibrate_value(h_post).mu / calibrate(epsilon)
+    clamped = min(h_post, SATURATION_H)
+    exact = math.sqrt(-8.0 * math.log1p(-clamped * clamped)) / calibrate(epsilon)
     return exact, h_post / epsilon

@@ -37,7 +37,7 @@ from .errors import (
 from .families import Family, ParamPoint, PriorSpec
 from .grids import Scale, normalize_grid, read_density_csv
 from .reweight import PosteriorInput
-from .rw1 import exact_sensitivity, ingest_timeseries, tabulate_posterior
+from .rw1 import DEFAULT_PRIOR, exact_sensitivity, ingest_timeseries, tabulate_posterior
 from .sensitivity import (
     SensitivityResult,
     circular_sensitivity,
@@ -75,7 +75,7 @@ class RunConfig:
     data: Path | None = None
     window: str | None = None
     kappa: float | None = None
-    prior: ParamPoint = ParamPoint(1.0, 0.005)
+    prior: ParamPoint = DEFAULT_PRIOR
     engine: str = "exact"
     h: float | None = None
     mu: float | None = None
@@ -208,7 +208,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p_rw1.add_argument("--window", choices=["full", "last96"], default=None)
     p_rw1.add_argument("--kappa", type=float, default=None, help="noise precision override")
     p_rw1.add_argument("--prior", type=_parse_point, default=None, metavar="A,B",
-                       help="gamma prior on the smoothing precision (default 1,0.005)")
+                       help="gamma prior on the smoothing precision "
+                       f"(default {DEFAULT_PRIOR.gamma1:g},{DEFAULT_PRIOR.gamma2:g})")
     p_rw1.add_argument("--engine", choices=["exact", "reweight"], default=None,
                        help="posterior distances: closed-form constants or grid reweighting")
     add_common(p_rw1)
@@ -237,7 +238,7 @@ def _resolve_config(argv: list[str]) -> RunConfig:
         data=Path(p) if (p := pick("data", None)) else None,
         window=pick("window", None),
         kappa=pick("kappa", None),
-        prior=pick("prior", None) or ParamPoint(1.0, 0.005),
+        prior=pick("prior", None) or DEFAULT_PRIOR,
         engine=pick("engine", None) or "exact",
         h=pick("h", None),
         mu=pick("mu", None),

@@ -239,30 +239,6 @@ def _solve_radii(
     return base.point.gamma1 + r * ux, base.point.gamma2 + r * uy, residual
 
 
-def solve_radius(
-    base: PriorSpec, epsilon: float, phi: float, cx: float, cy: float
-) -> ParamPoint:
-    """Contour point along ``phi`` using axis scalings ``cx``, ``cy``.
-
-    The one-angle case of the batched solve used by :func:`compute_grid`.
-    """
-    _check_epsilon(epsilon)
-    if cx <= 0.0 or cy <= 0.0:
-        raise DomainError("scaling factors must be positive")
-    gamma1, gamma2, residual = _solve_radii(
-        base, epsilon, np.array([phi], dtype=float), np.array([cx]), np.array([cy])
-    )
-    if math.isnan(residual[0]):
-        raise _unreachable(phi, epsilon)
-    if residual[0] > epsilon * RESIDUAL_RTOL:
-        raise ContourUnreachableError(
-            phi,
-            f"solver defect {float(residual[0])!r} exceeds {epsilon * RESIDUAL_RTOL!r} "
-            f"at angle {phi!r}",
-        )
-    return ParamPoint(float(gamma1[0]), float(gamma2[0]))
-
-
 def compute_grid(
     base: PriorSpec,
     epsilon: float,

@@ -97,12 +97,6 @@ def log_prior_density(spec: PriorSpec, x, scale: Scale = Scale.NATURAL):
     return out if out.ndim else float(out)
 
 
-def eval_prior_density(spec: PriorSpec, x, scale: Scale = Scale.NATURAL):
-    """Density of ``spec`` at ``x`` on the given scale (see :func:`log_prior_density`)."""
-    out = np.exp(log_prior_density(spec, x, scale))
-    return out if isinstance(out, np.ndarray) and out.ndim else float(out)
-
-
 # Stirling series of lgamma(x): sum of c x^-p over odd p <= 15, c = B_(p+1) / (p (p+1)),
 # accurate to 1e-15 for x >= 8; _EVEN_BINOM[j, p] = C(p, 2j + 2).
 _P = np.arange(1, 16, 2)
@@ -191,57 +185,17 @@ def hellinger_closed_form(family: Family, g1_0, g2_0, g1, g2) -> np.ndarray:
     return np.sqrt(np.where(h2 > 0.0, h2, 0.0))
 
 
-def hellinger_normal(p0: ParamPoint, p1: ParamPoint) -> float:
-    """Hellinger distance between two normal densities.
-
-    Parameters
-    ----------
-    p0, p1 : ParamPoint
-        Mean/precision pairs ``(mu, lam)`` with ``lam > 0``.
-
-    Returns
-    -------
-    float
-        ``sqrt(1 - BC)`` with
-        ``BC = sqrt(2 sqrt(lam0 lam1) / (lam0 + lam1))
-        * exp(-(mu1 - mu0)^2 lam0 lam1 / (4 (lam0 + lam1)))``.
-
-    Notes
-    -----
-    For equal precisions ``lam`` the expression collapses to
-    ``sqrt(1 - exp(-lam (mu1 - mu0)^2 / 8))``.
-    """
-    validate_point(Family.NORMAL, p0)
-    validate_point(Family.NORMAL, p1)
-    return float(hellinger_closed_form(Family.NORMAL, *p0.as_tuple(), *p1.as_tuple()))
-
-
-def hellinger_gamma(p0: ParamPoint, p1: ParamPoint) -> float:
-    """Hellinger distance between two gamma densities.
-
-    Parameters
-    ----------
-    p0, p1 : ParamPoint
-        Shape/rate pairs ``(alpha, beta)``, all entries positive.
-
-    Returns
-    -------
-    float
-        ``sqrt(1 - BC)`` with
-        ``BC = Gamma(abar) / bbar^abar
-        * sqrt(beta0^alpha0 beta1^alpha1 / (Gamma(alpha0) Gamma(alpha1)))``
-        where ``abar = (alpha0 + alpha1) / 2`` and ``bbar = (beta0 + beta1) / 2``.
-    """
-    validate_point(Family.GAMMA, p0)
-    validate_point(Family.GAMMA, p1)
-    return float(hellinger_closed_form(Family.GAMMA, *p0.as_tuple(), *p1.as_tuple()))
-
-
 def hellinger_analytic(family: Family, p0: ParamPoint, p1: ParamPoint) -> float:
-    """Dispatch to the closed form for ``family``."""
-    if family is Family.NORMAL:
-        return hellinger_normal(p0, p1)
-    return hellinger_gamma(p0, p1)
+    """Closed-form Hellinger distance ``sqrt(1 - BC)`` between two priors of ``family``.
+
+    Both points are validated. Normal ``(mu, lam)``: ``BC = sqrt(2 sqrt(lam0 lam1)
+    / (lam0 + lam1)) exp(-(mu1 - mu0)^2 lam0 lam1 / (4 (lam0 + lam1)))``. Gamma
+    ``(alpha, beta)``: ``BC = Gamma(abar) / bbar^abar sqrt(beta0^alpha0 beta1^alpha1
+    / (Gamma(alpha0) Gamma(alpha1)))``, ``abar`` and ``bbar`` the mean shape and rate.
+    """
+    validate_point(family, p0)
+    validate_point(family, p1)
+    return float(hellinger_closed_form(family, *p0.as_tuple(), *p1.as_tuple()))
 
 
 def _gamma_log_quantile(a: float, b: float, p: float) -> float:

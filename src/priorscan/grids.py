@@ -110,18 +110,13 @@ def common_support(g0: DensityGrid, g1: DensityGrid) -> tuple[DensityGrid, Densi
     return DensityGrid(xs, v0, g0.scale), DensityGrid(xs, v1, g1.scale)
 
 
-def bhattacharyya_grid(g0: DensityGrid, g1: DensityGrid) -> float:
-    """Bhattacharyya coefficient of two aligned, normalized grids.
-
-    Requires bitwise identical supports; use :func:`common_support` first
-    for grids tabulated on different ranges. The result is clamped to
-    [0, 1] against trapezoidal rounding. ``1 - BC`` cancels: distances below
-    about 1e-8 come out as noise (see :func:`hellinger_grid`).
-    """
-    if g0.scale is not g1.scale or not np.array_equal(g0.support, g1.support):
-        raise AlignmentError("bhattacharyya_grid requires grids on an identical support")
-    bc = float(np.trapezoid(np.sqrt(g0.values * g1.values), g0.support))
-    return min(1.0, max(0.0, bc))
+def _mass_beyond(grid: DensityGrid, lo: float, hi: float) -> float:
+    """Trapezoidal mass of ``grid`` on its own nodes below ``lo`` and above ``hi``."""
+    x, v = grid.support, grid.values
+    at_lo, at_hi = np.interp([lo, hi], x, v)
+    below, above = x < lo, x > hi
+    return float(np.trapezoid(np.r_[v[below], at_lo], np.r_[x[below], lo])
+                 + np.trapezoid(np.r_[at_hi, v[above]], np.r_[hi, x[above]]))
 
 
 def hellinger_grid(g0: DensityGrid, g1: DensityGrid) -> float:
@@ -129,17 +124,18 @@ def hellinger_grid(g0: DensityGrid, g1: DensityGrid) -> float:
 
     Grids on different supports are aligned with :func:`common_support`.
     ``H^2 = 1/2 * integral of (sqrt(p0) - sqrt(p1))^2`` over the common
-    support, plus half the mass each grid has outside it. Unlike
-    ``sqrt(1 - BC)``, this stays accurate for distances far below
-    sqrt(machine epsilon) on one support. On different supports the linear
-    re-interpolation dominates small distances (gamma (3, 2) vs (3 + 4.5e-6,
-    2) gives 1.38e-6 for 1.00e-6; a normal pair at 1e-6 is 1% high); for two
-    priors of one family use :func:`priorscan.families.hellinger_closed_form`.
+    support, plus half the mass each grid has outside it, integrated on that
+    grid's own nodes. Unlike ``sqrt(1 - BC)``, this stays accurate for
+    distances far below sqrt(machine epsilon) on one support. On different
+    supports the linear re-interpolation limits small distances (on 4001-point
+    grids, gamma (3, 2) vs (3 + 4.5e-6, 2) comes out 2.3e-3 relative high, normal
+    (0, 1) vs (2.8e-6, 1) 5e-4); for two priors of one family use
+    :func:`priorscan.families.hellinger_closed_form`.
     """
     a0, a1 = common_support(g0, g1)
+    lo, hi = a0.support[0], a0.support[-1]
     h2 = 0.5 * np.trapezoid((np.sqrt(a0.values) - np.sqrt(a1.values)) ** 2, a0.support)
-    for grid, aligned in ((g0, a0), (g1, a1)):
-        h2 += 0.5 * (trapezoid_mass(grid) - trapezoid_mass(aligned))
+    h2 += 0.5 * (_mass_beyond(g0, lo, hi) + _mass_beyond(g1, lo, hi))
     return float(np.sqrt(min(1.0, max(0.0, h2))))
 
 

@@ -213,18 +213,3 @@ def _posterior_distances(inp: PosteriorInput, gamma1, gamma2) -> np.ndarray:
     _warn_if_degenerate(occupied)
     return h
 
-
-def posterior_distance(inp: PosteriorInput, new_prior: PriorSpec) -> float:
-    """Hellinger distance between the reweighted and the base posterior.
-
-    The one-direction case of the batched sweep behind
-    :func:`~priorscan.sensitivity.circular_sensitivity`. The base posterior
-    is renormalized before the comparison: a residual mass defect delta
-    would add about delta / 2 to H^2, which is quadratically amplified in
-    small distances.
-    """
-    _check_family(inp, new_prior)
-    h = float(_posterior_distances(inp, [new_prior.point.gamma1], [new_prior.point.gamma2])[0])
-    if math.isnan(h):
-        raise ReweightingError(_NO_FINITE_MASS)
-    return h

@@ -81,16 +81,6 @@ class RW1Model:
         return int(self.y.size)
 
 
-def structure_matrix(n: int) -> np.ndarray:
-    """Dense structure matrix R of the length-``n`` random walk."""
-    if n < 2:
-        raise DomainError("structure matrix needs n >= 2")
-    R = np.diag(np.r_[1.0, 2.0 * np.ones(n - 2), 1.0])
-    off = -np.ones(n - 1)
-    R += np.diag(off, 1) + np.diag(off, -1)
-    return R
-
-
 def rw1_eigenvalues(n: int) -> np.ndarray:
     """Eigenvalues ``2 - 2 cos(pi (i - 1) / n)`` of R, nondecreasing.
 
@@ -100,54 +90,6 @@ def rw1_eigenvalues(n: int) -> np.ndarray:
     if n < 2:
         raise DomainError("eigenvalues need n >= 2")
     return 2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)
-
-
-def tridiagonal_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a tridiagonal system by forward elimination and back substitution.
-
-    ``lower`` and ``upper`` have length ``n - 1``. No pivoting: intended for
-    the strictly diagonally dominant matrices ``tau R + kappa I`` arising
-    here, for which the elimination is unconditionally stable.
-    """
-    diag = np.asarray(diag, dtype=float)
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    n = diag.size
-    if lower.size != n - 1 or upper.size != n - 1 or rhs.size != n:
-        raise DomainError("inconsistent tridiagonal band lengths")
-    c = np.empty(n - 1)
-    d = np.empty(n)
-    c[0] = upper[0] / diag[0]
-    d[0] = rhs[0] / diag[0]
-    for i in range(1, n):
-        denom = diag[i] - lower[i - 1] * c[i - 1]
-        if i < n - 1:
-            c[i] = upper[i] / denom
-        d[i] = (rhs[i] - lower[i - 1] * d[i - 1]) / denom
-    v = np.empty(n)
-    v[-1] = d[-1]
-    for i in range(n - 2, -1, -1):
-        v[i] = d[i] - c[i] * v[i + 1]
-    return v
-
-
-def logdet_q(tau: float, kappa: float, n: int) -> float:
-    """``log det(tau R + kappa I)`` via the eigenvalue product."""
-    if tau < 0.0 or kappa <= 0.0:
-        raise DomainError("logdet_q needs tau >= 0 and kappa > 0")
-    return float(np.sum(np.log(tau * rw1_eigenvalues(n) + kappa)))
-
-
-def quad_term(model: RW1Model, tau: float) -> float:
-    """``kappa^2 y' Q^-1 y / 2`` through one linear-time tridiagonal solve."""
-    if tau < 0.0:
-        raise DomainError("quad_term needs tau >= 0")
-    n = model.n
-    rd = np.r_[1.0, 2.0 * np.ones(n - 2), 1.0]
-    off = np.full(n - 1, -tau)
-    v = tridiagonal_solve(off, tau * rd + model.kappa, off, model.y)
-    return 0.5 * model.kappa**2 * float(np.dot(model.y, v))
 
 
 def _dct2(y: np.ndarray) -> np.ndarray:
@@ -221,19 +163,6 @@ def _s_nodes(model: RW1Model, level: int, lo: int, hi: int) -> np.ndarray:
                        _s_terms(model, ((1 + odd) * right + odd) * h)]
         cache[level] = j0, values = min(lo, j0), values
     return values[lo - j0 : hi - j0]
-
-
-def log_unnormalized_posterior(model: RW1Model, tau: float) -> float:
-    """Log of the unnormalized marginal posterior density of ``tau``."""
-    if not (tau > 0.0):
-        raise DomainError(f"tau must be positive, got {tau!r}")
-    a, b = model.prior.as_tuple()
-    return (
-        (a + (model.n - 1) / 2.0 - 1.0) * math.log(tau)
-        - 0.5 * logdet_q(tau, model.kappa, model.n)
-        - b * tau
-        + quad_term(model, tau)
-    )
 
 
 def _log_target(model: RW1Model, priors: np.ndarray, us: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 from hypothesis import given
@@ -6,11 +7,9 @@ from hypothesis import strategies as st
 
 from priorscan import (
     SATURATION_H,
-    CalibratedValue,
     DomainError,
     SaturatedCalibrationWarning,
     calibrate,
-    calibrate_value,
     calibrated_ratio,
     inverse_calibrate,
 )
@@ -95,24 +94,27 @@ class TestRoundTrip:
 
 
 class TestCalibrateValue:
+    """The calibrated shift behind the exact ratio of ``calibrated_ratio``."""
+
     def test_plain_value(self):
-        v = calibrate_value(0.5)
-        assert v == CalibratedValue(h=0.5, mu=calibrate(0.5), saturated=False)
+        exact, _ = calibrated_ratio(0.5, 0.00354)
+        assert exact == calibrate(0.5) / calibrate(0.00354)
 
     def test_saturated_input_is_clamped(self):
-        v = calibrate_value(1.0)
-        assert v.saturated
-        assert math.isfinite(v.mu)
-        assert v.mu == calibrate_value(SATURATION_H).mu
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # clamping is silent
+            exact, _ = calibrated_ratio(1.0, 0.00354)
+            assert math.isfinite(exact)
+            assert exact == calibrated_ratio(SATURATION_H, 0.00354)[0]
 
     def test_just_below_saturation(self):
-        v = calibrate_value(SATURATION_H - 1e-16)
-        assert not v.saturated
+        below, _ = calibrated_ratio(SATURATION_H - 1e-16, 0.00354)
+        assert below < calibrated_ratio(SATURATION_H, 0.00354)[0]
 
     @pytest.mark.parametrize("bad", [-0.1, 1.0 + 1e-9, math.nan])
     def test_domain(self, bad):
         with pytest.raises(DomainError):
-            calibrate_value(bad)
+            calibrated_ratio(bad, 0.00354)
 
 
 class TestCalibratedRatio:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from priorscan import (
+    DEFAULT_PRIOR,
     Family,
     ParamPoint,
     PriorSpec,
@@ -15,7 +16,7 @@ from priorscan import (
     tabulate_prior,
     write_density_csv,
 )
-from priorscan.cli import DEFAULT_EPSILON, EXIT_OK, main
+from priorscan.cli import DEFAULT_EPSILON, EXIT_OK, RunConfig, _resolve_config, main
 
 
 @pytest.fixture()
@@ -279,6 +280,10 @@ class TestRw1Command:
 
     def test_missing_data_exits_2(self, tmp_path):
         assert main(["rw1", "--data", str(tmp_path / "none.csv")]) == 2
+
+    def test_default_prior_is_the_model_default(self):
+        assert RunConfig("rw1").prior == DEFAULT_PRIOR
+        assert _resolve_config(["rw1", "--data", "counts.csv"]).prior == DEFAULT_PRIOR
 
 
 class TestConfigResolution:

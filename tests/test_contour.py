@@ -16,11 +16,10 @@ from priorscan import (
     calibrate,
     compute_grid,
     hellinger_analytic,
-    hellinger_gamma,
     preexplore,
     scaling_factors,
-    solve_radius,
 )
+from priorscan.contour import _solve_radii
 
 EPS0 = 0.00354
 GAMMA_BASE = PriorSpec(Family.GAMMA, ParamPoint(1.0, 0.34))
@@ -124,45 +123,54 @@ class TestScalingFactors:
             scaling_factors(phi, self.M)
 
 
+def solve_direction(base, epsilon, phi, cx, cy):
+    """One direction through the batched solve behind ``compute_grid``, which
+    keeps a point only if its defect is within ``RESIDUAL_RTOL``."""
+    gamma1, gamma2, residual = _solve_radii(
+        base, epsilon, np.array([phi]), np.array([cx]), np.array([cy])
+    )
+    assert residual[0] <= epsilon * RESIDUAL_RTOL
+    return ParamPoint(float(gamma1[0]), float(gamma2[0]))
+
+
 class TestSolveRadius:
     def test_unit_normal_along_mean_axis(self):
-        p = solve_radius(UNIT_NORMAL, EPS0, 0.0, 1.0, 1.0)
+        p = solve_direction(UNIT_NORMAL, EPS0, 0.0, 1.0, 1.0)
         assert abs(p.gamma1 - calibrate(EPS0)) <= 1e-12
         assert p.gamma2 == 1.0
 
     def test_point_is_independent_of_the_scaling(self):
         # the scaling stretches the search coordinate, not the contour
-        p1 = solve_radius(GAMMA_BASE, EPS0, 0.0, 1.0, 1.0)
-        p2 = solve_radius(GAMMA_BASE, EPS0, 0.0, 7.5, 0.2)
+        p1 = solve_direction(GAMMA_BASE, EPS0, 0.0, 1.0, 1.0)
+        p2 = solve_direction(GAMMA_BASE, EPS0, 0.0, 7.5, 0.2)
         assert abs(p1.gamma1 - p2.gamma1) <= 1e-10
         assert abs(p1.gamma2 - p2.gamma2) <= 1e-10
 
     def test_precision_directions_are_asymmetric(self):
-        up = solve_radius(UNIT_NORMAL, 0.01, math.pi / 2.0, 1.0, 1.0)
-        down = solve_radius(UNIT_NORMAL, 0.01, -math.pi / 2.0, 1.0, 1.0)
+        up = solve_direction(UNIT_NORMAL, 0.01, math.pi / 2.0, 1.0, 1.0)
+        down = solve_direction(UNIT_NORMAL, 0.01, -math.pi / 2.0, 1.0, 1.0)
         assert up.gamma2 > 1.0 > down.gamma2
         assert abs((up.gamma2 - 1.0) + (down.gamma2 - 1.0)) > 1e-7
 
     def test_residual_contract(self):
         for phi in (-2.5, -1.0, 0.3, 1.7, 3.0):
-            p = solve_radius(GAMMA_BASE, EPS0, phi, 1.0, 1.0)
-            h = hellinger_gamma(GAMMA_BASE.point, p)
+            p = solve_direction(GAMMA_BASE, EPS0, phi, 1.0, 1.0)
+            h = hellinger_analytic(Family.GAMMA, GAMMA_BASE.point, p)
             assert abs(h - EPS0) <= EPS0 * RESIDUAL_RTOL
 
     def test_gamma_point_stays_in_domain(self):
-        p = solve_radius(GAMMA_BASE, 0.4, math.pi, 1.0, 1.0)
+        p = solve_direction(GAMMA_BASE, 0.4, math.pi, 1.0, 1.0)
         assert p.gamma1 > 0.0 and p.gamma2 > 0.0
 
-    def test_rejects_nonpositive_scaling(self):
-        with pytest.raises(DomainError):
-            solve_radius(GAMMA_BASE, EPS0, 0.0, 0.0, 1.0)
-        with pytest.raises(DomainError):
-            solve_radius(GAMMA_BASE, EPS0, 0.0, 1.0, -2.0)
-
     def test_unreachable_direction(self):
-        # a distance this small needs a log-radius below the search floor
-        with pytest.raises(ContourUnreachableError):
-            solve_radius(UNIT_NORMAL, 1e-12, 0.0, 1.0, 1.0)
+        # a distance this small needs a log-radius below the search floor: the
+        # solve leaves the direction unbracketed, and preexplore, which solves
+        # this direction first, reports it
+        _, _, residual = _solve_radii(UNIT_NORMAL, 1e-12, np.zeros(1), np.ones(1), np.ones(1))
+        assert np.isnan(residual[0])
+        with pytest.raises(ContourUnreachableError) as exc:
+            preexplore(UNIT_NORMAL, 1e-12)
+        assert exc.value.phi == 0.0
 
 
 class TestComputeGrid:

@@ -12,10 +12,7 @@ from priorscan import (
     ParamPoint,
     PriorSpec,
     Scale,
-    eval_prior_density,
     hellinger_analytic,
-    hellinger_gamma,
-    hellinger_normal,
     log_prior_density,
     tabulate_prior,
     trapezoid_mass,
@@ -47,78 +44,88 @@ class TestValidation:
             PriorSpec(Family.GAMMA, ParamPoint(1.0, 0.0))
 
 
+def prior_density(spec, x, scale=Scale.NATURAL):
+    return np.exp(log_prior_density(spec, x, scale))
+
+
 class TestDensityEvaluation:
     def test_standard_normal_mode(self):
         spec = PriorSpec(Family.NORMAL, ParamPoint(0.0, 1.0))
-        assert abs(eval_prior_density(spec, 0.0) - 0.3989423) <= 1e-7
+        assert abs(prior_density(spec, 0.0) - 0.3989423) <= 1e-7
 
     def test_exponential_at_origin_limit(self):
         # shape 1 gamma is the exponential; density at 0+ equals the rate
         spec = PriorSpec(Family.GAMMA, ParamPoint(1.0, 0.34))
-        assert abs(eval_prior_density(spec, 1e-12) - 0.34) <= 1e-9
+        assert abs(prior_density(spec, 1e-12) - 0.34) <= 1e-9
 
     def test_gamma_log_scale_change_of_variables(self):
         spec = PriorSpec(Family.GAMMA, ParamPoint(1.0, 1.0))
         # density of log(theta) at z = 0: f(1) * 1 = e^{-1}
-        assert abs(eval_prior_density(spec, 0.0, Scale.LOG_PARAMETER) - 0.3678794) <= 1e-7
-        assert abs(eval_prior_density(spec, 0.0, Scale.LOG_PARAMETER) - math.exp(-1)) <= 1e-12
+        assert abs(prior_density(spec, 0.0, Scale.LOG_PARAMETER) - 0.3678794) <= 1e-7
+        assert abs(prior_density(spec, 0.0, Scale.LOG_PARAMETER) - math.exp(-1)) <= 1e-12
 
     def test_gamma_rejects_nonpositive_x_on_natural_scale(self):
         spec = PriorSpec(Family.GAMMA, ParamPoint(2.0, 1.0))
         with pytest.raises(DomainError):
-            eval_prior_density(spec, 0.0)
+            log_prior_density(spec, 0.0)
         with pytest.raises(DomainError):
-            eval_prior_density(spec, -1.0)
+            log_prior_density(spec, -1.0)
 
     def test_normal_rejects_log_scale(self):
         spec = PriorSpec(Family.NORMAL, ParamPoint(0.0, 1.0))
         with pytest.raises(DomainError):
-            eval_prior_density(spec, 0.0, Scale.LOG_PARAMETER)
+            log_prior_density(spec, 0.0, Scale.LOG_PARAMETER)
 
     def test_vectorized_evaluation(self):
         spec = PriorSpec(Family.GAMMA, ParamPoint(2.0, 1.0))
         xs = np.array([0.5, 1.0, 2.0])
-        out = eval_prior_density(spec, xs)
+        out = prior_density(spec, xs)
         assert out.shape == (3,)
         assert np.all(out > 0.0)
 
     def test_log_density_matches_density(self):
+        # against the densities written out term by term
         spec = PriorSpec(Family.NORMAL, ParamPoint(1.0, 3.0))
         x = 0.7
-        assert abs(math.exp(log_prior_density(spec, x)) - eval_prior_density(spec, x)) <= 1e-15
+        f = math.sqrt(3.0 / (2.0 * math.pi)) * math.exp(-0.5 * 3.0 * (x - 1.0) ** 2)
+        assert abs(math.exp(log_prior_density(spec, x)) - f) <= 1e-15
+        spec = PriorSpec(Family.GAMMA, ParamPoint(2.5, 1.5))
+        x = 0.8
+        f = 1.5**2.5 * x**1.5 * math.exp(-1.5 * x) / math.gamma(2.5)
+        assert abs(math.exp(log_prior_density(spec, x)) - f) <= 1e-15
 
 
 class TestHellingerNormal:
     def test_identity(self):
         p = ParamPoint(0.0, 1.0)
-        assert hellinger_normal(p, p) == 0.0
+        assert hellinger_analytic(Family.NORMAL, p, p) == 0.0
 
     def test_mean_shift_two(self):
         # equal precisions collapse to sqrt(1 - exp(-mu^2 / 8))
-        h = hellinger_normal(ParamPoint(0.0, 1.0), ParamPoint(2.0, 1.0))
+        h = hellinger_analytic(Family.NORMAL, ParamPoint(0.0, 1.0), ParamPoint(2.0, 1.0))
         assert abs(h - math.sqrt(1.0 - math.exp(-0.5))) <= 1e-15
         assert abs(h - 0.627271345023321) <= 1e-12
 
     def test_mixed_pair_frozen_oracle(self):
         # frozen from adaptive quadrature of the Bhattacharyya integral
-        h = hellinger_normal(ParamPoint(0.0, 1.0), ParamPoint(1.0, 4.0))
+        h = hellinger_analytic(Family.NORMAL, ParamPoint(0.0, 1.0), ParamPoint(1.0, 4.0))
         assert abs(h - 0.517402118607196) <= 1e-12
 
     def test_against_live_quadrature(self):
-        h = hellinger_normal(ParamPoint(0.3, 0.5), ParamPoint(-1.2, 2.5))
+        h = hellinger_analytic(Family.NORMAL, ParamPoint(0.3, 0.5), ParamPoint(-1.2, 2.5))
         assert abs(h - hellinger_normal_quad((0.3, 0.5), (-1.2, 2.5))) <= 1e-9
 
     def test_rejects_bad_precision(self):
         with pytest.raises(DomainError):
-            hellinger_normal(ParamPoint(0.0, 1.0), ParamPoint(0.0, -1.0))
+            hellinger_analytic(Family.NORMAL, ParamPoint(0.0, 1.0), ParamPoint(0.0, -1.0))
 
     @given(m0=st.floats(-50, 50), l0=param, m1=st.floats(-50, 50), l1=param)
     def test_symmetry_and_range(self, m0, l0, m1, l1):
         # the open upper bound is unreachable only in exact arithmetic; once
         # the coefficient underflows, sqrt(1 - 0) rounds to 1.0 exactly
         p0, p1 = ParamPoint(m0, l0), ParamPoint(m1, l1)
-        h = hellinger_normal(p0, p1)
-        assert h == hellinger_normal(p1, p0)
+        h = hellinger_analytic(Family.NORMAL, p0, p1)
+        assert h == hellinger_analytic(Family.NORMAL, p1, p0)
         assert 0.0 <= h <= 1.0
         if p0 == p1:
             assert h == 0.0
@@ -127,46 +134,60 @@ class TestHellingerNormal:
 class TestHellingerGamma:
     def test_identity(self):
         p = ParamPoint(1.0, 0.34)
-        assert hellinger_gamma(p, p) == 0.0
+        assert hellinger_analytic(Family.GAMMA, p, p) == 0.0
 
     def test_rate_doubling(self):
         # BC = sqrt(0.34 * 0.68) / 0.51 for two exponentials
-        h = hellinger_gamma(ParamPoint(1.0, 0.34), ParamPoint(1.0, 0.68))
+        h = hellinger_analytic(Family.GAMMA, ParamPoint(1.0, 0.34), ParamPoint(1.0, 0.68))
         bc = math.sqrt(0.34 * 0.68) / 0.51
         assert abs(h - math.sqrt(1.0 - bc)) <= 1e-15
         assert abs(h - 0.239146311738100) <= 1e-12
 
     def test_shape_rate_pair_frozen_oracle(self):
-        h = hellinger_gamma(ParamPoint(2.0, 1.0), ParamPoint(4.0, 2.0))
+        h = hellinger_analytic(Family.GAMMA, ParamPoint(2.0, 1.0), ParamPoint(4.0, 2.0))
         assert abs(h - 0.179722977190181) <= 1e-12
 
     def test_against_live_quadrature(self):
-        h = hellinger_gamma(ParamPoint(0.7, 2.0), ParamPoint(3.1, 0.4))
+        h = hellinger_analytic(Family.GAMMA, ParamPoint(0.7, 2.0), ParamPoint(3.1, 0.4))
         assert abs(h - hellinger_gamma_quad((0.7, 2.0), (3.1, 0.4))) <= 1e-9
 
     def test_large_shapes_no_overflow(self):
         # log-gamma evaluation carries shape parameters past 170!
-        h = hellinger_gamma(ParamPoint(500.0, 1.0), ParamPoint(510.0, 1.0))
+        h = hellinger_analytic(Family.GAMMA, ParamPoint(500.0, 1.0), ParamPoint(510.0, 1.0))
         assert 0.0 < h < 1.0 and math.isfinite(h)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
-            hellinger_gamma(ParamPoint(0.0, 1.0), ParamPoint(1.0, 1.0))
+            hellinger_analytic(Family.GAMMA, ParamPoint(0.0, 1.0), ParamPoint(1.0, 1.0))
 
     @given(a0=param, b0=param, a1=param, b1=param)
     def test_symmetry_and_range(self, a0, b0, a1, b1):
         p0, p1 = ParamPoint(a0, b0), ParamPoint(a1, b1)
-        h = hellinger_gamma(p0, p1)
-        assert h == hellinger_gamma(p1, p0)
+        h = hellinger_analytic(Family.GAMMA, p0, p1)
+        assert h == hellinger_analytic(Family.GAMMA, p1, p0)
         assert 0.0 <= h <= 1.0
         if p0 == p1:
             assert h == 0.0
 
     def test_dispatch(self):
         p0, p1 = ParamPoint(2.0, 1.0), ParamPoint(4.0, 2.0)
-        assert hellinger_analytic(Family.GAMMA, p0, p1) == hellinger_gamma(p0, p1)
+        assert hellinger_analytic(Family.GAMMA, p0, p1) == hellinger_closed_form(
+            Family.GAMMA, *p0.as_tuple(), *p1.as_tuple()
+        )
         q0, q1 = ParamPoint(0.0, 1.0), ParamPoint(1.0, 4.0)
-        assert hellinger_analytic(Family.NORMAL, q0, q1) == hellinger_normal(q0, q1)
+        assert hellinger_analytic(Family.NORMAL, q0, q1) == hellinger_closed_form(
+            Family.NORMAL, *q0.as_tuple(), *q1.as_tuple()
+        )
+
+    @pytest.mark.parametrize(
+        "family,good,bad",
+        [(Family.NORMAL, (0.0, 1.0), (0.0, 0.0)), (Family.GAMMA, (2.0, 1.0), (2.0, -1.0))],
+    )
+    def test_validates_both_points(self, family, good, bad):
+        with pytest.raises(DomainError):
+            hellinger_analytic(family, ParamPoint(*bad), ParamPoint(*good))
+        with pytest.raises(DomainError):
+            hellinger_analytic(family, ParamPoint(*good), ParamPoint(*bad))
 
 
 class TestClosedFormDifferenceForm:

@@ -15,10 +15,9 @@ from priorscan import (
     ParamPoint,
     PriorSpec,
     Scale,
-    bhattacharyya_grid,
     common_support,
+    hellinger_analytic,
     hellinger_grid,
-    hellinger_normal,
     normalize_grid,
     read_density_csv,
     tabulate_prior,
@@ -90,9 +89,8 @@ class TestCommonSupport:
         g0 = normal_grid(0.0, 1.0, -10.0, 10.0)
         g1 = normal_grid(0.3, 1.0, -9.4, 10.6)
         a0, a1 = common_support(g0, g1)
-        bc = bhattacharyya_grid(a0, a1)
-        h_true = hellinger_normal(ParamPoint(0.0, 1.0), ParamPoint(0.3, 1.0))
-        assert abs(math.sqrt(1.0 - bc) - h_true) <= 1e-6
+        h_true = hellinger_analytic(Family.NORMAL, ParamPoint(0.0, 1.0), ParamPoint(0.3, 1.0))
+        assert abs(hellinger_grid(a0, a1) - h_true) <= 1e-6
 
     def test_scale_mismatch(self):
         g0 = DensityGrid(np.linspace(0, 1, 10), np.ones(10), Scale.NATURAL)
@@ -115,37 +113,35 @@ class TestCommonSupport:
             common_support(g0, g1)
 
 
-class TestBhattacharyya:
-    def test_self_affinity_is_one(self):
-        g = normal_grid(0.0, 1.0)
-        assert abs(bhattacharyya_grid(g, g) - 1.0) <= 1e-10
+class TestHellingerGrid:
+    def test_self_distance_zero(self):
+        g = normal_grid(1.0, 2.0)
+        assert hellinger_grid(g, g) == 0.0
 
     def test_benchmark_shift(self):
         # N(0,1) against N(0.01,1) on [-10, 10] with 4001 points
         g0 = normal_grid(0.0, 1.0)
         g1 = normal_grid(0.01, 1.0)
-        bc = bhattacharyya_grid(g0, g1)
-        assert abs(math.sqrt(1.0 - bc) - 0.0035355) <= 1e-6
+        assert abs(hellinger_grid(g0, g1) - 0.0035355) <= 1e-6
 
-    def test_disjoint_mass_gives_zero(self):
+    def test_disjoint_mass_gives_one(self):
         xs = np.linspace(0, 1, 100)
         f0 = np.where(xs < 0.5, 2.0, 0.0)
         f1 = np.where(xs >= 0.5, 2.0, 0.0)
         g0 = normalize_grid(DensityGrid(xs, f0))
         g1 = normalize_grid(DensityGrid(xs, f1))
-        assert bhattacharyya_grid(g0, g1) == 0.0
+        assert hellinger_grid(g0, g1) == 1.0
 
-    def test_requires_identical_support(self):
+    def test_same_density_on_different_windows(self):
+        # aligned on the overlap, with each grid's own tail mass beyond it
+        g0 = normal_grid(0.0, 1.0)
+        g1 = normal_grid(0.0, 1.0, -12.0, 12.0, 4801)
+        assert hellinger_grid(g0, g1) <= 1e-10
+
+    def test_different_meshes_are_aligned(self):
         g0 = DensityGrid(np.linspace(0, 1, 10), np.ones(10))
         g1 = DensityGrid(np.linspace(0, 1, 11), np.ones(11))
-        with pytest.raises(AlignmentError):
-            bhattacharyya_grid(g0, g1)
-
-
-class TestHellingerGrid:
-    def test_self_distance_zero(self):
-        g = normal_grid(1.0, 2.0)
-        assert hellinger_grid(g, g) == 0.0
+        assert hellinger_grid(g0, g1) <= 1e-12
 
     def test_gamma_pair_vs_closed_form(self):
         g0 = tabulate_prior(PriorSpec(Family.GAMMA, ParamPoint(1.0, 0.34)), Scale.LOG_PARAMETER)
@@ -215,6 +211,25 @@ class TestHellingerGrid:
         expected = hellinger_difference_form(family, p0, p1)
         assert 5e-7 < expected < 2e-6
         assert hellinger_grid(g0, g1) == pytest.approx(expected, rel=1e-7)
+
+    @pytest.mark.parametrize(
+        "family,p0,p1,scale",
+        [
+            ("gamma", (3.0, 2.0), (3.0 + 4.5e-6, 2.0), Scale.LOG_PARAMETER),
+            ("normal", (0.0, 1.0), (2.8e-6, 1.0), Scale.NATURAL),
+        ],
+    )
+    def test_tiny_distance_on_different_supports(self, family, p0, p1, scale):
+        # each prior tabulated on its own window: the mass beyond the overlap
+        # must come from each grid's own nodes, not from a difference of two
+        # O(1) trapezoid sums on different meshes
+        g0, g1 = (
+            tabulate_prior(PriorSpec(Family(family), ParamPoint(*p)), scale, 4001, tail_mass=1e-13)
+            for p in (p0, p1)
+        )
+        assert not np.array_equal(g0.support, g1.support)
+        expected = hellinger_difference_form(family, p0, p1)
+        assert hellinger_grid(g0, g1) == pytest.approx(expected, rel=5e-3)
 
     def test_log_scale_matches_quadrature(self):
         p0, p1 = ParamPoint(2.0, 1.0), ParamPoint(4.0, 2.0)

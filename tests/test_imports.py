@@ -54,3 +54,13 @@ def test_cli_subcommands_load_no_scipy(tmp_path, counts_csv):
     )
     assert scipy_modules_after(code, json.dumps(runs)) == []
     assert all((tmp_path / str(i)).is_dir() for i in range(len(runs)))
+
+
+def test_public_api_size():
+    # the pipeline's names only; a new export has to displace an old one
+    import priorscan
+
+    names = priorscan.__all__
+    assert names == sorted(set(names))
+    assert all(hasattr(priorscan, name) for name in names)
+    assert len(names) <= 55

@@ -14,14 +14,13 @@ from priorscan import (
     PriorSpec,
     ReweightingError,
     Scale,
-    hellinger_gamma,
-    hellinger_normal,
+    hellinger_analytic,
     normalize_grid,
-    posterior_distance,
     reweight_posterior,
     tabulate_prior,
     trapezoid_mass,
 )
+from priorscan.reweight import _posterior_distances
 
 
 def uniform_grid(lo, hi, n=9, scale=Scale.NATURAL):
@@ -128,6 +127,11 @@ class TestReweightPosterior:
         assert trapezoid_mass(out) == pytest.approx(1.0, abs=1e-10)
 
 
+def posterior_distance(inp, new_prior):
+    """One prior through the batched reweighting sweep."""
+    return float(_posterior_distances(inp, [new_prior.point.gamma1], [new_prior.point.gamma2])[0])
+
+
 class TestPosteriorDistance:
     def test_identity_distance_is_negligible(self):
         inp = flat_likelihood_input(GAMMA_SPEC, Scale.LOG_PARAMETER)
@@ -137,13 +141,13 @@ class TestPosteriorDistance:
         inp = flat_likelihood_input(NORMAL_SPEC)
         new = PriorSpec(Family.NORMAL, ParamPoint(0.3, 1.2))
         h = posterior_distance(inp, new)
-        assert abs(h - hellinger_normal(NORMAL_SPEC.point, new.point)) <= 1e-6
+        assert abs(h - hellinger_analytic(Family.NORMAL, NORMAL_SPEC.point, new.point)) <= 1e-6
 
     def test_flat_likelihood_gamma_matches_analytic(self):
         inp = flat_likelihood_input(GAMMA_SPEC, Scale.LOG_PARAMETER)
         new = PriorSpec(Family.GAMMA, ParamPoint(1.0, 0.68))
         h = posterior_distance(inp, new)
-        assert abs(h - hellinger_gamma(GAMMA_SPEC.point, new.point)) <= 5e-5
+        assert abs(h - hellinger_analytic(Family.GAMMA, GAMMA_SPEC.point, new.point)) <= 5e-5
 
     def test_parametrization_does_not_matter(self):
         # the Jacobian cancels in the prior ratio, so natural-scale and
@@ -152,7 +156,7 @@ class TestPosteriorDistance:
         new = PriorSpec(Family.GAMMA, ParamPoint(2.3, 1.15))
         h_nat = posterior_distance(flat_likelihood_input(base, Scale.NATURAL), new)
         h_log = posterior_distance(flat_likelihood_input(base, Scale.LOG_PARAMETER), new)
-        expected = hellinger_gamma(base.point, new.point)
+        expected = hellinger_analytic(Family.GAMMA, base.point, new.point)
         assert abs(h_nat - expected) <= 2e-4
         assert abs(h_log - expected) <= 1e-5
         assert abs(h_nat - h_log) <= 2e-4

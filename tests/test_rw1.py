@@ -29,17 +29,20 @@ from priorscan import (
     exact_sensitivity,
     hellinger_grid,
     ingest_timeseries,
-    log_unnormalized_posterior,
-    logdet_q,
-    quad_term,
     rw1_eigenvalues,
-    structure_matrix,
     tabulate_posterior,
-    tridiagonal_solve,
     trapezoid_mass,
 )
 from priorscan import rw1
-from priorscan.rw1 import _dct2, _lattice_pass, _spectral_sums, _spectral_weights, normconst
+from priorscan.rw1 import (
+    _dct2,
+    _lattice_pass,
+    _log_target,
+    _s_terms,
+    _spectral_sums,
+    _spectral_weights,
+    normconst,
+)
 
 
 @pytest.fixture(scope="module")
@@ -94,17 +97,21 @@ class TestStructure:
                 [0.0, 0.0, -1.0, 1.0],
             ]
         )
-        assert np.array_equal(structure_matrix(4), expected)
-
-    def test_matches_entrywise_oracle(self):
-        assert np.array_equal(structure_matrix(9), dense_structure(9))
+        assert np.array_equal(dense_structure(4), expected)
 
     def test_annihilates_constants(self):
-        assert np.allclose(structure_matrix(6) @ np.ones(6), 0.0, atol=1e-15)
+        # R has constants in its null space, so the quadratic form of a constant
+        # series is kappa y'y / 2 whatever the smoothing
+        m = RW1Model(y=np.full(6, 0.7), kappa=2.0)
+        taus = np.array([0.0, 1.0, 1e3, 1e9])
+        assert np.allclose(_spectral_sums(m, taus)[0], 0.5 * m.kappa * float(m.y @ m.y), rtol=1e-13)
 
-    def test_rejects_tiny_n(self):
-        with pytest.raises(DomainError):
-            structure_matrix(1)
+    def test_matches_entrywise_oracle(self):
+        # the production eigenbasis (orthonormal DCT-II) and spectrum rebuild R
+        n = 9
+        basis = np.column_stack([_dct2(e) for e in np.eye(n)])
+        rebuilt = basis.T @ np.diag(rw1_eigenvalues(n)) @ basis
+        assert np.max(np.abs(rebuilt - dense_structure(n))) <= 1e-14
 
 
 class TestEigenvalues:
@@ -127,7 +134,7 @@ class TestEigenvalues:
 
     def test_against_dense_spectrum(self):
         lam = rw1_eigenvalues(10)
-        dense = np.linalg.eigvalsh(structure_matrix(10))
+        dense = np.linalg.eigvalsh(dense_structure(10))
         assert np.max(np.abs(lam - dense)) <= 1e-9
 
     def test_rejects_tiny_n(self):
@@ -135,74 +142,81 @@ class TestEigenvalues:
             rw1_eigenvalues(1)
 
 
-class TestTridiagonalSolve:
+def logdet(tau, kappa, n):
+    """``log det(tau R + kappa I)`` from the production spectral sums (``y`` plays no part)."""
+    return float(_spectral_sums(RW1Model(y=np.zeros(n), kappa=kappa), np.array([tau]))[1][0])
+
+
+def quad(model, tau):
+    """``kappa^2 y' Q^-1 y / 2`` from the production spectral sums."""
+    return float(_spectral_sums(model, np.array([tau]))[0][0])
+
+
+class TestSpectralSolve:
     def test_against_dense_solve(self, rng):
+        from scipy.fft import idct
+
         n = 40
-        lower = rng.uniform(-0.4, 0.4, n - 1)
-        upper = rng.uniform(-0.4, 0.4, n - 1)
-        diag = rng.uniform(2.0, 3.0, n)
-        rhs = rng.normal(0.0, 1.0, n)
-        A = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
-        assert np.allclose(tridiagonal_solve(lower, diag, upper, rhs), np.linalg.solve(A, rhs))
+        tau, kappa = 2.7, 0.6
+        y = rng.normal(0.0, 1.0, n)
+        v = idct(_dct2(y) / (tau * rw1_eigenvalues(n) + kappa), norm="ortho")
+        dense = np.linalg.solve(tau * dense_structure(n) + kappa * np.eye(n), y)
+        assert np.allclose(v, dense)
 
     def test_large_system_residual(self, rng):
+        # Q^-1 y in the eigenbasis, checked by its band residual; the production
+        # quadratic form is kappa^2 y'v / 2 of this solve
+        from scipy.fft import idct
+
         n = 10000
         tau, kappa = 0.8, 1.3
         y = rng.normal(0.0, 1.0, n)
+        v = idct(_dct2(y) / (tau * rw1_eigenvalues(n) + kappa), norm="ortho")
         diag = tau * np.r_[1.0, 2.0 * np.ones(n - 2), 1.0] + kappa
         off = np.full(n - 1, -tau)
-        v = tridiagonal_solve(off, diag, off, y)
         residual = diag * v - y
         residual[:-1] += off * v[1:]
         residual[1:] += off * v[:-1]
         assert np.max(np.abs(residual)) <= 1e-10 * np.max(np.abs(y))
-
-    def test_rejects_inconsistent_bands(self):
-        with pytest.raises(DomainError):
-            tridiagonal_solve(np.zeros(3), np.ones(3), np.zeros(2), np.ones(3))
+        m = RW1Model(y=y, kappa=kappa)
+        assert quad(m, tau) == pytest.approx(0.5 * kappa**2 * float(y @ v), rel=1e-12)
 
 
 class TestLogdetQ:
     def test_zero_tau_closed_form(self):
-        assert logdet_q(0.0, 2.0, 5) == pytest.approx(5.0 * math.log(2.0), abs=1e-14)
+        assert logdet(0.0, 2.0, 5) == pytest.approx(5.0 * math.log(2.0), abs=1e-14)
 
     def test_against_dense(self):
-        assert abs(logdet_q(1.0, 1.0, 8) - dense_logdet_q(1.0, 1.0, 8)) <= 1e-9
-        assert abs(logdet_q(3.7, 0.2, 25) - dense_logdet_q(3.7, 0.2, 25)) <= 1e-9
+        assert abs(logdet(1.0, 1.0, 8) - dense_logdet_q(1.0, 1.0, 8)) <= 1e-9
+        assert abs(logdet(3.7, 0.2, 25) - dense_logdet_q(3.7, 0.2, 25)) <= 1e-9
 
     def test_monotone_in_tau(self):
-        assert logdet_q(2.0, 1.0, 10) > logdet_q(1.0, 1.0, 10)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            logdet_q(-1.0, 1.0, 5)
-        with pytest.raises(DomainError):
-            logdet_q(1.0, 0.0, 5)
+        assert logdet(2.0, 1.0, 10) > logdet(1.0, 1.0, 10)
 
 
 class TestQuadTerm:
     def test_zero_data(self):
         m = RW1Model(y=np.zeros(6), kappa=2.0)
-        assert quad_term(m, 1.3) == 0.0
+        assert quad(m, 1.3) == 0.0
 
     def test_zero_tau_closed_form(self):
         m = small_model()
         expected = 0.5 * m.kappa * float(m.y @ m.y)
-        assert quad_term(m, 0.0) == pytest.approx(expected, rel=1e-13)
+        assert quad(m, 0.0) == pytest.approx(expected, rel=1e-13)
 
     def test_against_dense(self):
         m = small_model(n=12)
         for tau in (0.05, 0.7, 14.0):
             expected = dense_quad_term(m.y, tau, m.kappa)
-            assert quad_term(m, tau) == pytest.approx(expected, rel=1e-9)
+            assert quad(m, tau) == pytest.approx(expected, rel=1e-9)
 
     def test_batch_agrees_with_scalar_route(self):
-        # two independent routes: spectral decomposition versus a Thomas
-        # sweep; they must coincide wherever both are well conditioned
+        # two independent routes: spectral decomposition versus a dense
+        # LAPACK solve; they must coincide wherever both are well conditioned
         m = small_model(n=30)
         taus = np.array([1e-3, 0.01, 0.5, 1.0, 20.0, 1e4])
         batch = _spectral_sums(m, taus)[0]
-        scalar = np.array([quad_term(m, t) for t in taus])
+        scalar = np.array([dense_quad_term(m.y, t, m.kappa) for t in taus])
         assert np.allclose(batch, scalar, rtol=1e-10)
 
     def test_batch_survives_extreme_smoothing(self):
@@ -216,10 +230,6 @@ class TestQuadTerm:
         limit = 0.5 * m.kappa * y.sum() ** 2 / y.size
         assert math.isfinite(val)
         assert val == pytest.approx(limit, rel=1e-6)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            quad_term(small_model(), -0.5)
 
 
 class TestSpectralWeights:
@@ -238,8 +248,16 @@ class TestSpectralWeights:
         assert np.all(np.abs(_dct2(y) - expected) <= 1e-14 * np.abs(expected).max())
 
 
+def log_target(model, tau):
+    """Production log density of ``u = log tau`` at one ``tau``."""
+    us = np.array([math.log(tau)])
+    prior = np.array([model.prior.as_tuple()])
+    return float(_log_target(model, prior, us, _s_terms(model, us))[0, 0])
+
+
 class TestLogUnnormalizedPosterior:
     def test_against_dense_assembly(self):
+        # the density of log tau carries the Jacobian tau: + log tau
         m = small_model(n=10, kappa=1.4, prior=ParamPoint(1.2, 0.3))
         for tau in (0.2, 1.0, 8.0):
             a, b = m.prior.as_tuple()
@@ -248,8 +266,9 @@ class TestLogUnnormalizedPosterior:
                 - 0.5 * dense_logdet_q(tau, m.kappa, m.n)
                 - b * tau
                 + dense_quad_term(m.y, tau, m.kappa)
+                + math.log(tau)
             )
-            assert log_unnormalized_posterior(m, tau) == pytest.approx(expected, rel=1e-10)
+            assert log_target(m, tau) == pytest.approx(expected, rel=1e-10)
 
     def test_weaker_rate_shifts_mass_to_larger_tau(self):
         taus = np.exp(np.linspace(-4.0, 10.0, 400))
@@ -257,13 +276,9 @@ class TestLogUnnormalizedPosterior:
         modes = []
         for beta in (1.0, 0.01):
             m = RW1Model(y=y, kappa=2.0, prior=ParamPoint(1.0, beta))
-            dens = [log_unnormalized_posterior(m, t) for t in taus]
+            dens = [log_target(m, t) for t in taus]
             modes.append(taus[int(np.argmax(dens))])
         assert modes[1] > modes[0]
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            log_unnormalized_posterior(small_model(), 0.0)
 
 
 class TestNormconst:
