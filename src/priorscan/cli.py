@@ -5,6 +5,10 @@ reweighting engine over a contour for a tabulated posterior, ``calibrate``
 maps between Hellinger distances and benchmark mean shifts, and ``rw1``
 runs the conjugate random-walk model end to end from a monthly-count CSV.
 
+Each setting is taken from, in order of precedence: its flag, the
+``--config`` file, ``$PRIORSCAN_OUTDIR`` (for ``--outdir`` only), and the
+built-in default the parser declares.
+
 Exit codes: 0 success, 2 input or ingestion problem, 3 contour not
 reachable, 4 numerical failure. Reports are JSON, plot tables CSV; all
 files are written atomically and contain no timestamps, so identical
@@ -20,14 +24,12 @@ import os
 import sys
 import tempfile
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 from .calibration import calibrate, inverse_calibrate
 from .contour import PolarGrid, compute_grid
 from .errors import (
     ContourUnreachableError,
-    DomainError,
     IngestionError,
     NumericalError,
     PartialGridError,
@@ -58,29 +60,6 @@ EXIT_NUMERICAL = 4
 # config-file values of switches such as --log-scale
 _SWITCH_VALUES = {"1": True, "true": True, "yes": True, "on": True,
                   "0": False, "false": False, "no": False, "off": False}
-
-
-@dataclass
-class RunConfig:
-    """Resolved settings of one invocation (config file merged with flags)."""
-
-    command: str
-    epsilon: float = DEFAULT_EPSILON
-    n_angles: int = DEFAULT_ANGLES
-    family: Family | None = None
-    gamma0: ParamPoint | None = None
-    log_scale: bool = False
-    allow_partial: bool = False
-    posterior: Path | None = None
-    data: Path | None = None
-    window: str | None = None
-    kappa: float | None = None
-    prior: ParamPoint = DEFAULT_PRIOR
-    engine: str = "exact"
-    h: float | None = None
-    mu: float | None = None
-    outdir: Path = Path(".")
-    out_prefix: str = "run"
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -126,7 +105,7 @@ def _load_config_file(path: str) -> dict:
     values = {}
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IngestionError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -174,81 +153,64 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     parser.add_argument("--config", help="key=value config file; flags override its entries")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--epsilon", type=float, default=None, help="contour radius (default 0.00354)")
-        p.add_argument("--n-angles", type=int, default=None, help="polar directions (default 400)")
-        p.add_argument("--allow-partial", action="store_true", default=None,
-                       help="keep going when some directions have no contour point")
-        p.add_argument("--outdir", default=None,
-                       help=f"output directory (default ${OUTDIR_ENV} or '.')")
-        p.add_argument("--out-prefix", default=None, help="basename prefix for emitted files")
-
     # none of the per-command settings are required at parse time, so a
-    # config file can supply any of them; completeness is checked after
-    # the merge
+    # config file can supply any of them; completeness is checked in run()
     p_grid = sub.add_parser("grid", help="trace an epsilon-contour around a base prior")
-    p_grid.add_argument("--family", choices=[f.value for f in Family], default=None)
-    p_grid.add_argument("--gamma0", type=_parse_point, default=None, metavar="G1,G2")
-    add_common(p_grid)
+    p_grid.add_argument("--family", choices=[f.value for f in Family])
+    p_grid.add_argument("--gamma0", type=_parse_point, metavar="G1,G2")
 
     p_sens = sub.add_parser("sensitivity", help="reweighting sensitivity for a tabulated posterior")
-    p_sens.add_argument("--family", choices=[f.value for f in Family], default=None)
-    p_sens.add_argument("--gamma0", type=_parse_point, default=None, metavar="G1,G2")
-    p_sens.add_argument("--posterior", default=None, help="CSV x,density of the base posterior")
-    p_sens.add_argument("--log-scale", action="store_true", default=None,
+    p_sens.add_argument("--family", choices=[f.value for f in Family])
+    p_sens.add_argument("--gamma0", type=_parse_point, metavar="G1,G2")
+    p_sens.add_argument("--posterior", type=Path, help="CSV x,density of the base posterior")
+    p_sens.add_argument("--log-scale", action="store_true",
                         help="posterior support holds log(parameter)")
-    add_common(p_sens)
 
     p_cal = sub.add_parser("calibrate", help="map a Hellinger distance to a benchmark mean shift")
-    p_cal.add_argument("--h", type=float, default=None, help="distance to calibrate")
-    p_cal.add_argument("--mu", type=float, default=None, help="mean shift to invert")
+    p_cal.add_argument("--h", type=float, help="distance to calibrate")
+    p_cal.add_argument("--mu", type=float, help="mean shift to invert")
 
     p_rw1 = sub.add_parser("rw1", help="conjugate random-walk sensitivity from monthly counts")
-    p_rw1.add_argument("--data", default=None, help="CSV of monthly counts")
-    p_rw1.add_argument("--window", choices=["full", "last96"], default=None)
-    p_rw1.add_argument("--kappa", type=float, default=None, help="noise precision override")
-    p_rw1.add_argument("--prior", type=_parse_point, default=None, metavar="A,B",
+    p_rw1.add_argument("--data", type=Path, help="CSV of monthly counts")
+    p_rw1.add_argument("--window", choices=["full", "last96"])
+    p_rw1.add_argument("--kappa", type=float, help="noise precision override")
+    p_rw1.add_argument("--prior", type=_parse_point, default=DEFAULT_PRIOR, metavar="A,B",
                        help="gamma prior on the smoothing precision "
                        f"(default {DEFAULT_PRIOR.gamma1:g},{DEFAULT_PRIOR.gamma2:g})")
-    p_rw1.add_argument("--engine", choices=["exact", "reweight"], default=None,
-                       help="posterior distances: closed-form constants or grid reweighting")
-    add_common(p_rw1)
+    p_rw1.add_argument("--engine", choices=["exact", "reweight"], default="exact",
+                       help="posterior distances: closed-form constants or grid reweighting "
+                       "(default %(default)s)")
+
+    # every command but calibrate traces a contour and writes files
+    for name, p in sub.choices.items():
+        if name == "calibrate":
+            continue
+        p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
+                       help="contour radius (default %(default)s)")
+        p.add_argument("--n-angles", type=int, default=DEFAULT_ANGLES,
+                       help="polar directions (default %(default)s)")
+        p.add_argument("--allow-partial", action="store_true",
+                       help="keep going when some directions have no contour point")
+        p.add_argument("--outdir", type=Path, default=os.environ.get(OUTDIR_ENV, "."),
+                       help=f"output directory (default %(default)r, or ${OUTDIR_ENV} when set)")
+        p.add_argument("--out-prefix", default=name,
+                       help="basename prefix for emitted files (default %(default)s)")
     return parser, sub.choices
 
 
-def _resolve_config(argv: list[str]) -> RunConfig:
+def _resolve_config(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv``; entries of a ``--config`` file replace the parser's defaults."""
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
-    file_values = _config_values(args.config, commands[args.command]) if args.config else {}
-
-    def pick(name: str, default):
-        flag = getattr(args, name, None)
-        return flag if flag is not None else file_values.get(name, default)
-
-    family = pick("family", None)
-    return RunConfig(
-        command=args.command,
-        epsilon=pick("epsilon", DEFAULT_EPSILON),
-        n_angles=pick("n_angles", DEFAULT_ANGLES),
-        family=Family(family) if family else None,
-        gamma0=pick("gamma0", None),
-        log_scale=bool(pick("log_scale", False)),
-        allow_partial=bool(pick("allow_partial", False)),
-        posterior=Path(p) if (p := pick("posterior", None)) else None,
-        data=Path(p) if (p := pick("data", None)) else None,
-        window=pick("window", None),
-        kappa=pick("kappa", None),
-        prior=pick("prior", None) or DEFAULT_PRIOR,
-        engine=pick("engine", None) or "exact",
-        h=pick("h", None),
-        mu=pick("mu", None),
-        outdir=Path(pick("outdir", os.environ.get(OUTDIR_ENV, "."))),
-        out_prefix=pick("out_prefix", args.command),
-    )
+    if args.config:
+        command = commands[args.command]
+        command.set_defaults(**_config_values(args.config, command))
+        args = parser.parse_args(argv)
+    return args
 
 
-def _emit_sensitivity(config: RunConfig, result: SensitivityResult) -> None:
-    prefix = config.outdir / config.out_prefix
+def _emit_sensitivity(args: argparse.Namespace, result: SensitivityResult) -> None:
+    prefix = args.outdir / args.out_prefix
     _write_json(Path(f"{prefix}.json"), result_to_json_dict(result))
     polar, rolled = export_plot_data(result)
     _write_csv(Path(f"{prefix}_polar.csv"), ["series", "phi", "ratio", "x", "y"], polar)
@@ -265,8 +227,8 @@ def _emit_sensitivity(config: RunConfig, result: SensitivityResult) -> None:
         )
 
 
-def _emit_grid(config: RunConfig, grid: PolarGrid) -> None:
-    prefix = config.outdir / config.out_prefix
+def _emit_grid(args: argparse.Namespace, grid: PolarGrid) -> None:
+    prefix = args.outdir / args.out_prefix
     rows = [
         {
             "phi": gp.phi,
@@ -298,72 +260,65 @@ def _emit_grid(config: RunConfig, grid: PolarGrid) -> None:
         )
 
 
-def _require(config: RunConfig, *names: str) -> None:
-    missing = [name for name in names if getattr(config, name) is None]
+def _require(args: argparse.Namespace, *names: str) -> None:
+    missing = [name for name in names if getattr(args, name) is None]
     if missing:
         flags = ", ".join("--" + name.replace("_", "-") for name in missing)
-        raise IngestionError(f"{config.command} needs {flags} (flag or config file)")
+        raise IngestionError(f"{args.command} needs {flags} (flag or config file)")
 
 
-def run(config: RunConfig) -> int:
-    """Execute one resolved configuration; returns the process exit code."""
-    if config.command == "calibrate":
-        if (config.h is None) == (config.mu is None):
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed invocation; returns the process exit code."""
+    if args.command == "calibrate":
+        if (args.h is None) == (args.mu is None):
             raise IngestionError("calibrate needs exactly one of --h or --mu")
-        if config.h is not None:
-            print(f"mu = {calibrate(config.h)!r}")
+        if args.h is not None:
+            print(f"mu = {calibrate(args.h)!r}")
         else:
-            print(f"h = {inverse_calibrate(config.mu)!r}")
+            print(f"h = {inverse_calibrate(args.mu)!r}")
         return EXIT_OK
 
-    if config.command == "grid":
-        _require(config, "family", "gamma0")
-        base = PriorSpec(config.family, config.gamma0)
-        grid = compute_grid(
-            base, config.epsilon, n_angles=config.n_angles, allow_partial=config.allow_partial
-        )
-        _emit_grid(config, grid)
-        return EXIT_OK
-
-    if config.command == "sensitivity":
-        _require(config, "family", "gamma0", "posterior")
-        base = PriorSpec(config.family, config.gamma0)
-        scale = Scale.LOG_PARAMETER if config.log_scale else Scale.NATURAL
-        posterior = normalize_grid(read_density_csv(config.posterior, scale))
-        inp = PosteriorInput(posterior=posterior, base_prior=base, parametrization=scale)
-        grid = compute_grid(
-            base, config.epsilon, n_angles=config.n_angles, allow_partial=config.allow_partial
-        )
-        _emit_sensitivity(config, circular_sensitivity(inp, grid))
-        return EXIT_OK
-
-    if config.command == "rw1":
-        _require(config, "data")
-        model = ingest_timeseries(
-            config.data, window=config.window, kappa=config.kappa, prior=config.prior
-        )
+    inp = None  # the posterior to reweight; grid has none
+    if args.command == "rw1":
+        _require(args, "data")
+        model = ingest_timeseries(args.data, window=args.window, kappa=args.kappa, prior=args.prior)
         print(
             f"ingested n = {model.n} months, kappa = {model.kappa:.6g}, "
             f"prior = ({model.prior.gamma1:g}, {model.prior.gamma2:g})",
             file=sys.stderr,
         )
-        if config.engine == "exact":
+        if args.engine == "exact":
             result = exact_sensitivity(
-                model, config.epsilon, n_angles=config.n_angles, allow_partial=config.allow_partial
+                model, args.epsilon, n_angles=args.n_angles, allow_partial=args.allow_partial
             )
-        else:
-            inp = tabulate_posterior(model)
-            grid = compute_grid(
-                PriorSpec(Family.GAMMA, model.prior),
-                config.epsilon,
-                n_angles=config.n_angles,
-                allow_partial=config.allow_partial,
-            )
-            result = circular_sensitivity(inp, grid)
-        _emit_sensitivity(config, result)
-        return EXIT_OK
+            _emit_sensitivity(args, result)
+            return EXIT_OK
+        base, inp = PriorSpec(Family.GAMMA, model.prior), tabulate_posterior(model)
+    else:
+        sensitivity = args.command == "sensitivity"
+        _require(args, "family", "gamma0", *(["posterior"] if sensitivity else []))
+        base = PriorSpec(Family(args.family), args.gamma0)
+        if sensitivity:
+            scale = Scale.LOG_PARAMETER if args.log_scale else Scale.NATURAL
+            posterior = normalize_grid(read_density_csv(args.posterior, scale))
+            inp = PosteriorInput(posterior=posterior, base_prior=base, parametrization=scale)
 
-    raise IngestionError(f"unknown command {config.command!r}")  # pragma: no cover
+    grid = compute_grid(
+        base, args.epsilon, n_angles=args.n_angles, allow_partial=args.allow_partial
+    )
+    if inp is None:
+        _emit_grid(args, grid)
+    else:
+        _emit_sensitivity(args, circular_sensitivity(inp, grid))
+    return EXIT_OK
+
+
+# first matching row wins, so the catch-all input row comes last
+_EXIT_CODES = (
+    ((ContourUnreachableError, PartialGridError), EXIT_CONTOUR),
+    ((NumericalError, ReweightingError), EXIT_NUMERICAL),
+    ((PriorScanError, OSError), EXIT_INPUT),
+)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -374,20 +329,10 @@ def main(argv: list[str] | None = None) -> int:
             warnings.showwarning = lambda msg, cat, *a, **k: print(
                 f"warning: {msg}", file=sys.stderr
             )
-            config = _resolve_config(argv)
-            return run(config)
-    except (IngestionError, DomainError, OSError) as exc:
+            return run(_resolve_config(argv))
+    except (PriorScanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ContourUnreachableError, PartialGridError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONTOUR
-    except (NumericalError, ReweightingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except PriorScanError as exc:  # pragma: no cover - catch-all for new subtypes
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
 
 
 if __name__ == "__main__":

@@ -139,36 +139,45 @@ def hellinger_grid(g0: DensityGrid, g1: DensityGrid) -> float:
     return float(np.sqrt(min(1.0, max(0.0, h2))))
 
 
-def read_density_csv(path, scale: Scale = Scale.NATURAL) -> DensityGrid:
-    """Read a two-column CSV ``x,density`` with a mandatory header row."""
-    path = Path(path)
+def _read_csv_rows(path: Path, key: int) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """Header and data rows of a CSV file, each data row with its physical line number.
+
+    Blank rows are skipped. The header is taken to be missing when its
+    field ``key`` (the column the caller reads) is a number.
+    """
     try:
         with path.open(newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
+            reader = csv.reader(fh)
+            rows = [(reader.line_num, row) for row in reader if row]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise IngestionError(f"cannot read {path}: {exc}") from exc
     if len(rows) < 2:
         raise IngestionError(f"{path}: expected a header row and data rows")
-    header = rows[0]
-    if len(header) < 2:
-        raise IngestionError(f"{path}: expected two columns, got {header!r}")
+    header = rows[0][1]
     try:
-        float(header[0])
-    except ValueError:
+        float(header[key])
+    except (ValueError, IndexError):
         pass
     else:
         raise IngestionError(f"{path}: missing header row (first row is numeric)")
+    return header, rows[1:]
+
+
+def read_density_csv(path, scale: Scale = Scale.NATURAL) -> DensityGrid:
+    """Read a two-column CSV ``x,density`` with a mandatory header row."""
+    path = Path(path)
+    header, rows = _read_csv_rows(path, key=0)
+    if len(header) < 2:
+        raise IngestionError(f"{path}: expected two columns, got {header!r}")
     xs, vs = [], []
-    for i, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
+    for line, row in rows:
         if len(row) < 2:
-            raise IngestionError(f"{path}:{i}: expected two columns, got {row!r}")
+            raise IngestionError(f"{path}:{line}: expected two columns, got {row!r}")
         try:
             xs.append(float(row[0]))
             vs.append(float(row[1]))
         except ValueError as exc:
-            raise IngestionError(f"{path}:{i}: non-numeric entry {row!r}") from exc
+            raise IngestionError(f"{path}:{line}: non-numeric entry {row!r}") from exc
     try:
         return DensityGrid(np.array(xs), np.array(vs), scale)
     except DomainError as exc:

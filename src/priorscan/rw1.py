@@ -25,7 +25,6 @@ engine is validated against, and shares no tilt or integral code with it.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,7 +34,7 @@ import numpy as np
 from .contour import compute_grid
 from .errors import DomainError, IngestionError, NumericalError
 from .families import Family, ParamPoint, PriorSpec, validate_point
-from .grids import DensityGrid, Scale, normalize_grid
+from .grids import DensityGrid, Scale, _read_csv_rows, normalize_grid
 from .reweight import PosteriorInput
 from .sensitivity import SensitivityResult, assemble_result
 
@@ -349,25 +348,13 @@ def ingest_timeseries(
     defaults to ``1 / variance`` of the residuals.
     """
     path = Path(path)
-    try:
-        with path.open(newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
-    except OSError as exc:
-        raise IngestionError(f"cannot read {path}: {exc}") from exc
-    if len(rows) < 2:
-        raise IngestionError(f"{path}: expected a header row and data rows")
-    try:
-        float(rows[0][-1])
-    except (ValueError, IndexError):
-        pass
-    else:
-        raise IngestionError(f"{path}: missing header row (first row is numeric)")
+    _, rows = _read_csv_rows(path, key=-1)
     counts = []
-    for i, row in enumerate(rows[1:], start=2):
+    for line, row in rows:
         try:
             counts.append(float(row[-1]))
-        except (ValueError, IndexError) as exc:
-            raise IngestionError(f"{path}:{i}: non-numeric count {row!r}") from exc
+        except ValueError as exc:
+            raise IngestionError(f"{path}:{line}: non-numeric count {row!r}") from exc
     counts = np.array(counts)
     if np.any(~np.isfinite(counts)) or np.any(counts <= 0.0):
         raise IngestionError(f"{path}: counts must be finite and positive")

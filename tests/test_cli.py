@@ -16,7 +16,7 @@ from priorscan import (
     tabulate_prior,
     write_density_csv,
 )
-from priorscan.cli import DEFAULT_EPSILON, EXIT_OK, RunConfig, _resolve_config, main
+from priorscan.cli import DEFAULT_EPSILON, EXIT_OK, _resolve_config, main
 
 
 @pytest.fixture()
@@ -282,7 +282,6 @@ class TestRw1Command:
         assert main(["rw1", "--data", str(tmp_path / "none.csv")]) == 2
 
     def test_default_prior_is_the_model_default(self):
-        assert RunConfig("rw1").prior == DEFAULT_PRIOR
         assert _resolve_config(["rw1", "--data", "counts.csv"]).prior == DEFAULT_PRIOR
 
 
@@ -406,6 +405,39 @@ class TestConfigResolution:
         assert (chosen / "grid_moduli.json").exists()
         assert not (tmp_path / "ignored").exists()
 
+    def test_config_outdir_beats_env(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("PRIORSCAN_OUTDIR", str(tmp_path / "ignored"))
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(f"outdir = {tmp_path / 'fromcfg'}\n")
+        code = main(
+            ["--config", str(cfg), "grid", "--family", "gamma", "--gamma0", "1,0.34",
+             "--n-angles", "16"]
+        )
+        assert code == EXIT_OK
+        assert (tmp_path / "fromcfg" / "grid_moduli.json").exists()
+        assert not (tmp_path / "ignored").exists()
+
+    def test_config_settings_match_flags(self, tmp_path, small_counts_csv, capsys):
+        cfg = tmp_path / "rw1.cfg"
+        cfg.write_text("engine = reweight\nprior = 2,0.01\nkappa = 3\nout-prefix = cfg\n")
+        common = ["rw1", "--data", str(small_counts_csv), "--n-angles", "8"]
+        flags = ["--engine", "reweight", "--prior", "2,0.01", "--kappa", "3", "--out-prefix", "cfg"]
+        assert main(["--config", str(cfg), *common, "--outdir", str(tmp_path / "a")]) == EXIT_OK
+        assert main([*common, *flags, "--outdir", str(tmp_path / "b")]) == EXIT_OK
+        for name in ("cfg.json", "cfg_polar.csv", "cfg_rolled.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "command, defaults", [("grid", ["0.00354", "400"]), ("rw1", ["0.00354", "400", "exact"])]
+    )
+    def test_help_shows_builtin_defaults(self, capsys, command, defaults):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for value in defaults:
+            assert f"(default {value})" in text
+
     def test_out_prefix(self, tmp_path, capsys):
         code = main(
             [
@@ -425,6 +457,35 @@ class TestConfigResolution:
         assert code == EXIT_OK
         assert (tmp_path / "baseline_contour.csv").exists()
         assert (tmp_path / "baseline_moduli.json").exists()
+
+
+# "INPUT" stands for the path of the file holding the test's bytes
+SENSITIVITY_ARGS = ["sensitivity", "--family", "gamma", "--gamma0", "1,0.34", "--posterior", "INPUT"]
+RW1_ARGS = ["rw1", "--data", "INPUT"]
+CONFIG_ARGS = ["--config", "INPUT", "grid", "--family", "gamma", "--gamma0", "1,0.34"]
+
+
+@pytest.mark.parametrize(
+    "args, content",
+    [
+        (SENSITIVITY_ARGS, b"x,density\n0.0,0.5\n\xff,0.5\n"),
+        (RW1_ARGS, b"count\n10\n\xff\n"),
+        (CONFIG_ARGS, b"n-angles = 16\n\xff = 1\n"),
+        (SENSITIVITY_ARGS, b"x,density\n" + b"1" * 200_000 + b",0.5\n"),
+        (RW1_ARGS, b"count\n" + b"1" * 200_000 + b"\n"),
+    ],
+    ids=["posterior_undecodable", "data_undecodable", "config_undecodable",
+         "posterior_oversized_field", "data_oversized_field"],
+)
+def test_unreadable_input_exits_2(tmp_path, capsys, args, content):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    outdir = tmp_path / "out"
+    argv = [str(path) if arg == "INPUT" else arg for arg in args]
+    assert main([*argv, "--outdir", str(outdir)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not outdir.exists()
 
 
 class TestWarningsRouting:

@@ -270,6 +270,23 @@ class TestDensityCsv:
         with pytest.raises(IngestionError):
             read_density_csv(path)
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"x,density\n0.0,0.5\n\xff,0.5\n", b"x,density\n" + b"1" * 200_000 + b",0.5\n"],
+        ids=["undecodable", "oversized_field"],
+    )
+    def test_unreadable_text_rejected(self, tmp_path, content):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        with pytest.raises(IngestionError, match="cannot read"):
+            read_density_csv(path)
+
+    def test_error_names_physical_line_after_blank_lines(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("x,density\n\n\n1.0,2.0\nabc,3.0\n")
+        with pytest.raises(IngestionError, match=r"gaps\.csv:5: non-numeric"):
+            read_density_csv(path)
+
     def test_scale_flag_carried(self, tmp_path):
         g = DensityGrid(np.linspace(-2, 2, 20), np.ones(20), Scale.LOG_PARAMETER)
         path = tmp_path / "log.csv"

@@ -520,6 +520,23 @@ class TestIngestTimeseries:
         with pytest.raises(IngestionError):
             ingest_timeseries(tmp_path / "absent.csv")
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"count\n10\n\xff\n", b"count\n" + b"1" * 200_000 + b"\n"],
+        ids=["undecodable", "oversized_field"],
+    )
+    def test_unreadable_text_rejected(self, tmp_path, content):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        with pytest.raises(IngestionError, match="cannot read"):
+            ingest_timeseries(path)
+
+    def test_error_names_physical_line_after_blank_lines(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("count\n\n\n10\n12\nabc\n")
+        with pytest.raises(IngestionError, match=r"gaps\.csv:6: non-numeric count"):
+            ingest_timeseries(path)
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "raw.csv"
         path.write_text("".join(f"{c}\n" for c in range(100, 124)))
