@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from priorscan import (
     tabulate_prior,
     trapezoid_mass,
 )
-from priorscan.reweight import _posterior_distances
+from priorscan.reweight import DEGENERATE_GUARD, _BLOCK_CELLS, _posterior_distances
 
 
 def uniform_grid(lo, hi, n=9, scale=Scale.NATURAL):
@@ -122,9 +124,10 @@ class TestReweightPosterior:
             PriorSpec(Family.GAMMA, ParamPoint(1.0, 0.001)),
             Scale.NATURAL,
         )
-        with pytest.warns(DegeneratePosteriorWarning):
+        with pytest.warns(DegeneratePosteriorWarning) as record:
             out = reweight_posterior(inp, PriorSpec(Family.GAMMA, ParamPoint(1.0, 10.0)))
         assert trapezoid_mass(out) == pytest.approx(1.0, abs=1e-10)
+        assert [r.filename for r in record] == [__file__]
 
 
 def posterior_distance(inp, new_prior):
@@ -168,3 +171,35 @@ class TestPosteriorDistance:
         skew = DensityGrid(g.support, g.values * (1.0 + 9e-7), g.scale)
         inp = PosteriorInput(skew, NORMAL_SPEC, Scale.NATURAL)
         assert posterior_distance(inp, NORMAL_SPEC) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "support,base,shapes,rates",
+        [
+            # equal interior weights
+            (np.linspace(0.5, 600.5, 2001), (1.0, 1.0), (0.5, 5.0), (1e-3, 1e3)),
+            # trapezoid weights spanning five orders of magnitude
+            (np.geomspace(1e-2, 1e3, 2001), (1.0, 0.1), (1.0, 1e5), (1e-2, 1e2)),
+        ],
+    )
+    def test_degenerate_count_matches_one_direction_at_a_time(self, support, base, shapes, rates):
+        grid = normalize_grid(DensityGrid(support, np.ones_like(support), Scale.NATURAL))
+        inp = PosteriorInput(grid, PriorSpec(Family.GAMMA, ParamPoint(*base)), Scale.NATURAL)
+        rng = np.random.default_rng(1)
+        n = 100
+        assert n > _BLOCK_CELLS // support.size
+        gamma1 = np.exp(rng.uniform(*np.log(shapes), n))
+        gamma2 = np.exp(rng.uniform(*np.log(rates), n))
+
+        occupied = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegeneratePosteriorWarning)
+            for g1, g2 in zip(gamma1, gamma2):
+                out = reweight_posterior(inp, PriorSpec(Family.GAMMA, ParamPoint(g1, g2)))
+                occupied.append(np.count_nonzero(out.values > DEGENERATE_GUARD * out.values.max()))
+        occupied = np.array(occupied)
+        few = int(np.count_nonzero(occupied < 3))
+        assert 0 < few < n
+
+        expected = f"on {occupied.min()} support point(s) in {few} of {n} direction(s)"
+        with pytest.warns(DegeneratePosteriorWarning, match=re.escape(expected)):
+            _posterior_distances(inp, gamma1, gamma2)

@@ -23,12 +23,14 @@ from priorscan import (
     compute_grid,
     export_plot_data,
     hellinger_grid,
+    normalize_grid,
     preexplore,
     result_to_json_dict,
     reweight_posterior,
     summarize,
     tabulate_prior,
 )
+from priorscan import reweight
 
 EPS0 = 0.00354
 GAMMA_BASE = PriorSpec(Family.GAMMA, ParamPoint(1.0, 0.34))
@@ -164,9 +166,10 @@ class TestCircularSensitivity:
         base = PriorSpec(Family.GAMMA, ParamPoint(1.0, 1.0))
         flat = DensityGrid(np.linspace(0.5, 600.5, 9), np.full(9, 1.0 / 600.0), Scale.NATURAL)
         inp = PosteriorInput(flat, base, Scale.NATURAL)
-        with pytest.warns(DegeneratePosteriorWarning, match="of 8 direction"):
+        with pytest.warns(DegeneratePosteriorWarning, match="of 8 direction") as record:
             res = circular_sensitivity(inp, compute_grid(base, 0.3, n_angles=8))
         assert len(res.entries) == 8
+        assert [r.filename for r in record] == [__file__]
 
     def test_well_resolved_sweep_does_not_warn(self):
         grid = compute_grid(GAMMA_BASE, EPS0, n_angles=16)
@@ -176,6 +179,38 @@ class TestCircularSensitivity:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DegeneratePosteriorWarning)
             circular_sensitivity(inp, grid)
+
+    def test_partial_last_block_matches_one_direction_at_a_time(self):
+        post = PriorSpec(Family.GAMMA, ParamPoint(4.0, 2.5))
+        inp = PosteriorInput(
+            tabulate_prior(post, Scale.LOG_PARAMETER), GAMMA_BASE, Scale.LOG_PARAMETER
+        )
+        res = circular_sensitivity(inp, compute_grid(GAMMA_BASE, 1e-2, n_angles=61))
+        step = reweight._BLOCK_CELLS // len(inp.posterior)
+        assert len(res.entries) == 61 and 61 > step and 61 % step
+        for e in res.entries:
+            one = reweight._posterior_distances(inp, [e.point.gamma1], [e.point.gamma2])[0]
+            assert abs(e.h_post - one) <= 1e-13 * one
+
+    def test_small_epsilon_conjugate_posterior_matches_oracle(self):
+        # conjugate gamma posterior of log(theta), tabulated out to where its
+        # density is below 1e-20 of the peak so that truncation is negligible
+        a, b = 4.0, 2.5
+        mode = math.log(a / b)
+        z = np.linspace(mode - 25.0 / math.sqrt(a), mode + 8.0 / math.sqrt(a), 401)
+        log_f = a * z - b * np.exp(z)
+        grid = normalize_grid(DensityGrid(z, np.exp(log_f - log_f.max()), Scale.LOG_PARAMETER))
+        inp = PosteriorInput(grid, GAMMA_BASE, Scale.LOG_PARAMETER)
+        epsilon = 1e-6
+        res = circular_sensitivity(
+            inp, compute_grid(GAMMA_BASE, epsilon, n_angles=64, allow_partial=True)
+        )
+        assert len(res.entries) >= 60
+        g1, g2 = GAMMA_BASE.point.as_tuple()
+        for e in res.entries:
+            moved = (a + e.point.gamma1 - g1, b + e.point.gamma2 - g2)
+            truth = hellinger_difference_form("gamma", (a, b), moved)
+            assert abs(e.ratio - truth / epsilon) <= 1e-9
 
 
 class TestSummarize:
