@@ -49,22 +49,16 @@ from .families import (
 from .grids import (
     DensityGrid,
     Scale,
-    common_support,
-    hellinger_grid,
     normalize_grid,
     read_density_csv,
     trapezoid_mass,
-    write_density_csv,
 )
-from .reweight import TAIL_GUARD, PosteriorInput, reweight_posterior
+from .reweight import TAIL_GUARD, PosteriorInput
 from .rw1 import (
     DEFAULT_PRIOR,
     RW1Model,
-    exact_posterior_hellinger,
     exact_sensitivity,
     ingest_timeseries,
-    normconst,
-    rw1_eigenvalues,
     tabulate_posterior,
 )
 from .sensitivity import (
@@ -112,28 +106,21 @@ __all__ = [
     "calibrate",
     "calibrated_ratio",
     "circular_sensitivity",
-    "common_support",
     "compute_grid",
-    "exact_posterior_hellinger",
     "exact_sensitivity",
     "export_plot_data",
     "hellinger_analytic",
-    "hellinger_grid",
     "ingest_timeseries",
     "inverse_calibrate",
     "log_prior_density",
     "normalize_grid",
-    "normconst",
     "preexplore",
     "read_density_csv",
     "result_to_json_dict",
-    "reweight_posterior",
-    "rw1_eigenvalues",
     "scaling_factors",
     "summarize",
     "tabulate_posterior",
     "tabulate_prior",
     "trapezoid_mass",
     "validate_point",
-    "write_density_csv",
 ]

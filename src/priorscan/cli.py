@@ -21,6 +21,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 import tempfile
 import warnings
@@ -181,8 +182,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                        help="posterior distances: closed-form constants or grid reweighting "
                        "(default %(default)s)")
 
-    # every command but calibrate traces a contour and writes files
     for name, p in sub.choices.items():
+        # a value such as the point -1,2 is not a flag; argparse admits only plain numbers
+        p._negative_number_matcher = re.compile(r"-\.?\d")
+        # every command but calibrate traces a contour and writes files
         if name == "calibrate":
             continue
         p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,

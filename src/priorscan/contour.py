@@ -11,11 +11,13 @@ is then a one-dimensional root-finding problem in ``z = log r``:
 
 All directions are solved together as array operations. To second order
 ``H^2 = r^2 u' I u / 8`` along a step ``r u``, ``I`` the base prior's Fisher
-information, so each bracket opens at ``z0 = log(epsilon sqrt(8 / u' I u))``
-``-+ (0.01 + 4 epsilon)``. It widens geometrically within the family domain
-and within ``+-20`` of ``log sqrt(8 / u' I u)``, so any base reaches epsilon
-down to about ``exp(-20)``. Illinois regula falsi on ``f(z) = log(H / epsilon)``,
-nearly linear in ``z``, then takes 1 to 3 steps for ``epsilon <= 1e-2``. A
+information in ``(gamma1, log gamma2)`` and ``u`` the step in those
+coordinates, its second entry relative to ``gamma2``. So each bracket opens
+at ``z0 = log(epsilon sqrt(8 / u' I u)) -+ (0.01 + 4 epsilon)``. It widens
+geometrically within the family domain and within ``+-20`` of
+``log sqrt(8 / u' I u)``, so any base reaches epsilon down to about
+``exp(-20)``. Illinois regula falsi on ``f(z) = log(H / epsilon)``, nearly
+linear in ``z``, then takes 1 to 3 steps for ``epsilon <= 1e-2``. A
 direction stops once ``|H - epsilon| <= 1e-10 epsilon``, once both bracket ends
 give the same or adjacent floats in each coordinate, or once the bracket is
 narrower than ``1e-14 + 4 eps |z|``. Of all points evaluated in the bracket,
@@ -128,9 +130,13 @@ def _radii(
     if base.family is Family.GAMMA:
         left = ux < 0.0
         cap[left] = np.minimum(cap[left], g1 / -ux[left])
-    # H^2 = (r u)' I (r u) / 8 to second order: z_unit is the log radius of H = 1
+    # H^2 = (r u)' I (r u) / 8 to second order, I in (g1, log g2), u = (ux, uy / g2) scaled by
+    # its larger entry so that u' I u cannot over- or underflow: z_unit is the log radius of H = 1
     i11, i12, i22 = _fisher(base.family, g1, g2)
-    z_unit = 0.5 * np.log(8.0 / (i11 * ux * ux + 2.0 * i12 * ux * uy + i22 * uy * uy))
+    v = uy / g2
+    s = np.maximum(np.abs(ux), np.abs(v))
+    wx, wy = ux / s, v / s
+    z_unit = 0.5 * np.log(8.0 / (i11 * wx * wx + 2.0 * i12 * wx * wy + i22 * wy * wy)) - np.log(s)
     # stay strictly inside the domain when the cap is finite
     z_top = np.minimum(z_unit + _Z_MAX, np.log(cap) + math.log1p(-1e-12))
     z_floor = z_unit - _Z_MAX
@@ -261,7 +267,9 @@ def compute_grid(
 
     Each direction is searched within a factor ``exp(+-20)`` of the radius
     of unit Fisher distance, so every base reaches ``epsilon`` down to about
-    ``exp(-20) = 2e-9``, and ``epsilon = 1e-12`` is unreachable.
+    ``exp(-20) = 2e-9``, and ``epsilon = 1e-12`` is unreachable. So is a normal
+    base whose mean step is below float resolution: ``(1, 1e150)`` (a step of
+    about 1e-77) or ``(1e300, 1)`` (about 0.01 against a float spacing of 1e284).
     """
     _check_epsilon(epsilon)
     if n_angles < 8:

@@ -12,7 +12,8 @@ closed form through the Bhattacharyya coefficient ``BC``:
 
 All coefficients are evaluated in log space, ``log BC`` in a difference
 form (:func:`_log_bc`) that keeps H accurate however close the points are.
-Only numpy is imported; :func:`tabulate_prior` loads scipy for gamma quantiles.
+:func:`tabulate_prior` cuts a density where its log falls ``_LOG_DROP = 50``
+below the peak (normal: mean +/- 10 sd). Only numpy is imported.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from .errors import DomainError
 from .grids import DensityGrid, Scale, normalize_grid
 
 _LOG_2PI = math.log(2.0 * math.pi)
+# tabulate_prior's window ends where the log density is this far below its peak
+_LOG_DROP = 50.0
 
 
 class Family(str, Enum):
@@ -144,11 +147,12 @@ def _trigamma(a):
 
 
 def _fisher(family: Family, g1, g2):
-    """Entries ``(I11, I12, I22)`` of the prior's Fisher information at ``(g1, g2)``:
-    ``diag(lam, 1 / (2 lam^2))`` for normal, ``[[psi_1(a), -1/b], [-1/b, a/b^2]]`` for gamma."""
+    """Entries ``(I11, I12, I22)`` of the prior's Fisher information in ``(g1, log g2)``:
+    ``diag(lam, 1/2)`` for normal, ``[[psi_1(a), -1], [-1, a]]`` for gamma. Both
+    families are scale-invariant in ``g2``, so no entry can overflow or underflow."""
     if family is Family.NORMAL:
-        return g2, 0.0, 0.5 / (g2 * g2)
-    return float(_trigamma(g1)), -1.0 / g2, g1 / (g2 * g2)
+        return g2, 0.0, 0.5
+    return float(_trigamma(g1)), -1.0, g1
 
 
 def _log_bc(family: Family, g1_0, g2_0, g1, g2):
@@ -162,9 +166,10 @@ def _log_bc(family: Family, g1_0, g2_0, g1, g2):
     """
     if family is Family.NORMAL:
         g = (g2 - g2_0) / (np.sqrt(g2) + np.sqrt(g2_0))
-        return 0.5 * np.log1p(-g * g / (g2_0 + g2)) - (g1 - g1_0) ** 2 * (g2_0 * g2) / (
-            4.0 * (g2_0 + g2)
-        )
+        # lam0 lam1 / (lam0 + lam1) in an order that neither underflows nor overflows
+        lo, hi = np.minimum(g2_0, g2), np.maximum(g2_0, g2)
+        mean_term = 0.25 * (g1 - g1_0) ** 2 * (lo * (hi / (lo + hi)))
+        return 0.5 * np.log1p(-g * g / (g2_0 + g2)) - mean_term
     m = 0.5 * (g1_0 + g1)
     v = (g2 - g2_0) / (g2 + g2_0)
     return (
@@ -198,28 +203,18 @@ def hellinger_analytic(family: Family, p0: ParamPoint, p1: ParamPoint) -> float:
     return float(hellinger_closed_form(family, *p0.as_tuple(), *p1.as_tuple()))
 
 
-def _gamma_log_quantile(a: float, b: float, p: float) -> float:
-    """log of the gamma quantile, robust for tiny shapes where the quantile underflows."""
-    from scipy.special import gammaincinv  # imported here to keep scipy off `import priorscan`
-    q = gammaincinv(a, p) / b
-    if q > 0.0 and math.isfinite(q):
-        return math.log(q)
-    # lower-tail asymptotic: P(X <= q) ~ (b q)^a / Gamma(a + 1)
-    return (math.log(p) + math.lgamma(a + 1.0)) / a - math.log(b)
-
-
 def tabulate_prior(
-    spec: PriorSpec,
-    scale: Scale = Scale.NATURAL,
-    n_points: int = 4001,
-    tail_mass: float = 1e-8,
+    spec: PriorSpec, scale: Scale = Scale.NATURAL, n_points: int = 4001
 ) -> DensityGrid:
     """Tabulate a prior density on an equispaced grid wide enough for
     Bhattacharyya quadrature.
 
-    Normal densities are tabulated on mean +/- 10 standard deviations;
-    gamma densities between the ``tail_mass`` and ``1 - tail_mass``
-    quantiles. The returned grid is normalized.
+    The window ends where the log density has fallen ``_LOG_DROP = 50`` below
+    its peak: mean +/- 10 sd for normal; for gamma, the edges for ``log(theta)``,
+    exponentiated on the natural scale (and held above the least normal float).
+    A gamma shape below 1 makes the natural-scale density singular at 0, so the
+    first node takes far too much trapezoid mass: tabulate it on the log scale.
+    The returned grid is normalized.
     """
     if n_points < 8:
         raise DomainError("tabulation needs at least 8 points")
@@ -227,14 +222,20 @@ def tabulate_prior(
     if spec.family is Family.NORMAL:
         if scale is not Scale.NATURAL:
             raise DomainError("log-parameter scale is undefined for the normal family")
-        sd = 1.0 / math.sqrt(g2)
-        support = np.linspace(g1 - 10.0 * sd, g1 + 10.0 * sd, n_points)
+        half = math.sqrt(2.0 * _LOG_DROP) * (1.0 / math.sqrt(g2))
+        support = np.linspace(g1 - half, g1 + half, n_points)
     else:
-        lo = _gamma_log_quantile(g1, g2, tail_mass)
-        hi = _gamma_log_quantile(g1, g2, 1.0 - tail_mass)
+        # edges log(a / b) + t with e^t - t - 1 = c: the left side is convex, and Newton
+        # from a start outside each root takes at most 4 steps for shapes 1e-8 to 1e17
+        c, root = _LOG_DROP / g1, math.sqrt(2.0 * _LOG_DROP / g1)
+        t = np.array([-(root + c), math.log1p(c + root)])
+        for _ in range(6):
+            t -= (np.expm1(t) - t - c) / np.expm1(t)
+        lo, hi = math.log(g1) - math.log(g2) + t
         if scale is Scale.LOG_PARAMETER:
             support = np.linspace(lo, hi, n_points)
         else:
-            support = np.linspace(math.exp(lo), math.exp(hi), n_points)
-    values = np.exp(log_prior_density(spec, support, scale))
-    return normalize_grid(DensityGrid(support, values, scale))
+            support = np.linspace(max(math.exp(lo), np.finfo(float).tiny), math.exp(hi), n_points)
+    # scaled to a peak of 1 so that the mass of a steep natural-scale grid cannot overflow
+    log_values = log_prior_density(spec, support, scale)
+    return normalize_grid(DensityGrid(support, np.exp(log_values - log_values.max()), scale))

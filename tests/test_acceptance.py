@@ -25,14 +25,13 @@ from priorscan import (
     compute_grid,
     exact_sensitivity,
     hellinger_analytic,
-    hellinger_grid,
     ingest_timeseries,
     inverse_calibrate,
-    rw1_eigenvalues,
     tabulate_posterior,
     tabulate_prior,
 )
-from priorscan.rw1 import _dct2, _spectral_sums
+from priorscan.grids import hellinger_grid
+from priorscan.rw1 import _dct2, _spectral_sums, rw1_eigenvalues
 
 EPS0 = 0.00354
 DRIVERS_CSV = Path(__file__).resolve().parent.parent / "data" / "drivers.csv"
@@ -53,11 +52,11 @@ def tab_gamma_log(spec: PriorSpec):
     fixed 4001-point grid would leave interpolation bias above the 1e-5
     agreement target, so the point count follows the support width.
     """
-    g = tabulate_prior(spec, Scale.LOG_PARAMETER, 4001, tail_mass=1e-13)
+    g = tabulate_prior(spec, Scale.LOG_PARAMETER, 4001)
     width = float(g.support[-1] - g.support[0])
     n = int(min(1_000_001, math.ceil(width / 0.01) + 1))
     if n > 4001:
-        g = tabulate_prior(spec, Scale.LOG_PARAMETER, n, tail_mass=1e-13)
+        g = tabulate_prior(spec, Scale.LOG_PARAMETER, n)
     return g
 
 

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from oracles import hellinger_difference_form
 from priorscan import (
     DEFAULT_PRIOR,
+    RESIDUAL_RTOL,
     Family,
     ParamPoint,
     PriorSpec,
@@ -14,9 +16,9 @@ from priorscan import (
     calibrate,
     inverse_calibrate,
     tabulate_prior,
-    write_density_csv,
 )
 from priorscan.cli import DEFAULT_EPSILON, EXIT_OK, _resolve_config, main
+from priorscan.grids import write_density_csv
 
 
 @pytest.fixture()
@@ -126,6 +128,40 @@ class TestGridCommand:
         )
         assert not list(tmp_path.glob("*.tmp"))
 
+    @pytest.mark.parametrize(
+        "family,gamma0",
+        [
+            ("gamma", "1,1e-300"),
+            ("normal", "1,1e-300"),
+            ("gamma", "1,1e-160"),
+            ("gamma", "1,1e160"),
+        ],
+    )
+    def test_extreme_rate_or_precision(self, tmp_path, family, gamma0):
+        # both families are scale-invariant in gamma2: the contour exists at any scale
+        code = main(["grid", "--family", family, f"--gamma0={gamma0}", "--outdir", str(tmp_path)])
+        assert code == EXIT_OK
+        rows = read_rows(tmp_path / "grid_contour.csv")
+        assert len(rows) == 400
+        assert max(float(r["hellinger_residual"]) for r in rows) <= RESIDUAL_RTOL * DEFAULT_EPSILON
+
+    @pytest.mark.parametrize("gamma0", ["1,1e150", "1e300,1"])
+    def test_mean_step_below_float_resolution_exits_3(self, tmp_path, capsys, gamma0):
+        # the contour exists, but no float mean other than the base's lies within it
+        code = main(["grid", "--family", "normal", f"--gamma0={gamma0}", "--outdir", str(tmp_path)])
+        assert code == 3
+        assert capsys.readouterr().err.count("error:") == 1
+
+    def test_negative_point_spaced_or_joined(self, tmp_path):
+        spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+        for outdir, point in ((spaced, ["--gamma0", "-1,2"]), (joined, ["--gamma0=-1,2"])):
+            argv = ["grid", "--family", "normal", *point, "--n-angles", "16"]
+            assert main([*argv, "--outdir", str(outdir)]) == EXIT_OK
+        for name in ("grid_contour.csv", "grid_moduli.json"):
+            assert (spaced / name).read_bytes() == (joined / name).read_bytes()
+        moduli = json.loads((spaced / "grid_moduli.json").read_text())
+        assert (moduli["base"]["gamma1"], moduli["base"]["gamma2"]) == (-1.0, 2.0)
+
 
 class TestSensitivityCommand:
     def run_once(self, tmp_path, posterior_csv, outdir_name="out"):
@@ -213,6 +249,23 @@ class TestSensitivityCommand:
         )
         assert code == 4
         assert "error:" in capsys.readouterr().err
+
+    def test_near_flat_normal_prior(self, tmp_path):
+        # precision 1e-300: the Fisher seed and the closed form must not square it
+        path = tmp_path / "normal.csv"
+        grid = tabulate_prior(PriorSpec(Family.NORMAL, ParamPoint(0.3, 4.0)), Scale.NATURAL, 801)
+        write_density_csv(path, grid)
+        argv = ["sensitivity", "--family", "normal", "--gamma0", "0.5,1e-300", "--epsilon", "0.5"]
+        assert main([*argv, "--posterior", str(path), "--outdir", str(tmp_path)]) == EXIT_OK
+        report = json.loads((tmp_path / "sensitivity.json").read_text())
+        assert len(report["entries"]) == 400 and report["failed_angles"] == []
+        # the oracle sees theta scaled by sqrt(lam0), which maps the base to precision 1
+        scale = math.sqrt(1e-300)
+        for e in report["entries"]:
+            point = (e["gamma1"] * scale, e["gamma2"] / 1e-300)
+            h = hellinger_difference_form("normal", (0.5 * scale, 1.0), point)
+            assert abs(h - 0.5) <= RESIDUAL_RTOL * 0.5
+            assert 0.0 <= e["ratio"] < 1e-6
 
 
 class TestRw1Command:

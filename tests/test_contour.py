@@ -253,6 +253,36 @@ class TestComputeGrid:
             )
             assert abs(h - epsilon) <= RESIDUAL_RTOL * epsilon
 
+    @pytest.mark.parametrize("epsilon", [1e-6, EPS0, 0.5])
+    @pytest.mark.parametrize(
+        "family,base",
+        [
+            ("gamma", (1.0, 1e-300)),
+            ("gamma", (1.0, 1e-160)),
+            ("gamma", (1.0, 1e160)),
+            ("gamma", (0.05, 1e300)),
+            ("normal", (1.0, 1e-300)),
+            ("normal", (0.5, 1e-300)),
+            ("normal", (-3.0, 1e-160)),
+        ],
+    )
+    def test_extreme_rate_or_precision_solves_every_angle(self, family, base, epsilon):
+        # both families are scale-invariant in gamma2, so these contours exist; the
+        # oracle sees each point mapped to a base with gamma2 = 1 (normal: theta
+        # scaled by sqrt(lam0), gamma: by b0), where no product under- or overflows
+        g1, g2 = base
+        grid = compute_grid(PriorSpec(Family(family), ParamPoint(g1, g2)), epsilon, n_angles=64)
+        assert len(grid.points) == 64
+
+        def unit(p):
+            if family == "normal":
+                return p[0] * math.sqrt(g2), p[1] / g2
+            return p[0], p[1] / g2
+
+        for gp in grid.points:
+            h = hellinger_difference_form(family, unit(base), unit(gp.point.as_tuple()))
+            assert abs(h - epsilon) <= RESIDUAL_RTOL * epsilon
+
     @pytest.mark.parametrize(
         "base,epsilon,pre_calls,solve_calls",
         [(b, eps, 6, 6) for b in (GAMMA_BASE, NORMAL_BASE) for eps in (1e-6, 1e-3, EPS0, 1e-2)]

@@ -18,7 +18,7 @@ from priorscan import (
     trapezoid_mass,
     validate_point,
 )
-from priorscan.families import _trigamma, hellinger_closed_form
+from priorscan.families import _LOG_DROP, _trigamma, hellinger_closed_form
 
 param = st.floats(0.01, 100.0)
 
@@ -260,6 +260,10 @@ class TestTabulatePrior:
             (PriorSpec(Family.GAMMA, ParamPoint(1.0, 0.34)), Scale.NATURAL),
             (PriorSpec(Family.GAMMA, ParamPoint(1.0, 0.34)), Scale.LOG_PARAMETER),
             (PriorSpec(Family.GAMMA, ParamPoint(0.05, 2.0)), Scale.LOG_PARAMETER),
+            # natural-scale edges below the least normal float are held there
+            (PriorSpec(Family.GAMMA, ParamPoint(0.01, 2.0)), Scale.NATURAL),
+            (PriorSpec(Family.GAMMA, ParamPoint(0.03, 2.0)), Scale.NATURAL),
+            (PriorSpec(Family.GAMMA, ParamPoint(0.05, 2.0)), Scale.NATURAL),
         ],
     )
     def test_normalized_output(self, spec, scale):
@@ -277,8 +281,35 @@ class TestTabulatePrior:
             tabulate_prior(PriorSpec(Family.NORMAL, ParamPoint(0.0, 1.0)), Scale.LOG_PARAMETER)
 
     def test_tiny_shape_support_is_finite(self):
-        # the quantile function underflows for shape 0.01; the tabulation
-        # must fall back to the asymptotic log-quantile and still work
+        # the window of log(theta) reaches about 5000 below the mode for shape 0.01
         g = tabulate_prior(PriorSpec(Family.GAMMA, ParamPoint(0.01, 1.0)), Scale.LOG_PARAMETER)
         assert np.all(np.isfinite(g.support))
         assert abs(trapezoid_mass(g) - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("a", [1e-3, 0.05, 1.0, 4.0, 200.0, 1e6, 1e12])
+    @pytest.mark.parametrize("b", [1e-3, 0.34, 50.0])
+    def test_gamma_window_edges_match_bisection(self, a, b):
+        # brute force: bisect the centred log-density drop a (e^t - t - 1) on each side
+        def edge(outer):
+            inner = 0.0
+            for _ in range(200):
+                mid = 0.5 * (inner + outer)
+                if a * (math.expm1(mid) - mid) < _LOG_DROP:
+                    inner = mid
+                else:
+                    outer = mid
+            return math.log(a) - math.log(b) + 0.5 * (inner + outer)
+
+        g = tabulate_prior(PriorSpec(Family.GAMMA, ParamPoint(a, b)), Scale.LOG_PARAMETER)
+        assert abs(g.support[0] - edge(-1.0 - _LOG_DROP / a)) <= 1e-9
+        assert abs(g.support[-1] - edge(700.0)) <= 1e-9
+        nat = tabulate_prior(PriorSpec(Family.GAMMA, ParamPoint(a, b)), Scale.NATURAL)
+        assert nat.support[-1] == pytest.approx(math.exp(g.support[-1]), rel=1e-15)
+
+    @pytest.mark.parametrize("mean,precision", [(0.0, 1.0), (3.0, 0.001), (-2.0, 1e6)])
+    def test_normal_window_is_ten_standard_deviations(self, mean, precision):
+        g = tabulate_prior(PriorSpec(Family.NORMAL, ParamPoint(mean, precision)))
+        sd = 1.0 / math.sqrt(precision)
+        assert g.support[0] == pytest.approx(mean - 10.0 * sd, rel=1e-15, abs=1e-15 * sd)
+        assert g.support[-1] == pytest.approx(mean + 10.0 * sd, rel=1e-15, abs=1e-15 * sd)
+        assert math.sqrt(2.0 * _LOG_DROP) == 10.0

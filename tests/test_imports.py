@@ -26,8 +26,21 @@ def test_import_loads_no_scipy():
     assert scipy_modules_after("import priorscan, priorscan.cli") == []
 
 
+def test_tabulate_prior_loads_no_scipy():
+    # numpy is the only runtime dependency: the tabulation windows are solved with it alone
+    code = (
+        "from priorscan import Family, ParamPoint, PriorSpec, Scale, tabulate_prior\n"
+        "gamma = PriorSpec(Family.GAMMA, ParamPoint(0.05, 2.0))\n"
+        "tabulate_prior(gamma, Scale.NATURAL)\n"
+        "tabulate_prior(gamma, Scale.LOG_PARAMETER)\n"
+        "tabulate_prior(PriorSpec(Family.NORMAL, ParamPoint(-1.0, 3.0)))"
+    )
+    assert scipy_modules_after(code) == []
+
+
 def test_cli_subcommands_load_no_scipy(tmp_path, counts_csv):
-    from priorscan import Family, ParamPoint, PriorSpec, Scale, tabulate_prior, write_density_csv
+    from priorscan import Family, ParamPoint, PriorSpec, Scale, tabulate_prior
+    from priorscan.grids import write_density_csv
 
     posterior = tmp_path / "posterior.csv"
     base = PriorSpec(Family.GAMMA, ParamPoint(1.0, 0.34))
@@ -63,4 +76,4 @@ def test_public_api_size():
     names = priorscan.__all__
     assert names == sorted(set(names))
     assert all(hasattr(priorscan, name) for name in names)
-    assert len(names) <= 55
+    assert len(names) <= 48

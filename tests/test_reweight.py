@@ -18,11 +18,15 @@ from priorscan import (
     Scale,
     hellinger_analytic,
     normalize_grid,
-    reweight_posterior,
     tabulate_prior,
     trapezoid_mass,
 )
-from priorscan.reweight import DEGENERATE_GUARD, _BLOCK_CELLS, _posterior_distances
+from priorscan.reweight import (
+    DEGENERATE_GUARD,
+    _BLOCK_CELLS,
+    _posterior_distances,
+    reweight_posterior,
+)
 
 
 def uniform_grid(lo, hi, n=9, scale=Scale.NATURAL):

@@ -25,15 +25,13 @@ from priorscan import (
     Scale,
     circular_sensitivity,
     compute_grid,
-    exact_posterior_hellinger,
     exact_sensitivity,
-    hellinger_grid,
     ingest_timeseries,
-    rw1_eigenvalues,
     tabulate_posterior,
     trapezoid_mass,
 )
 from priorscan import rw1
+from priorscan.grids import hellinger_grid
 from priorscan.rw1 import (
     _dct2,
     _lattice_pass,
@@ -41,7 +39,9 @@ from priorscan.rw1 import (
     _s_terms,
     _spectral_sums,
     _spectral_weights,
+    exact_posterior_hellinger,
     normconst,
+    rw1_eigenvalues,
 )
 
 

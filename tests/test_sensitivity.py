@@ -22,15 +22,15 @@ from priorscan import (
     circular_sensitivity,
     compute_grid,
     export_plot_data,
-    hellinger_grid,
     normalize_grid,
     preexplore,
     result_to_json_dict,
-    reweight_posterior,
     summarize,
     tabulate_prior,
 )
 from priorscan import reweight
+from priorscan.grids import hellinger_grid
+from priorscan.reweight import reweight_posterior
 
 EPS0 = 0.00354
 GAMMA_BASE = PriorSpec(Family.GAMMA, ParamPoint(1.0, 0.34))
@@ -200,6 +200,17 @@ class TestCircularSensitivity:
         z = np.linspace(mode - 25.0 / math.sqrt(a), mode + 8.0 / math.sqrt(a), 401)
         log_f = a * z - b * np.exp(z)
         grid = normalize_grid(DensityGrid(z, np.exp(log_f - log_f.max()), Scale.LOG_PARAMETER))
+        self.assert_conjugate_ratios_match_oracle(grid, a, b)
+
+    @pytest.mark.parametrize("a,b", [(4.0, 2.5), (1.5, 0.5)])
+    def test_small_epsilon_tabulated_conjugate_posterior_matches_oracle(self, a, b):
+        # the same check on tabulate_prior's own window: it must reach far enough
+        # into both tails that truncation does not bias the 1e-6 ratios
+        grid = tabulate_prior(PriorSpec(Family.GAMMA, ParamPoint(a, b)), Scale.LOG_PARAMETER, 401)
+        self.assert_conjugate_ratios_match_oracle(grid, a, b)
+
+    @staticmethod
+    def assert_conjugate_ratios_match_oracle(grid, a, b):
         inp = PosteriorInput(grid, GAMMA_BASE, Scale.LOG_PARAMETER)
         epsilon = 1e-6
         res = circular_sensitivity(
