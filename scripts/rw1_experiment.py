@@ -63,10 +63,10 @@ def synth_counts(path: Path) -> None:
             fh.write(f"{int(c)}\n")
 
 
-def write_rows(path: Path, rows: list[dict]) -> None:
+def write_rows(path: Path, fieldnames, rows) -> None:
     with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
+        writer = csv.writer(fh)
+        writer.writerow(fieldnames)
         writer.writerows(rows)
 
 
@@ -108,7 +108,8 @@ def main() -> int:
         })
         print(f"  eps = {eps:7.4f}: worst {res.worst_case:.4f} "
               f"at angle {res.worst_angle:+.3f}")
-    write_rows(args.outdir / "epsilon_sweep.csv", sweep_rows)
+    write_rows(args.outdir / "epsilon_sweep.csv", list(sweep_rows[0]),
+               [row.values() for row in sweep_rows])
     spread = max(r["worst_case"] for r in sweep_rows) - min(
         r["worst_case"] for r in sweep_rows)
     print(f"  sweep spread {spread:.4f}")
@@ -126,14 +127,13 @@ def main() -> int:
     posterior = tabulate_posterior(full)
     grid = compute_grid(posterior.base_prior, HEADLINE_EPS, args.angles)
     res_grid = circular_sensitivity(posterior, grid)
-    gap = max(abs(a.ratio - b.ratio)
-              for a, b in zip(res_full.entries, res_grid.entries))
+    gap = float(np.max(np.abs(res_full.entries.ratio - res_grid.entries.ratio)))
     print(f"exact vs reweighting over {args.angles} angles: "
           f"max ratio gap {gap:.2e}")
 
     polar, rolled = export_plot_data(res_full)
-    write_rows(args.outdir / "polar_sensitivity.csv", polar)
-    write_rows(args.outdir / "rolled_sensitivity.csv", rolled)
+    write_rows(args.outdir / "polar_sensitivity.csv", polar.dtype.names, polar.tolist())
+    write_rows(args.outdir / "rolled_sensitivity.csv", rolled.dtype.names, rolled.tolist())
     report = {
         "data": str(data),
         "n_full": full.n,

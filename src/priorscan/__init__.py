@@ -19,7 +19,6 @@ from .calibration import (
 from .contour import (
     RESIDUAL_RTOL,
     CardinalModuli,
-    GridPoint,
     PolarGrid,
     compute_grid,
     preexplore,
@@ -63,7 +62,6 @@ from .rw1 import (
 )
 from .sensitivity import (
     REFERENCE_LEVELS,
-    SensitivityEntry,
     SensitivityResult,
     assemble_result,
     circular_sensitivity,
@@ -83,7 +81,6 @@ __all__ = [
     "DensityGrid",
     "DomainError",
     "Family",
-    "GridPoint",
     "IngestionError",
     "NumericalError",
     "ParamPoint",
@@ -99,7 +96,6 @@ __all__ = [
     "SATURATION_H",
     "SaturatedCalibrationWarning",
     "Scale",
-    "SensitivityEntry",
     "SensitivityResult",
     "TAIL_GUARD",
     "assemble_result",

@@ -18,7 +18,6 @@ invocations produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import re
@@ -26,6 +25,8 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+
+import numpy as np
 
 from .calibration import calibrate, inverse_calibrate
 from .contour import PolarGrid, compute_grid
@@ -80,15 +81,24 @@ def _write_json(path: Path, obj) -> None:
     _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
-    import io
+def _cells(column: np.ndarray) -> list[str]:
+    """The text of each cell of a column: its ``repr``, made once per distinct value."""
+    if column.dtype.kind == "U":
+        return column.tolist()
+    # distinct bit patterns, so that -0.0 and 0.0 keep their own text
+    keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    text = np.array([repr(v) for v in keys.view(column.dtype).tolist()], dtype=object)
+    return text[inverse].tolist()
 
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames)
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
-    _atomic_write(path, buf.getvalue())
+
+def _write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
+    """Write named columns of one length as CSV, with the bytes ``csv.writer`` gives.
+
+    Numbers are written as their ``repr``. No header or cell holds a comma, quote
+    or line break, so none is quoted, and rows end in CRLF.
+    """
+    rows = map(",".join, zip(*map(_cells, columns.values())))
+    _atomic_write(path, "\r\n".join([",".join(columns), *rows, ""]))
 
 
 def _parse_point(text: str) -> ParamPoint:
@@ -215,11 +225,8 @@ def _resolve_config(argv: list[str]) -> argparse.Namespace:
 def _emit_sensitivity(args: argparse.Namespace, result: SensitivityResult) -> None:
     prefix = args.outdir / args.out_prefix
     _write_json(Path(f"{prefix}.json"), result_to_json_dict(result))
-    polar, rolled = export_plot_data(result)
-    _write_csv(Path(f"{prefix}_polar.csv"), ["series", "phi", "ratio", "x", "y"], polar)
-    _write_csv(
-        Path(f"{prefix}_rolled.csv"), ["phi", "ratio", "is_worst", "ref_half", "ref_one"], rolled
-    )
+    for name, table in zip(("polar", "rolled"), export_plot_data(result)):
+        _write_csv(Path(f"{prefix}_{name}.csv"), {f: table[f] for f in table.dtype.names})
     print(summarize(result))
     if result.super_sensitive:
         print("warning: super-sensitivity detected (worst case > 1)", file=sys.stderr)
@@ -232,16 +239,16 @@ def _emit_sensitivity(args: argparse.Namespace, result: SensitivityResult) -> No
 
 def _emit_grid(args: argparse.Namespace, grid: PolarGrid) -> None:
     prefix = args.outdir / args.out_prefix
-    rows = [
+    points = grid.points
+    _write_csv(
+        Path(f"{prefix}_contour.csv"),
         {
-            "phi": gp.phi,
-            "gamma1": gp.point.gamma1,
-            "gamma2": gp.point.gamma2,
-            "hellinger_residual": gp.residual,
-        }
-        for gp in grid.points
-    ]
-    _write_csv(Path(f"{prefix}_contour.csv"), ["phi", "gamma1", "gamma2", "hellinger_residual"], rows)
+            "phi": points.phi,
+            "gamma1": points.point.gamma1,
+            "gamma2": points.point.gamma2,
+            "hellinger_residual": points.residual,
+        },
+    )
     _write_json(
         Path(f"{prefix}_moduli.json"),
         {

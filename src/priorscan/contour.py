@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContourUnreachableError, DomainError, PartialGridError
-from .families import Family, ParamPoint, PriorSpec, _fisher, hellinger_closed_form
+from .families import Family, PriorSpec, _fisher, hellinger_closed_form
 
 # Acceptable defect |H - epsilon| relative to epsilon for a solved point.
 RESIDUAL_RTOL = 1e-4
@@ -78,22 +78,25 @@ class CardinalModuli:
         }
 
 
-@dataclass(frozen=True)
-class GridPoint:
-    """One solved contour direction: angle, parameter point, defect |H - eps|."""
-
-    phi: float
-    point: ParamPoint
-    residual: float
+# A column of hyperparameter points, and one solved contour direction per row of a grid
+POINT_DTYPE = np.dtype([("gamma1", float), ("gamma2", float)])
+GRID_DTYPE = np.dtype([("phi", float), ("point", POINT_DTYPE), ("residual", float)])
 
 
 @dataclass(frozen=True)
 class PolarGrid:
-    """An epsilon-contour sampled over equidistant angles."""
+    """An epsilon-contour sampled over equidistant angles.
+
+    ``points`` is a record array of the solved directions in increasing-angle
+    order, one row each: the angle ``phi``, the contour ``point`` (fields
+    ``gamma1`` and ``gamma2``) and the defect ``residual = |H - epsilon|``.
+    Columns read as arrays (``points.point.gamma1``), rows as records
+    (``points[0].phi``).
+    """
 
     base: PriorSpec
     epsilon: float
-    points: tuple[GridPoint, ...]
+    points: np.recarray
     cardinal: CardinalModuli
     failed_angles: tuple[float, ...] = ()
 
@@ -102,6 +105,8 @@ class PolarGrid:
         return len(self.points) + len(self.failed_angles)
 
 
+# inf and NaN from rates or precisions near the ends of the float range mark unreachable directions
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _radii(
     base: PriorSpec, epsilon: float, ux: np.ndarray, uy: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -119,12 +124,15 @@ def _radii(
         return g1 + r * ux[i], g2 + r * uy[i]
 
     def f(z, i):
-        h = hellinger_closed_form(base.family, g1, g2, *point(z, i))
-        with np.errstate(divide="ignore"):
-            return np.log(h / epsilon), np.abs(h - epsilon)
+        x, y = point(z, i)
+        h = hellinger_closed_form(base.family, g1, g2, x, y)
+        # a non-finite point lies outside the domain: f = NaN neither widens nor brackets
+        h = np.where(np.isfinite(x) & np.isfinite(y), h, np.nan)
+        return np.log(h / epsilon), np.abs(h - epsilon)
 
-    # largest radius keeping each offset point inside the family domain
-    cap = np.full(ux.shape, math.inf)
+    # largest radius keeping each offset point inside the family domain and finite
+    big = np.finfo(float).max
+    cap = np.minimum((big - abs(g1)) / np.abs(ux), (big - g2) / np.abs(uy))
     down = uy < 0.0
     cap[down] = g2 / -uy[down]
     if base.family is Family.GAMMA:
@@ -279,15 +287,9 @@ def compute_grid(
     cx, cy = scaling_factors(phis, cardinal)
     gamma1, gamma2, residual = _solve_radii(base, epsilon, phis, cx, cy)
     solved = residual <= epsilon * RESIDUAL_RTOL
-    points = tuple(
-        GridPoint(phi=phi, point=ParamPoint(g1, g2), residual=res)
-        for phi, g1, g2, res in zip(
-            phis[solved].tolist(),
-            gamma1[solved].tolist(),
-            gamma2[solved].tolist(),
-            residual[solved].tolist(),
-        )
-    )
+    points = np.empty(np.count_nonzero(solved), GRID_DTYPE).view(np.recarray)
+    points.phi, points.residual = phis[solved], residual[solved]
+    points.point.gamma1, points.point.gamma2 = gamma1[solved], gamma2[solved]
     failed = tuple(phis[~solved].tolist())
     if failed and not allow_partial:
         raise PartialGridError(failed)

@@ -242,9 +242,11 @@ def _lattice_pass(model: RW1Model, anchor, points, rel_tol: float = 1e-11):
         for block in _blocks(n_pts, us.size):
             half = half_tilt[block] @ stats
             for first_row, t in ((1, half), (1 + n_pts, 2.0 * half)):
-                p, far = base * np.expm1(np.minimum(t, 1.0)), np.nonzero(t >= 1.0)
-                # log_w + t <= ~0, so this form cannot overflow where log_w underflows
-                p[far] = weights[far[1]] * np.exp(log_w[far[1]] + t[far]) - base[far[1]]
+                p = base * np.expm1(np.minimum(t, 1.0))
+                if t.max() >= 1.0:
+                    # log_w + t <= ~0, so this form cannot overflow where log_w underflows
+                    far = np.nonzero(t >= 1.0)
+                    p[far] = weights[far[1]] * np.exp(log_w[far[1]] + t[far]) - base[far[1]]
                 out[:, first_row + np.arange(n_pts)[block]] = p.sum(axis=1), np.abs(p, out=p).sum(axis=1)
         return out
 
@@ -323,11 +325,12 @@ def exact_sensitivity(
     """
     base = PriorSpec(Family.GAMMA, model.prior)
     grid = compute_grid(base, epsilon, n_angles=n_angles, allow_partial=allow_partial)
-    points = [gp.point.as_tuple() for gp in grid.points]
-    dists = _lattice_pass(model, model.prior.as_tuple(), points)[2]
-    raw = [(gp.phi, gp.point, float(h)) for gp, h in zip(grid.points, dists)]
+    points = grid.points
+    priors = np.c_[points.point.gamma1, points.point.gamma2]
+    dists = _lattice_pass(model, model.prior.as_tuple(), priors)[2]
     return assemble_result(
-        base, epsilon, raw, cardinal=grid.cardinal, failed_angles=grid.failed_angles
+        base, epsilon, points.phi, points.point, dists,
+        cardinal=grid.cardinal, failed_angles=grid.failed_angles,
     )
 
 

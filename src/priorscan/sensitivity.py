@@ -16,35 +16,40 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import SATURATION_H, calibrated_ratio
-from .contour import CardinalModuli, PolarGrid, scaling_factors
+from .contour import POINT_DTYPE, CardinalModuli, PolarGrid, scaling_factors
 from .errors import DomainError, ReweightingError
-from .families import ParamPoint, PriorSpec
+from .families import PriorSpec
 from .reweight import _NO_FINITE_MASS, PosteriorInput, _posterior_distances
 
 REFERENCE_LEVELS = tuple(round(0.1 * k, 1) for k in range(1, 11))
 
-
-@dataclass(frozen=True)
-class SensitivityEntry:
-    """One contour direction: angle, prior point, posterior distance, ratio."""
-
-    phi: float
-    point: ParamPoint
-    h_post: float
-    ratio: float
+# One contour direction per row of a result: angle, prior point, posterior distance, ratio
+ENTRY_DTYPE = np.dtype([("phi", "f8"), ("point", POINT_DTYPE), ("h_post", "f8"), ("ratio", "f8")])
+# the plot tables of export_plot_data
+POLAR_DTYPE = np.dtype(
+    [("series", "U11"), ("phi", "f8"), ("ratio", "f8"), ("x", "f8"), ("y", "f8")]
+)
+ROLLED_DTYPE = np.dtype(
+    [("phi", "f8"), ("ratio", "f8"), ("is_worst", "i8"), ("ref_half", "f8"), ("ref_one", "f8")]
+)
 
 
 @dataclass(frozen=True)
 class SensitivityResult:
     """Sensitivity of a posterior to prior perturbations of size epsilon.
 
-    ``worst_index`` is the position in ``entries`` of the worst direction,
-    the first one attaining the maximum ratio.
+    ``entries`` is a record array with one row per solved direction, in
+    increasing-angle order: the angle ``phi``, the contour ``point`` (fields
+    ``gamma1`` and ``gamma2``), the posterior distance ``h_post`` and
+    ``ratio = h_post / epsilon``. Columns read as arrays
+    (``entries.ratio``), rows as records (``entries[0].ratio``).
+    ``worst_index`` is the row of the worst direction, the first one
+    attaining the maximum ratio.
     """
 
     epsilon: float
     base: PriorSpec
-    entries: tuple[SensitivityEntry, ...]
+    entries: np.recarray
     worst_case: float
     worst_angle: float
     worst_index: int
@@ -67,37 +72,37 @@ class SensitivityResult:
 def assemble_result(
     base: PriorSpec,
     epsilon: float,
-    raw: list[tuple[float, ParamPoint, float]],
+    phi: np.ndarray,
+    point: np.ndarray,
+    h_post: np.ndarray,
     cardinal: CardinalModuli | None = None,
     failed_angles: tuple[float, ...] = (),
 ) -> SensitivityResult:
     """Build a :class:`SensitivityResult` from per-angle posterior distances.
 
-    ``raw`` holds ``(phi, contour point, posterior Hellinger distance)``
-    triples in increasing-angle order. Failed angles are excluded from all
-    summaries and carried through for reporting. The worst angle is the
-    first one attaining the maximum ratio.
+    ``phi``, ``point`` (a column with fields ``gamma1`` and ``gamma2``) and
+    ``h_post`` are columns of one row per solved direction in increasing-angle
+    order. Failed angles are excluded from all summaries and carried through
+    for reporting. The worst angle is the first one attaining the maximum ratio.
     """
-    if not raw:
+    if not len(phi):
         raise DomainError("cannot summarize an empty sensitivity grid")
-    entries = tuple(
-        SensitivityEntry(phi=phi, point=point, h_post=h, ratio=h / epsilon)
-        for phi, point, h in raw
-    )
-    ratios = [e.ratio for e in entries]
-    worst_index = max(range(len(ratios)), key=lambda i: (ratios[i], -i))
-    worst = entries[worst_index]
+    entries = np.empty(len(phi), ENTRY_DTYPE).view(np.recarray)
+    entries.phi, entries.point, entries.h_post = phi, point, h_post
+    entries.ratio = entries.h_post / epsilon
+    ratios = entries.ratio.tolist()
+    worst_index = int(np.argmax(entries.ratio))
     return SensitivityResult(
         epsilon=epsilon,
         base=base,
         entries=entries,
-        worst_case=worst.ratio,
-        worst_angle=worst.phi,
+        worst_case=ratios[worst_index],
+        worst_angle=float(entries.phi[worst_index]),
         worst_index=worst_index,
         mean=statistics.fmean(ratios),
         median=statistics.median(ratios),
         min=min(ratios),
-        calibrated_worst=calibrated_ratio(worst.h_post, epsilon),
+        calibrated_worst=calibrated_ratio(float(entries.h_post[worst_index]), epsilon),
         cardinal=cardinal,
         failed_angles=tuple(failed_angles),
     )
@@ -115,24 +120,19 @@ def circular_sensitivity(inp: PosteriorInput, grid: PolarGrid) -> SensitivityRes
         raise DomainError(
             f"contour grid base {grid.base} does not match posterior base {inp.base_prior}"
         )
-    raw = []
-    if grid.points:
-        phis = [gp.phi for gp in grid.points]
+    points, h = grid.points, np.empty(0)
+    if len(points):
         try:
-            h = _posterior_distances(
-                inp,
-                [gp.point.gamma1 for gp in grid.points],
-                [gp.point.gamma2 for gp in grid.points],
-            )
+            h = _posterior_distances(inp, points.point.gamma1, points.point.gamma2)
         except ReweightingError as exc:
             # the base prior check does not depend on the direction
-            raise ReweightingError(f"angle {phis[0]:.6f}: {exc}") from exc
+            raise ReweightingError(f"angle {points.phi[0]:.6f}: {exc}") from exc
         no_mass = np.flatnonzero(np.isnan(h))
         if no_mass.size:
-            raise ReweightingError(f"angle {phis[no_mass[0]]:.6f}: {_NO_FINITE_MASS}")
-        raw = [(gp.phi, gp.point, hp) for gp, hp in zip(grid.points, h.tolist())]
+            raise ReweightingError(f"angle {points.phi[no_mass[0]]:.6f}: {_NO_FINITE_MASS}")
     return assemble_result(
-        grid.base, grid.epsilon, raw, cardinal=grid.cardinal, failed_angles=grid.failed_angles
+        grid.base, grid.epsilon, points.phi, points.point, h,
+        cardinal=grid.cardinal, failed_angles=grid.failed_angles,
     )
 
 
@@ -177,58 +177,46 @@ def summarize(result: SensitivityResult) -> str:
     return "\n".join(lines)
 
 
-def export_plot_data(result: SensitivityResult) -> tuple[list[dict], list[dict]]:
+def export_plot_data(result: SensitivityResult) -> tuple[np.recarray, np.recarray]:
     """Plot-ready tables for the polar and rolled-out sensitivity views.
 
-    The polar table maps each ratio onto the hyperparameter plane with the
-    same axis scalings the contour used, one trace row per angle plus
-    reference circles at ratios 0.1 through 1.0. The rolled-out table has
+    Both tables are record arrays. The polar table (fields ``series``,
+    ``phi``, ``ratio``, ``x``, ``y``) maps each ratio onto the hyperparameter
+    plane with the same axis scalings the contour used: one ``sensitivity``
+    trace row per angle, then the reference circles ``ref_0.1`` through
+    ``ref_1.0``, each a block of one row per angle. The rolled-out table
+    (fields ``phi``, ``ratio``, ``is_worst``, ``ref_half``, ``ref_one``) has
     one row per angle with the worst direction flagged and constant
     reference lines at 0.5 and 1.0.
     """
     if result.cardinal is None:
         raise DomainError("result carries no cardinal moduli; polar export is undefined")
-    g1 = result.base.point.gamma1
-    g2 = result.base.point.gamma2
-    phis = [e.phi for e in result.entries]
-    cxs, cys = scaling_factors(phis, result.cardinal)
-    # cos, c_x, sin, c_y per angle, computed once for all eleven series
-    axes = [
-        (math.cos(phi), cx, math.sin(phi), cy)
-        for phi, cx, cy in zip(phis, cxs.tolist(), cys.tolist())
-    ]
+    entries = result.entries
+    n, levels = len(entries), len(REFERENCE_LEVELS)
+    cxs, cys = scaling_factors(entries.phi, result.cardinal)
+    # one row of ratios per series, and x = g1 + rho * cos * c_x in that order; the
+    # libm cos and sin, which np.cos and np.sin need not match to the last bit
+    rho = np.vstack([entries.ratio, *(np.full(n, level) for level in REFERENCE_LEVELS)])
+    phis = entries.phi.tolist()
+    cos, sin = (np.fromiter(map(f, phis), float, n) for f in (math.cos, math.sin))
+    polar = np.empty((1 + levels) * n, POLAR_DTYPE).view(np.recarray)
+    series = ["sensitivity", *(f"ref_{level:.1f}" for level in REFERENCE_LEVELS)]
+    polar.series = np.repeat(series, n)
+    polar.phi = np.tile(entries.phi, 1 + levels)
+    polar.ratio = rho.ravel()
+    polar.x = (result.base.point.gamma1 + rho * cos * cxs).ravel()
+    polar.y = (result.base.point.gamma2 + rho * sin * cys).ravel()
 
-    def trace(series: str, rhos) -> list[dict]:
-        return [
-            {
-                "series": series,
-                "phi": phi,
-                "ratio": rho,
-                "x": g1 + rho * c * cx,
-                "y": g2 + rho * s * cy,
-            }
-            for phi, rho, (c, cx, s, cy) in zip(phis, rhos, axes)
-        ]
-
-    polar = trace("sensitivity", [e.ratio for e in result.entries])
-    for level in REFERENCE_LEVELS:
-        polar += trace(f"ref_{level:.1f}", [level] * len(phis))
-
-    rolled = [
-        {
-            "phi": e.phi,
-            "ratio": e.ratio,
-            "is_worst": int(i == result.worst_index),
-            "ref_half": 0.5,
-            "ref_one": 1.0,
-        }
-        for i, e in enumerate(result.entries)
-    ]
+    rolled = np.zeros(n, ROLLED_DTYPE).view(np.recarray)
+    rolled.phi, rolled.ratio, rolled.ref_half, rolled.ref_one = entries.phi, entries.ratio, 0.5, 1.0
+    rolled.is_worst[result.worst_index] = 1
     return polar, rolled
 
 
 def result_to_json_dict(result: SensitivityResult) -> dict:
     """JSON-ready dictionary with a fixed key layout."""
+    e = result.entries
+    columns = (e.phi, e.point.gamma1, e.point.gamma2, e.h_post, e.ratio)
     return {
         "epsilon": result.epsilon,
         "n_angles": result.n_angles,
@@ -245,13 +233,7 @@ def result_to_json_dict(result: SensitivityResult) -> dict:
         "super_sensitive": result.super_sensitive,
         "failed_angles": list(result.failed_angles),
         "entries": [
-            {
-                "phi": e.phi,
-                "gamma1": e.point.gamma1,
-                "gamma2": e.point.gamma2,
-                "h_post": e.h_post,
-                "ratio": e.ratio,
-            }
-            for e in result.entries
+            {"phi": phi, "gamma1": g1, "gamma2": g2, "h_post": h, "ratio": ratio}
+            for phi, g1, g2, h, ratio in zip(*(c.tolist() for c in columns))
         ],
     }

@@ -121,7 +121,7 @@ def test_criterion_03_contour_correctness(capsys):
         grid = compute_grid(base, EPS0, n_angles=400)
         assert len(grid.points) == 400
         for gp in grid.points:
-            h = hellinger_analytic(base.family, base.point, gp.point)
+            h = hellinger_analytic(base.family, base.point, ParamPoint(*gp.point.tolist()))
             worst = max(worst, abs(h - EPS0))
             if base.family is Family.GAMMA:
                 domain_ok &= gp.point.gamma1 > 0.0 and gp.point.gamma2 > 0.0

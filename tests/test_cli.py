@@ -1,24 +1,39 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import hellinger_difference_form
 from priorscan import (
     DEFAULT_PRIOR,
     RESIDUAL_RTOL,
+    DomainError,
     Family,
     ParamPoint,
     PriorSpec,
+    PosteriorInput,
     Scale,
     calibrate,
+    circular_sensitivity,
+    compute_grid,
+    export_plot_data,
     inverse_calibrate,
+    normalize_grid,
+    read_density_csv,
     tabulate_prior,
 )
-from priorscan.cli import DEFAULT_EPSILON, EXIT_OK, _resolve_config, main
+from priorscan.cli import DEFAULT_EPSILON, EXIT_OK, _resolve_config, _write_csv, main
+from priorscan.contour import GRID_DTYPE
 from priorscan.grids import write_density_csv
+from priorscan.sensitivity import POLAR_DTYPE, ROLLED_DTYPE
 
 
 @pytest.fixture()
@@ -44,6 +59,109 @@ def small_counts_csv(tmp_path):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def dict_writer_bytes(fieldnames, rows):
+    """Reference bytes: ``csv.DictWriter`` over one dict per row, floats as their repr."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=fieldnames)
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
+    return buf.getvalue().encode()
+
+
+def table_rows(table):
+    return [dict(zip(table.dtype.names, row)) for row in table.tolist()]
+
+
+def contour_rows(points):
+    return [
+        {"phi": phi, "gamma1": g1, "gamma2": g2, "hellinger_residual": res}
+        for phi, (g1, g2), res in points.tolist()
+    ]
+
+
+def contour_columns(points):
+    return {
+        "phi": points.phi,
+        "gamma1": points.point.gamma1,
+        "gamma2": points.point.gamma2,
+        "hellinger_residual": points.residual,
+    }
+
+
+# signed zeros, the least normal float and subnormals, infinities, NaN, repeats
+SPECIAL = [
+    -0.0, 0.0, 1e-300, 2.2250738585072014e-308, 5e-324, -2.5e-320, math.inf,
+    -math.inf, math.nan, 0.1, 1.0 / 3.0, -1e300, 0.1, -0.0, math.nan, 7.0,
+]
+SERIES = ["sensitivity", *(f"ref_{0.1 * k:.1f}" for k in range(1, 11))]
+
+
+class TestColumnWriter:
+    @staticmethod
+    def written(tmp_path, columns):
+        path = tmp_path / "table.csv"
+        _write_csv(path, columns)
+        return path.read_bytes()
+
+    def test_contour_table(self, tmp_path):
+        points = np.zeros(len(SPECIAL), GRID_DTYPE).view(np.recarray)
+        points.phi, points.residual = SPECIAL, SPECIAL[::-1]
+        points.point.gamma1, points.point.gamma2 = np.roll(SPECIAL, 3), np.roll(SPECIAL, -5)
+        expected = dict_writer_bytes(list(contour_columns(points)), contour_rows(points))
+        assert self.written(tmp_path, contour_columns(points)) == expected
+        assert b"\r\n-0.0," in expected and b"\r\n0.0," in expected and b"5e-324" in expected
+
+    def test_polar_table(self, tmp_path):
+        n = len(SPECIAL)
+        polar = np.zeros(n * len(SERIES), POLAR_DTYPE).view(np.recarray)
+        polar.series = np.repeat(SERIES, n)
+        polar.phi = np.tile(SPECIAL, len(SERIES))
+        polar.ratio = np.repeat([0.5, *(0.1 * k for k in range(1, 11))], n)
+        polar.x, polar.y = np.resize(SPECIAL, polar.size)[::-1], np.resize(SPECIAL[3:], polar.size)
+        columns = {name: polar[name] for name in POLAR_DTYPE.names}
+        assert self.written(tmp_path, columns) == dict_writer_bytes(
+            list(POLAR_DTYPE.names), table_rows(polar)
+        )
+
+    def test_rolled_table(self, tmp_path):
+        rolled = np.zeros(len(SPECIAL), ROLLED_DTYPE).view(np.recarray)
+        rolled.phi, rolled.ratio, rolled.ref_half, rolled.ref_one = SPECIAL, SPECIAL[::-1], 0.5, 1.0
+        rolled.is_worst = [0, 1, 0, 0, 7, -3, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0]
+        columns = {name: rolled[name] for name in ROLLED_DTYPE.names}
+        assert self.written(tmp_path, columns) == dict_writer_bytes(
+            list(ROLLED_DTYPE.names), table_rows(rolled)
+        )
+
+    def test_empty_table_is_its_header(self, tmp_path):
+        points = np.zeros(0, GRID_DTYPE).view(np.recarray)
+        assert self.written(tmp_path, contour_columns(points)) == (
+            b"phi,gamma1,gamma2,hellinger_residual\r\n"
+        )
+
+    def test_cli_tables_match_the_reference(self, tmp_path, posterior_csv):
+        argv = ["--family", "gamma", "--gamma0", "1,0.34", "--n-angles", "24", "--outdir"]
+        assert main(["grid", *argv, str(tmp_path)]) == EXIT_OK
+        assert main(["sensitivity", *argv, str(tmp_path), "--posterior", str(posterior_csv),
+                     "--log-scale"]) == EXIT_OK
+        base = PriorSpec(Family.GAMMA, ParamPoint(1.0, 0.34))
+        grid = compute_grid(base, DEFAULT_EPSILON, n_angles=24)
+        posterior = normalize_grid(read_density_csv(posterior_csv, Scale.LOG_PARAMETER))
+        result = circular_sensitivity(PosteriorInput(posterior, base, Scale.LOG_PARAMETER), grid)
+        polar, rolled = export_plot_data(result)
+        expected = {
+            "grid_contour.csv": dict_writer_bytes(
+                ["phi", "gamma1", "gamma2", "hellinger_residual"], contour_rows(grid.points)
+            ),
+            "sensitivity_polar.csv": dict_writer_bytes(list(POLAR_DTYPE.names), table_rows(polar)),
+            "sensitivity_rolled.csv": dict_writer_bytes(
+                list(ROLLED_DTYPE.names), table_rows(rolled)
+            ),
+        }
+        for name, content in expected.items():
+            assert (tmp_path / name).read_bytes() == content
 
 
 class TestCalibrateCommand:
@@ -151,6 +269,18 @@ class TestGridCommand:
         code = main(["grid", "--family", "normal", f"--gamma0={gamma0}", "--outdir", str(tmp_path)])
         assert code == 3
         assert capsys.readouterr().err.count("error:") == 1
+
+    @pytest.mark.parametrize("family", ["gamma", "normal"])
+    @pytest.mark.parametrize("gamma0", ["1,1e-310", "1,5e-324", "1,1e308", "1,1.7e308"])
+    def test_rate_or_precision_past_float_range_exits_3_quietly(
+        self, tmp_path, capsys, family, gamma0
+    ):
+        # a subnormal or near-overflow gamma2 meets inf and NaN in the bracket
+        # arithmetic: those directions are unreachable, and numpy must not warn
+        code = main(["grid", "--family", family, f"--gamma0={gamma0}", "--outdir", str(tmp_path)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_negative_point_spaced_or_joined(self, tmp_path):
         spaced, joined = tmp_path / "spaced", tmp_path / "joined"
@@ -552,3 +682,132 @@ class TestWarningsRouting:
         assert math.isfinite(float(captured.out.split("=")[1]))
         assert "warning:" in captured.err
         assert "saturated" in captured.err
+
+
+# --- the input-space contract: every argv ends in an answer or a documented exit
+
+def mostly(good, bad):
+    """Draws from ``good`` three times in four, so that many runs get to succeed."""
+    return st.sampled_from([True, True, True, False]).flatmap(lambda ok: good if ok else bad)
+
+
+MAGNITUDES = mostly(
+    st.floats(min_value=0.05, max_value=20.0) | st.floats(min_value=1e-300, max_value=1e300),
+    st.sampled_from([0.0, 5e-324, 1e-310, 1e308, math.inf, math.nan]),
+)
+POSITIVE = mostly(MAGNITUDES, MAGNITUDES.map(lambda m: -m))
+SIGNED = st.builds(lambda sign, m: sign * m, st.sampled_from([1.0, -1.0]), MAGNITUDES)
+EPSILONS = mostly(
+    st.floats(min_value=1e-9, max_value=0.5),
+    st.sampled_from([1e-12, 0.7, 0.0, -0.1, math.nan]),
+)
+CONFIG_LINES = mostly(
+    st.sampled_from(["epsilon = 0.01", "n-angles = 12", "allow-partial = on", "# comment"]),
+    st.sampled_from(["n_angles = x", "family = beta", "log-scale = maybe", "bogus = 1", "a b"]),
+)
+
+
+@st.composite
+def posterior_bodies(draw):
+    n = draw(st.integers(0, 6))
+    xs = sorted(draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)))
+    ds = draw(st.lists(st.sampled_from([0.0, 0.2, 1.0, 3.0, -1.0, math.nan]), min_size=n, max_size=n))
+    return "x,density\n" + "".join(f"{x!r},{d!r}\n" for x, d in zip(xs, ds))
+
+
+@st.composite
+def count_bodies(draw):
+    months = draw(mostly(st.sampled_from([24, 36]), st.sampled_from([0, 11])))
+    level = draw(st.sampled_from([5, 30, 1000]))
+    rng = np.random.default_rng(draw(st.integers(0, 3)))
+    counts = np.maximum(np.round(level * (1.0 + 0.2 * rng.standard_normal(months))), 1).astype(int)
+    if months and draw(mostly(st.just(False), st.just(True))):
+        counts[0] = draw(st.sampled_from([0, -4]))
+    return "count\n" + "".join(f"{c}\n" for c in counts)
+
+
+@st.composite
+def invocations(draw):
+    """An argv for ``main`` and the input files it names, by file name.
+
+    A posterior body of None stands for a tabulation of the base prior.
+    """
+    command = draw(st.sampled_from(["grid", "sensitivity", "rw1"]))
+    argv, files = [], {}
+    if draw(mostly(st.just(False), st.just(True))):
+        files["run.cfg"] = "\n".join(draw(st.lists(CONFIG_LINES, max_size=2))) + "\n"
+        argv += ["--config", "run.cfg"]
+    argv += [command, "--epsilon", repr(draw(EPSILONS))]
+    argv += ["--n-angles", str(draw(mostly(st.sampled_from([8, 12, 16]), st.just(4))))]
+    argv += ["--allow-partial"] * draw(st.booleans())
+    if command == "rw1":
+        files["counts.csv"] = draw(count_bodies())
+        argv += ["--data", "counts.csv", "--engine", draw(st.sampled_from(["exact", "reweight"]))]
+        if draw(st.booleans()):
+            argv.append(f"--prior={draw(POSITIVE)!r},{draw(POSITIVE)!r}")
+    else:
+        family = draw(st.sampled_from(["gamma", "normal"]))
+        g1 = draw(POSITIVE if family == "gamma" else SIGNED)
+        argv += ["--family", family, f"--gamma0={g1!r},{draw(POSITIVE)!r}"]
+    if command == "sensitivity":
+        files["post.csv"] = draw(mostly(st.none(), posterior_bodies()))
+        argv += ["--posterior", "post.csv"] + ["--log-scale"] * draw(st.booleans())
+    return argv, files
+
+
+def write_inputs(workdir, argv, files):
+    """Write the input files into ``workdir``; return argv with their paths."""
+    for name, body in files.items():
+        if body is None:  # the base prior, when it can be tabulated
+            base = next(a for a in argv if a.startswith("--gamma0="))[len("--gamma0="):]
+            family = Family(argv[argv.index("--family") + 1])
+            scale = Scale.LOG_PARAMETER if "--log-scale" in argv else Scale.NATURAL
+            try:
+                spec = PriorSpec(family, ParamPoint(*map(float, base.split(","))))
+                with np.errstate(all="ignore"):
+                    write_density_csv(workdir / name, tabulate_prior(spec, scale, 201))
+                continue
+            except (DomainError, OverflowError, ValueError):
+                body = "x,density\n"
+        (workdir / name).write_text(body)
+    return [str(workdir / a) if a in files else a for a in argv]
+
+
+def check_outputs(outdir):
+    """Every CSV parses and has the row count its JSON report implies."""
+    reports = {p.name: json.loads(p.read_text()) for p in outdir.glob("*.json")}
+    tables = {p.name: list(csv.reader(p.open(newline=""))) for p in outdir.glob("*.csv")}
+    assert reports and tables
+    for name, report in reports.items():
+        solved = report["n_angles"] - len(report["failed_angles"])
+        if name.endswith("_moduli.json"):
+            rows = tables[name.replace("_moduli.json", "_contour.csv")]
+            assert len(rows) == 1 + solved
+            residuals = [float(row[3]) for row in rows[1:]]
+            assert all(r <= RESIDUAL_RTOL * report["epsilon"] for r in residuals)
+        else:
+            stem = name[: -len(".json")]
+            assert len(report["entries"]) == solved
+            assert len(tables[f"{stem}_polar.csv"]) == 1 + 11 * solved
+            assert len(tables[f"{stem}_rolled.csv"]) == 1 + solved
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(invocations())
+def test_every_invocation_answers_or_exits_documented(case):
+    argv, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        argv = write_inputs(workdir, argv, files)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--outdir", str(workdir / "out")])
+        lines = err.getvalue().splitlines()
+        assert code in (0, 2, 3, 4), (argv, lines)
+        assert not any("Traceback" in line for line in lines)
+        if code:
+            assert sum(line.startswith("error: ") for line in lines) == 1, (argv, lines)
+            assert lines[-1].startswith("error: ")
+        else:
+            assert not any(line.startswith("error: ") for line in lines)
+            check_outputs(workdir / "out")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -192,7 +193,8 @@ class TestComputeGrid:
     def test_deterministic(self):
         a = compute_grid(GAMMA_BASE, EPS0, n_angles=24)
         b = compute_grid(GAMMA_BASE, EPS0, n_angles=24)
-        assert a == b
+        assert a.points.tobytes() == b.points.tobytes()
+        assert replace(a, points=None) == replace(b, points=None)
 
     def test_cardinals_are_consistent_with_grid(self):
         # 400 angles place the cardinal directions exactly on the grid
@@ -249,7 +251,7 @@ class TestComputeGrid:
         assert len(grid.points) == 400
         for gp in grid.points:
             h = hellinger_difference_form(
-                base.family.value, base.point.as_tuple(), gp.point.as_tuple()
+                base.family.value, base.point.as_tuple(), gp.point.tolist()
             )
             assert abs(h - epsilon) <= RESIDUAL_RTOL * epsilon
 
@@ -280,7 +282,7 @@ class TestComputeGrid:
             return p[0], p[1] / g2
 
         for gp in grid.points:
-            h = hellinger_difference_form(family, unit(base), unit(gp.point.as_tuple()))
+            h = hellinger_difference_form(family, unit(base), unit(gp.point.tolist()))
             assert abs(h - epsilon) <= RESIDUAL_RTOL * epsilon
 
     @pytest.mark.parametrize(

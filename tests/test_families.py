@@ -260,10 +260,11 @@ class TestTabulatePrior:
             (PriorSpec(Family.GAMMA, ParamPoint(1.0, 0.34)), Scale.NATURAL),
             (PriorSpec(Family.GAMMA, ParamPoint(1.0, 0.34)), Scale.LOG_PARAMETER),
             (PriorSpec(Family.GAMMA, ParamPoint(0.05, 2.0)), Scale.LOG_PARAMETER),
+            (PriorSpec(Family.GAMMA, ParamPoint(0.01, 2.0)), Scale.LOG_PARAMETER),
             # natural-scale edges below the least normal float are held there
-            (PriorSpec(Family.GAMMA, ParamPoint(0.01, 2.0)), Scale.NATURAL),
-            (PriorSpec(Family.GAMMA, ParamPoint(0.03, 2.0)), Scale.NATURAL),
-            (PriorSpec(Family.GAMMA, ParamPoint(0.05, 2.0)), Scale.NATURAL),
+            (PriorSpec(Family.GAMMA, ParamPoint(1.0, 1e300)), Scale.NATURAL),
+            (PriorSpec(Family.GAMMA, ParamPoint(1.0, 1e306)), Scale.NATURAL),
+            (PriorSpec(Family.GAMMA, ParamPoint(2.0, 1e305)), Scale.NATURAL),
         ],
     )
     def test_normalized_output(self, spec, scale):
@@ -279,6 +280,14 @@ class TestTabulatePrior:
     def test_normal_rejects_log_scale(self):
         with pytest.raises(DomainError):
             tabulate_prior(PriorSpec(Family.NORMAL, ParamPoint(0.0, 1.0)), Scale.LOG_PARAMETER)
+
+    @pytest.mark.parametrize("shape", [0.01, 0.05, 0.5, 0.9, 0.999999])
+    def test_natural_scale_rejects_shape_below_one(self, shape):
+        # singular at 0: the first trapezoid interval would take far too much mass
+        spec = PriorSpec(Family.GAMMA, ParamPoint(shape, 2.0))
+        with pytest.raises(DomainError, match="LOG_PARAMETER"):
+            tabulate_prior(spec, Scale.NATURAL)
+        assert abs(trapezoid_mass(tabulate_prior(spec, Scale.LOG_PARAMETER)) - 1.0) <= 1e-10
 
     def test_tiny_shape_support_is_finite(self):
         # the window of log(theta) reaches about 5000 below the mode for shape 0.01
@@ -303,8 +312,9 @@ class TestTabulatePrior:
         g = tabulate_prior(PriorSpec(Family.GAMMA, ParamPoint(a, b)), Scale.LOG_PARAMETER)
         assert abs(g.support[0] - edge(-1.0 - _LOG_DROP / a)) <= 1e-9
         assert abs(g.support[-1] - edge(700.0)) <= 1e-9
-        nat = tabulate_prior(PriorSpec(Family.GAMMA, ParamPoint(a, b)), Scale.NATURAL)
-        assert nat.support[-1] == pytest.approx(math.exp(g.support[-1]), rel=1e-15)
+        if a >= 1.0:  # the natural scale takes shapes of at least 1
+            nat = tabulate_prior(PriorSpec(Family.GAMMA, ParamPoint(a, b)), Scale.NATURAL)
+            assert nat.support[-1] == pytest.approx(math.exp(g.support[-1]), rel=1e-15)
 
     @pytest.mark.parametrize("mean,precision", [(0.0, 1.0), (3.0, 0.001), (-2.0, 1e6)])
     def test_normal_window_is_ten_standard_deviations(self, mean, precision):

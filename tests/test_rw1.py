@@ -32,6 +32,7 @@ from priorscan import (
 )
 from priorscan import rw1
 from priorscan.grids import hellinger_grid
+from priorscan.sensitivity import ENTRY_DTYPE
 from priorscan.rw1 import (
     _dct2,
     _lattice_pass,
@@ -340,7 +341,7 @@ def test_sweep_windows_match_reference_walk(fixture, eps, request):
     model = request.getfixturevalue(fixture)
     anchor = np.array(model.prior.as_tuple())
     grid = compute_grid(PriorSpec(Family.GAMMA, model.prior), eps, n_angles=16)
-    points = np.array([gp.point.as_tuple() for gp in grid.points])
+    points = np.c_[grid.points.point.gamma1, grid.points.point.gamma2]
     priors = np.vstack([anchor, 0.5 * (anchor + points), points])
     k_lo, k_hi, _ = rw1._windows(model, priors, 60.0)
     for (a, b), lo, hi in zip(priors, k_lo, k_hi):
@@ -436,6 +437,12 @@ class TestExactSensitivity:
         assert res.n_angles == 16
         assert res.cardinal is not None
         assert 0.0 < res.min <= res.worst_case < 1.0
+
+    def test_entries_are_a_record_array(self, model192):
+        res = exact_sensitivity(model192, 0.00354, n_angles=16)
+        assert type(res.entries) is np.recarray and res.entries.dtype == ENTRY_DTYPE
+        assert len(res.entries) == 16
+        assert res.worst_case == res.entries.ratio.max() == res.entries[res.worst_index].ratio
 
     def test_agrees_with_reweighting_route(self, model192):
         exact = exact_sensitivity(model192, 0.00354, n_angles=8)

@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,26 +26,32 @@ from priorscan import (
     normalize_grid,
     preexplore,
     result_to_json_dict,
+    scaling_factors,
     summarize,
     tabulate_prior,
 )
 from priorscan import reweight
+from priorscan.contour import GRID_DTYPE, POINT_DTYPE
 from priorscan.grids import hellinger_grid
 from priorscan.reweight import reweight_posterior
+from priorscan.sensitivity import ENTRY_DTYPE, POLAR_DTYPE, ROLLED_DTYPE
 
 EPS0 = 0.00354
 GAMMA_BASE = PriorSpec(Family.GAMMA, ParamPoint(1.0, 0.34))
 NORMAL_BASE = PriorSpec(Family.NORMAL, ParamPoint(0.0, 1.0))
 
 
+def points(gamma1, gamma2):
+    return np.rec.fromarrays([gamma1, gamma2], dtype=POINT_DTYPE)
+
+
 def make_result(ratios, epsilon=EPS0, failed=(), with_cardinal=False):
     n = len(ratios)
-    raw = [
-        (-math.pi + 2.0 * math.pi * i / n, ParamPoint(1.0 + i, 1.0), r * epsilon)
-        for i, r in enumerate(ratios)
-    ]
+    phi = -math.pi + 2.0 * math.pi * np.arange(n) / n
+    point = points(1.0 + np.arange(n), np.ones(n))
+    h = np.array(ratios) * epsilon
     cardinal = preexplore(GAMMA_BASE, epsilon) if with_cardinal else None
-    return assemble_result(GAMMA_BASE, epsilon, raw, cardinal=cardinal, failed_angles=failed)
+    return assemble_result(GAMMA_BASE, epsilon, phi, point, h, cardinal=cardinal, failed_angles=failed)
 
 
 class TestAssembleResult:
@@ -70,7 +77,7 @@ class TestAssembleResult:
 
     def test_empty_raw_rejected(self):
         with pytest.raises(DomainError):
-            assemble_result(GAMMA_BASE, EPS0, [])
+            assemble_result(GAMMA_BASE, EPS0, [], points([], []), [])
 
     def test_failed_angles_carried(self):
         res = make_result([0.5] * 6, failed=(1.0, 2.0))
@@ -107,7 +114,9 @@ class TestCircularSensitivity:
         inp = PosteriorInput(
             tabulate_prior(GAMMA_BASE, Scale.LOG_PARAMETER), GAMMA_BASE, Scale.LOG_PARAMETER
         )
-        assert circular_sensitivity(inp, grid) == circular_sensitivity(inp, grid)
+        a, b = circular_sensitivity(inp, grid), circular_sensitivity(inp, grid)
+        assert a.entries.tobytes() == b.entries.tobytes()
+        assert replace(a, entries=None) == replace(b, entries=None)
 
     def test_base_mismatch_rejected(self):
         grid = compute_grid(GAMMA_BASE, EPS0, n_angles=16)
@@ -156,7 +165,7 @@ class TestCircularSensitivity:
         assert len(res.entries) >= 60
         for e in res.entries:
             truth = hellinger_difference_form(
-                base.family.value, base.point.as_tuple(), e.point.as_tuple()
+                base.family.value, base.point.as_tuple(), e.point.tolist()
             )
             assert abs(e.ratio - truth / epsilon) <= 1e-4
 
@@ -250,6 +259,45 @@ class TestSummarize:
         assert "calibration saturated" in summarize(res)
 
 
+def assert_columns(table, dtype, rows):
+    # one record array of plain columns, not a sequence of per-direction objects
+    assert type(table) is np.recarray and table.dtype == dtype and len(table) == rows
+    assert not dtype.hasobject
+
+
+class TestColumnarResults:
+    def test_contour_sweep_and_plot_tables_are_record_arrays(self):
+        grid = compute_grid(GAMMA_BASE, EPS0, n_angles=16)
+        assert_columns(grid.points, GRID_DTYPE, 16)
+        inp = PosteriorInput(
+            tabulate_prior(GAMMA_BASE, Scale.LOG_PARAMETER), GAMMA_BASE, Scale.LOG_PARAMETER
+        )
+        res = circular_sensitivity(inp, grid)
+        assert_columns(res.entries, ENTRY_DTYPE, 16)
+        for column in ("phi", "point"):
+            assert res.entries[column].tobytes() == grid.points[column].tobytes()
+        assert np.array_equal(res.entries.ratio, res.entries.h_post / EPS0)
+        polar, rolled = export_plot_data(res)
+        assert_columns(polar, POLAR_DTYPE, 16 * 11)
+        assert_columns(rolled, ROLLED_DTYPE, 16)
+        assert isinstance(polar.x, np.ndarray) and isinstance(rolled.is_worst, np.ndarray)
+
+    def test_polar_rows_follow_the_scalar_formula(self):
+        # each series is a block of one row per angle; x = g1 + rho * cos(phi) * c_x
+        res = make_result([0.4, 0.7, 0.6, 0.5, 1.3, 0.2], with_cardinal=True)
+        polar, _ = export_plot_data(res)
+        g1, g2 = GAMMA_BASE.point.as_tuple()
+        names = ["sensitivity", *(f"ref_{level:.1f}" for level in REFERENCE_LEVELS)]
+        for k, row in enumerate(polar.tolist()):
+            series, phi, rho, x, y = row
+            e = res.entries[k % len(res.entries)]
+            cx, cy = scaling_factors(phi, res.cardinal)
+            assert series == names[k // len(res.entries)] and phi == e.phi
+            assert rho == (e.ratio if series == "sensitivity" else float(series[4:]))
+            assert x == g1 + rho * math.cos(phi) * cx
+            assert y == g2 + rho * math.sin(phi) * cy
+
+
 class TestExportPlotData:
     def test_requires_cardinal_moduli(self):
         with pytest.raises(DomainError):
@@ -267,9 +315,10 @@ class TestExportPlotData:
         assert "ref_0.1" in series and "ref_1.0" in series
 
     def test_polar_geometry_along_east(self):
-        raw = [(0.0, ParamPoint(1.2, 0.34), 0.5 * EPS0)]
         cardinal = preexplore(GAMMA_BASE, EPS0)
-        res = assemble_result(GAMMA_BASE, EPS0, raw, cardinal=cardinal)
+        res = assemble_result(
+            GAMMA_BASE, EPS0, [0.0], points([1.2], [0.34]), [0.5 * EPS0], cardinal=cardinal
+        )
         polar, _ = export_plot_data(res)
         sens = [row for row in polar if row["series"] == "sensitivity"][0]
         assert sens["x"] == pytest.approx(1.0 + 0.5 * cardinal.plus_x, rel=1e-12)
