@@ -139,6 +139,14 @@ def hellinger_grid(g0: DensityGrid, g1: DensityGrid) -> float:
     return float(np.sqrt(min(1.0, max(0.0, h2))))
 
 
+def _is_number(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_csv_rows(path: Path, key: int) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """Header and data rows of a CSV file, each data row with its physical line number.
 
@@ -154,32 +162,56 @@ def _read_csv_rows(path: Path, key: int) -> tuple[list[str], list[tuple[int, lis
     if len(rows) < 2:
         raise IngestionError(f"{path}: expected a header row and data rows")
     header = rows[0][1]
-    try:
-        float(header[key])
-    except (ValueError, IndexError):
-        pass
-    else:
+    if _is_number(header[key]):
         raise IngestionError(f"{path}: missing header row (first row is numeric)")
     return header, rows[1:]
 
 
-def read_density_csv(path, scale: Scale = Scale.NATURAL) -> DensityGrid:
-    """Read a two-column CSV ``x,density`` with a mandatory header row."""
-    path = Path(path)
-    header, rows = _read_csv_rows(path, key=0)
-    if len(header) < 2:
-        raise IngestionError(f"{path}: expected two columns, got {header!r}")
-    xs, vs = [], []
-    for line, row in rows:
-        if len(row) < 2:
-            raise IngestionError(f"{path}:{line}: expected two columns, got {row!r}")
-        try:
-            xs.append(float(row[0]))
-            vs.append(float(row[1]))
-        except ValueError as exc:
-            raise IngestionError(f"{path}:{line}: non-numeric entry {row!r}") from exc
+def _parse_columns(path: Path, usecols: tuple[int, ...]):
+    """Columns ``usecols`` of the data rows from one ``np.loadtxt`` call, or None
+    unless they are what the row reader gives: the first physical line is a header
+    with a field per column, the first not a number; no line is over the csv field
+    limit or holds a NUL; and numpy reads one row per later non-blank line."""
     try:
-        return DensityGrid(np.array(xs), np.array(vs), scale)
+        with path.open(newline="") as fh:
+            lines = fh.readlines()  # split at \n, \r and \r\n only, as csv splits
+        reader = csv.reader(body := iter(lines))
+        header = next(reader, [])
+        rows = len(lines) - 1 - sum(map(lines.count, ("\n", "\r\n", "\r")))
+        if (reader.line_num != 1 or len(header) < len(usecols) or rows < 1
+                or _is_number(header[usecols[0]]) or "\0" in "".join(lines)
+                or max(map(len, lines)) > csv.field_size_limit()):
+            return None
+        columns = np.loadtxt(body, delimiter=",", quotechar='"', comments=None,
+                             usecols=usecols, ndmin=2, unpack=True)
+    except (OSError, ValueError, csv.Error):  # a UnicodeDecodeError is a ValueError
+        return None
+    return columns if columns.shape[1] == rows else None
+
+
+def read_density_csv(path, scale: Scale = Scale.NATURAL) -> DensityGrid:
+    """Read a two-column CSV ``x,density`` with a mandatory header row.
+
+    numpy parses the data rows in one call (see :func:`_parse_columns`); a file it
+    refuses or might misread is read again row by row, to name the physical line
+    of an error or to accept what only ``float`` parses, such as ``1_000``."""
+    path = Path(path)
+    columns = _parse_columns(path, (0, 1))
+    if columns is None:
+        header, rows = _read_csv_rows(path, key=0)
+        if len(header) < 2:
+            raise IngestionError(f"{path}: expected two columns, got {header!r}")
+        columns = [], []
+        for line, row in rows:
+            if len(row) < 2:
+                raise IngestionError(f"{path}:{line}: expected two columns, got {row!r}")
+            try:
+                columns[0].append(float(row[0]))
+                columns[1].append(float(row[1]))
+            except ValueError as exc:
+                raise IngestionError(f"{path}:{line}: non-numeric entry {row!r}") from exc
+    try:
+        return DensityGrid(*columns, scale)
     except DomainError as exc:
         raise IngestionError(f"{path}: {exc}") from exc
 

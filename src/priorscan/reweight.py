@@ -19,15 +19,17 @@ log space with a max-shift before exponentiation.
 
 Many priors are handled at once, a block of directions at a time in one
 reused (directions x support points) buffer. The trapezoid weight ``w``
-and the base posterior join the statistics as a third row, so a single
-matrix product gives ``log sqrt(w * p_new)`` up to a per-direction
-constant; one ``exp`` per cell after a row max-shift gives its square
-root up to scale. The squared norm of a row is the normalizer ``Z``, and
-after scaling by ``1 / sqrt(Z)`` and subtracting ``sqrt(w * p_base)`` a
-second row dot product gives the Hellinger distance in the
-cancellation-free form ``H^2 = 1/2 * sum of w * (sqrt(p_new) -
-sqrt(p_base))^2``, which stays accurate for distances far below
-sqrt(machine epsilon).
+and the base posterior join the statistics as a third row, and ones as a
+fourth whose coefficient is minus a per-direction upper bound on the row's
+max: the sum of each term's largest value, from the extremes of the
+statistics (a row whose bound is over 100 above its value at the base peak
+takes its exact max). So one matrix product gives ``log sqrt(w * p_new)``
+up to a constant, shifted, and one ``exp`` per cell its square root up to
+scale, at most 1. The squared norm of a row is the normalizer ``Z``; after
+scaling by ``1 / sqrt(Z)`` and subtracting ``sqrt(w * p_base)``, a second
+row dot product gives the cancellation-free ``H^2 = 1/2 * sum of w *
+(sqrt(p_new) - sqrt(p_base))^2``, accurate for distances far below
+sqrt(machine epsilon). Each cell costs one ``exp`` and five cheap passes.
 
 Two guards keep the ratio trustworthy:
 
@@ -197,40 +199,44 @@ def _posterior_distances(inp: PosteriorInput, gamma1, gamma2) -> np.ndarray:
     w = weights[keep]
     weighted_base = w * grid.values[keep]
     root_base = np.sqrt(weighted_base / float(weights @ grid.values))
-    # (d1, d2, 1) @ stats is log sqrt(w * p_new) up to a per-direction constant
-    stats = 0.5 * np.stack([t1, t2, np.log(weighted_base)])
+    # (d1, d2, 1, -shift) @ stats is log sqrt(w * p_new) up to a row constant
+    stats = np.stack([0.5 * t1, 0.5 * t2, 0.5 * np.log(weighted_base), np.ones(t1.size)])
     half_log_w = 0.5 * np.log(w)
-    # After the max-shift no cell exceeds 1, and a cell whose density is at
-    # most DEGENERATE_GUARD of its row's peak is at most
-    # DEGENERATE_GUARD * w / min(w). So a row with fewer than 3 cells above
-    # the guard has Z <= 2 + DEGENERATE_GUARD * sum(w) / min(w); z_bound
-    # puts 2 * max(w) / min(w) >= 2 in place of the 2, which leaves room for
-    # rounding in Z. Only rows within it are counted cell by cell.
+    # No cell exceeds its row's peak cell P <= 1, and a cell whose density is
+    # at most DEGENERATE_GUARD of its row's peak is at most DEGENERATE_GUARD *
+    # P**2 * w / min(w). So a row with fewer than 3 cells above the guard has
+    # Z <= P**2 * (2 + DEGENERATE_GUARD * sum(w) / min(w)) <= P**2 * z_bound,
+    # where 2 * max(w) / min(w) >= 2 leaves room for rounding in Z.
     z_bound = (2.0 * w.max() + DEGENERATE_GUARD * w.sum()) / w.min()
 
     n = d1.size
     width = t1.size
-    coef = np.ones((n, 3))
-    coef[:, 0] = d1
-    coef[:, 1] = d2
-    shift = np.empty(n)
+    coef = np.ones((n, 4))
+    coef[:, 0], coef[:, 1] = d1, d2
     z = np.empty(n)
     h2 = np.empty(n)
     occupied = np.full(n, width, dtype=np.int64)
     step = max(1, _BLOCK_CELLS // width)
     buf = np.empty((min(step, n), width))
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        tilt = coef[:, :2]
+        shift = np.maximum(tilt * stats[:2].min(1), tilt * stats[:2].max(1)).sum(1) + stats[2].max()
+        exact = ~(shift - coef[:, :3] @ stats[:3, np.argmax(stats[2])] <= 100.0)
+        coef[:, 3] = np.where(exact, 0.0, -shift)
         for lo in range(0, n, step):
             rows = slice(lo, min(lo + step, n))
             root = buf[: rows.stop - lo]
             np.matmul(coef[rows], stats, out=root)
-            np.max(root, axis=1, out=shift[rows])
-            root -= shift[rows, None]
-            np.exp(root, out=root)  # sqrt(w * p_new) up to a row constant, peak 1
+            loose = np.flatnonzero(exact[rows])
+            if loose.size:
+                shift[lo + loose] = root[loose].max(axis=1)
+                root[loose] -= shift[lo + loose, None]
+            np.exp(root, out=root)  # sqrt(w * p_new) up to a row constant, at most 1
             np.vecdot(root, root, out=z[rows])
             # a row with a NaN Z is counted too, and finds no cell above the guard
-            few = lo + np.flatnonzero(~(z[rows] > z_bound))
+            few = np.flatnonzero(~(z[rows] > z_bound))
             if few.size:
+                few = lo + few[~(z[lo + few] > root[few].max(axis=1) ** 2 * z_bound)]
                 half_log_p = coef[few] @ stats - half_log_w
                 occupied[few] = np.count_nonzero(
                     np.exp(half_log_p - half_log_p.max(axis=1, keepdims=True)) ** 2

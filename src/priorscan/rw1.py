@@ -34,7 +34,7 @@ import numpy as np
 from .contour import compute_grid
 from .errors import DomainError, IngestionError, NumericalError
 from .families import Family, ParamPoint, PriorSpec, validate_point
-from .grids import DensityGrid, Scale, _read_csv_rows, normalize_grid
+from .grids import DensityGrid, Scale, _parse_columns, _read_csv_rows, normalize_grid
 from .reweight import PosteriorInput
 from .sensitivity import SensitivityResult, assemble_result
 
@@ -351,14 +351,16 @@ def ingest_timeseries(
     defaults to ``1 / variance`` of the residuals.
     """
     path = Path(path)
-    _, rows = _read_csv_rows(path, key=-1)
-    counts = []
-    for line, row in rows:
-        try:
-            counts.append(float(row[-1]))
-        except ValueError as exc:
-            raise IngestionError(f"{path}:{line}: non-numeric count {row!r}") from exc
-    counts = np.array(counts)
+    counts = _parse_columns(path, (-1,))
+    if counts is None:
+        _, rows = _read_csv_rows(path, key=-1)
+        counts = []
+        for line, row in rows:
+            try:
+                counts.append(float(row[-1]))
+            except ValueError as exc:
+                raise IngestionError(f"{path}:{line}: non-numeric count {row!r}") from exc
+    counts = np.ravel(counts)
     if np.any(~np.isfinite(counts)) or np.any(counts <= 0.0):
         raise IngestionError(f"{path}: counts must be finite and positive")
 

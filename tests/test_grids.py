@@ -1,8 +1,10 @@
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import hellinger_difference_form, hellinger_gamma_quad
@@ -16,12 +18,20 @@ from priorscan import (
     PriorSpec,
     Scale,
     hellinger_analytic,
+    ingest_timeseries,
     normalize_grid,
     read_density_csv,
     tabulate_prior,
     trapezoid_mass,
 )
-from priorscan.grids import common_support, hellinger_grid, write_density_csv
+from priorscan import grids
+from priorscan.grids import (
+    _parse_columns,
+    _read_csv_rows,
+    common_support,
+    hellinger_grid,
+    write_density_csv,
+)
 
 
 def normal_grid(mu, lam, lo=-10.0, hi=10.0, n=4001):
@@ -290,3 +300,102 @@ class TestDensityCsv:
         path = tmp_path / "log.csv"
         write_density_csv(path, g)
         assert read_density_csv(path, Scale.LOG_PARAMETER).scale is Scale.LOG_PARAMETER
+
+
+# Fields that csv, float and numpy read alike (float and numpy both strip
+# \x0b, \x0c, \x85 and \u2028, which str.splitlines would take for line
+# ends), and odd fields where they may part: underscores and Unicode digits
+# parse only with float, and quotes inside a field are literal to csv.
+_NUMBER = st.one_of(
+    st.floats().map(repr),
+    st.integers(-999, 999).map(str),
+    st.sampled_from(["nan", "-inf", "Infinity", "+.5", "1e5"]),
+)
+_PAD = st.sampled_from(["", "", "", " ", "\t", "\x0b", "\x0c", "\x85", "\u2028", "\u00a0"])
+_PADDED = st.tuples(_PAD, _NUMBER, _PAD).map("".join)
+_FIELD = st.one_of(_PADDED, _PADDED.map('"{}"'.format))
+_ODD_FIELD = st.one_of(
+    st.sampled_from(['"', '""', "", " ", "x", "1e", "0x10", '"1"2', ' "2"', '"3" ', "1_000",
+                     "\u0661\u0662", "#3", "3#", "1\x1c2", "\x00"]),
+    st.text(alphabet='0123456789.-+e_"# \t\x0b\x0c\x85\u2028\u0661x', max_size=6),
+)
+_ROW = st.one_of(st.lists(_FIELD, min_size=2, max_size=3).map(",".join), st.just(""))
+_ODD_ROW = st.lists(st.one_of(_FIELD, _ODD_FIELD), max_size=4).map(",".join)
+_END = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def csv_texts(draw):
+    """A header (possibly blank, numeric or of one column) and 0 to 12 rows,
+    one of them possibly odd, each with its own line end; the last line may
+    have none."""
+    header = draw(st.sampled_from(["x,density", '"x","density"', "date,count", "count",
+                                   "x,", "1,2", "", '"x', 'x,"density']))
+    rows = draw(st.lists(_ROW, max_size=12))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), draw(_ODD_ROW))
+    ends = draw(st.lists(_END, min_size=len(rows) + 1, max_size=len(rows) + 1))
+    ends[-1] = draw(st.sampled_from([ends[-1], ""]))
+    return "".join(line + end for line, end in zip([header, *rows], ends))
+
+
+def _outcome(read, path):
+    """Arrays (or their bytes) of a read, or the message of its IngestionError."""
+    try:
+        out = read(path)
+    except IngestionError as exc:
+        return str(exc)
+    if isinstance(out, DensityGrid):
+        return out.support.tobytes(), out.values.tobytes()
+    return out.y.tobytes(), out.kappa
+
+
+def _row_columns(path, usecols):
+    _, rows = _read_csv_rows(path, key=usecols[0])
+    return np.array([[float(row[c]) for _, row in rows] for c in usecols])
+
+
+class TestColumnarParse:
+    """numpy's one-call parse keeps only what the row reader returns too."""
+
+    def _check(self, path, text, read, usecols):
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fast = _parse_columns(path, usecols)
+            if fast is not None:
+                assert fast.tobytes() == _row_columns(path, usecols).tobytes()
+            by_rows = mock.patch.object(grids, "_parse_columns", return_value=None)
+            with mock.patch("priorscan.rw1._parse_columns", return_value=None), by_rows:
+                expected = _outcome(read, path)
+            assert _outcome(read, path) == expected
+
+    @settings(max_examples=120, derandomize=True)
+    @given(text=csv_texts())
+    def test_density_routes_agree(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "density.csv"
+        self._check(path, text, read_density_csv, (0, 1))
+
+    @settings(max_examples=120, derandomize=True)
+    @given(text=csv_texts())
+    def test_counts_routes_agree(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "counts.csv"
+        self._check(path, text, ingest_timeseries, (-1,))
+
+    @pytest.mark.parametrize(
+        "tail,fast",
+        [("8,9\n", True), ("8,9," + "9" * 200_000 + "\n", False), ('"8' + " \n" * 70_000 + '",9\n', False)],
+        ids=["short", "long_line", "long_quoted_field"],
+    )
+    def test_field_limit(self, tmp_path, tail, fast):
+        # numpy would skip the long third column and strip the quoted
+        # whitespace; csv refuses both fields as over its limit
+        path = tmp_path / "long.csv"
+        path.write_text("x,density\n" + "".join(f"{k},{k + 1}\n" for k in range(8)) + tail)
+        assert (_parse_columns(path, (0, 1)) is not None) is fast
+        if fast:
+            assert len(read_density_csv(path)) == 9
+        else:
+            with pytest.raises(IngestionError, match="cannot read .*field larger than field limit"):
+                read_density_csv(path)

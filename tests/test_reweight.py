@@ -21,6 +21,7 @@ from priorscan import (
     tabulate_prior,
     trapezoid_mass,
 )
+from priorscan.grids import hellinger_grid
 from priorscan.reweight import (
     DEGENERATE_GUARD,
     _BLOCK_CELLS,
@@ -207,3 +208,38 @@ class TestPosteriorDistance:
         expected = f"on {occupied.min()} support point(s) in {few} of {n} direction(s)"
         with pytest.warns(DegeneratePosteriorWarning, match=re.escape(expected)):
             _posterior_distances(inp, gamma1, gamma2)
+
+
+class TestShiftBound:
+    """The sweep shifts each row by an upper bound on its max; a row whose
+    bound is loose or not finite takes its exact max instead."""
+
+    # On the normal (0, 1) base, whose support reaches |u| = 10, a mean-100
+    # tilt bounds its row 500 half-log units above its value at the base peak
+    # (and exp(-500)**2 underflows), a mean -60 one about 160; precision 1e7
+    # leaves mass on one support point, with a tight bound and with a loose one.
+    PRIORS = [(0.3, 1.2), (-60.0, 0.5), (100.0, 1.0), (0.0, 1e7), (100.0, 1e7)]
+
+    def test_rows_match_one_grid_per_direction(self):
+        inp = flat_likelihood_input(NORMAL_SPEC)
+        assert inp.posterior.support[-1] >= 10.0
+        gamma1, gamma2 = np.array(self.PRIORS).T
+        expected = "on 1 support point(s) in 2 of 5 direction(s)"
+        with pytest.warns(DegeneratePosteriorWarning, match=re.escape(expected)) as record:
+            h = _posterior_distances(inp, gamma1, gamma2)
+        assert len(record) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegeneratePosteriorWarning)
+            for h_row, point in zip(h, self.PRIORS):
+                moved = reweight_posterior(inp, PriorSpec(Family.NORMAL, ParamPoint(*point)))
+                assert abs(h_row - hellinger_grid(moved, inp.posterior)) <= 1e-9
+
+    def test_non_finite_tilt_gives_nan(self):
+        inp = flat_likelihood_input(NORMAL_SPEC)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.warns(DegeneratePosteriorWarning, match="in 3 of 4 direction"):
+                h = _posterior_distances(
+                    inp, [0.3, math.nan, math.inf, 100.0], [1.2, 1.0, 1.0, -math.inf]
+                )
+        assert np.isfinite(h[0]) and np.isnan(h[1:]).all()
