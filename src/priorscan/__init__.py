@@ -21,8 +21,6 @@ from .contour import (
     CardinalModuli,
     PolarGrid,
     compute_grid,
-    preexplore,
-    scaling_factors,
 )
 from .errors import (
     AlignmentError,
@@ -43,16 +41,14 @@ from .families import (
     hellinger_analytic,
     log_prior_density,
     tabulate_prior,
-    validate_point,
 )
 from .grids import (
     DensityGrid,
     Scale,
     normalize_grid,
     read_density_csv,
-    trapezoid_mass,
 )
-from .reweight import TAIL_GUARD, PosteriorInput
+from .reweight import TAIL_GUARD, PosteriorInput, circular_sensitivity
 from .rw1 import (
     DEFAULT_PRIOR,
     RW1Model,
@@ -64,7 +60,6 @@ from .sensitivity import (
     REFERENCE_LEVELS,
     SensitivityResult,
     assemble_result,
-    circular_sensitivity,
     export_plot_data,
     result_to_json_dict,
     summarize,
@@ -110,13 +105,9 @@ __all__ = [
     "inverse_calibrate",
     "log_prior_density",
     "normalize_grid",
-    "preexplore",
     "read_density_csv",
     "result_to_json_dict",
-    "scaling_factors",
     "summarize",
     "tabulate_posterior",
     "tabulate_prior",
-    "trapezoid_mass",
-    "validate_point",
 ]

@@ -24,6 +24,7 @@ import re
 import sys
 import tempfile
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -40,12 +41,12 @@ from .errors import (
 )
 from .families import Family, ParamPoint, PriorSpec
 from .grids import Scale, normalize_grid, read_density_csv
-from .reweight import PosteriorInput
+from .reweight import PosteriorInput, circular_sensitivity
 from .rw1 import DEFAULT_PRIOR, exact_sensitivity, ingest_timeseries, tabulate_posterior
 from .sensitivity import (
     SensitivityResult,
-    circular_sensitivity,
     export_plot_data,
+    report_header,
     result_to_json_dict,
     summarize,
 )
@@ -230,11 +231,6 @@ def _emit_sensitivity(args: argparse.Namespace, result: SensitivityResult) -> No
     print(summarize(result))
     if result.super_sensitive:
         print("warning: super-sensitivity detected (worst case > 1)", file=sys.stderr)
-    if result.failed_angles:
-        print(
-            f"warning: {len(result.failed_angles)} contour direction(s) failed and were skipped",
-            file=sys.stderr,
-        )
 
 
 def _emit_grid(args: argparse.Namespace, grid: PolarGrid) -> None:
@@ -252,22 +248,11 @@ def _emit_grid(args: argparse.Namespace, grid: PolarGrid) -> None:
     _write_json(
         Path(f"{prefix}_moduli.json"),
         {
-            "epsilon": grid.epsilon,
-            "n_angles": grid.n_angles,
-            "base": {
-                "family": grid.base.family.value,
-                "gamma1": grid.base.point.gamma1,
-                "gamma2": grid.base.point.gamma2,
-            },
-            "cardinal_moduli": grid.cardinal.as_dict(),
+            **report_header(grid),
+            "cardinal_moduli": asdict(grid.cardinal),
             "failed_angles": list(grid.failed_angles),
         },
     )
-    if grid.failed_angles:
-        print(
-            f"warning: {len(grid.failed_angles)} contour direction(s) failed and were skipped",
-            file=sys.stderr,
-        )
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -288,7 +273,8 @@ def run(args: argparse.Namespace) -> int:
             print(f"h = {inverse_calibrate(args.mu)!r}")
         return EXIT_OK
 
-    inp = None  # the posterior to reweight; grid has none
+    # a contour (grid) or a result; the reweighting engine needs the posterior inp
+    report = inp = None
     if args.command == "rw1":
         _require(args, "data")
         model = ingest_timeseries(args.data, window=args.window, kappa=args.kappa, prior=args.prior)
@@ -298,12 +284,11 @@ def run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         if args.engine == "exact":
-            result = exact_sensitivity(
+            report = exact_sensitivity(
                 model, args.epsilon, n_angles=args.n_angles, allow_partial=args.allow_partial
             )
-            _emit_sensitivity(args, result)
-            return EXIT_OK
-        base, inp = PriorSpec(Family.GAMMA, model.prior), tabulate_posterior(model)
+        else:
+            base, inp = PriorSpec(Family.GAMMA, model.prior), tabulate_posterior(model)
     else:
         sensitivity = args.command == "sensitivity"
         _require(args, "family", "gamma0", *(["posterior"] if sensitivity else []))
@@ -313,13 +298,18 @@ def run(args: argparse.Namespace) -> int:
             posterior = normalize_grid(read_density_csv(args.posterior, scale))
             inp = PosteriorInput(posterior=posterior, base_prior=base, parametrization=scale)
 
-    grid = compute_grid(
-        base, args.epsilon, n_angles=args.n_angles, allow_partial=args.allow_partial
-    )
-    if inp is None:
-        _emit_grid(args, grid)
-    else:
-        _emit_sensitivity(args, circular_sensitivity(inp, grid))
+    if report is None:
+        report = compute_grid(
+            base, args.epsilon, n_angles=args.n_angles, allow_partial=args.allow_partial
+        )
+        if inp is not None:
+            report = circular_sensitivity(inp, report)
+    (_emit_grid if isinstance(report, PolarGrid) else _emit_sensitivity)(args, report)
+    if report.failed_angles:
+        print(
+            f"warning: {len(report.failed_angles)} contour direction(s) failed and were skipped",
+            file=sys.stderr,
+        )
     return EXIT_OK
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContourUnreachableError, DomainError, PartialGridError
-from .families import Family, PriorSpec, _fisher, hellinger_closed_form
+from .families import Family, PriorSpec, fisher_information, hellinger_closed_form
 
 # Acceptable defect |H - epsilon| relative to epsilon for a solved point.
 RESIDUAL_RTOL = 1e-4
@@ -68,14 +68,6 @@ class CardinalModuli:
     plus_y: float
     minus_x: float
     minus_y: float
-
-    def as_dict(self) -> dict:
-        return {
-            "plus_x": self.plus_x,
-            "plus_y": self.plus_y,
-            "minus_x": self.minus_x,
-            "minus_y": self.minus_y,
-        }
 
 
 # A column of hyperparameter points, and one solved contour direction per row of a grid
@@ -140,7 +132,7 @@ def _radii(
         cap[left] = np.minimum(cap[left], g1 / -ux[left])
     # H^2 = (r u)' I (r u) / 8 to second order, I in (g1, log g2), u = (ux, uy / g2) scaled by
     # its larger entry so that u' I u cannot over- or underflow: z_unit is the log radius of H = 1
-    i11, i12, i22 = _fisher(base.family, g1, g2)
+    i11, i12, i22 = fisher_information(base.family, g1, g2)
     v = uy / g2
     s = np.maximum(np.abs(ux), np.abs(v))
     wx, wy = ux / s, v / s

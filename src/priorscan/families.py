@@ -146,7 +146,7 @@ def _trigamma(a):
     return (1.0 / (a[..., None] + np.arange(n)) ** 2).sum(axis=-1) + series
 
 
-def _fisher(family: Family, g1, g2):
+def fisher_information(family: Family, g1, g2):
     """Entries ``(I11, I12, I22)`` of the prior's Fisher information in ``(g1, log g2)``:
     ``diag(lam, 1/2)`` for normal, ``[[psi_1(a), -1], [-1, a]]`` for gamma. Both
     families are scale-invariant in ``g2``, so no entry can overflow or underflow."""
@@ -229,8 +229,6 @@ def tabulate_prior(
             "tabulate it on Scale.LOG_PARAMETER"
         )
     if spec.family is Family.NORMAL:
-        if scale is not Scale.NATURAL:
-            raise DomainError("log-parameter scale is undefined for the normal family")
         half = math.sqrt(2.0 * _LOG_DROP) * (1.0 / math.sqrt(g2))
         support = np.linspace(g1 - half, g1 + half, n_points)
     else:

@@ -189,27 +189,36 @@ def _parse_columns(path: Path, usecols: tuple[int, ...]):
     return columns if columns.shape[1] == rows else None
 
 
-def read_density_csv(path, scale: Scale = Scale.NATURAL) -> DensityGrid:
-    """Read a two-column CSV ``x,density`` with a mandatory header row.
+def read_columns(path: Path, usecols: tuple[int, ...], noun: str) -> np.ndarray:
+    """Columns ``usecols``, ``(0, 1)`` or ``(-1,)``, of a CSV file's data rows.
 
     numpy parses the data rows in one call (see :func:`_parse_columns`); a file it
     refuses or might misread is read again row by row, to name the physical line
-    of an error or to accept what only ``float`` parses, such as ``1_000``."""
+    of an error (a row without the read columns, or a "non-numeric ``noun``") or
+    to accept what only ``float`` parses, such as ``1_000``."""
+    columns = _parse_columns(path, usecols)
+    if columns is not None:
+        return columns
+    header, rows = _read_csv_rows(path, key=usecols[0])
+    width = max(usecols) + 1  # fields a row needs: 2 for (0, 1), none for (-1,)
+    if len(header) < width:
+        raise IngestionError(f"{path}: expected two columns, got {header!r}")
+    columns = [[] for _ in usecols]
+    for line, row in rows:
+        if len(row) < width:
+            raise IngestionError(f"{path}:{line}: expected two columns, got {row!r}")
+        try:
+            for column, k in zip(columns, usecols):
+                column.append(float(row[k]))
+        except ValueError as exc:
+            raise IngestionError(f"{path}:{line}: non-numeric {noun} {row!r}") from exc
+    return np.array(columns)
+
+
+def read_density_csv(path, scale: Scale = Scale.NATURAL) -> DensityGrid:
+    """Read a two-column CSV ``x,density`` with a mandatory header row."""
     path = Path(path)
-    columns = _parse_columns(path, (0, 1))
-    if columns is None:
-        header, rows = _read_csv_rows(path, key=0)
-        if len(header) < 2:
-            raise IngestionError(f"{path}: expected two columns, got {header!r}")
-        columns = [], []
-        for line, row in rows:
-            if len(row) < 2:
-                raise IngestionError(f"{path}:{line}: expected two columns, got {row!r}")
-            try:
-                columns[0].append(float(row[0]))
-                columns[1].append(float(row[1]))
-            except ValueError as exc:
-                raise IngestionError(f"{path}:{line}: non-numeric entry {row!r}") from exc
+    columns = read_columns(path, (0, 1), "entry")
     try:
         return DensityGrid(*columns, scale)
     except DomainError as exc:

@@ -17,9 +17,10 @@ mean). The constant is removed by normalization, and on log-parameter
 grids the Jacobian cancels, so neither is evaluated. The update is made in
 log space with a max-shift before exponentiation.
 
-Many priors are handled at once, a block of directions at a time in one
-reused (directions x support points) buffer. The trapezoid weight ``w``
-and the base posterior join the statistics as a third row, and ones as a
+:func:`circular_sensitivity` moves the posterior to every direction of a
+contour at once, a block of directions at a time in one reused (directions
+x support points) buffer. The trapezoid weight ``w`` and the base
+posterior join the statistics as a third row, and ones as a
 fourth whose coefficient is minus a per-direction upper bound on the row's
 max: the sum of each term's largest value, from the extremes of the
 statistics (a row whose bound is over 100 above its value at the base peak
@@ -48,9 +49,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .contour import PolarGrid
 from .errors import DegeneratePosteriorWarning, DomainError, ReweightingError
 from .families import Family, PriorSpec
 from .grids import DensityGrid, Scale, normalize_grid, trapezoid_mass
+from .sensitivity import SensitivityResult, assemble_result
 
 TAIL_GUARD = 1e-15
 DEGENERATE_GUARD = 1e-12
@@ -124,14 +127,6 @@ def _kept_statistics(inp: PosteriorInput) -> tuple[np.ndarray, np.ndarray, np.nd
     return keep, t1, t2
 
 
-def _check_family(inp: PosteriorInput, new_prior: PriorSpec) -> None:
-    if new_prior.family is not inp.base_prior.family:
-        raise DomainError(
-            f"cannot reweight a {inp.base_prior.family.value} posterior with a "
-            f"{new_prior.family.value} prior"
-        )
-
-
 def _tilt(base: PriorSpec, gamma1, gamma2) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients ``(d1, d2)`` of the log prior ratio in ``(T1, T2)``."""
     g1, g2 = base.point.as_tuple()
@@ -164,7 +159,11 @@ def reweight_posterior(inp: PosteriorInput, new_prior: PriorSpec) -> DensityGrid
     normalized. Emits :class:`DegeneratePosteriorWarning` if fewer than 3
     support points retain non-negligible mass.
     """
-    _check_family(inp, new_prior)
+    if new_prior.family is not inp.base_prior.family:
+        raise DomainError(
+            f"cannot reweight a {inp.base_prior.family.value} posterior with a "
+            f"{new_prior.family.value} prior"
+        )
     grid = inp.posterior
     keep, t1, t2 = _kept_statistics(inp)
     d1, d2 = _tilt(inp.base_prior, new_prior.point.gamma1, new_prior.point.gamma2)
@@ -251,3 +250,28 @@ def _posterior_distances(inp: PosteriorInput, gamma1, gamma2) -> np.ndarray:
     # reached through circular_sensitivity: name that function's caller
     _warn_if_degenerate(occupied, stacklevel=4)
     return np.where(np.isfinite(shift), np.sqrt(h2), math.nan)
+
+
+def circular_sensitivity(inp: PosteriorInput, grid: PolarGrid) -> SensitivityResult:
+    """Per-direction posterior/prior distance ratios over a contour grid.
+
+    The grid must have been computed around the posterior's own base
+    prior. Posterior distances come from prior-ratio reweighting, all
+    directions in one batched sweep; grids obtained with ``allow_partial``
+    keep their failed angles excluded from the summary statistics.
+    """
+    if grid.base != inp.base_prior:
+        raise DomainError(
+            f"contour grid base {grid.base} does not match posterior base {inp.base_prior}"
+        )
+    points, h = grid.points, np.empty(0)
+    if len(points):
+        try:
+            h = _posterior_distances(inp, points.point.gamma1, points.point.gamma2)
+        except ReweightingError as exc:
+            # the base prior check does not depend on the direction
+            raise ReweightingError(f"angle {points.phi[0]:.6f}: {exc}") from exc
+        no_mass = np.flatnonzero(np.isnan(h))
+        if no_mass.size:
+            raise ReweightingError(f"angle {points.phi[no_mass[0]]:.6f}: {_NO_FINITE_MASS}")
+    return assemble_result(grid, h)

@@ -34,7 +34,7 @@ import numpy as np
 from .contour import compute_grid
 from .errors import DomainError, IngestionError, NumericalError
 from .families import Family, ParamPoint, PriorSpec, validate_point
-from .grids import DensityGrid, Scale, _parse_columns, _read_csv_rows, normalize_grid
+from .grids import DensityGrid, Scale, normalize_grid, read_columns
 from .reweight import PosteriorInput
 from .sensitivity import SensitivityResult, assemble_result
 
@@ -54,9 +54,10 @@ _BLOCK_CELLS = 15 << 10
 DEFAULT_PRIOR = ParamPoint(1.0, 0.005)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RW1Model:
-    """Data, noise precision and smoothing prior of the random-walk model."""
+    """Data, noise precision and smoothing prior of the random-walk model; frozen,
+    as the lattice of ``S(u)`` kept in ``_cache`` depends on ``y`` and ``kappa``."""
 
     y: np.ndarray
     kappa: float
@@ -73,7 +74,7 @@ class RW1Model:
             raise DomainError(f"kappa must be positive, got {self.kappa!r}")
         validate_point(Family.GAMMA, self.prior)
         y.setflags(write=False)
-        self.y = y
+        object.__setattr__(self, "y", y)
 
     @property
     def n(self) -> int:
@@ -327,11 +328,8 @@ def exact_sensitivity(
     grid = compute_grid(base, epsilon, n_angles=n_angles, allow_partial=allow_partial)
     points = grid.points
     priors = np.c_[points.point.gamma1, points.point.gamma2]
-    dists = _lattice_pass(model, model.prior.as_tuple(), priors)[2]
-    return assemble_result(
-        base, epsilon, points.phi, points.point, dists,
-        cardinal=grid.cardinal, failed_angles=grid.failed_angles,
-    )
+    h = _lattice_pass(model, model.prior.as_tuple(), priors)[2]
+    return assemble_result(grid, h)
 
 
 def ingest_timeseries(
@@ -351,16 +349,7 @@ def ingest_timeseries(
     defaults to ``1 / variance`` of the residuals.
     """
     path = Path(path)
-    counts = _parse_columns(path, (-1,))
-    if counts is None:
-        _, rows = _read_csv_rows(path, key=-1)
-        counts = []
-        for line, row in rows:
-            try:
-                counts.append(float(row[-1]))
-            except ValueError as exc:
-                raise IngestionError(f"{path}:{line}: non-numeric count {row!r}") from exc
-    counts = np.ravel(counts)
+    counts = read_columns(path, (-1,), "count")[0]
     if np.any(~np.isfinite(counts)) or np.any(counts <= 0.0):
         raise IngestionError(f"{path}: counts must be finite and positive")
 

@@ -1,4 +1,5 @@
-"""Circular sensitivity summaries over an epsilon-contour.
+"""Circular sensitivity results over an epsilon-contour, built by either engine
+(``reweight.circular_sensitivity``, ``rw1.exact_sensitivity``) with :func:`assemble_result`.
 
 For every contour direction the induced posterior Hellinger distance is
 divided by the prior distance epsilon. Ratios near 0 mean the data wash
@@ -11,15 +12,14 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .calibration import SATURATION_H, calibrated_ratio
 from .contour import POINT_DTYPE, CardinalModuli, PolarGrid, scaling_factors
-from .errors import DomainError, ReweightingError
+from .errors import DomainError
 from .families import PriorSpec
-from .reweight import _NO_FINITE_MASS, PosteriorInput, _posterior_distances
 
 REFERENCE_LEVELS = tuple(round(0.1 * k, 1) for k in range(1, 11))
 
@@ -57,8 +57,8 @@ class SensitivityResult:
     median: float
     min: float
     calibrated_worst: tuple[float, float]
-    cardinal: CardinalModuli | None = None
-    failed_angles: tuple[float, ...] = field(default=())
+    cardinal: CardinalModuli
+    failed_angles: tuple[float, ...] = ()
 
     @property
     def n_angles(self) -> int:
@@ -69,32 +69,25 @@ class SensitivityResult:
         return self.worst_case > 1.0
 
 
-def assemble_result(
-    base: PriorSpec,
-    epsilon: float,
-    phi: np.ndarray,
-    point: np.ndarray,
-    h_post: np.ndarray,
-    cardinal: CardinalModuli | None = None,
-    failed_angles: tuple[float, ...] = (),
-) -> SensitivityResult:
-    """Build a :class:`SensitivityResult` from per-angle posterior distances.
+def assemble_result(grid: PolarGrid, h_post: np.ndarray) -> SensitivityResult:
+    """Build a :class:`SensitivityResult` from the posterior distance ``h_post[i]``
+    of each solved direction ``grid.points[i]``.
 
-    ``phi``, ``point`` (a column with fields ``gamma1`` and ``gamma2``) and
-    ``h_post`` are columns of one row per solved direction in increasing-angle
-    order. Failed angles are excluded from all summaries and carried through
-    for reporting. The worst angle is the first one attaining the maximum ratio.
+    The grid's failed angles are excluded from all summaries and carried
+    through for reporting. The worst angle is the first one attaining the
+    maximum ratio.
     """
-    if not len(phi):
+    points, epsilon = grid.points, grid.epsilon
+    if not len(points):
         raise DomainError("cannot summarize an empty sensitivity grid")
-    entries = np.empty(len(phi), ENTRY_DTYPE).view(np.recarray)
-    entries.phi, entries.point, entries.h_post = phi, point, h_post
+    entries = np.empty(len(points), ENTRY_DTYPE).view(np.recarray)
+    entries.phi, entries.point, entries.h_post = points.phi, points.point, h_post
     entries.ratio = entries.h_post / epsilon
     ratios = entries.ratio.tolist()
     worst_index = int(np.argmax(entries.ratio))
     return SensitivityResult(
         epsilon=epsilon,
-        base=base,
+        base=grid.base,
         entries=entries,
         worst_case=ratios[worst_index],
         worst_angle=float(entries.phi[worst_index]),
@@ -103,36 +96,8 @@ def assemble_result(
         median=statistics.median(ratios),
         min=min(ratios),
         calibrated_worst=calibrated_ratio(float(entries.h_post[worst_index]), epsilon),
-        cardinal=cardinal,
-        failed_angles=tuple(failed_angles),
-    )
-
-
-def circular_sensitivity(inp: PosteriorInput, grid: PolarGrid) -> SensitivityResult:
-    """Per-direction posterior/prior distance ratios over a contour grid.
-
-    The grid must have been computed around the posterior's own base
-    prior. Posterior distances come from prior-ratio reweighting, all
-    directions in one batched sweep; grids obtained with ``allow_partial``
-    keep their failed angles excluded from the summary statistics.
-    """
-    if grid.base != inp.base_prior:
-        raise DomainError(
-            f"contour grid base {grid.base} does not match posterior base {inp.base_prior}"
-        )
-    points, h = grid.points, np.empty(0)
-    if len(points):
-        try:
-            h = _posterior_distances(inp, points.point.gamma1, points.point.gamma2)
-        except ReweightingError as exc:
-            # the base prior check does not depend on the direction
-            raise ReweightingError(f"angle {points.phi[0]:.6f}: {exc}") from exc
-        no_mass = np.flatnonzero(np.isnan(h))
-        if no_mass.size:
-            raise ReweightingError(f"angle {points.phi[no_mass[0]]:.6f}: {_NO_FINITE_MASS}")
-    return assemble_result(
-        grid.base, grid.epsilon, points.phi, points.point, h,
-        cardinal=grid.cardinal, failed_angles=grid.failed_angles,
+        cardinal=grid.cardinal,
+        failed_angles=grid.failed_angles,
     )
 
 
@@ -189,8 +154,6 @@ def export_plot_data(result: SensitivityResult) -> tuple[np.recarray, np.recarra
     one row per angle with the worst direction flagged and constant
     reference lines at 0.5 and 1.0.
     """
-    if result.cardinal is None:
-        raise DomainError("result carries no cardinal moduli; polar export is undefined")
     entries = result.entries
     n, levels = len(entries), len(REFERENCE_LEVELS)
     cxs, cys = scaling_factors(entries.phi, result.cardinal)
@@ -213,18 +176,26 @@ def export_plot_data(result: SensitivityResult) -> tuple[np.recarray, np.recarra
     return polar, rolled
 
 
+def report_header(run: PolarGrid | SensitivityResult) -> dict:
+    """The first keys of a contour's or a result's JSON report: its radius,
+    its number of directions and its base prior."""
+    return {
+        "epsilon": run.epsilon,
+        "n_angles": run.n_angles,
+        "base": {
+            "family": run.base.family.value,
+            "gamma1": run.base.point.gamma1,
+            "gamma2": run.base.point.gamma2,
+        },
+    }
+
+
 def result_to_json_dict(result: SensitivityResult) -> dict:
     """JSON-ready dictionary with a fixed key layout."""
     e = result.entries
     columns = (e.phi, e.point.gamma1, e.point.gamma2, e.h_post, e.ratio)
     return {
-        "epsilon": result.epsilon,
-        "n_angles": result.n_angles,
-        "base": {
-            "family": result.base.family.value,
-            "gamma1": result.base.point.gamma1,
-            "gamma2": result.base.point.gamma2,
-        },
+        **report_header(result),
         "worst_case": result.worst_case,
         "worst_angle": result.worst_angle,
         "mean": result.mean,

@@ -17,10 +17,8 @@ from priorscan import (
     calibrate,
     compute_grid,
     hellinger_analytic,
-    preexplore,
-    scaling_factors,
 )
-from priorscan.contour import _solve_radii
+from priorscan.contour import _solve_radii, preexplore, scaling_factors
 
 EPS0 = 0.00354
 GAMMA_BASE = PriorSpec(Family.GAMMA, ParamPoint(1.0, 0.34))
@@ -83,15 +81,6 @@ class TestPreexplore:
     def test_positive_moduli(self):
         m = preexplore(GAMMA_BASE, EPS0)
         assert min(m.plus_x, m.plus_y, m.minus_x, m.minus_y) > 0.0
-
-    def test_as_dict(self):
-        m = preexplore(GAMMA_BASE, EPS0)
-        assert m.as_dict() == {
-            "plus_x": m.plus_x,
-            "plus_y": m.plus_y,
-            "minus_x": m.minus_x,
-            "minus_y": m.minus_y,
-        }
 
     def test_rejects_bad_epsilon(self):
         for eps in (0.0, -0.1, 0.6, 1.0):

@@ -15,10 +15,9 @@ from priorscan import (
     hellinger_analytic,
     log_prior_density,
     tabulate_prior,
-    trapezoid_mass,
-    validate_point,
 )
-from priorscan.families import _LOG_DROP, _trigamma, hellinger_closed_form
+from priorscan.families import _LOG_DROP, _trigamma, hellinger_closed_form, validate_point
+from priorscan.grids import trapezoid_mass
 
 param = st.floats(0.01, 100.0)
 

@@ -22,7 +22,6 @@ from priorscan import (
     normalize_grid,
     read_density_csv,
     tabulate_prior,
-    trapezoid_mass,
 )
 from priorscan import grids
 from priorscan.grids import (
@@ -30,6 +29,7 @@ from priorscan.grids import (
     _read_csv_rows,
     common_support,
     hellinger_grid,
+    trapezoid_mass,
     write_density_csv,
 )
 
@@ -366,8 +366,7 @@ class TestColumnarParse:
             fast = _parse_columns(path, usecols)
             if fast is not None:
                 assert fast.tobytes() == _row_columns(path, usecols).tobytes()
-            by_rows = mock.patch.object(grids, "_parse_columns", return_value=None)
-            with mock.patch("priorscan.rw1._parse_columns", return_value=None), by_rows:
+            with mock.patch.object(grids, "_parse_columns", return_value=None):
                 expected = _outcome(read, path)
             assert _outcome(read, path) == expected
 

@@ -1,4 +1,7 @@
+import ast
+import inspect
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -75,6 +78,39 @@ def test_public_api_size():
     names = priorscan.__all__
     assert names == sorted(set(names))
     assert all(hasattr(priorscan, name) for name in names)
-    assert len(names) <= 46
+    assert len(names) <= 42
     # contours and results are record arrays, with no object per direction
     assert not hasattr(priorscan, "GridPoint") and not hasattr(priorscan, "SensitivityEntry")
+
+
+def test_each_pipeline_stage_keeps_its_own_names():
+    import priorscan
+
+    # grids -> families -> contour -> sensitivity (results) -> the two engines -> cli
+    local, other = {}, {}
+    for path in sorted((SRC / "priorscan").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                local.setdefault(path.stem, set()).add(node.module)
+                private = [alias.name for alias in node.names if alias.name.startswith("_")]
+                assert not private, f"{path.stem} imports {private} from {node.module}"
+            elif isinstance(node, ast.Import):
+                other.setdefault(path.stem, set()).update(alias.name for alias in node.names)
+    # the result layer serves both engines and calls neither
+    assert not local["sensitivity"] & {"reweight", "rw1"}
+    # one CSV reader, in grids
+    assert [stem for stem, names in other.items() if "csv" in names] == ["grids"]
+    # a result is built from its contour
+    assert list(inspect.signature(priorscan.assemble_result).parameters) == ["grid", "h_post"]
+
+
+def test_readme_quick_start_runs():
+    readme = (SRC.parent / "README.md").read_text()
+    (code,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1])\n" + code, str(SRC)],
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-2:] == ["True", "True"]

@@ -19,9 +19,8 @@ from priorscan import (
     hellinger_analytic,
     normalize_grid,
     tabulate_prior,
-    trapezoid_mass,
 )
-from priorscan.grids import hellinger_grid
+from priorscan.grids import hellinger_grid, trapezoid_mass
 from priorscan.reweight import (
     DEGENERATE_GUARD,
     _BLOCK_CELLS,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -28,10 +29,9 @@ from priorscan import (
     exact_sensitivity,
     ingest_timeseries,
     tabulate_posterior,
-    trapezoid_mass,
 )
 from priorscan import rw1
-from priorscan.grids import hellinger_grid
+from priorscan.grids import hellinger_grid, trapezoid_mass
 from priorscan.sensitivity import ENTRY_DTYPE
 from priorscan.rw1 import (
     _dct2,
@@ -86,6 +86,19 @@ class TestModel:
     def test_default_prior(self):
         m = RW1Model(y=np.array([0.1, 0.2]), kappa=1.0)
         assert m.prior == ParamPoint(1.0, 0.005)
+
+    def test_fields_cannot_outlive_their_lattice(self):
+        # the lattice of S(u) kept on the model depends on y and kappa: a reassigned
+        # kappa was swept on the old lattice, and a negative one was accepted
+        m = small_model(n=48, kappa=0.5)
+        before = exact_sensitivity(m, 1e-3, n_angles=64).worst_case
+        for name, value in (("kappa", 5.0), ("kappa", -1.0), ("y", np.zeros(48))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(m, name, value)
+        assert exact_sensitivity(m, 1e-3, n_angles=64).worst_case == before
+        moved = exact_sensitivity(dataclasses.replace(m, kappa=5.0), 1e-3, n_angles=64)
+        fresh = exact_sensitivity(small_model(n=48, kappa=5.0), 1e-3, n_angles=64)
+        assert moved.worst_case == fresh.worst_case != before
 
 
 class TestStructure:

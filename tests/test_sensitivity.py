@@ -24,14 +24,12 @@ from priorscan import (
     compute_grid,
     export_plot_data,
     normalize_grid,
-    preexplore,
     result_to_json_dict,
-    scaling_factors,
     summarize,
     tabulate_prior,
 )
 from priorscan import reweight
-from priorscan.contour import GRID_DTYPE, POINT_DTYPE
+from priorscan.contour import GRID_DTYPE, POINT_DTYPE, PolarGrid, preexplore, scaling_factors
 from priorscan.grids import hellinger_grid
 from priorscan.reweight import reweight_posterior
 from priorscan.sensitivity import ENTRY_DTYPE, POLAR_DTYPE, ROLLED_DTYPE
@@ -45,13 +43,17 @@ def points(gamma1, gamma2):
     return np.rec.fromarrays([gamma1, gamma2], dtype=POINT_DTYPE)
 
 
-def make_result(ratios, epsilon=EPS0, failed=(), with_cardinal=False):
+def make_grid(phi, point, epsilon=EPS0, failed=()):
+    grid = np.zeros(len(phi), GRID_DTYPE).view(np.recarray)
+    grid.phi, grid.point = phi, point
+    return PolarGrid(GAMMA_BASE, epsilon, grid, preexplore(GAMMA_BASE, epsilon), failed)
+
+
+def make_result(ratios, epsilon=EPS0, failed=()):
     n = len(ratios)
     phi = -math.pi + 2.0 * math.pi * np.arange(n) / n
     point = points(1.0 + np.arange(n), np.ones(n))
-    h = np.array(ratios) * epsilon
-    cardinal = preexplore(GAMMA_BASE, epsilon) if with_cardinal else None
-    return assemble_result(GAMMA_BASE, epsilon, phi, point, h, cardinal=cardinal, failed_angles=failed)
+    return assemble_result(make_grid(phi, point, epsilon, failed), np.array(ratios) * epsilon)
 
 
 class TestAssembleResult:
@@ -77,7 +79,7 @@ class TestAssembleResult:
 
     def test_empty_raw_rejected(self):
         with pytest.raises(DomainError):
-            assemble_result(GAMMA_BASE, EPS0, [], points([], []), [])
+            assemble_result(make_grid([], points([], [])), [])
 
     def test_failed_angles_carried(self):
         res = make_result([0.5] * 6, failed=(1.0, 2.0))
@@ -284,7 +286,7 @@ class TestColumnarResults:
 
     def test_polar_rows_follow_the_scalar_formula(self):
         # each series is a block of one row per angle; x = g1 + rho * cos(phi) * c_x
-        res = make_result([0.4, 0.7, 0.6, 0.5, 1.3, 0.2], with_cardinal=True)
+        res = make_result([0.4, 0.7, 0.6, 0.5, 1.3, 0.2])
         polar, _ = export_plot_data(res)
         g1, g2 = GAMMA_BASE.point.as_tuple()
         names = ["sensitivity", *(f"ref_{level:.1f}" for level in REFERENCE_LEVELS)]
@@ -299,15 +301,11 @@ class TestColumnarResults:
 
 
 class TestExportPlotData:
-    def test_requires_cardinal_moduli(self):
-        with pytest.raises(DomainError):
-            export_plot_data(make_result([0.5, 0.6]))
-
     def test_reference_levels(self):
         assert REFERENCE_LEVELS == (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
     def test_polar_layout(self):
-        res = make_result([0.4, 0.7, 0.6, 0.5], with_cardinal=True)
+        res = make_result([0.4, 0.7, 0.6, 0.5])
         polar, rolled = export_plot_data(res)
         assert len(polar) == 4 * (1 + len(REFERENCE_LEVELS))
         series = {row["series"] for row in polar}
@@ -316,16 +314,14 @@ class TestExportPlotData:
 
     def test_polar_geometry_along_east(self):
         cardinal = preexplore(GAMMA_BASE, EPS0)
-        res = assemble_result(
-            GAMMA_BASE, EPS0, [0.0], points([1.2], [0.34]), [0.5 * EPS0], cardinal=cardinal
-        )
+        res = assemble_result(make_grid([0.0], points([1.2], [0.34])), [0.5 * EPS0])
         polar, _ = export_plot_data(res)
         sens = [row for row in polar if row["series"] == "sensitivity"][0]
         assert sens["x"] == pytest.approx(1.0 + 0.5 * cardinal.plus_x, rel=1e-12)
         assert sens["y"] == pytest.approx(0.34, abs=1e-15)
 
     def test_rolled_layout(self):
-        res = make_result([0.4, 0.9, 0.9, 0.5], with_cardinal=True)
+        res = make_result([0.4, 0.9, 0.9, 0.5])
         _, rolled = export_plot_data(res)
         assert len(rolled) == 4
         assert [row["is_worst"] for row in rolled] == [0, 1, 0, 0]
@@ -357,6 +353,6 @@ class TestJsonExport:
         assert d["entries"][0]["ratio"] == res.entries[0].ratio
 
     def test_serializable(self):
-        res = make_result([0.4, 0.7], with_cardinal=True)
+        res = make_result([0.4, 0.7])
         text = json.dumps(result_to_json_dict(res))
         assert json.loads(text)["worst_case"] == pytest.approx(0.7)
