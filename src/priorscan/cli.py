@@ -207,8 +207,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                        help="keep going when some directions have no contour point")
         p.add_argument("--outdir", type=Path, default=os.environ.get(OUTDIR_ENV, "."),
                        help=f"output directory (default %(default)r, or ${OUTDIR_ENV} when set)")
-        p.add_argument("--out-prefix", default=name,
-                       help="basename prefix for emitted files (default %(default)s)")
+        prefix = "rw1, or rw1_reweight with --engine reweight" if name == "rw1" else name
+        p.add_argument("--out-prefix", help=f"basename prefix for emitted files (default {prefix})")
     return parser, sub.choices
 
 
@@ -223,8 +223,18 @@ def _resolve_config(argv: list[str]) -> argparse.Namespace:
     return args
 
 
+def _prefix(args: argparse.Namespace) -> Path:
+    """``--outdir`` joined to ``--out-prefix``, which defaults to the command name,
+    and to ``rw1_reweight`` for ``rw1 --engine reweight``: the two engines' reports
+    of one series can share a directory."""
+    name = args.out_prefix
+    if name is None:
+        name = "rw1_reweight" if getattr(args, "engine", None) == "reweight" else args.command
+    return args.outdir / name
+
+
 def _emit_sensitivity(args: argparse.Namespace, result: SensitivityResult) -> None:
-    prefix = args.outdir / args.out_prefix
+    prefix = _prefix(args)
     _write_json(Path(f"{prefix}.json"), result_to_json_dict(result))
     for name, table in zip(("polar", "rolled"), export_plot_data(result)):
         _write_csv(Path(f"{prefix}_{name}.csv"), {f: table[f] for f in table.dtype.names})
@@ -234,7 +244,7 @@ def _emit_sensitivity(args: argparse.Namespace, result: SensitivityResult) -> No
 
 
 def _emit_grid(args: argparse.Namespace, grid: PolarGrid) -> None:
-    prefix = args.outdir / args.out_prefix
+    prefix = _prefix(args)
     points = grid.points
     _write_csv(
         Path(f"{prefix}_contour.csv"),

@@ -436,9 +436,23 @@ class TestRw1Command:
             )
             assert code == EXIT_OK
         exact = json.loads((tmp_path / "exact" / "rw1.json").read_text())
-        reweight = json.loads((tmp_path / "reweight" / "rw1.json").read_text())
+        reweight = json.loads((tmp_path / "reweight" / "rw1_reweight.json").read_text())
         for a, b in zip(exact["entries"], reweight["entries"]):
             assert abs(a["ratio"] - b["ratio"]) <= 1e-4
+
+    def test_engines_share_an_outdir(self, tmp_path, small_counts_csv, capsys):
+        # each engine keeps its own reports when both write into one directory
+        for engine in ("exact", "reweight"):
+            argv = ["rw1", "--data", str(small_counts_csv), "--engine", engine,
+                    "--n-angles", "8", "--outdir", str(tmp_path / "out")]
+            assert main(argv) == EXIT_OK
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "rw1.json", "rw1_polar.csv", "rw1_reweight.json", "rw1_reweight_polar.csv",
+            "rw1_reweight_rolled.csv", "rw1_rolled.csv",
+        ]
+        exact = json.loads((tmp_path / "out" / "rw1.json").read_text())
+        reweight = json.loads((tmp_path / "out" / "rw1_reweight.json").read_text())
+        assert exact["entries"] != reweight["entries"]
 
     def test_prior_and_kappa_flags(self, tmp_path, small_counts_csv, capsys):
         code = main(

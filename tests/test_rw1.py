@@ -46,12 +46,21 @@ from priorscan.rw1 import (
 )
 
 
-@pytest.fixture(scope="module")
-def model2004(tmp_path_factory):
-    counts = make_monthly_counts(seed=2004, n_months=2004)
-    path = tmp_path_factory.mktemp("data2004") / "counts.csv"
+def long_model(tmp_path_factory, n):
+    counts = make_monthly_counts(seed=n, n_months=n)
+    path = tmp_path_factory.mktemp(f"data{n}") / "counts.csv"
     path.write_text("count\n" + "".join(f"{int(c)}\n" for c in counts))
     return ingest_timeseries(path)
+
+
+@pytest.fixture(scope="module")
+def model2004(tmp_path_factory):
+    return long_model(tmp_path_factory, 2004)
+
+
+@pytest.fixture(scope="module")
+def model8004(tmp_path_factory):
+    return long_model(tmp_path_factory, 8004)
 
 
 def small_model(n=12, kappa=2.0, prior=DEFAULT_PRIOR, seed=7):
@@ -206,6 +215,17 @@ class TestLogdetQ:
 
     def test_monotone_in_tau(self):
         assert logdet(2.0, 1.0, 10) > logdet(1.0, 1.0, 10)
+
+    @pytest.mark.parametrize("n", [2, 3, 192, 2004, 8004])
+    def test_closed_form_matches_eigenvalue_sum(self, n):
+        # the closed form against an exactly rounded sum of one log per eigenvalue
+        us = np.linspace(-50.0, 50.0, 101)
+        eig = rw1_eigenvalues(n)
+        for kappa in (0.02, 0.7, 4.2):
+            values = _spectral_sums(RW1Model(y=np.zeros(n), kappa=kappa), np.exp(us))[1]
+            expected = np.array([math.fsum(np.log(math.exp(u) * eig + kappa)) for u in us])
+            assert np.max(np.abs(values - expected) / np.abs(expected)) <= 1e-13
+            assert logdet(0.0, kappa, n) == pytest.approx(n * math.log(kappa), rel=1e-14)
 
 
 class TestQuadTerm:
@@ -405,6 +425,59 @@ class TestExactPosteriorHellinger:
     def test_domain(self):
         with pytest.raises(DomainError):
             exact_posterior_hellinger(small_model(), ParamPoint(0.0, 1.0), ParamPoint(1.0, 1.0))
+
+
+def fine_trapezoid(model, prior, lo, hi, per_node=2**10):
+    """Nodes ``u`` over coarse nodes ``lo .. hi``, ``per_node`` intervals per coarse
+    step, with trapezoid weights times the posterior density under ``prior``
+    divided by its largest value, and the log of that value."""
+    us = np.linspace(lo * rw1._LATTICE_STEP, hi * rw1._LATTICE_STEP, (hi - lo) * per_node + 1)
+    g = _log_target(model, np.array([prior]), us, _s_terms(model, us))[0]
+    w = np.exp(g - g.max()) * (us[1] - us[0])
+    w[[0, -1]] *= 0.5
+    return us, w, g.max()
+
+
+class TestDeepFirstLevel:
+    # At n = 8004 the window spans 4 to 7 coarse intervals, so level 5 is the first
+    # with 128 intervals: the lattice pass sums levels 0 to 4 in one pass, then
+    # refines from level 5 on.
+    anchor, other = (1.0, 0.005), (3.0, 0.001)
+
+    def window(self, model):
+        priors = np.array([self.anchor, np.add(self.anchor, self.other) / 2, self.other])
+        k_lo, k_hi, _ = rw1._windows(model, priors, rw1._WINDOW_DROP)
+        lo, hi = int(k_lo.min()), int(k_hi.max())
+        assert 4 <= hi - lo < 8
+        return lo - 2, hi + 2  # two coarse nodes a side more than the lattice pass takes
+
+    def test_normconst_against_fine_trapezoid(self, model8004):
+        lo, hi = self.window(model8004)
+        for a, b in (self.anchor, self.other):
+            _, w, top = fine_trapezoid(model8004, (a, b), lo, hi)
+            expected = top + math.log(w.sum())
+            assert normconst(model8004, a, b) == pytest.approx(expected, rel=1e-10)
+
+    def test_hellinger_against_fine_trapezoid(self, model8004):
+        # log BC = log E0[exp(d/2)] - log E0[exp(d)] / 2, d the log prior ratio
+        us, w, _ = fine_trapezoid(model8004, self.anchor, *self.window(model8004))
+        da, db = np.subtract(self.other, self.anchor)
+        d = da * us - db * np.exp(us)
+        d -= d.max()
+        log_bc = math.log(w @ np.exp(d / 2) / w.sum()) - 0.5 * math.log(w @ np.exp(d) / w.sum())
+        expected = math.sqrt(-math.expm1(log_bc))
+        assert 0.05 < expected < 0.9
+        h = exact_posterior_hellinger(model8004, ParamPoint(*self.anchor), ParamPoint(*self.other))
+        assert h == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3])
+    def test_sweep_agrees_with_reweighting(self, model8004, eps):
+        exact = exact_sensitivity(model8004, eps, n_angles=64)
+        grid = compute_grid(PriorSpec(Family.GAMMA, model8004.prior), eps, n_angles=64)
+        reweighted = circular_sensitivity(tabulate_posterior(model8004), grid)
+        assert len(exact.entries) == len(reweighted.entries) == 64
+        assert np.array_equal(exact.entries.phi, reweighted.entries.phi)
+        assert np.max(np.abs(exact.entries.ratio - reweighted.entries.ratio)) <= 1e-4
 
 
 class TestTabulatePosterior:
