@@ -49,18 +49,15 @@ SYNTH_LEVEL = 35.0
 SYNTH_AMP = (0.0, -1.1, 0.6, 1.8, 2.9, 3.4, 3.9, 3.1, 1.9, 0.7, -0.4, -1.6)
 
 
-def synth_counts(path: Path) -> None:
-    rng = np.random.default_rng(SYNTH_SEED)
-    n = 12 * SYNTH_YEARS
-    drift = np.cumsum(rng.normal(0.0, 0.30, size=n))
-    season = np.tile(SYNTH_AMP, SYNTH_YEARS)
-    noise = rng.normal(0.0, 1.2, size=n)
-    sqrt_scale = SYNTH_LEVEL + season + drift + noise
-    counts = np.maximum(np.rint(sqrt_scale**2), 1.0)
-    with path.open("w") as fh:
-        fh.write("count\n")
-        for c in counts:
-            fh.write(f"{int(c)}\n")
+def synth_counts(seed: int = SYNTH_SEED, n_months: int = 12 * SYNTH_YEARS) -> np.ndarray:
+    """Synthetic monthly counts over whole years, built on the square-root
+    scale, so that ingestion (square root, per-month de-seasoning,
+    centering) recovers a series the random-walk model describes well."""
+    rng = np.random.default_rng(seed)
+    drift = np.cumsum(rng.normal(0.0, 0.30, size=n_months))
+    noise = rng.normal(0.0, 1.2, size=n_months)
+    sqrt_scale = SYNTH_LEVEL + np.tile(SYNTH_AMP, n_months // 12) + drift + noise
+    return np.maximum(np.rint(sqrt_scale**2), 1.0)
 
 
 def write_rows(path: Path, fieldnames, rows) -> None:
@@ -84,7 +81,7 @@ def main() -> int:
     data = args.data
     if data is None:
         data = args.outdir / "synthetic_counts.csv"
-        synth_counts(data)
+        data.write_text("count\n" + "".join(f"{int(c)}\n" for c in synth_counts()))
         print(f"wrote synthetic series to {data}")
 
     shape, rate = (float(v) for v in args.prior.split(","))

@@ -23,7 +23,6 @@ from .contour import (
     compute_grid,
 )
 from .errors import (
-    AlignmentError,
     ContourUnreachableError,
     DegeneratePosteriorWarning,
     DomainError,
@@ -68,7 +67,6 @@ from .sensitivity import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignmentError",
     "CardinalModuli",
     "ContourUnreachableError",
     "DEFAULT_PRIOR",

@@ -9,10 +9,6 @@ class DomainError(PriorScanError, ValueError):
     """A parameter, support point, or grid violates its domain contract."""
 
 
-class AlignmentError(PriorScanError, ValueError):
-    """Two density grids cannot be brought onto a common support."""
-
-
 class IngestionError(PriorScanError, ValueError):
     """External input (CSV, config) is malformed or inconsistent."""
 

@@ -1,9 +1,11 @@
-"""Tabulated one-dimensional densities and grid-based Hellinger distances.
+"""Tabulated one-dimensional densities and the package's one CSV reader.
 
 A :class:`DensityGrid` stores density values on a strictly increasing
 support together with the scale of that support. All integrals use the
 trapezoidal rule, which is effectively spectrally accurate for the smooth,
 rapidly decaying densities produced by the tabulation helpers.
+:func:`read_density_csv` reads a posterior grid, and :func:`read_columns`
+the columns of any CSV input.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AlignmentError, DomainError, IngestionError
+from .errors import DomainError, IngestionError
 
 
 class Scale(str, Enum):
@@ -78,65 +80,6 @@ def normalize_grid(grid: DensityGrid) -> DensityGrid:
     if not (mass > 0.0) or not np.isfinite(mass):
         raise DomainError(f"grid mass {mass!r} cannot be normalized")
     return DensityGrid(grid.support, grid.values / mass, grid.scale)
-
-
-def common_support(g0: DensityGrid, g1: DensityGrid) -> tuple[DensityGrid, DensityGrid]:
-    """Resample two grids onto the intersection of their support ranges.
-
-    Identical supports are returned unchanged. Otherwise both grids are
-    linearly interpolated onto an equispaced grid over the overlap, with
-    as many points as the finer input. Values are carried over without
-    renormalization, so the aligned grids still represent the original
-    densities restricted to the overlap (density outside a grid's range
-    is treated as zero mass).
-    """
-    if g0.scale is not g1.scale:
-        raise AlignmentError(f"cannot align grids on scales {g0.scale} and {g1.scale}")
-    if np.array_equal(g0.support, g1.support):
-        return g0, g1
-    lo = max(g0.support[0], g1.support[0])
-    hi = min(g0.support[-1], g1.support[-1])
-    if not (hi > lo):
-        raise AlignmentError(
-            f"support ranges [{g0.support[0]}, {g0.support[-1]}] and "
-            f"[{g1.support[0]}, {g1.support[-1]}] do not overlap"
-        )
-    m = max(len(g0), len(g1))
-    xs = np.linspace(lo, hi, m)
-    v0 = np.interp(xs, g0.support, g0.values)
-    v1 = np.interp(xs, g1.support, g1.values)
-    if not np.any(v0 > 0.0) or not np.any(v1 > 0.0):
-        raise AlignmentError("no density mass inside the overlapping support range")
-    return DensityGrid(xs, v0, g0.scale), DensityGrid(xs, v1, g1.scale)
-
-
-def _mass_beyond(grid: DensityGrid, lo: float, hi: float) -> float:
-    """Trapezoidal mass of ``grid`` on its own nodes below ``lo`` and above ``hi``."""
-    x, v = grid.support, grid.values
-    at_lo, at_hi = np.interp([lo, hi], x, v)
-    below, above = x < lo, x > hi
-    return float(np.trapezoid(np.r_[v[below], at_lo], np.r_[x[below], lo])
-                 + np.trapezoid(np.r_[at_hi, v[above]], np.r_[hi, x[above]]))
-
-
-def hellinger_grid(g0: DensityGrid, g1: DensityGrid) -> float:
-    """Hellinger distance between two tabulated, normalized densities.
-
-    Grids on different supports are aligned with :func:`common_support`.
-    ``H^2 = 1/2 * integral of (sqrt(p0) - sqrt(p1))^2`` over the common
-    support, plus half the mass each grid has outside it, integrated on that
-    grid's own nodes. Unlike ``sqrt(1 - BC)``, this stays accurate for
-    distances far below sqrt(machine epsilon) on one support. On different
-    supports the linear re-interpolation limits small distances (on 4001-point
-    grids, gamma (3, 2) vs (3 + 4.5e-6, 2) comes out 2.3e-3 relative high, normal
-    (0, 1) vs (2.8e-6, 1) 5e-4); for two priors of one family use
-    :func:`priorscan.families.hellinger_closed_form`.
-    """
-    a0, a1 = common_support(g0, g1)
-    lo, hi = a0.support[0], a0.support[-1]
-    h2 = 0.5 * np.trapezoid((np.sqrt(a0.values) - np.sqrt(a1.values)) ** 2, a0.support)
-    h2 += 0.5 * (_mass_beyond(g0, lo, hi) + _mass_beyond(g1, lo, hi))
-    return float(np.sqrt(min(1.0, max(0.0, h2))))
 
 
 def _is_number(field: str) -> bool:
@@ -224,12 +167,3 @@ def read_density_csv(path, scale: Scale = Scale.NATURAL) -> DensityGrid:
     except DomainError as exc:
         raise IngestionError(f"{path}: {exc}") from exc
 
-
-def write_density_csv(path, grid: DensityGrid) -> None:
-    """Write a grid as a two-column CSV ``x,density`` with a header row."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "density"])
-        for x, v in zip(grid.support, grid.values):
-            writer.writerow([repr(float(x)), repr(float(v))])

@@ -52,7 +52,7 @@ import numpy as np
 from .contour import PolarGrid
 from .errors import DegeneratePosteriorWarning, DomainError, ReweightingError
 from .families import Family, PriorSpec
-from .grids import DensityGrid, Scale, normalize_grid, trapezoid_mass
+from .grids import DensityGrid, Scale, trapezoid_mass
 from .sensitivity import SensitivityResult, assemble_result
 
 TAIL_GUARD = 1e-15
@@ -137,9 +137,9 @@ def _tilt(base: PriorSpec, gamma1, gamma2) -> tuple[np.ndarray, np.ndarray]:
     return gamma1 - g1, gamma2 - g2
 
 
-def _warn_if_degenerate(occupied: np.ndarray, stacklevel: int) -> None:
-    """Warn once if any direction keeps mass on fewer than 3 support points;
-    ``stacklevel`` counts frames from this function to the user's call."""
+def _warn_if_degenerate(occupied: np.ndarray) -> None:
+    """Warn once if any direction keeps mass on fewer than 3 support points,
+    naming the caller of :func:`circular_sensitivity`."""
     few = occupied < 3
     if few.any():
         warnings.warn(
@@ -147,37 +147,8 @@ def _warn_if_degenerate(occupied: np.ndarray, stacklevel: int) -> None:
             f"point(s) in {int(few.sum())} of {occupied.size} direction(s); "
             "the tabulation no longer resolves the density",
             DegeneratePosteriorWarning,
-            stacklevel=stacklevel,
+            stacklevel=4,
         )
-
-
-def reweight_posterior(inp: PosteriorInput, new_prior: PriorSpec) -> DensityGrid:
-    """Posterior under ``new_prior`` obtained by prior-ratio reweighting.
-
-    ``new_prior`` must belong to the same family as the base prior. The
-    returned grid lives on the same support and scale as the input and is
-    normalized. Emits :class:`DegeneratePosteriorWarning` if fewer than 3
-    support points retain non-negligible mass.
-    """
-    if new_prior.family is not inp.base_prior.family:
-        raise DomainError(
-            f"cannot reweight a {inp.base_prior.family.value} posterior with a "
-            f"{new_prior.family.value} prior"
-        )
-    grid = inp.posterior
-    keep, t1, t2 = _kept_statistics(inp)
-    d1, d2 = _tilt(inp.base_prior, new_prior.point.gamma1, new_prior.point.gamma2)
-    log_w = np.log(grid.values[keep]) + d1 * t1 + d2 * t2
-    shift = log_w.max()
-    if not np.isfinite(shift):
-        raise ReweightingError(_NO_FINITE_MASS)
-    out = np.zeros_like(grid.values)
-    out[keep] = np.exp(log_w - shift)
-
-    result = normalize_grid(DensityGrid(grid.support, out, grid.scale))
-    occupied = np.count_nonzero(result.values > DEGENERATE_GUARD * result.values.max())
-    _warn_if_degenerate(np.array([occupied]), stacklevel=3)
-    return result
 
 
 def _posterior_distances(inp: PosteriorInput, gamma1, gamma2) -> np.ndarray:
@@ -247,8 +218,7 @@ def _posterior_distances(inp: PosteriorInput, gamma1, gamma2) -> np.ndarray:
             np.vecdot(root, root, out=h2[rows])
     h2 *= 0.5
     np.clip(h2, 0.0, 1.0, out=h2)
-    # reached through circular_sensitivity: name that function's caller
-    _warn_if_degenerate(occupied, stacklevel=4)
+    _warn_if_degenerate(occupied)
     return np.where(np.isfinite(shift), np.sqrt(h2), math.nan)
 
 

@@ -77,6 +77,9 @@ class RW1Model:
             raise DomainError("y must be finite")
         if not (math.isfinite(self.kappa) and self.kappa > 0.0):
             raise DomainError(f"kappa must be positive, got {self.kappa!r}")
+        if math.isinf(self.kappa * self.kappa):  # S(u) holds kappa^2
+            raise DomainError(f"kappa must have a finite square (up to about 1.34e154), "
+                              f"got {self.kappa!r}")
         validate_point(Family.GAMMA, self.prior)
         y.setflags(write=False)
         object.__setattr__(self, "y", y)
@@ -325,30 +328,6 @@ def _lattice_pass(model: RW1Model, anchor, points, rel_tol: float = 1e-11):
     a, b = np.vstack([anchor, points, points])[np.argmin(converged)]
     raise NumericalError(f"quadrature for prior ({a}, {b}) did not converge to {rel_tol} "
                          f"within {_MAX_LEVEL} refinement levels")
-
-
-def normconst(model: RW1Model, alpha: float, beta: float, rel_tol: float = 1e-11) -> float:
-    """Log normalizing constant ``log C(alpha, beta)`` of the tau posterior.
-
-    The one-prior case of the lattice quadrature a sweep shares: composite
-    Simpson over the log-tau window where the integrand stays above exp(-60)
-    of its peak, nodes doubled until it changes by at most ``rel_tol``.
-    """
-    if alpha <= 0.0 or beta <= 0.0:
-        raise DomainError(f"gamma prior parameters must be positive, got ({alpha}, {beta})")
-    return _lattice_pass(model, (alpha, beta), [], rel_tol)[0]
-
-
-def exact_posterior_hellinger(model: RW1Model, p0: ParamPoint, p1: ParamPoint) -> float:
-    """Exact Hellinger distance between tau posteriors under two gamma priors.
-
-    The one-pair case of :func:`exact_sensitivity`'s lattice pass, anchored
-    at the smaller (alpha, beta) tuple so that swapped arguments agree exactly.
-    """
-    validate_point(Family.GAMMA, p0)
-    validate_point(Family.GAMMA, p1)
-    anchor, other = sorted((p0.as_tuple(), p1.as_tuple()))
-    return float(_lattice_pass(model, anchor, [other])[2][0])
 
 
 def tabulate_posterior(model: RW1Model, n_points: int = 2001) -> PosteriorInput:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from oracles import make_monthly_counts
 from priorscan import ingest_timeseries
+from rw1_experiment import synth_counts
 
 settings.register_profile(
     "default",
@@ -16,7 +16,7 @@ settings.load_profile("default")
 @pytest.fixture(scope="session")
 def counts_csv(tmp_path_factory):
     """Synthetic 192-month count series written as a one-column CSV."""
-    counts = make_monthly_counts()
+    counts = synth_counts()
     path = tmp_path_factory.mktemp("data") / "synthetic_counts.csv"
     path.write_text("count\n" + "".join(f"{int(c)}\n" for c in counts))
     return path

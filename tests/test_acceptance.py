@@ -11,9 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import dense_logdet_q
+from oracles import AlignmentError, dense_logdet_q, hellinger_grid
 from priorscan import (
-    AlignmentError,
     Family,
     ParamPoint,
     PosteriorInput,
@@ -30,7 +29,6 @@ from priorscan import (
     tabulate_posterior,
     tabulate_prior,
 )
-from priorscan.grids import hellinger_grid
 from priorscan.rw1 import _dct2, _spectral_sums, rw1_eigenvalues
 
 EPS0 = 0.00354

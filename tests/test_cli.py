@@ -8,10 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import hellinger_difference_form
+from oracles import hellinger_difference_form, write_density_csv
 from priorscan import (
     DEFAULT_PRIOR,
     RESIDUAL_RTOL,
@@ -32,7 +32,6 @@ from priorscan import (
 )
 from priorscan.cli import DEFAULT_EPSILON, EXIT_OK, _resolve_config, _write_csv, main
 from priorscan.contour import GRID_DTYPE
-from priorscan.grids import write_density_csv
 from priorscan.sensitivity import POLAR_DTYPE, ROLLED_DTYPE
 
 
@@ -475,6 +474,18 @@ class TestRw1Command:
         report = json.loads((tmp_path / "rw1.json").read_text())
         assert report["base"] == {"family": "gamma", "gamma1": 1.5, "gamma2": 0.01}
 
+    @pytest.mark.parametrize("engine", ["exact", "reweight"])
+    @pytest.mark.parametrize("kappa", ["1e160", "1e200", "1e300"])
+    def test_kappa_whose_square_overflows_exits_2(self, tmp_path, small_counts_csv, capsys,
+                                                  engine, kappa):
+        argv = ["rw1", "--data", str(small_counts_csv), "--kappa", kappa, "--engine", engine,
+                "--n-angles", "8", "--outdir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error: kappa must have a finite square (up to about 1.34e154), "
+                         f"got {float(kappa)!r}"]
+        assert not (tmp_path / "out").exists()
+
     def test_missing_data_exits_2(self, tmp_path):
         assert main(["rw1", "--data", str(tmp_path / "none.csv")]) == 2
 
@@ -759,6 +770,10 @@ def invocations(draw):
         argv += ["--data", "counts.csv", "--engine", draw(st.sampled_from(["exact", "reweight"]))]
         if draw(st.booleans()):
             argv.append(f"--prior={draw(POSITIVE)!r},{draw(POSITIVE)!r}")
+        if draw(st.booleans()):
+            argv.append(f"--kappa={draw(POSITIVE)!r}")
+        if draw(st.booleans()):
+            argv += ["--window", draw(st.sampled_from(["full", "last96", "last12"]))]
     else:
         family = draw(st.sampled_from(["gamma", "normal"]))
         g1 = draw(POSITIVE if family == "gamma" else SIGNED)
@@ -808,15 +823,23 @@ def check_outputs(outdir):
 
 @settings(max_examples=120, derandomize=True, deadline=None)
 @given(invocations())
+@example((["rw1", "--data", "counts.csv", "--window", "last12"], {"counts.csv": "count\n" + "30\n" * 24}))
 def test_every_invocation_answers_or_exits_documented(case):
     argv, files = case
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         argv = write_inputs(workdir, argv, files)
         out, err = io.StringIO(), io.StringIO()
+        refused_by_argparse = False
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([*argv, "--outdir", str(workdir / "out")])
+            try:
+                code = main([*argv, "--outdir", str(workdir / "out")])
+            except SystemExit as exc:  # usage, then "priorscan rw1: error: ..."
+                assert exc.code == 2 and "last12" in argv, argv
+                code, refused_by_argparse = exc.code, True
         lines = err.getvalue().splitlines()
+        if refused_by_argparse:
+            lines = [line.removeprefix("priorscan rw1: ") for line in lines]
         assert code in (0, 2, 3, 4), (argv, lines)
         assert not any("Traceback" in line for line in lines)
         if code:

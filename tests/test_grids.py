@@ -7,9 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import hellinger_difference_form, hellinger_gamma_quad
-from priorscan import (
+from oracles import (
     AlignmentError,
+    common_support,
+    hellinger_difference_form,
+    hellinger_gamma_quad,
+    hellinger_grid,
+    write_density_csv,
+)
+from priorscan import (
     DensityGrid,
     DomainError,
     Family,
@@ -24,14 +30,7 @@ from priorscan import (
     tabulate_prior,
 )
 from priorscan import grids
-from priorscan.grids import (
-    _parse_columns,
-    _read_csv_rows,
-    common_support,
-    hellinger_grid,
-    trapezoid_mass,
-    write_density_csv,
-)
+from priorscan.grids import _parse_columns, _read_csv_rows, trapezoid_mass
 
 
 def normal_grid(mu, lam, lo=-10.0, hi=10.0, n=4001):

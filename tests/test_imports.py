@@ -41,8 +41,8 @@ def test_tabulate_prior_loads_no_scipy():
 
 
 def test_cli_subcommands_load_no_scipy(tmp_path, counts_csv):
+    from oracles import write_density_csv
     from priorscan import Family, ParamPoint, PriorSpec, Scale, tabulate_prior
-    from priorscan.grids import write_density_csv
 
     posterior = tmp_path / "posterior.csv"
     base = PriorSpec(Family.GAMMA, ParamPoint(1.0, 0.34))
@@ -78,7 +78,7 @@ def test_public_api_size():
     names = priorscan.__all__
     assert names == sorted(set(names))
     assert all(hasattr(priorscan, name) for name in names)
-    assert len(names) <= 42
+    assert len(names) <= 41
     # contours and results are record arrays, with no object per direction
     assert not hasattr(priorscan, "GridPoint") and not hasattr(priorscan, "SensitivityEntry")
 
@@ -102,6 +102,43 @@ def test_each_pipeline_stage_keeps_its_own_names():
     assert [stem for stem, names in other.items() if "csv" in names] == ["grids"]
     # a result is built from its contour
     assert list(inspect.signature(priorscan.assemble_result).parameters) == ["grid", "h_post"]
+
+
+def test_every_definition_is_reached_from_the_api_or_the_cli():
+    # a function or class that only tests call is a second route, and belongs in
+    # tests/oracles.py; top-level assignments are followed too, as _EXIT_CODES is
+    import priorscan
+
+    bound, imported = {}, {}
+    for path in sorted((SRC / "priorscan").glob("*.py")):
+        module, names = path.stem, {}
+        imported[module] = names
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names.update((a.asname or a.name, (node.module, a.name)) for a in node.names)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound[module, node.name] = node
+            elif isinstance(node, ast.Assign):
+                bound.update(((module, target.id), node) for target in node.targets)
+
+    def resolve(module, name):
+        while (module, name) not in bound and name in imported[module]:
+            module, name = imported[module][name]
+        return (module, name) if (module, name) in bound else None
+
+    reached, todo = set(), [resolve("__init__", name) for name in priorscan.__all__]
+    todo.append(("cli", "main"))
+    while todo:
+        key = todo.pop()
+        if key is None or key in reached:
+            continue
+        reached.add(key)
+        todo.extend(resolve(key[0], node.id) for node in ast.walk(bound[key])
+                    if isinstance(node, ast.Name))
+    unreached = sorted(f"{module}.{name}" for (module, name), node in bound.items()
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                       and (module, name) not in reached)
+    assert not unreached, f"reached only from tests: {unreached}"
 
 
 def test_readme_quick_start_runs():

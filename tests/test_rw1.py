@@ -10,8 +10,8 @@ from oracles import (
     dense_quad_term,
     dense_spectral_weights,
     dense_structure,
+    hellinger_grid,
     log_offset_constant_n2,
-    make_monthly_counts,
     tabulation_window,
 )
 from priorscan import (
@@ -31,7 +31,7 @@ from priorscan import (
     tabulate_posterior,
 )
 from priorscan import rw1
-from priorscan.grids import hellinger_grid, trapezoid_mass
+from priorscan.grids import trapezoid_mass
 from priorscan.sensitivity import ENTRY_DTYPE
 from priorscan.rw1 import (
     _dct2,
@@ -40,14 +40,13 @@ from priorscan.rw1 import (
     _s_terms,
     _spectral_sums,
     _spectral_weights,
-    exact_posterior_hellinger,
-    normconst,
     rw1_eigenvalues,
 )
+from rw1_experiment import synth_counts
 
 
 def long_model(tmp_path_factory, n):
-    counts = make_monthly_counts(seed=n, n_months=n)
+    counts = synth_counts(seed=n, n_months=n)
     path = tmp_path_factory.mktemp(f"data{n}") / "counts.csv"
     path.write_text("count\n" + "".join(f"{int(c)}\n" for c in counts))
     return ingest_timeseries(path)
@@ -91,6 +90,11 @@ class TestModel:
             RW1Model(y=np.array([0.1, 0.2]), kappa=0.0)
         with pytest.raises(DomainError):
             RW1Model(y=np.array([0.1, 0.2]), kappa=1.0, prior=ParamPoint(0.0, 1.0))
+        # S(u) holds kappa^2: a kappa whose square overflows is refused, not an OverflowError
+        for kappa in (1.3407807929942597e154, 1e160, 1e300):
+            with pytest.raises(DomainError, match="finite square"):
+                RW1Model(y=np.array([0.1, 0.2]), kappa=kappa)
+        RW1Model(y=np.array([0.1, 0.2]), kappa=1.3407807929942596e154)
 
     def test_default_prior(self):
         m = RW1Model(y=np.array([0.1, 0.2]), kappa=1.0)
@@ -315,6 +319,17 @@ class TestLogUnnormalizedPosterior:
         assert modes[1] > modes[0]
 
 
+def log_normconst(model, alpha, beta, rel_tol=1e-11):
+    """``log C(alpha, beta)`` of the tau posterior: a lattice pass with no other prior."""
+    return _lattice_pass(model, (alpha, beta), [], rel_tol)[0]
+
+
+def exact_distance(model, p0, p1):
+    """Posterior Hellinger distance between gamma priors ``p0`` and ``p1``: a lattice
+    pass anchored at ``p0`` with the one point ``p1``."""
+    return float(_lattice_pass(model, p0.as_tuple(), [p1.as_tuple()])[2][0])
+
+
 class TestNormconst:
     def test_against_brute_force_n2(self):
         y = np.array([0.3, -0.2])
@@ -323,7 +338,7 @@ class TestNormconst:
         for a, b in ((1.3, 0.7), (0.6, 2.1), (1.0, 0.005)):
             brute = brute_force_log_normconst_n2(y, kappa, a, b)
             offset = log_offset_constant_n2(y, kappa, a, b)
-            assert normconst(m, a, b) == pytest.approx(brute - offset, abs=1e-8)
+            assert log_normconst(m, a, b) == pytest.approx(brute - offset, abs=1e-8)
 
     def test_batched_against_brute_force_n2(self):
         # one lattice pass gives log C of the anchor and of every point
@@ -348,22 +363,16 @@ class TestNormconst:
 
     def test_self_convergence_under_tolerance_change(self):
         m = small_model(n=24)
-        loose = normconst(RW1Model(y=m.y, kappa=m.kappa), 1.0, 0.005, rel_tol=1e-6)
-        tight = normconst(RW1Model(y=m.y, kappa=m.kappa), 1.0, 0.005, rel_tol=1e-12)
+        loose = log_normconst(RW1Model(y=m.y, kappa=m.kappa), 1.0, 0.005, rel_tol=1e-6)
+        tight = log_normconst(RW1Model(y=m.y, kappa=m.kappa), 1.0, 0.005, rel_tol=1e-12)
         assert abs(loose - tight) <= 1e-6
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            normconst(small_model(), 0.0, 1.0)
-        with pytest.raises(DomainError):
-            normconst(small_model(), 1.0, -1.0)
 
     def test_diverging_posterior_is_reported(self):
         # alpha large and beta tiny pushes the mode beyond any reasonable
         # log-tau range; the scan must fail loudly, not hang or lie
         m = small_model(n=8)
         with pytest.raises(NumericalError):
-            normconst(m, 1e6, 1e-300)
+            log_normconst(m, 1e6, 1e-300)
 
 
 @pytest.mark.parametrize("eps", [1e-4, 0.5])
@@ -385,16 +394,11 @@ def test_sweep_windows_match_reference_walk(fixture, eps, request):
 class TestExactPosteriorHellinger:
     def test_identity(self):
         m = small_model()
-        assert exact_posterior_hellinger(m, ParamPoint(1.0, 0.1), ParamPoint(1.0, 0.1)) == 0.0
-
-    def test_symmetric(self):
-        m = small_model()
-        p0, p1 = ParamPoint(1.0, 0.005), ParamPoint(1.4, 0.02)
-        assert exact_posterior_hellinger(m, p0, p1) == exact_posterior_hellinger(m, p1, p0)
+        assert exact_distance(m, ParamPoint(1.0, 0.1), ParamPoint(1.0, 0.1)) == 0.0
 
     def test_range(self):
         m = small_model()
-        h = exact_posterior_hellinger(m, ParamPoint(1.0, 0.005), ParamPoint(1.1, 0.006))
+        h = exact_distance(m, ParamPoint(1.0, 0.005), ParamPoint(1.1, 0.006))
         assert 0.0 < h < 1.0
 
     def test_against_tabulated_grid_distance(self):
@@ -404,7 +408,7 @@ class TestExactPosteriorHellinger:
         m1 = RW1Model(y=y, kappa=2.0, prior=p1)
         g0 = tabulate_posterior(m0, n_points=4001).posterior
         g1 = tabulate_posterior(m1, n_points=4001).posterior
-        exact = exact_posterior_hellinger(m0, p0, p1)
+        exact = exact_distance(m0, p0, p1)
         assert abs(exact - hellinger_grid(g0, g1)) <= 1e-6
 
     def test_brute_force_bhattacharyya_n2(self):
@@ -420,11 +424,7 @@ class TestExactPosteriorHellinger:
             ) - log_offset_constant_n2(y, kappa, p.gamma1, p.gamma2)
         bc = math.exp(logs[mid] - 0.5 * (logs[p0] + logs[p1]))
         expected = math.sqrt(max(0.0, 1.0 - bc))
-        assert exact_posterior_hellinger(m, p0, p1) == pytest.approx(expected, abs=1e-8)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            exact_posterior_hellinger(small_model(), ParamPoint(0.0, 1.0), ParamPoint(1.0, 1.0))
+        assert exact_distance(m, p0, p1) == pytest.approx(expected, abs=1e-8)
 
 
 def fine_trapezoid(model, prior, lo, hi, per_node=2**10):
@@ -456,7 +456,7 @@ class TestDeepFirstLevel:
         for a, b in (self.anchor, self.other):
             _, w, top = fine_trapezoid(model8004, (a, b), lo, hi)
             expected = top + math.log(w.sum())
-            assert normconst(model8004, a, b) == pytest.approx(expected, rel=1e-10)
+            assert log_normconst(model8004, a, b) == pytest.approx(expected, rel=1e-10)
 
     def test_hellinger_against_fine_trapezoid(self, model8004):
         # log BC = log E0[exp(d/2)] - log E0[exp(d)] / 2, d the log prior ratio
@@ -467,7 +467,7 @@ class TestDeepFirstLevel:
         log_bc = math.log(w @ np.exp(d / 2) / w.sum()) - 0.5 * math.log(w @ np.exp(d) / w.sum())
         expected = math.sqrt(-math.expm1(log_bc))
         assert 0.05 < expected < 0.9
-        h = exact_posterior_hellinger(model8004, ParamPoint(*self.anchor), ParamPoint(*self.other))
+        h = exact_distance(model8004, ParamPoint(*self.anchor), ParamPoint(*self.other))
         assert h == pytest.approx(expected, rel=1e-10)
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-3])

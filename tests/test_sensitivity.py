@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import hellinger_difference_form
+from oracles import hellinger_difference_form, hellinger_grid, reweight_posterior
 from priorscan import (
     REFERENCE_LEVELS,
     DegeneratePosteriorWarning,
@@ -30,8 +30,6 @@ from priorscan import (
 )
 from priorscan import reweight
 from priorscan.contour import GRID_DTYPE, POINT_DTYPE, PolarGrid, preexplore, scaling_factors
-from priorscan.grids import hellinger_grid
-from priorscan.reweight import reweight_posterior
 from priorscan.sensitivity import ENTRY_DTYPE, POLAR_DTYPE, ROLLED_DTYPE
 
 EPS0 = 0.00354
