@@ -12,7 +12,9 @@ integrates out in closed form and the marginal posterior of ``tau`` is
 
 ``R`` has eigenvalues ``2 - 2 cos(pi (i - 1) / n)``, ``i = 1..n``, so the
 quadratic form in ``S`` is one sum over the spectrum and ``log|Q|`` has a
-closed form (a ratio of hyperbolic sines). ``S`` is evaluated once per model
+closed form (a ratio of hyperbolic sines). The quadratic form's constant
+part ``kappa |y|^2 / 2`` only scales the density and is left out of ``S``
+(it is added back to ``log C``). ``S`` is evaluated once per model
 on one dyadic log-tau lattice. All priors of a sweep (base, contour points,
 midpoints) are integrated on that lattice in one array pass, and with ``t``
 the prior log ratio and ``E0`` the expectation under the base posterior,
@@ -77,7 +79,7 @@ class RW1Model:
             raise DomainError("y must be finite")
         if not (math.isfinite(self.kappa) and self.kappa > 0.0):
             raise DomainError(f"kappa must be positive, got {self.kappa!r}")
-        if math.isinf(self.kappa * self.kappa):  # S(u) holds kappa^2
+        if math.isinf(self.kappa * self.kappa):  # the model's kappa^2 y' Q^-1 y / 2
             raise DomainError(f"kappa must have a finite square (up to about 1.34e154), "
                               f"got {self.kappa!r}")
         validate_point(Family.GAMMA, self.prior)
@@ -127,7 +129,7 @@ def _spectral_weights(model: RW1Model) -> np.ndarray:
     ``y`` reordered (:func:`_dct2`), ``sum_j y_j cos(pi k (2j+1) / (2n))``
     is ``Re(exp(-i pi k / (2n)) V_k)``.
     """
-    return _cached(model, "yhat2", lambda: _dct2(model.y) ** 2)
+    return _dct2(model.y) ** 2
 
 
 def _blocks(rows: int, width: int):
@@ -137,13 +139,21 @@ def _blocks(rows: int, width: int):
 
 
 def _spectral_sums(model: RW1Model, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``kappa^2 y' Q^-1 y / 2`` and ``log det Q`` across many tau values.
+    """``kappa^2 y' Q^-1 y / 2 - kappa |y|^2 / 2`` and ``log det Q`` across many
+    tau values.
 
     Elimination-based solves lose the ``kappa I`` regularization once
     ``kappa / tau`` drops below machine epsilon (the last pivot cancels to
-    zero); the spectral form ``sum yhat_k^2 / (tau lambda_k + kappa)`` stays
-    accurate for any ``tau >= 0``. It is one reciprocal and one matrix-vector
-    product per block of tau values.
+    zero); the spectral form stays accurate for any ``tau >= 0``. As
+    ``kappa^2 / (tau lambda_k + kappa) = kappa - kappa tau lambda_k / (tau
+    lambda_k + kappa)`` and ``sum yhat_k^2 = |y|^2``, the quadratic form less
+    its constant ``kappa |y|^2 / 2`` is
+
+        -(kappa tau / 2) sum yhat_k^2 lambda_k / (tau lambda_k + kappa),
+
+    which keeps the constant's rounding (it is 2e7 at kappa 1e5 on a 96-month
+    series) out of the lattice's convergence test. It is one reciprocal and
+    one matrix-vector product per block of tau values.
 
     ``log det Q`` needs no sum: ``prod_k (2 cosh(phi) - 2 cos(pi k / n))`` over
     ``k = 1..n-1`` is the Chebyshev value ``sinh(n phi) / sinh(phi)``, so with
@@ -163,23 +173,24 @@ def _spectral_sums(model: RW1Model, taus: np.ndarray) -> tuple[np.ndarray, np.nd
     taus = np.asarray(taus, dtype=float)
     n, kappa = model.n, model.kappa
     eig = _cached(model, "eig", lambda: rw1_eigenvalues(n))
-    yhat2 = _spectral_weights(model)
+    weights = _cached(model, "yhat2_eig", lambda: _spectral_weights(model) * eig)
     quad, rows = np.empty(taus.size), max(1, _SPECTRAL_CELLS // n)
     buf = np.empty((min(rows, taus.size), n))
     for lo in range(0, taus.size, rows):
         d = np.multiply.outer(taus[lo : lo + rows], eig, out=buf[: taus.size - lo])
         d += kappa
-        quad[lo : lo + rows] = np.reciprocal(d, out=d) @ yhat2
+        quad[lo : lo + rows] = np.reciprocal(d, out=d) @ weights
     root = math.sqrt(kappa)
     m = 0.5 * (root + np.sqrt(kappa + 4.0 * taus))
     q = root / m
     with np.errstate(divide="ignore"):  # q = 1 at tau = 0: exp(-2 n phi) = 0
         log_ratio = np.log(-np.expm1(2.0 * n * np.log1p(-q))) - np.log(q * (2.0 - q))
-    return 0.5 * kappa**2 * quad, math.log(kappa) + 2.0 * (n - 1) * np.log(m) + log_ratio
+    return -0.5 * kappa * (taus * quad), math.log(kappa) + 2.0 * (n - 1) * np.log(m) + log_ratio
 
 
 def _s_terms(model: RW1Model, us: np.ndarray) -> np.ndarray:
-    """Prior-independent part ``S(u) = -logdet(Q)/2 + quad`` at ``tau = exp(u)``."""
+    """Prior-independent part ``S(u) = -logdet(Q)/2 + quad`` at ``tau = exp(u)``,
+    less the constant ``kappa |y|^2 / 2``."""
     quad, logdet = _spectral_sums(model, np.exp(us))
     return quad - 0.5 * logdet
 
@@ -321,7 +332,7 @@ def _lattice_pass(model: RW1Model, anchor, points, rel_tol: float = 1e-11):
                 with np.errstate(divide="ignore"):  # BC below 1e-308 gives H = 1
                     log_e = np.log1p(simpson[0, 1:] / simpson[0, 0])
                 log_bc = np.minimum(log_e[:n_pts] - 0.5 * log_e[n_pts:], 0.0)
-                log_c = float(peak[0] + math.log(simpson[0, 0]))
+                log_c = float(peak[0] + math.log(simpson[0, 0]) + 0.5 * model.kappa * (model.y @ model.y))
                 log_c_points = log_c + log_e[n_pts:] + gap
                 return log_c, log_c_points, np.sqrt(np.maximum(0.0, -np.expm1(log_bc)))
         trap, prev = finer, simpson

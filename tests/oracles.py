@@ -10,7 +10,9 @@ Hellinger distance of two tabulated densities (:func:`hellinger_grid`,
 with :func:`common_support`), and the posterior under one new prior by
 reweighting (:func:`reweight_posterior`), which evaluates both priors with
 ``log_prior_density`` and shares no tilt code with the reweighting sweep.
-:func:`write_density_csv` writes the posterior CSVs the tests read.
+:func:`reweighted_distances_longdouble` evaluates the sweep's trapezoid
+formula in long double from each family's density, sharing no code with
+it either. :func:`write_density_csv` writes the posterior CSVs the tests read.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gammaln, polygamma
 
-from priorscan import TAIL_GUARD, DensityGrid, log_prior_density, normalize_grid
+from priorscan import TAIL_GUARD, DensityGrid, Family, Scale, log_prior_density, normalize_grid
 
 
 def log_normal_pdf(x, mu, lam):
@@ -119,6 +121,45 @@ def reweight_posterior(inp, new_prior):
     out = np.zeros_like(grid.values)
     out[keep] = np.exp(log_p - log_p.max())
     return normalize_grid(DensityGrid(grid.support, out, grid.scale))
+
+
+def reweighted_distances_longdouble(inp, gamma1, gamma2, chunk=64):
+    """Hellinger distances between ``inp``'s posterior and its reweightings to
+    the base-family priors ``(gamma1[i], gamma2[i])``, in long double.
+
+    The formula is the sweep's: points below ``TAIL_GUARD`` of the peak are
+    dropped, trapezoid weights integrate, the moved posterior is normalized
+    over the kept points and the base over the whole grid, and ``H^2 = 1/2
+    sum w (sqrt(p_new) - sqrt(p_base))^2``. The prior log ratio is written
+    out from each family's density, up to its constant.
+    """
+    ld = np.longdouble
+    grid = inp.posterior
+    keep = grid.values >= TAIL_GUARD * grid.values.max()
+    support = grid.support.astype(ld)
+    weights = np.zeros(support.size, dtype=ld)
+    weights[1:] += 0.5 * np.diff(support)
+    weights[:-1] += 0.5 * np.diff(support)
+    values = grid.values.astype(ld)
+    x, w = support[keep], weights[keep]
+    root_base = np.sqrt(values[keep] / (weights @ values))
+    log_base = np.log(values[keep])
+    theta = np.exp(x) if grid.scale is Scale.LOG_PARAMETER else x
+    a0, b0 = (ld(v) for v in inp.base_prior.point.as_tuple())
+    gamma1 = np.asarray(gamma1, dtype=ld)[:, None]
+    gamma2 = np.asarray(gamma2, dtype=ld)[:, None]
+    out = np.empty(gamma1.size)
+    for lo in range(0, gamma1.size, chunk):
+        a1, b1 = gamma1[lo : lo + chunk], gamma2[lo : lo + chunk]
+        if inp.base_prior.family is Family.NORMAL:
+            log_ratio = 0.5 * (b0 * (theta - a0) ** 2 - b1 * (theta - a1) ** 2)
+        else:
+            log_ratio = (a1 - a0) * np.log(theta) - (b1 - b0) * theta
+        log_new = log_base + log_ratio
+        new = np.exp(log_new - log_new.max(axis=1, keepdims=True))
+        root_new = np.sqrt(new / (new @ w)[:, None])
+        out[lo : lo + chunk] = np.sqrt(0.5 * ((root_new - root_base) ** 2 @ w))
+    return out
 
 
 def hellinger_normal_quad(p0, p1):

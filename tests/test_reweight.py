@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import hellinger_grid, reweight_posterior
+from oracles import hellinger_grid, reweight_posterior, reweighted_distances_longdouble
 from priorscan import (
     TAIL_GUARD,
     DegeneratePosteriorWarning,
@@ -16,12 +16,15 @@ from priorscan import (
     PosteriorInput,
     PriorSpec,
     Scale,
+    circular_sensitivity,
+    compute_grid,
     hellinger_analytic,
     normalize_grid,
     tabulate_prior,
 )
+from priorscan import reweight
 from priorscan.grids import trapezoid_mass
-from priorscan.reweight import DEGENERATE_GUARD, _BLOCK_CELLS, _posterior_distances
+from priorscan.reweight import DEGENERATE_GUARD, _BLOCK_CELLS, _INTERPOLATE_FROM, _posterior_distances
 
 
 def uniform_grid(lo, hi, n=9, scale=Scale.NATURAL):
@@ -37,6 +40,47 @@ def flat_likelihood_input(spec, scale=Scale.NATURAL):
 
 NORMAL_SPEC = PriorSpec(Family.NORMAL, ParamPoint(0.0, 1.0))
 GAMMA_SPEC = PriorSpec(Family.GAMMA, ParamPoint(1.0, 0.34))
+
+
+@pytest.fixture
+def interpolant_runs(monkeypatch):
+    """Whether each call of the sweep's interpolant settled (it returns None when not)."""
+    runs = []
+    real = reweight._interpolated_distances
+
+    def spy(*args):
+        found = real(*args)
+        runs.append(found is not None)
+        return found
+
+    monkeypatch.setattr(reweight, "_interpolated_distances", spy)
+    return runs
+
+
+def by_rows(inp, gamma1, gamma2):
+    """The sweep with every direction by rows, however many there are."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reweight, "_INTERPOLATE_FROM", math.inf)
+        return _posterior_distances(inp, gamma1, gamma2)
+
+
+def conjugate_input(family, seed, n_points=8001):
+    """A random prior and its conjugate posterior for a short sample, as the
+    benchmark draws them: gamma on a normal precision, tabulated on the log
+    scale, or normal on a normal mean, on the natural scale."""
+    rng = np.random.default_rng(seed)
+    if family is Family.GAMMA:
+        prior = (rng.uniform(0.5, 3.0), rng.uniform(0.2, 2.0))
+        x = rng.normal(0.0, 1.0 / math.sqrt(rng.uniform(0.5, 4.0)), rng.integers(6, 40))
+        post, scale = (prior[0] + x.size / 2.0, prior[1] + float(x @ x) / 2.0), Scale.LOG_PARAMETER
+    else:
+        prior = (rng.normal(0.0, 2.0), rng.uniform(0.05, 2.0))
+        kappa, n = rng.uniform(0.5, 4.0), rng.integers(3, 40)
+        x = rng.normal(rng.normal(prior[0], 1.0 / math.sqrt(prior[1])), 1.0 / math.sqrt(kappa), n)
+        precision = prior[1] + n * kappa
+        post, scale = ((prior[1] * prior[0] + kappa * x.sum()) / precision, precision), Scale.NATURAL
+    grid = tabulate_prior(PriorSpec(family, ParamPoint(*post)), scale, n_points)
+    return PosteriorInput(grid, PriorSpec(family, ParamPoint(*prior)), scale)
 
 
 class TestPosteriorInput:
@@ -147,23 +191,31 @@ class TestPosteriorDistance:
         inp = PosteriorInput(skew, NORMAL_SPEC, Scale.NATURAL)
         assert posterior_distance(inp, NORMAL_SPEC) <= 1e-6
 
+    @pytest.mark.parametrize("near", [0, _INTERPOLATE_FROM])
     @pytest.mark.parametrize(
-        "support,base,shapes,rates",
+        "support,base,shapes,rates,settles",
         [
-            # equal interior weights
-            (np.linspace(0.5, 600.5, 2001), (1.0, 1.0), (0.5, 5.0), (1e-3, 1e3)),
+            # equal interior weights; on this flat posterior the random tilts
+            # that cannot make it degenerate still span a box so wide that
+            # the interpolant does not settle (see TestInterpolant)
+            (np.linspace(0.5, 600.5, 2001), (1.0, 1.0), (0.5, 5.0), (1e-3, 1e3), False),
             # trapezoid weights spanning five orders of magnitude
-            (np.geomspace(1e-2, 1e3, 2001), (1.0, 0.1), (1.0, 1e5), (1e-2, 1e2)),
+            (np.geomspace(1e-2, 1e3, 2001), (1.0, 0.1), (1.0, 1e5), (1e-2, 1e2), True),
         ],
     )
-    def test_degenerate_count_matches_one_direction_at_a_time(self, support, base, shapes, rates):
+    def test_degenerate_count_matches_one_direction_at_a_time(
+        self, support, base, shapes, rates, settles, near, interpolant_runs
+    ):
+        # ``near`` directions close to the base join the sweep: with them it
+        # passes the crossover, and the interpolant takes the directions it
+        # can (or none, if it does not settle) and rows the rest
         grid = normalize_grid(DensityGrid(support, np.ones_like(support), Scale.NATURAL))
         inp = PosteriorInput(grid, PriorSpec(Family.GAMMA, ParamPoint(*base)), Scale.NATURAL)
         rng = np.random.default_rng(1)
         n = 100
         assert n > _BLOCK_CELLS // support.size
-        gamma1 = np.exp(rng.uniform(*np.log(shapes), n))
-        gamma2 = np.exp(rng.uniform(*np.log(rates), n))
+        gamma1 = np.r_[np.exp(rng.uniform(*np.log(shapes), n)), base[0] * rng.uniform(1.0, 1.001, near)]
+        gamma2 = np.r_[np.exp(rng.uniform(*np.log(rates), n)), base[1] * rng.uniform(1.0, 1.001, near)]
 
         occupied = []
         for g1, g2 in zip(gamma1, gamma2):
@@ -173,14 +225,17 @@ class TestPosteriorDistance:
         few = int(np.count_nonzero(occupied < 3))
         assert 0 < few < n
 
-        expected = f"on {occupied.min()} support point(s) in {few} of {n} direction(s)"
+        expected = f"on {occupied.min()} support point(s) in {few} of {n + near} direction(s)"
         with pytest.warns(DegeneratePosteriorWarning, match=re.escape(expected)):
             _posterior_distances(inp, gamma1, gamma2)
+        assert interpolant_runs == ([settles] if near else [])
 
 
 class TestShiftBound:
     """The sweep shifts each row by an upper bound on its max; a row whose
-    bound is loose or not finite takes its exact max instead."""
+    bound is loose or not finite takes its exact max instead. Tiled past the
+    crossover, the sweep interpolates the directions it can and runs the
+    rest by rows, with the same results, warning and NaNs."""
 
     # On the normal (0, 1) base, whose support reaches |u| = 10, a mean-100
     # tilt bounds its row 500 half-log units above its value at the base peak
@@ -188,24 +243,72 @@ class TestShiftBound:
     # leaves mass on one support point, with a tight bound and with a loose one.
     PRIORS = [(0.3, 1.2), (-60.0, 0.5), (100.0, 1.0), (0.0, 1e7), (100.0, 1e7)]
 
-    def test_rows_match_one_grid_per_direction(self):
+    @pytest.mark.parametrize("tiles", [1, _INTERPOLATE_FROM])
+    def test_rows_match_one_grid_per_direction(self, tiles, interpolant_runs):
         inp = flat_likelihood_input(NORMAL_SPEC)
         assert inp.posterior.support[-1] >= 10.0
-        gamma1, gamma2 = np.array(self.PRIORS).T
-        expected = "on 1 support point(s) in 2 of 5 direction(s)"
+        gamma1, gamma2 = np.tile(np.array(self.PRIORS).T, tiles)
+        expected = f"on 1 support point(s) in {2 * tiles} of {5 * tiles} direction(s)"
         with pytest.warns(DegeneratePosteriorWarning, match=re.escape(expected)) as record:
             h = _posterior_distances(inp, gamma1, gamma2)
         assert len(record) == 1
-        for h_row, point in zip(h, self.PRIORS):
+        assert interpolant_runs == ([True] if tiles > 1 else [])
+        for h_row, point in zip(h.reshape(tiles, -1).T, self.PRIORS):
             moved = reweight_posterior(inp, PriorSpec(Family.NORMAL, ParamPoint(*point)))
-            assert abs(h_row - hellinger_grid(moved, inp.posterior)) <= 1e-9
+            assert np.all(np.abs(h_row - hellinger_grid(moved, inp.posterior)) <= 1e-9)
 
-    def test_non_finite_tilt_gives_nan(self):
+    @pytest.mark.parametrize("tiles", [1, _INTERPOLATE_FROM])
+    def test_non_finite_tilt_gives_nan(self, tiles, interpolant_runs):
+        # a non-finite tilt sends the whole sweep through rows
         inp = flat_likelihood_input(NORMAL_SPEC)
+        gamma1 = np.tile([0.3, math.nan, math.inf, 100.0], tiles)
+        gamma2 = np.tile([1.2, 1.0, 1.0, -math.inf], tiles)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.warns(DegeneratePosteriorWarning, match="in 3 of 4 direction"):
-                h = _posterior_distances(
-                    inp, [0.3, math.nan, math.inf, 100.0], [1.2, 1.0, 1.0, -math.inf]
-                )
-        assert np.isfinite(h[0]) and np.isnan(h[1:]).all()
+            with pytest.warns(DegeneratePosteriorWarning, match=f"in {3 * tiles} of {4 * tiles} direction"):
+                h = _posterior_distances(inp, gamma1, gamma2).reshape(tiles, -1)
+        assert np.isfinite(h[:, 0]).all() and np.isnan(h[:, 1:]).all()
+        assert interpolant_runs == []
+
+
+class TestInterpolant:
+    """Past the crossover, directions whose tilt cannot make the posterior
+    degenerate come from a Chebyshev interpolant of the centred log-MGF."""
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-4, 1e-2])
+    @pytest.mark.parametrize("family,seed", [(Family.GAMMA, 21), (Family.NORMAL, 22)])
+    def test_matches_long_double_sweep(self, family, seed, eps, interpolant_runs):
+        inp = conjugate_input(family, seed)
+        grid = compute_grid(inp.base_prior, eps, n_angles=200)
+        assert len(grid.points) >= _INTERPOLATE_FROM
+        g1, g2 = grid.points.point.gamma1, grid.points.point.gamma2
+        ratios = circular_sensitivity(inp, grid).entries.ratio
+        assert interpolant_runs == [True]
+        expected = reweighted_distances_longdouble(inp, g1, g2) / eps
+        assert np.max(np.abs(ratios / expected - 1.0)) <= 1e-11
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-2, 0.3, 0.5])
+    @pytest.mark.parametrize("family,seed", [(Family.GAMMA, 23), (Family.NORMAL, 24)])
+    def test_agrees_with_rows(self, family, seed, eps, interpolant_runs):
+        inp = conjugate_input(family, seed)
+        grid = compute_grid(inp.base_prior, eps, n_angles=1600)
+        g1, g2 = grid.points.point.gamma1, grid.points.point.gamma2
+        h = _posterior_distances(inp, g1, g2)
+        assert interpolant_runs == [True]
+        rows = by_rows(inp, g1, g2)
+        # the rows' own rounding is about 10 ulps / H relative, 4e-11 at eps 1e-4
+        tolerance = 1e-11 + 16.0 * np.finfo(float).eps / rows
+        assert np.all(np.abs(h / rows - 1.0) <= tolerance)
+
+    def test_unsettled_coefficients_fall_back_to_rows(self, interpolant_runs):
+        # On a flat posterior L(b) along an axis is log(sinh(b) / b), whose
+        # complex zeros at i pi k lie close to a wide box of tilts: the
+        # coefficients still fall by only about 10% a degree at degree 32.
+        support = np.linspace(0.5, 4.5, 2001)
+        grid = normalize_grid(DensityGrid(support, np.ones_like(support), Scale.NATURAL))
+        inp = PosteriorInput(grid, PriorSpec(Family.GAMMA, ParamPoint(10.0, 10.0)), Scale.NATURAL)
+        phi = np.linspace(0.0, 2.0 * np.pi, 400, endpoint=False)
+        gamma1, gamma2 = 10.0 + 9.0 * np.cos(phi), 10.0 + 5.0 * np.sin(phi)
+        h = _posterior_distances(inp, gamma1, gamma2)
+        assert interpolant_runs == [False]
+        assert np.array_equal(h, by_rows(inp, gamma1, gamma2))

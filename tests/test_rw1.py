@@ -131,7 +131,8 @@ class TestStructure:
         # series is kappa y'y / 2 whatever the smoothing
         m = RW1Model(y=np.full(6, 0.7), kappa=2.0)
         taus = np.array([0.0, 1.0, 1e3, 1e9])
-        assert np.allclose(_spectral_sums(m, taus)[0], 0.5 * m.kappa * float(m.y @ m.y), rtol=1e-13)
+        values = _spectral_sums(m, taus)[0] + data_constant(m)
+        assert np.allclose(values, 0.5 * m.kappa * float(m.y @ m.y), rtol=1e-13)
 
     def test_matches_entrywise_oracle(self):
         # the production eigenbasis (orthonormal DCT-II) and spectrum rebuild R
@@ -174,9 +175,15 @@ def logdet(tau, kappa, n):
     return float(_spectral_sums(RW1Model(y=np.zeros(n), kappa=kappa), np.array([tau]))[1][0])
 
 
+def data_constant(model):
+    """``kappa |y|^2 / 2``, which the production quadratic form leaves out."""
+    return 0.5 * model.kappa * float(model.y @ model.y)
+
+
 def quad(model, tau):
-    """``kappa^2 y' Q^-1 y / 2`` from the production spectral sums."""
-    return float(_spectral_sums(model, np.array([tau]))[0][0])
+    """``kappa^2 y' Q^-1 y / 2`` from the production spectral sums, with the
+    constant ``kappa |y|^2 / 2`` added back."""
+    return float(_spectral_sums(model, np.array([tau]))[0][0]) + data_constant(model)
 
 
 class TestSpectralSolve:
@@ -253,7 +260,7 @@ class TestQuadTerm:
         # LAPACK solve; they must coincide wherever both are well conditioned
         m = small_model(n=30)
         taus = np.array([1e-3, 0.01, 0.5, 1.0, 20.0, 1e4])
-        batch = _spectral_sums(m, taus)[0]
+        batch = _spectral_sums(m, taus)[0] + data_constant(m)
         scalar = np.array([dense_quad_term(m.y, t, m.kappa) for t in taus])
         assert np.allclose(batch, scalar, rtol=1e-10)
 
@@ -264,7 +271,7 @@ class TestQuadTerm:
         rng = np.random.default_rng(3)
         y = rng.normal(1.0, 1.0, 16)
         m = RW1Model(y=y, kappa=2.0)
-        val = float(_spectral_sums(m, np.array([math.exp(39.0)]))[0][0])
+        val = quad(m, math.exp(39.0))
         limit = 0.5 * m.kappa * y.sum() ** 2 / y.size
         assert math.isfinite(val)
         assert val == pytest.approx(limit, rel=1e-6)
@@ -287,10 +294,11 @@ class TestSpectralWeights:
 
 
 def log_target(model, tau):
-    """Production log density of ``u = log tau`` at one ``tau``."""
+    """Production log density of ``u = log tau`` at one ``tau``, with the
+    constant ``kappa |y|^2 / 2`` that ``S`` leaves out added back."""
     us = np.array([math.log(tau)])
     prior = np.array([model.prior.as_tuple()])
-    return float(_log_target(model, prior, us, _s_terms(model, us))[0, 0])
+    return float(_log_target(model, prior, us, _s_terms(model, us))[0, 0]) + data_constant(model)
 
 
 class TestLogUnnormalizedPosterior:
@@ -430,9 +438,10 @@ class TestExactPosteriorHellinger:
 def fine_trapezoid(model, prior, lo, hi, per_node=2**10):
     """Nodes ``u`` over coarse nodes ``lo .. hi``, ``per_node`` intervals per coarse
     step, with trapezoid weights times the posterior density under ``prior``
-    divided by its largest value, and the log of that value."""
+    divided by its largest value, and the log of that value (with the constant
+    ``kappa |y|^2 / 2`` that ``S`` leaves out added back)."""
     us = np.linspace(lo * rw1._LATTICE_STEP, hi * rw1._LATTICE_STEP, (hi - lo) * per_node + 1)
-    g = _log_target(model, np.array([prior]), us, _s_terms(model, us))[0]
+    g = _log_target(model, np.array([prior]), us, _s_terms(model, us))[0] + data_constant(model)
     w = np.exp(g - g.max()) * (us[1] - us[0])
     w[[0, -1]] *= 0.5
     return us, w, g.max()
