@@ -8,104 +8,57 @@ map translates Hellinger distances into mean shifts of a unit-variance
 normal so the numbers have an interpretable scale. For the conjugate
 random-walk smoothing model the posterior distances are also available in
 closed form, which doubles as an oracle for the reweighting route.
+
+Each name of ``__all__`` is loaded from its module on first use (PEP 562), so
+``import priorscan`` loads no numpy, and ``priorscan.calibrate`` none either.
 """
 
-from .calibration import (
-    SATURATION_H,
-    calibrate,
-    calibrated_ratio,
-    inverse_calibrate,
-)
-from .contour import (
-    RESIDUAL_RTOL,
-    CardinalModuli,
-    PolarGrid,
-    compute_grid,
-)
-from .errors import (
-    ContourUnreachableError,
-    DegeneratePosteriorWarning,
-    DomainError,
-    IngestionError,
-    NumericalError,
-    PartialGridError,
-    PriorScanError,
-    ReweightingError,
-    SaturatedCalibrationWarning,
-)
-from .families import (
-    Family,
-    ParamPoint,
-    PriorSpec,
-    hellinger_analytic,
-    log_prior_density,
-    tabulate_prior,
-)
-from .grids import (
-    DensityGrid,
-    Scale,
-    normalize_grid,
-    read_density_csv,
-)
-from .reweight import TAIL_GUARD, PosteriorInput, circular_sensitivity
-from .rw1 import (
-    DEFAULT_PRIOR,
-    RW1Model,
-    exact_sensitivity,
-    ingest_timeseries,
-    tabulate_posterior,
-)
-from .sensitivity import (
-    REFERENCE_LEVELS,
-    SensitivityResult,
-    assemble_result,
-    export_plot_data,
-    result_to_json_dict,
-    summarize,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CardinalModuli",
-    "ContourUnreachableError",
-    "DEFAULT_PRIOR",
-    "DegeneratePosteriorWarning",
-    "DensityGrid",
-    "DomainError",
-    "Family",
-    "IngestionError",
-    "NumericalError",
-    "ParamPoint",
-    "PartialGridError",
-    "PolarGrid",
-    "PosteriorInput",
-    "PriorScanError",
-    "PriorSpec",
-    "REFERENCE_LEVELS",
-    "RESIDUAL_RTOL",
-    "RW1Model",
-    "ReweightingError",
-    "SATURATION_H",
-    "SaturatedCalibrationWarning",
-    "Scale",
-    "SensitivityResult",
-    "TAIL_GUARD",
-    "assemble_result",
-    "calibrate",
-    "calibrated_ratio",
-    "circular_sensitivity",
-    "compute_grid",
-    "exact_sensitivity",
-    "export_plot_data",
-    "hellinger_analytic",
-    "ingest_timeseries",
-    "inverse_calibrate",
-    "log_prior_density",
-    "normalize_grid",
-    "read_density_csv",
-    "result_to_json_dict",
-    "summarize",
-    "tabulate_posterior",
-    "tabulate_prior",
-]
+# the module that defines each public name, which loads on the first use of one of them
+_EXPORTS = {
+    "calibration": ("SATURATION_H", "calibrate", "calibrated_ratio", "inverse_calibrate"),
+    "contour": ("RESIDUAL_RTOL", "CardinalModuli", "PolarGrid", "compute_grid"),
+    "errors": (
+        "ContourUnreachableError",
+        "DegeneratePosteriorWarning",
+        "DomainError",
+        "IngestionError",
+        "NumericalError",
+        "PartialGridError",
+        "PriorScanError",
+        "ReweightingError",
+        "SaturatedCalibrationWarning",
+    ),
+    "families": ("hellinger_analytic", "log_prior_density", "tabulate_prior"),
+    "grids": ("DensityGrid", "Scale", "normalize_grid", "read_density_csv"),
+    "params": ("DEFAULT_PRIOR", "Family", "ParamPoint", "PriorSpec"),
+    "reweight": ("TAIL_GUARD", "PosteriorInput", "circular_sensitivity"),
+    "rw1": ("RW1Model", "exact_sensitivity", "ingest_timeseries", "tabulate_posterior"),
+    "sensitivity": (
+        "REFERENCE_LEVELS",
+        "SensitivityResult",
+        "assemble_result",
+        "export_plot_data",
+        "result_to_json_dict",
+        "summarize",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -13,6 +13,11 @@ Exit codes: 0 success, 2 input or ingestion problem, 3 contour not
 reachable, 4 numerical failure. Reports are JSON, plot tables CSV; all
 files are written atomically and contain no timestamps, so identical
 invocations produce byte-identical outputs.
+
+Only the standard library and the numpy-free modules load at start-up; each
+subcommand imports the engines it runs. So ``calibrate``, and an input error
+found before any numeric work, run without numpy, and ``grid`` loads neither
+engine.
 """
 
 from __future__ import annotations
@@ -27,10 +32,7 @@ import warnings
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from .calibration import calibrate, inverse_calibrate
-from .contour import PolarGrid, compute_grid
 from .errors import (
     ContourUnreachableError,
     IngestionError,
@@ -39,17 +41,10 @@ from .errors import (
     PriorScanError,
     ReweightingError,
 )
-from .families import Family, ParamPoint, PriorSpec
-from .grids import Scale, normalize_grid, read_density_csv
-from .reweight import PosteriorInput, circular_sensitivity
-from .rw1 import DEFAULT_PRIOR, exact_sensitivity, ingest_timeseries, tabulate_posterior
-from .sensitivity import (
-    SensitivityResult,
-    export_plot_data,
-    report_header,
-    result_to_json_dict,
-    summarize,
-)
+from .params import DEFAULT_PRIOR, Family, ParamPoint, PriorSpec, check_epsilon
+
+# Annotations are not evaluated: those naming np.ndarray, PolarGrid and SensitivityResult
+# need no import here, and numpy and the engines load only where a subcommand runs them.
 
 OUTDIR_ENV = "PRIORSCAN_OUTDIR"
 DEFAULT_EPSILON = 0.00354
@@ -84,6 +79,8 @@ def _write_json(path: Path, obj) -> None:
 
 def _cells(column: np.ndarray) -> list[str]:
     """The text of each cell of a column: its ``repr``, made once per distinct value."""
+    import numpy as np
+
     if column.dtype.kind == "U":
         return column.tolist()
     # distinct bit patterns, so that -0.0 and 0.0 keep their own text
@@ -234,6 +231,8 @@ def _prefix(args: argparse.Namespace) -> Path:
 
 
 def _emit_sensitivity(args: argparse.Namespace, result: SensitivityResult) -> None:
+    from .sensitivity import export_plot_data, result_to_json_dict, summarize
+
     prefix = _prefix(args)
     _write_json(Path(f"{prefix}.json"), result_to_json_dict(result))
     for name, table in zip(("polar", "rolled"), export_plot_data(result)):
@@ -244,6 +243,8 @@ def _emit_sensitivity(args: argparse.Namespace, result: SensitivityResult) -> No
 
 
 def _emit_grid(args: argparse.Namespace, grid: PolarGrid) -> None:
+    from .sensitivity import report_header
+
     prefix = _prefix(args)
     points = grid.points
     _write_csv(
@@ -287,6 +288,8 @@ def run(args: argparse.Namespace) -> int:
     report = inp = None
     if args.command == "rw1":
         _require(args, "data")
+        from .rw1 import exact_sensitivity, ingest_timeseries, tabulate_posterior
+
         model = ingest_timeseries(args.data, window=args.window, kappa=args.kappa, prior=args.prior)
         print(
             f"ingested n = {model.n} months, kappa = {model.kappa:.6g}, "
@@ -304,17 +307,26 @@ def run(args: argparse.Namespace) -> int:
         _require(args, "family", "gamma0", *(["posterior"] if sensitivity else []))
         base = PriorSpec(Family(args.family), args.gamma0)
         if sensitivity:
+            from .grids import Scale, normalize_grid, read_density_csv
+            from .reweight import PosteriorInput
+
             scale = Scale.LOG_PARAMETER if args.log_scale else Scale.NATURAL
             posterior = normalize_grid(read_density_csv(args.posterior, scale))
             inp = PosteriorInput(posterior=posterior, base_prior=base, parametrization=scale)
+        else:
+            check_epsilon(args.epsilon)  # compute_grid's own check, before numpy loads
 
     if report is None:
+        from .contour import compute_grid
+
         report = compute_grid(
             base, args.epsilon, n_angles=args.n_angles, allow_partial=args.allow_partial
         )
         if inp is not None:
+            from .reweight import circular_sensitivity
+
             report = circular_sensitivity(inp, report)
-    (_emit_grid if isinstance(report, PolarGrid) else _emit_sensitivity)(args, report)
+    (_emit_grid if args.command == "grid" else _emit_sensitivity)(args, report)
     if report.failed_angles:
         print(
             f"warning: {len(report.failed_angles)} contour direction(s) failed and were skipped",

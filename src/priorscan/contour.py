@@ -35,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContourUnreachableError, DomainError, PartialGridError
-from .families import Family, PriorSpec, fisher_information, hellinger_closed_form
+from .families import fisher_information, hellinger_closed_form
+from .params import Family, PriorSpec, check_epsilon
 
 # Acceptable defect |H - epsilon| relative to epsilon for a solved point.
 RESIDUAL_RTOL = 1e-4
@@ -204,7 +205,7 @@ def preexplore(base: PriorSpec, epsilon: float) -> CardinalModuli:
     Returns the moduli r*(0), r*(pi/2), r*(pi), r*(-pi/2) used as scaling
     factors by the full polar search.
     """
-    _check_epsilon(epsilon)
+    check_epsilon(epsilon)
     r, _ = _radii(base, epsilon, _CARDINAL_UX, _CARDINAL_UY)
     failed = np.flatnonzero(np.isnan(r))
     if failed.size:
@@ -271,7 +272,7 @@ def compute_grid(
     base whose mean step is below float resolution: ``(1, 1e150)`` (a step of
     about 1e-77) or ``(1e300, 1)`` (about 0.01 against a float spacing of 1e284).
     """
-    _check_epsilon(epsilon)
+    check_epsilon(epsilon)
     if n_angles < 8:
         raise DomainError(f"n_angles must be at least 8, got {n_angles}")
     cardinal = preexplore(base, epsilon)
@@ -292,8 +293,3 @@ def compute_grid(
         cardinal=cardinal,
         failed_angles=failed,
     )
-
-
-def _check_epsilon(epsilon: float) -> None:
-    if not (0.0 < epsilon <= 0.5):
-        raise DomainError(f"epsilon must lie in (0, 0.5], got {epsilon!r}")

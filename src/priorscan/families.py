@@ -14,64 +14,24 @@ All coefficients are evaluated in log space, ``log BC`` in a difference
 form (:func:`_log_bc`) that keeps H accurate however close the points are.
 :func:`tabulate_prior` cuts a density where its log falls ``_LOG_DROP = 50``
 below the peak (normal: mean +/- 10 sd). Only numpy is imported.
+
+``Family``, ``ParamPoint``, ``PriorSpec`` and ``validate_point`` are defined in
+:mod:`.params`, which needs no numpy, and are imported here from there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import DomainError
 from .grids import DensityGrid, Scale, normalize_grid
+from .params import Family, ParamPoint, PriorSpec, validate_point
 
 _LOG_2PI = math.log(2.0 * math.pi)
 # tabulate_prior's window ends where the log density is this far below its peak
 _LOG_DROP = 50.0
-
-
-class Family(str, Enum):
-    NORMAL = "normal"
-    GAMMA = "gamma"
-
-
-@dataclass(frozen=True)
-class ParamPoint:
-    """A point in the two-dimensional hyperparameter plane."""
-
-    gamma1: float
-    gamma2: float
-
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.gamma1, self.gamma2)
-
-
-def validate_point(family: Family, point: ParamPoint) -> None:
-    """Raise :class:`DomainError` if ``point`` is outside the family domain."""
-    g1, g2 = point.gamma1, point.gamma2
-    if not (math.isfinite(g1) and math.isfinite(g2)):
-        raise DomainError(f"non-finite parameter point {point}")
-    if family is Family.NORMAL:
-        if g2 <= 0.0:
-            raise DomainError(f"normal precision must be positive, got {g2}")
-    elif family is Family.GAMMA:
-        if g1 <= 0.0 or g2 <= 0.0:
-            raise DomainError(f"gamma shape and rate must be positive, got {point}")
-    else:  # pragma: no cover - enum is closed
-        raise DomainError(f"unknown family {family}")
-
-
-@dataclass(frozen=True)
-class PriorSpec:
-    """A prior family together with its hyperparameter point."""
-
-    family: Family
-    point: ParamPoint
-
-    def __post_init__(self):
-        validate_point(self.family, self.point)
 
 
 def log_prior_density(spec: PriorSpec, x, scale: Scale = Scale.NATURAL):

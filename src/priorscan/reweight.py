@@ -77,8 +77,8 @@ import numpy as np
 
 from .contour import PolarGrid
 from .errors import DegeneratePosteriorWarning, DomainError, ReweightingError
-from .families import Family, PriorSpec
 from .grids import DensityGrid, Scale, trapezoid_mass
+from .params import Family, PriorSpec
 from .sensitivity import SensitivityResult, assemble_result
 
 TAIL_GUARD = 1e-15

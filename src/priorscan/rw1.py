@@ -36,8 +36,8 @@ import numpy as np
 
 from .contour import compute_grid
 from .errors import DomainError, IngestionError, NumericalError
-from .families import Family, ParamPoint, PriorSpec, validate_point
 from .grids import DensityGrid, Scale, normalize_grid, read_columns
+from .params import DEFAULT_PRIOR, Family, ParamPoint, PriorSpec, validate_point
 from .reweight import PosteriorInput
 from .sensitivity import SensitivityResult, assemble_result
 
@@ -57,8 +57,6 @@ _BLOCK_CELLS = 15 << 10
 # For 516 tau values x 8004 eigenvalues (2 vCPUs, median of 15) the quadratic form took
 # 9.8 ms at 15k cells, 7.0 at 2^15, 6.5 at 2^16 and 2^17, and 8.4 at 2^18.
 _SPECTRAL_CELLS = 1 << 16
-
-DEFAULT_PRIOR = ParamPoint(1.0, 0.005)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ never truncated.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from .calibration import SATURATION_H, calibrated_ratio
 from .contour import POINT_DTYPE, CardinalModuli, PolarGrid, scaling_factors
 from .errors import DomainError
-from .families import PriorSpec
+from .params import PriorSpec
 
 REFERENCE_LEVELS = tuple(round(0.1 * k, 1) for k in range(1, 11))
 
@@ -69,6 +68,15 @@ class SensitivityResult:
         return self.worst_case > 1.0
 
 
+def _median(values: list[float]) -> float:
+    """The median as ``statistics.median`` defines it: the middle value of the
+    sorted list, or the mean of the middle two (without loading ``statistics``,
+    which imports ``decimal`` and ``fractions``)."""
+    values = sorted(values)
+    half = len(values) // 2
+    return values[half] if len(values) % 2 else (values[half - 1] + values[half]) / 2
+
+
 def assemble_result(grid: PolarGrid, h_post: np.ndarray) -> SensitivityResult:
     """Build a :class:`SensitivityResult` from the posterior distance ``h_post[i]``
     of each solved direction ``grid.points[i]``.
@@ -92,8 +100,8 @@ def assemble_result(grid: PolarGrid, h_post: np.ndarray) -> SensitivityResult:
         worst_case=ratios[worst_index],
         worst_angle=float(entries.phi[worst_index]),
         worst_index=worst_index,
-        mean=statistics.fmean(ratios),
-        median=statistics.median(ratios),
+        mean=math.fsum(ratios) / len(ratios),
+        median=_median(ratios),
         min=min(ratios),
         calibrated_worst=calibrated_ratio(float(entries.h_post[worst_index]), epsilon),
         cardinal=grid.cardinal,

@@ -1,5 +1,6 @@
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given
@@ -53,8 +54,8 @@ class TestCalibrate:
             mu = calibrate(1.0 - 5e-16)
         assert math.isfinite(mu)
 
-    # squaring underflows below sqrt(tiny) ~ 1.5e-154, flattening the map
-    # there, so strict monotonicity is only testable above that floor
+    # below sqrt(tiny) ~ 1.5e-154 the maps switch to their leading terms, where
+    # neighbouring floats can meet one output; the ranges stay above the switch
     @given(st.floats(1e-140, 0.999), st.floats(1e-140, 0.999))
     def test_monotone(self, h0, h1):
         lo, hi = sorted((h0, h1))
@@ -66,6 +67,56 @@ class TestCalibrate:
         lo, hi = sorted((m0, m1))
         if lo < hi:
             assert inverse_calibrate(lo) < inverse_calibrate(hi)
+
+
+def _mu_closed_form(h):
+    return math.sqrt(-8.0 * math.log1p(-h * h))
+
+
+def _h_closed_form(mu):
+    return math.sqrt(-math.expm1(-mu * mu / 8.0))
+
+
+def _sqrt8():
+    return Decimal(8).sqrt()
+
+
+class TestTinyDistances:
+    """Below about 1.5e-154 the squares are subnormal, and the maps are their leading
+    terms ``sqrt(8) h`` and ``mu / sqrt(8)``; above, the closed forms, bit for bit."""
+
+    def test_closed_forms_kept_down_to_1e_150(self):
+        eps = 0.00354
+        for k in range(1, 301):
+            x = 10.0 ** (-k / 2)
+            assert calibrate(x) == _mu_closed_form(x)
+            assert inverse_calibrate(x) == _h_closed_form(x)
+            assert calibrated_ratio(x, eps)[0] == _mu_closed_form(x) / _mu_closed_form(eps)
+
+    @pytest.mark.parametrize("x", [1e-160, 1e-200])
+    def test_leading_terms(self, x):
+        # the closed forms gave 2.8284113805211334e-160 (5.6e-6 relative) and 0.0 here
+        with localcontext() as ctx:
+            ctx.prec = 40
+            mu, h = _sqrt8() * Decimal(x), Decimal(x) / _sqrt8()
+            ratio = mu / Decimal(calibrate(0.00354))
+        assert abs(Decimal(calibrate(x)) / mu - 1) <= Decimal("1e-15")
+        assert abs(Decimal(inverse_calibrate(x)) / h - 1) <= Decimal("1e-15")
+        assert abs(Decimal(calibrated_ratio(x, 0.00354)[0]) / ratio - 1) <= Decimal("1e-15")
+
+    def test_least_subnormal(self):
+        # results below 2.2e-308 are spaced by 5e-324, so no relative bound holds;
+        # they are the correctly rounded values: 3 * 5e-324, and 0 for 1.77e-324
+        x = 5e-324
+        with localcontext() as ctx:
+            ctx.prec = 40
+            mu, h = float(_sqrt8() * Decimal(x)), float(Decimal(x) / _sqrt8())
+        assert calibrate(x) == mu == 1.5e-323
+        assert inverse_calibrate(x) == h == 0.0
+
+    def test_signed_zero(self):
+        assert math.copysign(1.0, calibrate(-0.0)) == 1.0
+        assert math.copysign(1.0, inverse_calibrate(-0.0)) == 1.0
 
 
 class TestRoundTrip:

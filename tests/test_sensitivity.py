@@ -1,5 +1,6 @@
 import json
 import math
+import statistics
 import warnings
 from dataclasses import replace
 
@@ -30,7 +31,7 @@ from priorscan import (
 )
 from priorscan import reweight
 from priorscan.contour import GRID_DTYPE, POINT_DTYPE, PolarGrid, preexplore, scaling_factors
-from priorscan.sensitivity import ENTRY_DTYPE, POLAR_DTYPE, ROLLED_DTYPE
+from priorscan.sensitivity import ENTRY_DTYPE, POLAR_DTYPE, ROLLED_DTYPE, _median
 
 EPS0 = 0.00354
 GAMMA_BASE = PriorSpec(Family.GAMMA, ParamPoint(1.0, 0.34))
@@ -61,6 +62,32 @@ class TestAssembleResult:
         assert res.min == pytest.approx(0.2, rel=1e-12)
         assert res.mean == pytest.approx(0.575, rel=1e-12)
         assert res.median == pytest.approx(0.65, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "ratios",
+        [
+            [0.37],
+            [0.2, 0.8, 0.5],
+            [0.2, 0.8, 0.5, 0.8],
+            [0.8, 0.8, 0.8, 0.1, 0.1],
+            [1.0, 1e-16, 1e-16, 1e-16, 1e-16, 1e-16],
+            [5e-324, 1e-300, 0.0, 2.0, 1.0 - 2.0**-53, 1e-308],
+        ],
+    )
+    def test_summary_statistics_match_the_statistics_module(self, ratios):
+        # without statistics: fmean is fsum / len, median the sorted-list middle
+        res = make_result(ratios, epsilon=0.5)
+        values = res.entries.ratio.tolist()
+        assert res.mean == statistics.fmean(values)
+        assert res.median == statistics.median(values)
+
+    @pytest.mark.parametrize(
+        "values",
+        [[3.0], [2.0, 1.0], [1e308, 1.7e308], [-1e308, 1e308, 5e-324], [1.0, 1.0, 2.0, 2.0],
+         [0.1, 0.7, 0.2, 0.7, 0.3, 0.1, 0.9]],
+    )
+    def test_median_is_bitwise_the_statistics_median(self, values):
+        assert _median(values) == statistics.median(values)
 
     def test_ratio_definition(self):
         res = make_result([0.37])
