@@ -33,9 +33,9 @@ _EXPORTS = {
         "SaturatedCalibrationWarning",
     ),
     "families": ("hellinger_analytic", "log_prior_density", "tabulate_prior"),
-    "grids": ("DensityGrid", "Scale", "normalize_grid", "read_density_csv"),
+    "grids": ("DensityGrid", "PosteriorInput", "Scale", "normalize_grid", "read_density_csv"),
     "params": ("DEFAULT_PRIOR", "Family", "ParamPoint", "PriorSpec"),
-    "reweight": ("TAIL_GUARD", "PosteriorInput", "circular_sensitivity"),
+    "reweight": ("TAIL_GUARD", "circular_sensitivity"),
     "rw1": ("RW1Model", "exact_sensitivity", "ingest_timeseries", "tabulate_posterior"),
     "sensitivity": (
         "REFERENCE_LEVELS",

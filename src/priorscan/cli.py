@@ -307,8 +307,7 @@ def run(args: argparse.Namespace) -> int:
         _require(args, "family", "gamma0", *(["posterior"] if sensitivity else []))
         base = PriorSpec(Family(args.family), args.gamma0)
         if sensitivity:
-            from .grids import Scale, normalize_grid, read_density_csv
-            from .reweight import PosteriorInput
+            from .grids import PosteriorInput, Scale, normalize_grid, read_density_csv
 
             scale = Scale.LOG_PARAMETER if args.log_scale else Scale.NATURAL
             posterior = normalize_grid(read_density_csv(args.posterior, scale))

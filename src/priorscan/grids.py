@@ -5,7 +5,8 @@ support together with the scale of that support. All integrals use the
 trapezoidal rule, which is effectively spectrally accurate for the smooth,
 rapidly decaying densities produced by the tabulation helpers.
 :func:`read_density_csv` reads a posterior grid, and :func:`read_columns`
-the columns of any CSV input.
+the columns of any CSV input. :class:`PosteriorInput`, below both engines,
+ties a normalized posterior grid to its base prior.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, IngestionError
+from .params import Family, PriorSpec
 
 
 class Scale(str, Enum):
@@ -70,8 +72,9 @@ class DensityGrid:
 
 
 def trapezoid_mass(grid: DensityGrid) -> float:
-    """Trapezoidal integral of the grid values over its support."""
-    return float(np.trapezoid(grid.values, grid.support))
+    """Trapezoidal integral of the grid values over its support (inf on overflow)."""
+    with np.errstate(over="ignore"):
+        return float(np.trapezoid(grid.values, grid.support))
 
 
 def normalize_grid(grid: DensityGrid) -> DensityGrid:
@@ -167,3 +170,35 @@ def read_density_csv(path, scale: Scale = Scale.NATURAL) -> DensityGrid:
     except DomainError as exc:
         raise IngestionError(f"{path}: {exc}") from exc
 
+
+@dataclass(frozen=True)
+class PosteriorInput:
+    """A normalized marginal posterior tied to the prior it was computed under.
+
+    ``parametrization`` declares whether the grid support holds the
+    parameter itself or its logarithm, and must match ``posterior.scale``.
+    """
+
+    posterior: DensityGrid
+    base_prior: PriorSpec
+    parametrization: Scale = Scale.NATURAL
+
+    def __post_init__(self):
+        if self.posterior.scale is not self.parametrization:
+            raise DomainError(
+                f"grid scale {self.posterior.scale} does not match "
+                f"parametrization {self.parametrization}"
+            )
+        if (
+            self.base_prior.family is Family.GAMMA
+            and self.parametrization is Scale.NATURAL
+            and self.posterior.support[0] <= 0.0
+        ):
+            raise DomainError("gamma posterior support must be positive on the natural scale")
+        if self.base_prior.family is Family.NORMAL and self.parametrization is Scale.LOG_PARAMETER:
+            raise DomainError("log-parameter grids are undefined for normal priors")
+        mass = trapezoid_mass(self.posterior)
+        if abs(mass - 1.0) > 1e-6:
+            raise DomainError(
+                f"posterior grid mass {mass!r} is not normalized; apply normalize_grid first"
+            )

@@ -65,19 +65,20 @@ Two guards keep the ratio trustworthy:
   a perturbed prior tail can otherwise amplify it without bound;
 * if the base prior underflows (below 1e-300) at a point that still
   carries posterior mass, the update is refused outright.
+
+Its oracle, the exact engine of :mod:`priorscan.rw1`, imports none of it.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .contour import PolarGrid
 from .errors import DegeneratePosteriorWarning, DomainError, ReweightingError
-from .grids import DensityGrid, Scale, trapezoid_mass
+from .grids import PosteriorInput, Scale
 from .params import Family, PriorSpec
 from .sensitivity import SensitivityResult, assemble_result
 
@@ -109,39 +110,6 @@ _CHECK_RTOL = 1e-8
 # the first omitted term is at most 2**25 / 25! (about 2e-18).
 _SERIES_DEGREE = 24
 _NO_FINITE_MASS = "reweighted posterior has no finite mass"
-
-
-@dataclass(frozen=True)
-class PosteriorInput:
-    """A normalized marginal posterior tied to the prior it was computed under.
-
-    ``parametrization`` declares whether the grid support holds the
-    parameter itself or its logarithm, and must match ``posterior.scale``.
-    """
-
-    posterior: DensityGrid
-    base_prior: PriorSpec
-    parametrization: Scale = Scale.NATURAL
-
-    def __post_init__(self):
-        if self.posterior.scale is not self.parametrization:
-            raise DomainError(
-                f"grid scale {self.posterior.scale} does not match "
-                f"parametrization {self.parametrization}"
-            )
-        if (
-            self.base_prior.family is Family.GAMMA
-            and self.parametrization is Scale.NATURAL
-            and self.posterior.support[0] <= 0.0
-        ):
-            raise DomainError("gamma posterior support must be positive on the natural scale")
-        if self.base_prior.family is Family.NORMAL and self.parametrization is Scale.LOG_PARAMETER:
-            raise DomainError("log-parameter grids are undefined for normal priors")
-        mass = trapezoid_mass(self.posterior)
-        if abs(mass - 1.0) > 1e-6:
-            raise DomainError(
-                f"posterior grid mass {mass!r} is not normalized; apply normalize_grid first"
-            )
 
 
 def _kept_statistics(inp: PosteriorInput) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -23,7 +23,7 @@ the prior log ratio and ``E0`` the expectation under the base posterior,
 
 gives the exact Hellinger distance without differences of O(100) log
 normalizing constants. This module is the exact oracle the reweighting
-engine is validated against, and shares no tilt or integral code with it.
+engine is validated against, and shares no code with it.
 """
 
 from __future__ import annotations
@@ -36,9 +36,8 @@ import numpy as np
 
 from .contour import compute_grid
 from .errors import DomainError, IngestionError, NumericalError
-from .grids import DensityGrid, Scale, normalize_grid, read_columns
+from .grids import DensityGrid, PosteriorInput, Scale, normalize_grid, read_columns
 from .params import DEFAULT_PRIOR, Family, ParamPoint, PriorSpec, validate_point
-from .reweight import PosteriorInput
 from .sensitivity import SensitivityResult, assemble_result
 
 # Log-tau lattice: level L holds u = k * _LATTICE_STEP / 2^L, so each level
@@ -50,6 +49,7 @@ _SCAN_LIMIT = 300.0
 _SCAN_WIDEN = 100  # level-0 nodes (50 on the log-tau axis) added per widening
 _SEED_MARGIN = 4  # level-0 nodes a side added to the anchor's window to scan all priors
 _MAX_LEVEL = 16
+_REL_TOL = 1e-11  # Simpson sums settle to this fraction of the integral of |f|
 # Cells per block of the (priors x nodes) products: 120 kB temporaries stay in cache and
 # under malloc's 128 kB mmap threshold, so no page faults.
 _BLOCK_CELLS = 15 << 10
@@ -61,13 +61,17 @@ _SPECTRAL_CELLS = 1 << 16
 
 @dataclass(frozen=True)
 class RW1Model:
-    """Data, noise precision and smoothing prior of the random-walk model; frozen,
-    as the lattice of ``S(u)`` kept in ``_cache`` depends on ``y`` and ``kappa``."""
+    """Data, noise precision and smoothing prior of the random-walk model; frozen, as
+    the spectral data built from ``y`` and ``kappa`` is kept on it: the eigenvalues
+    ``_eig`` of R, ``_yhat2_eig`` (``yhat_k^2 lambda_k``, :func:`_dct2`) and the
+    lattice of ``S(u)``, ``_lattice`` (:func:`_s_nodes`)."""
 
     y: np.ndarray
     kappa: float
     prior: ParamPoint = DEFAULT_PRIOR
-    _cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _eig: np.ndarray = field(init=False, repr=False, compare=False)
+    _yhat2_eig: np.ndarray = field(init=False, repr=False, compare=False)
+    _lattice: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         y = np.array(self.y, dtype=float)
@@ -81,8 +85,10 @@ class RW1Model:
             raise DomainError(f"kappa must have a finite square (up to about 1.34e154), "
                               f"got {self.kappa!r}")
         validate_point(Family.GAMMA, self.prior)
-        y.setflags(write=False)
-        object.__setattr__(self, "y", y)
+        eig = rw1_eigenvalues(y.size)
+        for name, value in (("y", y), ("_eig", eig), ("_yhat2_eig", _dct2(y) ** 2 * eig)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -101,33 +107,17 @@ def rw1_eigenvalues(n: int) -> np.ndarray:
 
 
 def _dct2(y: np.ndarray) -> np.ndarray:
-    """Orthonormal DCT-II of ``y`` from one FFT of ``y`` reordered even indices up, odd down."""
-    k = np.arange(y.size)
-    v = np.fft.fft(np.concatenate((y[::2], y[1::2][::-1]))) * np.exp(-0.5j * np.pi * k / y.size)
-    return v.real * np.sqrt(np.where(k == 0, 1.0, 2.0) / y.size)
-
-
-def _cached(model: RW1Model, key: str, make) -> np.ndarray:
-    """A read-only array kept in ``model._cache`` under ``key``, made on first use."""
-    value = model._cache.get(key)
-    if value is None:
-        value = make()
-        value.setflags(write=False)
-        model._cache[key] = value
-    return value
-
-
-def _spectral_weights(model: RW1Model) -> np.ndarray:
-    """Squared coordinates of ``y`` in the eigenbasis of the structure matrix.
+    """Orthonormal DCT-II of ``y``: its coordinates in the eigenbasis of R.
 
     The free-boundary second-difference matrix is diagonalized by the
     orthonormal DCT-II vectors ``v_k(j) = cos(pi k (2j-1) / (2n))`` (up to
-    normalization), with eigenvalues ``2 - 2 cos(pi k / n)``, so the
-    coordinates are one orthonormal DCT-II of ``y``: with ``V`` the FFT of
-    ``y`` reordered (:func:`_dct2`), ``sum_j y_j cos(pi k (2j+1) / (2n))``
-    is ``Re(exp(-i pi k / (2n)) V_k)``.
+    normalization), with eigenvalues ``2 - 2 cos(pi k / n)``. With ``V`` the
+    FFT of ``y`` reordered even indices up, odd down,
+    ``sum_j y_j cos(pi k (2j+1) / (2n))`` is ``Re(exp(-i pi k / (2n)) V_k)``.
     """
-    return _dct2(model.y) ** 2
+    k = np.arange(y.size)
+    v = np.fft.fft(np.concatenate((y[::2], y[1::2][::-1]))) * np.exp(-0.5j * np.pi * k / y.size)
+    return v.real * np.sqrt(np.where(k == 0, 1.0, 2.0) / y.size)
 
 
 def _blocks(rows: int, width: int):
@@ -170,8 +160,7 @@ def _spectral_sums(model: RW1Model, taus: np.ndarray) -> tuple[np.ndarray, np.nd
     """
     taus = np.asarray(taus, dtype=float)
     n, kappa = model.n, model.kappa
-    eig = _cached(model, "eig", lambda: rw1_eigenvalues(n))
-    weights = _cached(model, "yhat2_eig", lambda: _spectral_weights(model) * eig)
+    eig, weights = model._eig, model._yhat2_eig
     quad, rows = np.empty(taus.size), max(1, _SPECTRAL_CELLS // n)
     buf = np.empty((min(rows, taus.size), n))
     for lo in range(0, taus.size, rows):
@@ -200,15 +189,14 @@ def _s_nodes(model: RW1Model, level: int, lo: int, hi: int) -> np.ndarray:
     ``u = (2j + 1) * _LATTICE_STEP / 2^L``. Each level is kept on the model
     as one contiguous array that grows to cover every range asked for.
     """
-    cache = model._cache.setdefault("lattice", {})
-    j0, values = cache.get(level, (lo, np.empty(0)))
+    j0, values = model._lattice.get(level, (lo, np.empty(0)))
     j1 = j0 + values.size
     if lo < j0 or hi > j1:
         odd, h = int(level > 0), _LATTICE_STEP / 2**level
         left, right = np.arange(min(lo, j0), j0), np.arange(j1, max(hi, j1))
         values = np.r_[_s_terms(model, ((1 + odd) * left + odd) * h), values,
                        _s_terms(model, ((1 + odd) * right + odd) * h)]
-        cache[level] = j0, values = min(lo, j0), values
+        model._lattice[level] = j0, values = min(lo, j0), values
     return values[lo - j0 : hi - j0]
 
 
@@ -235,9 +223,10 @@ def _windows(model: RW1Model, priors: np.ndarray, drop: float):
         ks = np.arange(lo, hi + 1)
         us, s = ks * _LATTICE_STEP, _s_nodes(model, 0, lo, hi + 1)
         for block in _blocks(rows, ks.size):
-            g = _log_target(model, priors[block], us, s)
+            with np.errstate(over="ignore"):  # the check below names the node
+                g = _log_target(model, priors[block], us, s)
             if not np.all(np.isfinite(g)):
-                bad = us[np.nonzero(~np.isfinite(g))[1][0]]
+                bad = float(us[np.nonzero(~np.isfinite(g))[1][0]])
                 raise NumericalError(f"non-finite posterior integrand at log tau = {bad!r}")
             top[block], peak[block] = ks[np.argmax(g, axis=1)], g.max(axis=1)
             below, mode = g <= peak[block, None] - drop, top[block, None]
@@ -260,7 +249,7 @@ def _windows(model: RW1Model, priors: np.ndarray, drop: float):
             raise NumericalError(f"posterior tail for prior ({a}, {b}) does not decay on the log-tau axis")
 
 
-def _lattice_pass(model: RW1Model, anchor, points, rel_tol: float = 1e-11):
+def _lattice_pass(model: RW1Model, anchor, points):
     """``log C`` of an anchor gamma prior and of each point, and the posterior
     Hellinger distance to each point, from one quadrature on the shared lattice.
 
@@ -271,7 +260,7 @@ def _lattice_pass(model: RW1Model, anchor, points, rel_tol: float = 1e-11):
     covers the anchor, points and midpoints. Trapezoid sums start from one pass
     over the nodes of every level coarser than the first with 128 intervals,
     then gain each finer level's new nodes; all Simpson sums must change by at
-    most ``rel_tol`` times the integral of their absolute value between two
+    most ``_REL_TOL`` times the integral of their absolute value between two
     levels by ``_MAX_LEVEL``.
     """
     anchor, points = np.asarray(anchor, dtype=float), np.asarray(points, dtype=float).reshape(-1, 2)
@@ -325,7 +314,7 @@ def _lattice_pass(model: RW1Model, anchor, points, rel_tol: float = 1e-11):
         finer = 0.5 * trap + sums(us, s, np.full(us.size, _LATTICE_STEP / 2**level))
         simpson = (4.0 * finer - trap) / 3.0
         if level > first:
-            converged = np.abs(simpson[0] - prev[0]) <= rel_tol * simpson[1]
+            converged = np.abs(simpson[0] - prev[0]) <= _REL_TOL * simpson[1]
             if converged.all():
                 with np.errstate(divide="ignore"):  # BC below 1e-308 gives H = 1
                     log_e = np.log1p(simpson[0, 1:] / simpson[0, 0])
@@ -335,7 +324,7 @@ def _lattice_pass(model: RW1Model, anchor, points, rel_tol: float = 1e-11):
                 return log_c, log_c_points, np.sqrt(np.maximum(0.0, -np.expm1(log_bc)))
         trap, prev = finer, simpson
     a, b = np.vstack([anchor, points, points])[np.argmin(converged)]
-    raise NumericalError(f"quadrature for prior ({a}, {b}) did not converge to {rel_tol} "
+    raise NumericalError(f"quadrature for prior ({a}, {b}) did not converge to {_REL_TOL} "
                          f"within {_MAX_LEVEL} refinement levels")
 
 

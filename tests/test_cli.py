@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -244,6 +245,45 @@ class TestGridCommand:
             ]
         )
         assert not list(tmp_path.glob("*.tmp"))
+
+    def test_failed_replace_leaves_no_temp_file(self, tmp_path, monkeypatch, capsys):
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        argv = ["grid", "--family", "gamma", "--gamma0", "1,0.34", "--n-angles", "16",
+                "--outdir", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: replace refused"]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("gamma0, message", [("1", "expected 'a,b', got '1'"),
+                                                 ("a,b", "could not convert string to float: 'a'")])
+    def test_malformed_point_exits_2(self, tmp_path, capsys, gamma0, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["grid", "--family", "gamma", "--gamma0", gamma0, "--outdir", str(tmp_path / "out")])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(f"argument --gamma0: {message}")
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_directions_are_reported_with_allow_partial(self, tmp_path, monkeypatch, capsys):
+        import priorscan.contour as contour_mod
+
+        original = contour_mod._solve_radii
+
+        def flaky(base, epsilon, phi, cx, cy):
+            gamma1, gamma2, residual = original(base, epsilon, phi, cx, cy)
+            return gamma1, gamma2, np.where(phi > 1.5, np.nan, residual)
+
+        monkeypatch.setattr(contour_mod, "_solve_radii", flaky)
+        argv = ["grid", "--family", "gamma", "--gamma0", "1,0.34", "--n-angles", "16",
+                "--allow-partial", "--outdir", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        failed = json.loads((tmp_path / "grid_moduli.json").read_text())["failed_angles"]
+        assert len(failed) == 4 and all(phi > 1.5 for phi in failed)
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: 4 contour direction(s) failed and were skipped"
+        ]
 
     @pytest.mark.parametrize(
         "family,gamma0",
@@ -489,6 +529,20 @@ class TestRw1Command:
     def test_missing_data_exits_2(self, tmp_path):
         assert main(["rw1", "--data", str(tmp_path / "none.csv")]) == 2
 
+    @pytest.mark.parametrize("engine", ["exact", "reweight"])
+    def test_prior_rate_past_float_range_exits_4_quietly(self, tmp_path, small_counts_csv, capsys,
+                                                         engine):
+        # beta exp(log tau) overflows from log tau = 19.5 up: the window scan names that node
+        argv = ["rw1", "--data", str(small_counts_csv), "--prior", "1,1e300", "--engine", engine,
+                "--n-angles", "8", "--outdir", str(tmp_path / "out")]
+        assert main(argv) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert not [line for line in lines if line.startswith("warning:")]
+        assert [line for line in lines if line.startswith("error:")] == [
+            "error: non-finite posterior integrand at log tau = 19.5"
+        ]
+        assert not (tmp_path / "out").exists()
+
     def test_default_prior_is_the_model_default(self):
         assert _resolve_config(["rw1", "--data", "counts.csv"]).prior == DEFAULT_PRIOR
 
@@ -538,6 +592,16 @@ class TestConfigResolution:
     def test_missing_setting_after_merge_exits_2(self, capsys):
         assert main(["grid", "--family", "gamma"]) == 2
         assert "--gamma0" in capsys.readouterr().err
+
+    def test_config_value_of_wrong_type_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text("n_angles = many\n")
+        argv = ["--config", str(cfg), "grid", "--family", "gamma", "--gamma0", "1,0.34",
+                "--outdir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: config key 'n_angles': ")
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

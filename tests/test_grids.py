@@ -77,6 +77,14 @@ class TestDensityGrid:
         n = normalize_grid(g)
         assert abs(trapezoid_mass(n) - 1.0) <= 1e-10
 
+    def test_infinite_mass_is_refused_without_a_warning(self):
+        # finite values whose trapezoid sum overflows
+        g = DensityGrid(np.arange(8.0), np.full(8, 1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"^grid mass inf cannot be normalized$"):
+                normalize_grid(g)
+
 
 class TestCommonSupport:
     def test_identical_supports_unchanged(self):

@@ -82,6 +82,14 @@ def test_grid_loads_neither_engine(tmp_path):
     assert (tmp_path / "grid_contour.csv").is_file()
 
 
+def test_exact_engine_loads_no_reweighting(tmp_path, counts_csv):
+    # the exact engine is the oracle of the reweighting one, so it runs without it
+    args = ["rw1", "--data", str(counts_csv), "--engine", "exact", "--n-angles", "16",
+            "--outdir", str(tmp_path)]
+    assert cli_modules_after(("priorscan.reweight",), args) == []
+    assert (tmp_path / "rw1.json").is_file()
+
+
 def test_tabulate_prior_loads_no_scipy():
     # numpy is the only runtime dependency: the tabulation windows are solved with it alone
     code = (
@@ -161,8 +169,10 @@ def test_each_pipeline_stage_keeps_its_own_names():
                 top_other.setdefault(path.stem, set()).update(
                     alias.name.partition(".")[0] for alias in node.names
                 )
-    # the result layer serves both engines and calls neither
+    # the result layer serves both engines and calls neither, and neither engine
+    # imports the other: the exact one is the reweighting one's oracle
     assert not local["sensitivity"] & {"reweight", "rw1"}
+    assert "reweight" not in local["rw1"] and "rw1" not in local["reweight"]
     # one CSV reader, in grids
     assert [stem for stem, names in other.items() if "csv" in names] == ["grids"]
     # a result is built from its contour

@@ -89,10 +89,12 @@ class TestPosteriorInput:
         with pytest.raises(DomainError):
             PosteriorInput(g, GAMMA_SPEC, Scale.NATURAL)
 
-    def test_gamma_natural_support_must_be_positive(self):
-        g = uniform_grid(-1.0, 1.0)
-        with pytest.raises(DomainError):
+    @pytest.mark.parametrize("lo", [-1.0, 0.0])
+    def test_gamma_natural_support_must_be_positive(self, lo):
+        g = uniform_grid(lo, 1.0)
+        with pytest.raises(DomainError, match="gamma posterior support must be positive"):
             PosteriorInput(g, GAMMA_SPEC, Scale.NATURAL)
+        PosteriorInput(g, NORMAL_SPEC, Scale.NATURAL)
 
     def test_normal_log_parametrization_rejected(self):
         g = uniform_grid(-1.0, 1.0, scale=Scale.LOG_PARAMETER)

@@ -39,7 +39,6 @@ from priorscan.rw1 import (
     _log_target,
     _s_terms,
     _spectral_sums,
-    _spectral_weights,
     rw1_eigenvalues,
 )
 from rw1_experiment import synth_counts
@@ -281,8 +280,8 @@ class TestSpectralWeights:
     @pytest.mark.parametrize("n", [2, 3, 192])
     def test_fast_transform_matches_dense_basis(self, n):
         m = small_model(n=n, seed=n)
-        expected = dense_spectral_weights(m.y)
-        assert np.allclose(_spectral_weights(m), expected, rtol=1e-12, atol=1e-14 * expected.max())
+        expected = dense_spectral_weights(m.y) * rw1_eigenvalues(n)
+        assert np.allclose(m._yhat2_eig, expected, rtol=1e-12, atol=1e-14 * expected.max())
 
     @pytest.mark.parametrize("n", [1, 2, 3, 192, 2004, 8004])
     def test_fft_dct_matches_scipy(self, n):
@@ -327,9 +326,9 @@ class TestLogUnnormalizedPosterior:
         assert modes[1] > modes[0]
 
 
-def log_normconst(model, alpha, beta, rel_tol=1e-11):
+def log_normconst(model, alpha, beta):
     """``log C(alpha, beta)`` of the tau posterior: a lattice pass with no other prior."""
-    return _lattice_pass(model, (alpha, beta), [], rel_tol)[0]
+    return _lattice_pass(model, (alpha, beta), [])[0]
 
 
 def exact_distance(model, p0, p1):
@@ -369,10 +368,12 @@ class TestNormconst:
         with pytest.raises(NumericalError, match=r"prior \(200\.0, 1\.0\) did not converge"):
             _lattice_pass(m, (1.0, 0.005), [(1.01, 0.005), (200.0, 1.0)])
 
-    def test_self_convergence_under_tolerance_change(self):
+    def test_self_convergence_under_tolerance_change(self, monkeypatch):
         m = small_model(n=24)
-        loose = log_normconst(RW1Model(y=m.y, kappa=m.kappa), 1.0, 0.005, rel_tol=1e-6)
-        tight = log_normconst(RW1Model(y=m.y, kappa=m.kappa), 1.0, 0.005, rel_tol=1e-12)
+        monkeypatch.setattr(rw1, "_REL_TOL", 1e-6)
+        loose = log_normconst(RW1Model(y=m.y, kappa=m.kappa), 1.0, 0.005)
+        monkeypatch.setattr(rw1, "_REL_TOL", 1e-12)
+        tight = log_normconst(RW1Model(y=m.y, kappa=m.kappa), 1.0, 0.005)
         assert abs(loose - tight) <= 1e-6
 
     def test_diverging_posterior_is_reported(self):

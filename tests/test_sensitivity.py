@@ -163,6 +163,19 @@ class TestCircularSensitivity:
         with pytest.raises(ReweightingError, match=r"angle -3\.141593: base prior underflows"):
             circular_sensitivity(inp, contour)
 
+    def test_direction_without_finite_mass_is_named(self):
+        # a shape of 1e308 tilts the posterior by exp(1e308 log tau), which has no finite mass
+        base = PriorSpec(Family.GAMMA, ParamPoint(2.0, 1.0))
+        inp = PosteriorInput(tabulate_prior(base, Scale.LOG_PARAMETER, 401), base, Scale.LOG_PARAMETER)
+        gamma1 = np.full(8, 2.01)
+        gamma1[3] = 1e308
+        grid = replace(make_grid(np.linspace(-3.0, 3.0, 8), points(gamma1, np.ones(8))), base=base)
+        # that direction also counts as degenerate (mass on 0 points) before the error
+        with pytest.raises(ReweightingError) as exc, warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegeneratePosteriorWarning)
+            circular_sensitivity(inp, grid)
+        assert str(exc.value) == "angle -0.428571: reweighted posterior has no finite mass"
+
     @pytest.mark.parametrize("epsilon", [1e-3, 0.00354, 1e-2])
     @pytest.mark.parametrize(
         "base,posterior,scale",
