@@ -39,24 +39,22 @@ distance.
 
 Rows, the direct kernel, take the directions the interpolant cannot:
 every direction of a sweep below ``_INTERPOLATE_FROM`` directions, of a
-sweep with a non-finite tilt (NaN marks a row with no finite mass), of a
-sweep whose interpolant does not settle or fails a check of five
-directions by rows; a direction whose tilt spreads so far over the support
-that its posterior could be degenerate, so that the warning counts stay
-exact; and one whose distance is so small against the interpolant's error
-that rows are the more accurate. A block of directions at a time shares
-one reused (directions x support points) buffer. The trapezoid weight
-``w`` and the base posterior join the statistics as a third row, and ones
-as a fourth whose coefficient is minus a per-direction upper bound on the
-row's max: the sum of each term's largest value, from the extremes of the
-statistics (a row whose bound is over 100 above its value at the base
-peak takes its exact max). So one matrix product gives ``log sqrt(w *
-p_new)`` up to a constant, shifted, and one ``exp`` per cell its square
-root up to scale, at most 1. The squared norm of a row is the normalizer
-``Z``; after scaling by ``1 / sqrt(Z)`` and subtracting ``sqrt(w *
-p_base)``, a second row dot product gives the cancellation-free ``H^2 =
-1/2 * sum of w * (sqrt(p_new) - sqrt(p_base))^2``, accurate for distances
-far below sqrt(machine epsilon).
+sweep with a non-finite tilt, of a sweep whose interpolant does not settle
+or fails a check of five directions by rows; a direction whose tilt
+spreads so far over the support that its posterior could be degenerate,
+so that the warning counts stay exact; and one whose distance is so small
+against the interpolant's error that rows are the more accurate. A block
+of directions at a time shares one reused (directions x support points)
+buffer. With ``u = exp(d . T~ / 2)`` at the kept points the moved posterior
+is ``p0 u^2`` up to scale, so ``BC = E0[u] / sqrt(E0[u^2])`` and ``1 - BC^2
+= Var0(u) / E0[u^2]``, the variance a sum of squares with nothing to
+cancel. A row whose tilt ``x = d . T~ / 2`` stays within +-1/2 holds
+``expm1(x)`` in its cells, any other ``exp(x - max x)``: one exponential
+per cell either way. Both kernels give ``1 - BC`` between the kept-point
+posteriors, and with ``r`` the square root of the kept share of the base
+mass ``H^2 = r (1 - BC) + (1 - r)^2 / 2``, accurate for distances far
+below sqrt(machine epsilon). NaN marks a direction whose tilt could
+overflow: its reweighted posterior has no finite mass.
 
 Two guards keep the ratio trustworthy:
 
@@ -104,8 +102,10 @@ _INTERPOLATE_FROM = 192
 _DEGREES = (8, 16, 32)
 _COEF_RTOL = 1e-13
 # Largest relative gap between the interpolant and rows on the checked
-# directions; the rows' own rounding reaches 1.2e-9 at eps 1e-6.
-_CHECK_RTOL = 1e-8
+# directions. On 30 posteriors per family of 2001 and 8001 points, 1600
+# directions at eps 1e-6 to 0.5, the gap reached 1.3e-12, the interpolant's
+# own error: rows are within 2e-12 of a long-double evaluation.
+_CHECK_RTOL = 1e-10
 # Total degree of the power series of exp(x + y) taken where |x|, |y| <= 1:
 # the first omitted term is at most 2**25 / 25! (about 2e-18).
 _SERIES_DEGREE = 24
@@ -163,67 +163,59 @@ def _warn_if_degenerate(occupied: np.ndarray) -> None:
         )
 
 
-def _row_sweep(d1, d2, t1, t2, w, weighted_base, mass) -> tuple[np.ndarray, np.ndarray]:
-    """Hellinger distances of the tilts ``(d1[i], d2[i])`` one row of cells each,
-    and each row's count of support points above the degeneracy guard (all
-    of them unless the row could be degenerate).
+def _row_sweep(d1, d2, stats, prob, density) -> tuple[np.ndarray, np.ndarray]:
+    """``1 - BC`` of the tilts ``(d1[i], d2[i])`` one row of cells each, in the
+    variance form of the module docstring, and each row's count of support
+    points above the degeneracy guard (all of them unless the row could be
+    degenerate). NaN marks a row with no finite mass.
 
-    ``w`` and ``weighted_base`` are the trapezoid weights and their products
-    with the base posterior at the kept points, and ``mass`` is the base
-    posterior's trapezoid mass over the whole grid. NaN marks a row with no
-    finite mass.
+    ``stats`` are the tilt statistics centred under ``prob``, the base
+    posterior's probabilities at the kept points, and ``density`` its values
+    there. The rows of either branch run in blocks of their own.
     """
-    root_base = np.sqrt(weighted_base / mass)
-    # (d1, d2, 1, -shift) @ stats is log sqrt(w * p_new) up to a row constant
-    stats = np.stack([0.5 * t1, 0.5 * t2, 0.5 * np.log(weighted_base), np.ones(t1.size)])
-    half_log_w = 0.5 * np.log(w)
-    # No cell exceeds its row's peak cell P <= 1, and a cell whose density is
-    # at most DEGENERATE_GUARD of its row's peak is at most DEGENERATE_GUARD *
-    # P**2 * w / min(w). So a row with fewer than 3 cells above the guard has
-    # Z <= P**2 * (2 + DEGENERATE_GUARD * sum(w) / min(w)) <= P**2 * z_bound,
-    # where 2 * max(w) / min(w) >= 2 leaves room for rounding in Z.
-    z_bound = (2.0 * w.max() + DEGENERATE_GUARD * w.sum()) / w.min()
-
-    n = d1.size
-    width = t1.size
-    coef = np.ones((n, 4))
-    coef[:, 0], coef[:, 1] = d1, d2
-    z = np.empty(n)
-    h2 = np.empty(n)
+    n, width = d1.size, prob.size
+    half = 0.5 * np.stack([d1, d2], axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        reach = np.abs(half) @ np.abs(stats).max(axis=1)  # a bound on max |x|
+    # A row with at most two points above the guard puts all but rho of its
+    # mass m = prob u**2 / E0[u^2] on them, so by Cauchy-Schwarz on either
+    # part BC = sum(sqrt(m prob)) <= sqrt(2 max(prob)) + sqrt(rho), that is
+    # E0[u^2] >= (E0[u] / that)^2; rows within twice that are counted.
+    spacing = prob / density  # the trapezoid weights over the kept mass
+    rho = DEGENERATE_GUARD * spacing.sum() / spacing.min()
+    limit = 2.0 * (math.sqrt(2.0 * prob.max()) + math.sqrt(rho))
+    defect = np.full(n, math.nan)
     occupied = np.full(n, width, dtype=np.int64)
     step = max(1, _BLOCK_CELLS // width)
     buf = np.empty((min(step, n), width))
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        tilt = coef[:, :2]
-        shift = np.maximum(tilt * stats[:2].min(1), tilt * stats[:2].max(1)).sum(1) + stats[2].max()
-        exact = ~(shift - coef[:, :3] @ stats[:3, np.argmax(stats[2])] <= 100.0)
-        coef[:, 3] = np.where(exact, 0.0, -shift)
-        for lo in range(0, n, step):
-            rows = slice(lo, min(lo + step, n))
-            root = buf[: rows.stop - lo]
-            np.matmul(coef[rows], stats, out=root)
-            loose = np.flatnonzero(exact[rows])
-            if loose.size:
-                shift[lo + loose] = root[loose].max(axis=1)
-                root[loose] -= shift[lo + loose, None]
-            np.exp(root, out=root)  # sqrt(w * p_new) up to a row constant, at most 1
-            np.vecdot(root, root, out=z[rows])
-            # a row with a NaN Z is counted too, and finds no cell above the guard
-            few = np.flatnonzero(~(z[rows] > z_bound))
+    # offset is E0[u] less the mean of the buffer: 1 for e = expm1(x), 0 for
+    # u = exp(x - max x). A row whose bound is not finite keeps its NaN.
+    wide = (reach > 0.5) & (reach < math.inf)
+    for offset, group in ((1.0, np.flatnonzero(reach <= 0.5)), (0.0, np.flatnonzero(wide))):
+        for lo in range(0, group.size, step):
+            rows = group[lo : lo + step]
+            u = buf[: rows.size]
+            np.matmul(half[rows], stats, out=u)
+            if offset:
+                np.expm1(u, out=u)
+            else:
+                u -= u.max(axis=1, keepdims=True)
+                np.exp(u, out=u)
+            mean = u @ prob
+            u -= mean[:, None]
+            np.square(u, out=u)
+            var = u @ prob  # Var0(u)
+            mean += offset
+            second = var + mean**2  # E0[u^2]
+            bc = mean / np.sqrt(second)
+            # 1 - BC = (1 - BC^2) / (1 + BC), each factor to full relative precision
+            defect[rows] = var / second / (1.0 + bc)
+            few = rows[bc <= limit]
             if few.size:
-                few = lo + few[~(z[lo + few] > root[few].max(axis=1) ** 2 * z_bound)]
-                half_log_p = coef[few] @ stats - half_log_w
-                occupied[few] = np.count_nonzero(
-                    np.exp(half_log_p - half_log_p.max(axis=1, keepdims=True)) ** 2
-                    > DEGENERATE_GUARD,
-                    axis=1,
-                )
-            root *= (1.0 / np.sqrt(z[rows]))[:, None]
-            root -= root_base
-            np.vecdot(root, root, out=h2[rows])
-    h2 *= 0.5
-    np.clip(h2, 0.0, 1.0, out=h2)
-    return np.where(np.isfinite(shift), np.sqrt(h2), math.nan), occupied
+                log_p = 2.0 * (half[few] @ stats) + np.log(density)
+                log_p -= log_p.max(axis=1, keepdims=True)
+                occupied[few] = np.count_nonzero(log_p > math.log(DEGENERATE_GUARD), axis=1)
+    return defect, occupied
 
 
 def _tilt_spread(family: Family, t1: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
@@ -344,30 +336,24 @@ def _remainder_nodes(s: np.ndarray, prob: np.ndarray, moments: np.ndarray, nodes
     return np.where(both_small, remainder, direct), quad
 
 
-def _interpolated_distances(t1, t2, weighted_base, mass, d1, d2):
-    """Hellinger distances of the tilts ``(d1[i], d2[i])`` from a tensor
-    Chebyshev interpolant of the centred log-MGF ``L`` on their box, and the
+def _interpolated_distances(stats, prob, d1, d2):
+    """``1 - BC`` of the tilts ``(d1[i], d2[i])`` from a tensor Chebyshev
+    interpolant of the centred log-MGF ``L`` on their box, and the Hellinger
     distance below which rows are more accurate; None when the box is flat,
     a node value is not finite or the interpolant does not settle by
     degree 32.
 
-    The other arguments are those of :func:`_row_sweep`. Between the kept-point
-    posteriors ``log BC = L(d/2) - L(d)/2``; with ``r`` the square root of
-    the kept share of the base mass, ``H^2 = r (1 - BC) + (1 - r)^2 / 2``
-    is the rows' ``H^2``. The interpolant is of ``R = L - q``, ``q`` the
-    quadratic part of ``L``, which is added back exactly: ``log BC =
-    R(d/2) - R(d)/2 - q(d)/4``.
+    ``stats`` and ``prob`` are those of :func:`_row_sweep`. Between the
+    kept-point posteriors ``log BC = L(d/2) - L(d)/2``. The interpolant is
+    of ``R = L - q``, ``q`` the quadratic part of ``L``, which is added back
+    exactly: ``log BC = R(d/2) - R(d)/2 - q(d)/4``.
     """
-    kept = float(weighted_base.sum())
-    prob = weighted_base / kept
-    stats = np.stack([t1, t2])
-    stats -= (stats @ prob)[:, None]
     # d1 s1 + d2 s2 = (d1 + c d2) s1 + d2 (s2 - c s1): with c the regression
     # slope of s2 on s1 the axes are uncorrelated, so no corner of the box
     # of tilts adds both axes' moves of L, and q is a sum of two squares
     first = stats[0] * prob
     shear = (first @ stats[1]) / (first @ stats[0])
-    stats[1] -= shear * stats[0]
+    stats = np.stack([stats[0], stats[1] - shear * stats[0]])
     reach = np.maximum(stats.max(axis=1), -stats.min(axis=1))
     stats /= reach[:, None]
     tilts = np.stack([(d1 + shear * d2) * reach[0], d2 * reach[1]])
@@ -400,15 +386,20 @@ def _interpolated_distances(t1, t2, weighted_base, mass, d1, d2):
     a, b = tilts
     quad_d = a * a * moments[2, 0] + a * b * moments[1, 1] + b * b * moments[0, 2]
     log_bc = remainder[n:] - 0.5 * remainder[:n] - 0.25 * quad_d
-    root = math.sqrt(kept / mass)
-    h2 = -root * np.expm1(log_bc) + 0.5 * (1.0 - root) ** 2
     # The interpolant's absolute error in H^2 is some ulps of max |R|, so its
     # relative error grows on the least-moved directions: against long
     # double (400 directions on each of 80 posteriors at eps 0.05 to 0.5) it
     # reached 3.6e-12 where H^2 < 1e-3 max |R| and 1.6e-12 elsewhere, and
     # without this cut 2.9e-10 against rows on a 1600-direction normal
-    # sweep at eps 0.5. Rows, whose error is about 10 ulps / H, take those.
-    return np.sqrt(np.clip(h2, 0.0, 1.0)), math.sqrt(1e-3 * np.abs(values).max())
+    # sweep at eps 0.5. Rows, whose variance form has no such floor, take those.
+    return -np.expm1(log_bc), math.sqrt(1e-3 * np.abs(values).max())
+
+
+def _hellinger(defect: np.ndarray, root: float) -> np.ndarray:
+    """``H = sqrt(root (1 - BC) + (1 - root)^2 / 2)`` from ``defect = 1 - BC``
+    between the kept-point posteriors, ``root**2`` the kept share of the base
+    mass: the moved posterior has none on the dropped points."""
+    return np.sqrt(np.clip(root * defect + 0.5 * (1.0 - root) ** 2, 0.0, 1.0))
 
 
 def _posterior_distances(inp: PosteriorInput, gamma1, gamma2) -> np.ndarray:
@@ -426,10 +417,14 @@ def _posterior_distances(inp: PosteriorInput, gamma1, gamma2) -> np.ndarray:
     # Points below TAIL_GUARD add nothing: the guard zeroes the reweighted
     # density there, but the true difference is negligible there, and
     # counting the base mass would add half of it to H^2.
-    w = weights[keep]
-    weighted_base = w * grid.values[keep]
-    mass = float(weights @ grid.values)
-    rows = (t1, t2, w, weighted_base, mass)
+    density = grid.values[keep]
+    weighted = weights[keep] * density
+    kept = float(weighted.sum())
+    root = math.sqrt(kept / float(weights @ grid.values))
+    prob = weighted / kept
+    stats = np.stack([t1, t2])
+    stats -= (stats @ prob)[:, None]
+    rows = (stats, prob, density)
     h = np.empty(d1.size)
     by_rows = np.ones(d1.size, dtype=bool)
     if d1.size >= _INTERPOLATE_FROM and np.all(np.isfinite(d1)) and np.all(np.isfinite(d2)):
@@ -438,25 +433,26 @@ def _posterior_distances(inp: PosteriorInput, gamma1, gamma2) -> np.ndarray:
         # base peak above the guard. Below the limit that holds for the peak
         # and its two neighbours among the kept points (any three would do),
         # with a margin of 1 for rounding, so the row is not degenerate.
-        values = grid.values[keep]
-        peak = int(values.argmax())
-        near = values[max(0, min(peak - 1, values.size - 3)) :][:3]
-        limit = math.log(near.min() / values[peak] / DEGENERATE_GUARD) - 1.0 if near.size == 3 else -math.inf
+        peak = int(density.argmax())
+        near = density[max(0, min(peak - 1, density.size - 3)) :][:3]
+        limit = math.log(near.min() / density[peak] / DEGENERATE_GUARD) - 1.0 if near.size == 3 else -math.inf
         smooth = np.flatnonzero(_tilt_spread(inp.base_prior.family, t1, d1, d2) < limit)
         if smooth.size >= _INTERPOLATE_FROM:
-            found = _interpolated_distances(t1, t2, weighted_base, mass, d1[smooth], d2[smooth])
+            found = _interpolated_distances(stats, prob, d1[smooth], d2[smooth])
             if found is not None:
-                h_smooth, floor = found
+                defect, floor = found
+                h_smooth = _hellinger(defect, root)
                 # check the extreme tilts on either axis and the largest distance by rows
                 d1s, d2s = d1[smooth], d2[smooth]
                 check = [d1s.argmin(), d1s.argmax(), d2s.argmin(), d2s.argmax(), h_smooth.argmax()]
-                h_rows = _row_sweep(d1s[check], d2s[check], *rows)[0]
+                h_rows = _hellinger(_row_sweep(d1s[check], d2s[check], *rows)[0], root)
                 if np.all(np.abs(h_smooth[check] - h_rows) <= _CHECK_RTOL * h_rows):
                     h[smooth] = h_smooth
                     by_rows[smooth] = h_smooth < floor
     occupied = np.full(d1.size, t1.size, dtype=np.int64)
     if by_rows.any():
-        h[by_rows], occupied[by_rows] = _row_sweep(d1[by_rows], d2[by_rows], *rows)
+        defect, occupied[by_rows] = _row_sweep(d1[by_rows], d2[by_rows], *rows)
+        h[by_rows] = _hellinger(defect, root)
     _warn_if_degenerate(occupied)
     return h
 

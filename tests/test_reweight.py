@@ -234,15 +234,15 @@ class TestPosteriorDistance:
 
 
 class TestShiftBound:
-    """The sweep shifts each row by an upper bound on its max; a row whose
-    bound is loose or not finite takes its exact max instead. Tiled past the
-    crossover, the sweep interpolates the directions it can and runs the
+    """Rows whose tilt reaches far past +-1/2 shift by their max before the
+    exp, and a row whose tilt could overflow has no finite mass. Tiled past
+    the crossover, the sweep interpolates the directions it can and runs the
     rest by rows, with the same results, warning and NaNs."""
 
     # On the normal (0, 1) base, whose support reaches |u| = 10, a mean-100
-    # tilt bounds its row 500 half-log units above its value at the base peak
-    # (and exp(-500)**2 underflows), a mean -60 one about 160; precision 1e7
-    # leaves mass on one support point, with a tight bound and with a loose one.
+    # tilt puts its row's max 500 half-log units above its value at the base
+    # peak (and exp(-500)**2 underflows), a mean -60 one about 160; precision
+    # 1e7 leaves mass on one support point, at the base peak and at the edge.
     PRIORS = [(0.3, 1.2), (-60.0, 0.5), (100.0, 1.0), (0.0, 1e7), (100.0, 1e7)]
 
     @pytest.mark.parametrize("tiles", [1, _INTERPOLATE_FROM])
@@ -261,14 +261,15 @@ class TestShiftBound:
 
     @pytest.mark.parametrize("tiles", [1, _INTERPOLATE_FROM])
     def test_non_finite_tilt_gives_nan(self, tiles, interpolant_runs):
-        # a non-finite tilt sends the whole sweep through rows
+        # a non-finite tilt sends the whole sweep through rows; a row with no
+        # finite mass is not counted as degenerate
         inp = flat_likelihood_input(NORMAL_SPEC)
         gamma1 = np.tile([0.3, math.nan, math.inf, 100.0], tiles)
         gamma2 = np.tile([1.2, 1.0, 1.0, -math.inf], tiles)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.warns(DegeneratePosteriorWarning, match=f"in {3 * tiles} of {4 * tiles} direction"):
-                h = _posterior_distances(inp, gamma1, gamma2).reshape(tiles, -1)
+            warnings.simplefilter("error", DegeneratePosteriorWarning)
+            h = _posterior_distances(inp, gamma1, gamma2).reshape(tiles, -1)
         assert np.isfinite(h[:, 0]).all() and np.isnan(h[:, 1:]).all()
         assert interpolant_runs == []
 
@@ -277,15 +278,18 @@ class TestInterpolant:
     """Past the crossover, directions whose tilt cannot make the posterior
     degenerate come from a Chebyshev interpolant of the centred log-MGF."""
 
+    # 64 directions run by rows only, 200 by the interpolant
+    @pytest.mark.parametrize("n_angles", [64, 200])
     @pytest.mark.parametrize("eps", [1e-6, 1e-4, 1e-2])
     @pytest.mark.parametrize("family,seed", [(Family.GAMMA, 21), (Family.NORMAL, 22)])
-    def test_matches_long_double_sweep(self, family, seed, eps, interpolant_runs):
+    def test_matches_long_double_sweep(self, family, seed, eps, n_angles, interpolant_runs):
         inp = conjugate_input(family, seed)
-        grid = compute_grid(inp.base_prior, eps, n_angles=200)
-        assert len(grid.points) >= _INTERPOLATE_FROM
+        grid = compute_grid(inp.base_prior, eps, n_angles=n_angles)
+        interpolated = len(grid.points) >= _INTERPOLATE_FROM
+        assert interpolated == (n_angles == 200)
         g1, g2 = grid.points.point.gamma1, grid.points.point.gamma2
         ratios = circular_sensitivity(inp, grid).entries.ratio
-        assert interpolant_runs == [True]
+        assert interpolant_runs == ([True] if interpolated else [])
         expected = reweighted_distances_longdouble(inp, g1, g2) / eps
         assert np.max(np.abs(ratios / expected - 1.0)) <= 1e-11
 
@@ -298,9 +302,9 @@ class TestInterpolant:
         h = _posterior_distances(inp, g1, g2)
         assert interpolant_runs == [True]
         rows = by_rows(inp, g1, g2)
-        # the rows' own rounding is about 10 ulps / H relative, 4e-11 at eps 1e-4
-        tolerance = 1e-11 + 16.0 * np.finfo(float).eps / rows
-        assert np.all(np.abs(h / rows - 1.0) <= tolerance)
+        # rows in variance form have no rounding floor; the gap is the
+        # interpolant's own error, 3.7e-13 at most here
+        assert np.all(np.abs(h / rows - 1.0) <= 1e-11)
 
     def test_unsettled_coefficients_fall_back_to_rows(self, interpolant_runs):
         # On a flat posterior L(b) along an axis is log(sinh(b) / b), whose

@@ -170,9 +170,9 @@ class TestCircularSensitivity:
         gamma1 = np.full(8, 2.01)
         gamma1[3] = 1e308
         grid = replace(make_grid(np.linspace(-3.0, 3.0, 8), points(gamma1, np.ones(8))), base=base)
-        # that direction also counts as degenerate (mass on 0 points) before the error
+        # the error alone names that direction: it is not also counted as degenerate
         with pytest.raises(ReweightingError) as exc, warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegeneratePosteriorWarning)
+            warnings.simplefilter("error", DegeneratePosteriorWarning)
             circular_sensitivity(inp, grid)
         assert str(exc.value) == "angle -0.428571: reweighted posterior has no finite mass"
 
