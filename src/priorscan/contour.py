@@ -16,8 +16,9 @@ coordinates, its second entry relative to ``gamma2``. So each bracket opens
 at ``z0 = log(epsilon sqrt(8 / u' I u)) -+ (0.01 + 4 epsilon)``. It widens
 geometrically within the family domain and within ``+-20`` of
 ``log sqrt(8 / u' I u)``, so any base reaches epsilon down to about
-``exp(-20)``. Illinois regula falsi on ``f(z) = log(H / epsilon)``, nearly
-linear in ``z``, then takes 1 to 3 steps for ``epsilon <= 1e-2``. A
+``exp(-20)``. Anderson-Bjorck regula falsi on ``f(z) = log(H / epsilon)``, nearly
+linear in ``z`` (where the Illinois step overshoots to the mirror point), then
+takes 1 or 2 steps for ``epsilon <= 1e-2``. A
 direction stops once ``|H - epsilon| <= 1e-10 epsilon``, once both bracket ends
 give the same or adjacent floats in each coordinate, or once the bracket is
 narrower than ``1e-14 + 4 eps |z|``. Of all points evaluated in the bracket,
@@ -163,7 +164,7 @@ def _radii(
     use_lo = d_lo <= d_hi
     z_best = np.where(use_lo, z_lo, z_hi)
     d_best = np.where(use_lo, d_lo, d_hi)
-    # Illinois regula falsi on the open directions, as compressed arrays; side is
+    # Anderson-Bjorck regula falsi on the open directions, as compressed arrays; side is
     # +1 (-1) where the last step moved the upper (lower) end
     idx = np.flatnonzero(bracketed & (d_best > _F_RTOL * epsilon))
     lo, hi, f_lo, f_hi, side = z_lo[idx], z_hi[idx], f_lo[idx], f_hi[idx], np.zeros(idx.size)
@@ -173,9 +174,11 @@ def _radii(
         z = np.where((lo < z) & (z < hi), z, 0.5 * (lo + hi))
         fz, dz = f(z, idx)
         up = fz >= 0.0
-        # when the same end moves twice running, halve the other end's f
-        f_lo = np.where(up, np.where(side > 0.0, 0.5 * f_lo, f_lo), fz)
-        f_hi = np.where(up, fz, np.where(side < 0.0, 0.5 * f_hi, f_hi))
+        # when the same end moves twice running, scale the other end's f by m >= 1/2
+        m = 1.0 - fz / np.where(up, f_hi, f_lo)  # 1 - f_new / f_old of the moving end
+        m = np.where(m > 0.5, m, 0.5)  # NaN (f_new = f_old = -inf) gives 1/2 too
+        f_lo = np.where(up, np.where(side > 0.0, m * f_lo, f_lo), fz)
+        f_hi = np.where(up, fz, np.where(side < 0.0, m * f_hi, f_hi))
         lo, hi, side = np.where(up, lo, z), np.where(up, z, hi), np.where(up, 1.0, -1.0)
         # near the root rounding noise can exceed the tolerance: keep the best point
         better = dz < d_best[idx]

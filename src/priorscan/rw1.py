@@ -49,7 +49,7 @@ _SCAN_LIMIT = 300.0
 _SCAN_WIDEN = 100  # level-0 nodes (50 on the log-tau axis) added per widening
 _SEED_MARGIN = 4  # level-0 nodes a side added to the anchor's window to scan all priors
 _MAX_LEVEL = 16
-_REL_TOL = 1e-11  # Simpson sums settle to this fraction of the integral of |f|
+_REL_TOL = 1e-11  # trapezoid sums settle to this fraction of the integral of |f|
 # Cells per block of the (priors x nodes) products: 120 kB temporaries stay in cache and
 # under malloc's 128 kB mmap threshold, so no page faults.
 _BLOCK_CELLS = 15 << 10
@@ -123,7 +123,7 @@ def _dct2(y: np.ndarray) -> np.ndarray:
 def _blocks(rows: int, width: int):
     """Row slices of a (rows x width) array that fit one block of cells."""
     step = max(1, _BLOCK_CELLS // width)
-    return (slice(lo, lo + step) for lo in range(0, rows, step))
+    return (slice(lo, min(lo + step, rows)) for lo in range(0, rows, step))
 
 
 def _spectral_sums(model: RW1Model, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -257,11 +257,11 @@ def _lattice_pass(model: RW1Model, anchor, points):
     less the gap of their peaks (a constant, which leaves BC unchanged),
     ``log BC = log E[exp(t/2)] - log E[exp(t)] / 2`` under the anchor's
     posterior, each ``log E`` formed as ``log1p(E[expm1(.)])``. The window
-    covers the anchor, points and midpoints. Trapezoid sums start from one pass
-    over the nodes of every level coarser than the first with 128 intervals,
-    then gain each finer level's new nodes; all Simpson sums must change by at
-    most ``_REL_TOL`` times the integral of their absolute value between two
-    levels by ``_MAX_LEVEL``.
+    covers the anchor, points and midpoints; its integrands are analytic and cut
+    at ``exp(-_WINDOW_DROP)``, so trapezoid sums converge geometrically. They start
+    from one pass over every level coarser than the first with 64 intervals, then
+    gain each finer level's new nodes until none changes by more than ``_REL_TOL``
+    times the integral of its absolute value, by level ``_MAX_LEVEL``.
     """
     anchor, points = np.asarray(anchor, dtype=float), np.asarray(points, dtype=float).reshape(-1, 2)
     n_pts = len(points)
@@ -299,30 +299,27 @@ def _lattice_pass(model: RW1Model, anchor, points):
         j0, j1 = lo << (level - 1), hi << (level - 1)
         return (2 * np.arange(j0, j1) + 1) * (_LATTICE_STEP / 2**level), _s_nodes(model, level, j0, j1)
 
-    # Convergence is first checked at level first + 1, so the levels below first
-    # are only ever used as their joint trapezoid sum: one pass over all their
-    # nodes, level 0 first, whose two ends take half weight.
-    first = max(1, math.ceil(math.log2(128 / (hi - lo))))  # first level with >= 128 intervals
+    # Convergence is first checked at level first, so the levels below first are
+    # only ever used as their joint trapezoid sum: one pass over all their nodes,
+    # level 0 first, whose two ends take half weight.
+    first = max(1, math.ceil(math.log2(64 / (hi - lo))))  # first level with >= 64 intervals
     us, s = map(np.concatenate, zip(*map(level_nodes, range(first))))
     h = _LATTICE_STEP / 2 ** (first - 1)
     weights = np.full(us.size, h)
     weights[[0, hi - lo]] = 0.5 * h
     trap = sums(us, s, weights)
-    converged = np.zeros(len(priors), dtype=bool)
     for level in range(first, _MAX_LEVEL + 1):
         us, s = level_nodes(level)
         finer = 0.5 * trap + sums(us, s, np.full(us.size, _LATTICE_STEP / 2**level))
-        simpson = (4.0 * finer - trap) / 3.0
-        if level > first:
-            converged = np.abs(simpson[0] - prev[0]) <= _REL_TOL * simpson[1]
-            if converged.all():
-                with np.errstate(divide="ignore"):  # BC below 1e-308 gives H = 1
-                    log_e = np.log1p(simpson[0, 1:] / simpson[0, 0])
-                log_bc = np.minimum(log_e[:n_pts] - 0.5 * log_e[n_pts:], 0.0)
-                log_c = float(peak[0] + math.log(simpson[0, 0]) + 0.5 * model.kappa * (model.y @ model.y))
-                log_c_points = log_c + log_e[n_pts:] + gap
-                return log_c, log_c_points, np.sqrt(np.maximum(0.0, -np.expm1(log_bc)))
-        trap, prev = finer, simpson
+        converged = np.abs(finer[0] - trap[0]) <= _REL_TOL * finer[1]
+        if converged.all():
+            with np.errstate(divide="ignore"):  # BC below 1e-308 gives H = 1
+                log_e = np.log1p(finer[0, 1:] / finer[0, 0])
+            log_bc = np.minimum(log_e[:n_pts] - 0.5 * log_e[n_pts:], 0.0)
+            log_c = float(peak[0] + math.log(finer[0, 0]) + 0.5 * model.kappa * (model.y @ model.y))
+            log_c_points = log_c + log_e[n_pts:] + gap
+            return log_c, log_c_points, np.sqrt(np.maximum(0.0, -np.expm1(log_bc)))
+        trap = finer
     a, b = np.vstack([anchor, points, points])[np.argmin(converged)]
     raise NumericalError(f"quadrature for prior ({a}, {b}) did not converge to {_REL_TOL} "
                          f"within {_MAX_LEVEL} refinement levels")

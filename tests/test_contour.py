@@ -276,12 +276,15 @@ class TestComputeGrid:
 
     @pytest.mark.parametrize(
         "base,epsilon,pre_calls,solve_calls",
-        [(b, eps, 6, 6) for b in (GAMMA_BASE, NORMAL_BASE) for eps in (1e-6, 1e-3, EPS0, 1e-2)]
-        + [(PriorSpec(Family.GAMMA, ParamPoint(200.0, 0.1)), 1e-6, 6, 10)],
+        [(b, eps, *((6, 6) if eps < EPS0 else (4, 4)))
+         for b in (GAMMA_BASE, NORMAL_BASE) for eps in (1e-6, 1e-3, EPS0, 1e-2)]
+        + [(PriorSpec(Family.GAMMA, ParamPoint(200.0, 0.1)), 1e-6, 6, 10)]
+        + [(GAMMA_BASE, 0.5, 7, 10), (PriorSpec(Family.GAMMA, ParamPoint(0.05, 30.0)), 0.5, 15, 19)],
     )
     def test_closed_form_calls(self, monkeypatch, base, epsilon, pre_calls, solve_calls):
-        # brackets seeded from the Fisher information start next to the root, and a
-        # direction stops once its bracket ends are neighbouring floats
+        # brackets seeded from the Fisher information start next to the root, a
+        # direction stops once its bracket ends are neighbouring floats, and the
+        # Anderson-Bjorck step does not overshoot where f is nearly linear
         import priorscan.contour as contour_mod
 
         calls = []

@@ -449,9 +449,9 @@ def fine_trapezoid(model, prior, lo, hi, per_node=2**10):
 
 
 class TestDeepFirstLevel:
-    # At n = 8004 the window spans 4 to 7 coarse intervals, so level 5 is the first
-    # with 128 intervals: the lattice pass sums levels 0 to 4 in one pass, then
-    # refines from level 5 on.
+    # At n = 8004 the window spans 4 to 7 coarse intervals, so level 4 is the first
+    # with 64 intervals: the lattice pass sums levels 0 to 3 in one pass, then
+    # refines from level 4 on.
     anchor, other = (1.0, 0.005), (3.0, 0.001)
 
     def window(self, model):
@@ -488,6 +488,60 @@ class TestDeepFirstLevel:
         assert len(exact.entries) == len(reweighted.entries) == 64
         assert np.array_equal(exact.entries.phi, reweighted.entries.phi)
         assert np.max(np.abs(exact.entries.ratio - reweighted.entries.ratio)) <= 1e-4
+
+
+def sweep_priors(model, eps):
+    """The anchor, midpoints and points of a 400-angle sweep, and the lattice
+    pass's window over them in coarse nodes."""
+    anchor = np.array(model.prior.as_tuple())
+    grid = compute_grid(PriorSpec(Family.GAMMA, model.prior), eps, n_angles=400)
+    points = np.c_[grid.points.point.gamma1, grid.points.point.gamma2]
+    k_lo, k_hi, _ = rw1._windows(model, np.vstack([anchor, 0.5 * (anchor + points), points]), rw1._WINDOW_DROP)
+    return anchor, points, int(k_lo.min()), int(k_hi.max())
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-2])
+@pytest.mark.parametrize("fixture", ["model192", "model2004", "model8004"])
+def test_sweep_stops_at_first_level_with_64_intervals(fixture, eps, request, monkeypatch):
+    # the integrands are analytic and cut where they have fallen by exp(-60), so
+    # trapezoid sums converge geometrically: the first refinement meets the tolerance
+    model = request.getfixturevalue(fixture)
+    _, _, lo, hi = sweep_priors(model, eps)
+    levels = []
+    s_nodes = rw1._s_nodes
+
+    def recorded(model, level, lo, hi):
+        levels.append(level)
+        return s_nodes(model, level, lo, hi)
+
+    monkeypatch.setattr(rw1, "_s_nodes", recorded)
+    exact_sensitivity(model, eps, n_angles=400)
+    assert max(levels) <= max(1, math.ceil(math.log2(64 / (hi - lo))))
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-2])
+@pytest.mark.parametrize("fixture", ["model192", "model2004"])
+def test_sweep_distances_against_fine_trapezoid(fixture, eps, request):
+    # log BC = log1p(E0[expm1(t/2)]) - log1p(E0[expm1(t)]) / 2 on a fine lattice,
+    # t the log prior ratio less its mean under the base posterior
+    model = request.getfixturevalue(fixture)
+    anchor, points, lo, hi = sweep_priors(model, eps)
+    us, w, _ = fine_trapezoid(model, tuple(anchor), lo - 2, hi + 2, per_node=2**8)
+    w /= w.sum()
+    da, db = (points - anchor).T
+    t = np.multiply.outer(da, us) - np.multiply.outer(db, np.exp(us))
+    t -= (t @ w)[:, None]
+    log_bc = np.log1p(np.expm1(t / 2) @ w) - 0.5 * np.log1p(np.expm1(t) @ w)
+    expected = np.sqrt(-np.expm1(log_bc))
+    h = _lattice_pass(model, tuple(anchor), points)[2]
+    assert np.max(np.abs(h - expected)) <= 1e-13
+
+
+@pytest.mark.parametrize("rows,width", [(0, 5), (1, 201), (76, 201), (77, 201), (153, 201), (1000, 3), (5, 1 << 20)])
+def test_blocks_cover_rows_exactly(rows, width):
+    blocks = list(rw1._blocks(rows, width))
+    assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(rows))
+    assert all(b.stop - b.start <= max(1, rw1._BLOCK_CELLS // width) for b in blocks)
 
 
 class TestTabulatePosterior:
