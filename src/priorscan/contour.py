@@ -9,23 +9,24 @@ is then a one-dimensional root-finding problem in ``z = log r``:
 
     H(base, base + exp(z) * (cos(phi) c_x, sin(phi) c_y)) = epsilon.
 
-All directions are solved together as array operations. To second order
-``H^2 = r^2 u' I u / 8`` along a step ``r u``, ``I`` the base prior's Fisher
-information in ``(gamma1, log gamma2)`` and ``u`` the step in those
-coordinates, its second entry relative to ``gamma2``. So each bracket opens
-at ``z0 = log(epsilon sqrt(8 / u' I u)) -+ (0.01 + 4 epsilon)``. It widens
-geometrically within the family domain and within ``+-20`` of
-``log sqrt(8 / u' I u)``, so any base reaches epsilon down to about
+All directions are solved together as array operations. Along a step ``r u``, ``u``
+in ``(gamma1, log gamma2)`` (second entry relative to ``gamma2``),
+``H^2 = r^2 Q / 8 + r^3 T / 16 + O(r^4)``, ``Q = u' I u`` with ``I`` the base prior's
+Fisher information and ``T`` its cubic form (:func:`.families.cubic_form`). So each
+bracket opens at ``z0 = log(epsilon sqrt(8 / Q)) - s``, ``s = epsilon sqrt(8 / Q) T /
+(4 Q)`` clipped to [-1, 1] (0 where not finite), about ``s^2 / 4`` from the root, with
+half-width ``min(0.01 + 4 epsilon, 1e-5 + max(16 epsilon^2, s^2))``, ``s^2`` the
+largest over all directions. It widens geometrically within the family domain and
+within ``+-20`` of ``log sqrt(8 / Q)``, so any base reaches epsilon down to about
 ``exp(-20)``. Anderson-Bjorck regula falsi on ``f(z) = log(H / epsilon)``, nearly
-linear in ``z`` (where the Illinois step overshoots to the mirror point), then
-takes 1 or 2 steps for ``epsilon <= 1e-2``. A
-direction stops once ``|H - epsilon| <= 1e-10 epsilon``, once both bracket ends
-give the same or adjacent floats in each coordinate, or once the bracket is
-narrower than ``1e-14 + 4 eps |z|``. Of all points evaluated in the bracket,
-the one with the smallest defect ``|H - epsilon|`` is returned. The
-log-radius keeps the problem well conditioned across the many orders of
-magnitude separating axis scales (for diffuse priors the two cardinal
-moduli can differ by a factor of 1e4 and more).
+linear in ``z`` (where the Illinois step overshoots to the mirror point), then takes
+1 step for ``epsilon <= 1e-3`` and 2 for ``epsilon <= 1e-2``. A direction stops once
+``|H - epsilon| <= 1e-10 epsilon``, once both bracket ends give the same or adjacent
+floats in each coordinate, or once the bracket is narrower than ``1e-14 + 4 eps |z|``.
+Of all points evaluated in the bracket, the one with the smallest defect
+``|H - epsilon|`` is returned. The log-radius keeps the problem well conditioned
+across the many orders of magnitude separating axis scales (for diffuse priors the
+two cardinal moduli can differ by a factor of 1e4 and more).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContourUnreachableError, DomainError, PartialGridError
-from .families import fisher_information, hellinger_closed_form
+from .families import cubic_form, fisher_information, hellinger_closed_form
 from .params import Family, PriorSpec, check_epsilon
 
 # Acceptable defect |H - epsilon| relative to epsilon for a solved point.
@@ -99,6 +100,20 @@ class PolarGrid:
         return len(self.points) + len(self.failed_angles)
 
 
+def _seed(base: PriorSpec, epsilon: float, ux: np.ndarray, uy: np.ndarray):
+    """Log radius ``z_unit`` of unit Fisher distance along each direction ``(ux, uy)``, and
+    the ``shift`` of the module docstring's seed; both forms take ``u`` scaled by its
+    larger entry, so neither can over- or underflow."""
+    g1, g2 = base.point.gamma1, base.point.gamma2
+    i11, i12, i22 = fisher_information(base.family, g1, g2)
+    s = np.maximum(np.abs(ux), np.abs(uy / g2))
+    wx, wy = ux / s, uy / g2 / s
+    q = i11 * wx * wx + 2.0 * i12 * wx * wy + i22 * wy * wy
+    shift = epsilon * np.sqrt(8.0 / q) * cubic_form(base.family, g1, g2, wx, wy) / (4.0 * q)
+    shift = np.where(np.isfinite(shift), np.clip(shift, -1.0, 1.0), 0.0)
+    return 0.5 * np.log(8.0 / q) - np.log(s), shift
+
+
 # inf and NaN from rates or precisions near the ends of the float range mark unreachable directions
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _radii(
@@ -106,7 +121,7 @@ def _radii(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve H(r) = epsilon along every direction ``(ux, uy)`` at once.
 
-    Works on f(z) = log(H / epsilon), z = log r, with the Fisher-seeded
+    Works on f(z) = log(H / epsilon), z = log r, with the third-order seeded
     brackets and the stop rules of the module docstring. Returns the radius and
     the defect ``|H - epsilon|`` at the returned point, both NaN for directions
     that could not be bracketed (the contour is unreachable there).
@@ -132,22 +147,16 @@ def _radii(
     if base.family is Family.GAMMA:
         left = ux < 0.0
         cap[left] = np.minimum(cap[left], g1 / -ux[left])
-    # H^2 = (r u)' I (r u) / 8 to second order, I in (g1, log g2), u = (ux, uy / g2) scaled by
-    # its larger entry so that u' I u cannot over- or underflow: z_unit is the log radius of H = 1
-    i11, i12, i22 = fisher_information(base.family, g1, g2)
-    v = uy / g2
-    s = np.maximum(np.abs(ux), np.abs(v))
-    wx, wy = ux / s, v / s
-    z_unit = 0.5 * np.log(8.0 / (i11 * wx * wx + 2.0 * i12 * wx * wy + i22 * wy * wy)) - np.log(s)
+    z_unit, shift = _seed(base, epsilon, ux, uy)
     # stay strictly inside the domain when the cap is finite
     z_top = np.minimum(z_unit + _Z_MAX, np.log(cap) + math.log1p(-1e-12))
     z_floor = z_unit - _Z_MAX
-    step = 0.01 + 4.0 * epsilon
-    z0 = np.clip(z_unit + math.log(epsilon), z_floor + step, z_top - step)
+    step = min(0.01 + 4.0 * epsilon, 1e-5 + max(16.0 * epsilon**2, float(np.max(shift**2))))
+    z0 = np.clip(z_unit + math.log(epsilon) - shift, z_floor + step, z_top - step)
     z_lo, z_hi = z0 - step, z0 + step
     while True:
         # both bracket ends in one closed-form call
-        fs, ds = f(np.r_[z_lo, z_hi], np.tile(np.arange(ux.size), 2))
+        fs, ds = f(np.concatenate((z_lo, z_hi)), np.tile(np.arange(ux.size), 2))
         (f_lo, f_hi), (d_lo, d_hi) = fs.reshape(2, -1), ds.reshape(2, -1)
         widen_lo = (f_lo > 0.0) & (z_lo > z_floor)
         widen_hi = (f_hi < 0.0) & (z_hi < z_top)
@@ -283,16 +292,16 @@ def compute_grid(
     cx, cy = scaling_factors(phis, cardinal)
     gamma1, gamma2, residual = _solve_radii(base, epsilon, phis, cx, cy)
     solved = residual <= epsilon * RESIDUAL_RTOL
-    points = np.empty(np.count_nonzero(solved), GRID_DTYPE).view(np.recarray)
-    points.phi, points.residual = phis[solved], residual[solved]
-    points.point.gamma1, points.point.gamma2 = gamma1[solved], gamma2[solved]
+    points = np.empty(np.count_nonzero(solved), GRID_DTYPE)  # filled as a plain ndarray
+    points["phi"], points["residual"] = phis[solved], residual[solved]
+    points["point"]["gamma1"], points["point"]["gamma2"] = gamma1[solved], gamma2[solved]
     failed = tuple(phis[~solved].tolist())
     if failed and not allow_partial:
         raise PartialGridError(failed)
     return PolarGrid(
         base=base,
         epsilon=epsilon,
-        points=points,
+        points=points.view(np.recarray),
         cardinal=cardinal,
         failed_angles=failed,
     )

@@ -12,6 +12,8 @@ closed form through the Bhattacharyya coefficient ``BC``:
 
 All coefficients are evaluated in log space, ``log BC`` in a difference
 form (:func:`_log_bc`) that keeps H accurate however close the points are.
+Along a step ``r u``, ``H^2 = r^2 Q / 8 + r^3 T / 16 + O(r^4)``, with ``Q`` the
+Fisher form (:func:`fisher_information`) and ``T`` the cubic form (:func:`cubic_form`).
 :func:`tabulate_prior` cuts a density where its log falls ``_LOG_DROP = 50``
 below the peak (normal: mean +/- 10 sd). Only numpy is imported.
 
@@ -92,18 +94,21 @@ def _lgamma_second_difference(m, h):
     )
 
 
-# Bernoulli numbers B_2 .. B_16 of the asymptotic series of trigamma
+# Bernoulli numbers B_2 .. B_16 of the asymptotic series of the polygamma functions
 _B2K = np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510])
 
 
-def _trigamma(a):
-    """``psi_1(a)``, ``a > 0``, elementwise: the recurrence shifts the argument to
-    ``x >= 8``, then ``(1 + 1/(2x) + sum B_2k x^-2k) / x``, accurate to 1e-14."""
+def _polygamma(k, a):
+    """``psi_k(a)``, ``k = 1`` or ``2``, ``a > 0``, elementwise: the recurrence shifts the
+    argument to ``x >= 8``, then ``+-(1 + k / (2x) + sum c_j B_2j x^-2j) / x^k`` with
+    ``c_j = 1`` for ``k = 1`` and ``2j + 1`` for ``k = 2``, accurate to 1e-13."""
     a = np.asarray(a, dtype=float)
     n = math.ceil(8.0 - min(float(np.fmin.reduce(a, axis=None, initial=8.0)), 8.0))
     x = a + n
-    series = (1.0 + 0.5 / x + (x[..., None] ** -np.arange(2.0, 17.0, 2.0)) @ _B2K) / x
-    return (1.0 / (a[..., None] + np.arange(n)) ** 2).sum(axis=-1) + series
+    coef = _B2K if k == 1 else _B2K * np.arange(3.0, 18.0, 2.0)  # (2j + 1) B_2j for k = 2
+    series = (1.0 + 0.5 * k / x + (x[..., None] ** -np.arange(2.0, 17.0, 2.0)) @ coef) / x**k
+    value = k * (1.0 / (a[..., None] + np.arange(n)) ** (k + 1)).sum(axis=-1) + series
+    return value * (-1) ** (k + 1)
 
 
 def fisher_information(family: Family, g1, g2):
@@ -112,7 +117,16 @@ def fisher_information(family: Family, g1, g2):
     families are scale-invariant in ``g2``, so no entry can overflow or underflow."""
     if family is Family.NORMAL:
         return g2, 0.0, 0.5
-    return float(_trigamma(g1)), -1.0, g1
+    return float(_polygamma(1, g1)), -1.0, g1
+
+
+def cubic_form(family: Family, g1, g2, x, v):
+    """Cubic form ``T`` of a step ``r (x, v g2)``: the prior's third cumulants in ``(g1,
+    log g2)`` with the path's curvature in ``log g2``. Normal: ``lam x^2 v - v^3``;
+    gamma: ``psi_2(a) x^3 + 3 x v^2 - 2 a v^3``."""
+    if family is Family.NORMAL:
+        return v * (g2 * x * x - v * v)
+    return x * (float(_polygamma(2, g1)) * x * x + 3.0 * v * v) - 2.0 * g1 * v * v * v
 
 
 def _log_bc(family: Family, g1_0, g2_0, g1, g2):

@@ -16,8 +16,11 @@ closed form (a ratio of hyperbolic sines). The quadratic form's constant
 part ``kappa |y|^2 / 2`` only scales the density and is left out of ``S``
 (it is added back to ``log C``). ``S`` is evaluated once per model
 on one dyadic log-tau lattice. All priors of a sweep (base, contour points,
-midpoints) are integrated on that lattice in one array pass, and with ``t``
-the prior log ratio and ``E0`` the expectation under the base posterior,
+midpoints) are integrated on that lattice in one array pass. Only the base is
+scanned: a prior's log density is the base's plus the tilt ``t = da u - db e^u``,
+so one array gives each prior's peak, where it is centred, and widens the base's
+window until each falls by ``exp(-60)`` at both ends. With ``t`` the prior log
+ratio and ``E0`` the expectation under the base posterior,
 
     log BC = log1p(E0[expm1(t/2)]) - 1/2 log1p(E0[expm1(t)])
 
@@ -47,7 +50,6 @@ _WINDOW_DROP = 60.0  # exp(-60) ~ 9e-27 relative tail cut for quadrature
 _TABLE_DROP = 28.0  # exp(-28) < 1e-12 relative boundary for tabulation
 _SCAN_LIMIT = 300.0
 _SCAN_WIDEN = 100  # level-0 nodes (50 on the log-tau axis) added per widening
-_SEED_MARGIN = 4  # level-0 nodes a side added to the anchor's window to scan all priors
 _MAX_LEVEL = 16
 _REL_TOL = 1e-11  # trapezoid sums settle to this fraction of the integral of |f|
 # Cells per block of the (priors x nodes) products: 120 kB temporaries stay in cache and
@@ -194,8 +196,8 @@ def _s_nodes(model: RW1Model, level: int, lo: int, hi: int) -> np.ndarray:
     if lo < j0 or hi > j1:
         odd, h = int(level > 0), _LATTICE_STEP / 2**level
         left, right = np.arange(min(lo, j0), j0), np.arange(j1, max(hi, j1))
-        values = np.r_[_s_terms(model, ((1 + odd) * left + odd) * h), values,
-                       _s_terms(model, ((1 + odd) * right + odd) * h)]
+        values = np.concatenate((_s_terms(model, ((1 + odd) * left + odd) * h), values,
+                                 _s_terms(model, ((1 + odd) * right + odd) * h)))
         model._lattice[level] = j0, values = min(lo, j0), values
     return values[lo - j0 : hi - j0]
 
@@ -206,47 +208,63 @@ def _log_target(model: RW1Model, priors: np.ndarray, us: np.ndarray, s: np.ndarr
     return (priors[:, :1] + (model.n - 1) / 2.0) * us - priors[:, 1:] * np.exp(us) + s
 
 
-def _windows(model: RW1Model, priors: np.ndarray, drop: float):
-    """Level-0 window ends and peak log density of every prior's posterior.
+def _windows(model: RW1Model, prior, drop: float) -> tuple[int, int, float]:
+    """Level-0 window ends and peak log density of one gamma prior's posterior.
 
-    Each window ends at the nearest coarse node on either side of the mode
-    where the log density has fallen by ``drop``. The first prior (the anchor)
-    is scanned alone from ``u`` in [-50, 50], then all priors from its window
-    plus ``_SEED_MARGIN`` nodes a side: nearby priors have nearby windows. A scan
-    widens while a window is open; a mode on its edge past ``+-_SCAN_LIMIT``, or
-    a window open past twice that, is an error.
-    """
-    lo, hi, rows, limit = -_SCAN_WIDEN, _SCAN_WIDEN, 1, _SCAN_LIMIT / _LATTICE_STEP
-    top, left, right = np.empty((3, len(priors)), dtype=int)
-    peak = np.empty(len(priors))
+    The window ends at the nearest coarse node on either side of the mode where the
+    log density has fallen by ``drop``. The scan of ``u`` in [-50, 50] widens while
+    the window is open; a mode on its edge past ``+-_SCAN_LIMIT``, or a window open
+    past twice that, is an error."""
+    prior = np.asarray(prior, dtype=float).reshape(1, 2)
+    lo, hi, limit = -_SCAN_WIDEN, _SCAN_WIDEN, _SCAN_LIMIT / _LATTICE_STEP
     while True:
         ks = np.arange(lo, hi + 1)
         us, s = ks * _LATTICE_STEP, _s_nodes(model, 0, lo, hi + 1)
-        for block in _blocks(rows, ks.size):
-            with np.errstate(over="ignore"):  # the check below names the node
-                g = _log_target(model, priors[block], us, s)
-            if not np.all(np.isfinite(g)):
-                bad = float(us[np.nonzero(~np.isfinite(g))[1][0]])
-                raise NumericalError(f"non-finite posterior integrand at log tau = {bad!r}")
-            top[block], peak[block] = ks[np.argmax(g, axis=1)], g.max(axis=1)
-            below, mode = g <= peak[block, None] - drop, top[block, None]
-            left[block] = np.where(below & (ks < mode), ks, lo - 1).max(axis=1)
-            right[block] = np.where(below & (ks > mode), ks, hi + 1).min(axis=1)
-        open_lo, open_hi = left[:rows] < lo, right[:rows] > hi
-        if not (open_lo.any() or open_hi.any()):
-            if rows == len(priors):
-                return left, right, peak
-            lo, hi, rows = left[0] - _SEED_MARGIN, right[0] + _SEED_MARGIN, len(priors)
-            continue
-        edge = (top[:rows] == lo) | (top[:rows] == hi)
-        lo, hi = lo - _SCAN_WIDEN * open_lo.any(), hi + _SCAN_WIDEN * open_hi.any()
-        if edge.any() and (lo < -limit or hi > limit):
-            a, b = priors[np.argmax(edge)]
+        with np.errstate(over="ignore"):  # the check below names the node
+            g = _log_target(model, prior, us, s)[0]
+        if not np.all(np.isfinite(g)):
+            bad = float(us[np.argmin(np.isfinite(g))])
+            raise NumericalError(f"non-finite posterior integrand at log tau = {bad!r}")
+        top = int(np.argmax(g))
+        below = g <= g[top] - drop
+        left = int(np.where(below & (ks < ks[top]), ks, lo - 1).max())
+        right = int(np.where(below & (ks > ks[top]), ks, hi + 1).min())
+        if lo <= left and right <= hi:
+            return left, right, float(g[top])
+        lo, hi, (a, b) = lo - _SCAN_WIDEN * (left < lo), hi + _SCAN_WIDEN * (right > hi), prior[0]
+        if top in (0, ks.size - 1) and (lo < -limit or hi > limit):
             raise NumericalError(f"posterior mode for prior ({a}, {b}) escaped the log-tau "
                                  f"scan range [{-_SCAN_LIMIT}, {_SCAN_LIMIT}]")
         if lo < -2 * limit or hi > 2 * limit:
-            a, b = priors[np.argmax(open_lo | open_hi)]
             raise NumericalError(f"posterior tail for prior ({a}, {b}) does not decay on the log-tau axis")
+
+
+def _sweep_window(model: RW1Model, anchor: np.ndarray, points: np.ndarray):
+    """Level-0 window of a sweep, the anchor's peak log density and each point's less it.
+
+    The anchor's window (:func:`_windows`) widens one node a side at a time while a
+    point or midpoint (log density the anchor's plus ``t`` or ``t / 2``) has not fallen
+    ``_WINDOW_DROP`` below its own peak at that end. Past the scan range a prior still
+    open is scanned alone, which names it if its mode escapes or its tail does not decay."""
+    lo, hi, peak = _windows(model, anchor, _WINDOW_DROP)
+    # one column per prior, midpoints then points: t = (u, e^u) @ (da, -db)
+    tilt = np.kron([0.5, 1.0], ((points - anchor) * [1.0, -1.0]).T)
+    while True:
+        us = _LATTICE_STEP * np.arange(lo, hi + 1)
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below names the node
+            g0 = _log_target(model, anchor[None], us, _s_nodes(model, 0, lo, hi + 1))[0] - peak
+            g = np.column_stack([us, np.exp(us)]) @ tilt + g0[:, None]  # nodes x priors
+        top = g.max(axis=0)  # a maximum down each column is fast, along each short row slow
+        if not np.all(np.isfinite(top)):  # NaN or +inf; -inf is a density of 0
+            bad = float(us[np.argmin((g < np.inf).all(axis=1))])
+            raise NumericalError(f"non-finite posterior integrand at log tau = {bad!r}")
+        open_ends = g[[0, -1]] > top - _WINDOW_DROP
+        if not open_ends.any():
+            return lo, hi, peak, top[len(points) :]
+        lo, hi = lo - int(open_ends[0].any()), hi + int(open_ends[1].any())
+        if max(-lo, hi) > _SCAN_LIMIT / _LATTICE_STEP:
+            for prior in np.vstack([0.5 * (anchor + points), points])[open_ends.any(axis=0)]:
+                _windows(model, prior, _WINDOW_DROP)
 
 
 def _lattice_pass(model: RW1Model, anchor, points):
@@ -257,25 +275,22 @@ def _lattice_pass(model: RW1Model, anchor, points):
     less the gap of their peaks (a constant, which leaves BC unchanged),
     ``log BC = log E[exp(t/2)] - log E[exp(t)] / 2`` under the anchor's
     posterior, each ``log E`` formed as ``log1p(E[expm1(.)])``. The window
-    covers the anchor, points and midpoints; its integrands are analytic and cut
-    at ``exp(-_WINDOW_DROP)``, so trapezoid sums converge geometrically. They start
-    from one pass over every level coarser than the first with 64 intervals, then
-    gain each finer level's new nodes until none changes by more than ``_REL_TOL``
-    times the integral of its absolute value, by level ``_MAX_LEVEL``.
+    (:func:`_sweep_window`) covers the anchor, points and midpoints; its integrands
+    are analytic and cut at ``exp(-_WINDOW_DROP)``, so trapezoid sums converge
+    geometrically. They start from one pass over every level coarser than the first
+    with 64 intervals, then gain each finer level's new nodes until none changes by
+    more than ``_REL_TOL`` times the integral of its absolute value, by ``_MAX_LEVEL``.
     """
     anchor, points = np.asarray(anchor, dtype=float), np.asarray(points, dtype=float).reshape(-1, 2)
     n_pts = len(points)
-    priors = np.vstack([anchor, 0.5 * (anchor + points), points])
-    k_lo, k_hi, peak = _windows(model, priors, _WINDOW_DROP)
-    lo, hi = int(k_lo.min()), int(k_hi.max())
-    gap = peak[1 + n_pts :] - peak[0]
-    half_tilt = 0.5 * np.c_[points - anchor, gap] * [1.0, -1.0, -1.0]
+    lo, hi, peak, gap = _sweep_window(model, anchor, points)
+    half_tilt = 0.5 * np.column_stack([points - anchor, gap]) * [1.0, -1.0, -1.0]
 
     def sums(us, s, weights):
         # sums of f and |f|; rows: 1, then exp(log_w) * expm1(t/2), then * expm1(t)
-        log_w = _log_target(model, anchor[None], us, s)[0] - peak[0]
+        log_w = _log_target(model, anchor[None], us, s)[0] - peak
         base = weights * np.exp(log_w)
-        out = np.empty((2, len(priors)))
+        out = np.empty((2, 1 + 2 * n_pts))
         out[:, 0] = base.sum()
         stats = np.vstack([us, np.exp(us), np.ones(us.size)])  # t / 2 = half_tilt @ stats
         for block in _blocks(n_pts, us.size):
@@ -283,13 +298,15 @@ def _lattice_pass(model: RW1Model, anchor, points):
             e = np.expm1(np.minimum(half, 0.5))
             full = e * (e + 2.0)  # expm1(min(t, 1)) = expm1(2 min(t/2, 1/2))
             far = np.nonzero(half >= 0.5) if half.max() >= 0.5 else None
-            for first_row, p, scale in ((1, e, 1.0), (1 + n_pts, full, 2.0)):
-                p *= base
-                if far is not None:
-                    # log_w + t <= ~0, so this form cannot overflow where log_w underflows
-                    t = scale * half[far]
-                    p[far] = weights[far[1]] * np.exp(log_w[far[1]] + t) - base[far[1]]
-                out[:, first_row + np.arange(n_pts)[block]] = p.sum(axis=1), np.abs(p, out=p).sum(axis=1)
+            for dst, p, k in ((out[:, 1 : 1 + n_pts], e, 1.0), (out[:, 1 + n_pts :], full, 2.0)):
+                if far is None:  # sums of p * base as matrix-vector products, base >= 0
+                    dst[:, block] = p @ base, np.abs(p, out=p) @ base
+                    continue
+                # log_w + t <= ~0, so this form cannot overflow where log_w underflows; pairwise
+                # sums as for the base's, so a row of -base sums to exactly minus the base's
+                p, t = p * base, k * half[far]
+                p[far] = weights[far[1]] * np.exp(log_w[far[1]] + t) - base[far[1]]
+                dst[:, block] = p.sum(axis=1), np.abs(p, out=p).sum(axis=1)
         return out
 
     def level_nodes(level):
@@ -314,9 +331,10 @@ def _lattice_pass(model: RW1Model, anchor, points):
         converged = np.abs(finer[0] - trap[0]) <= _REL_TOL * finer[1]
         if converged.all():
             with np.errstate(divide="ignore"):  # BC below 1e-308 gives H = 1
-                log_e = np.log1p(finer[0, 1:] / finer[0, 0])
+                # E0[expm1(t/2)] of a far prior is -1 less its rounding: clamp it there
+                log_e = np.log1p(np.maximum(finer[0, 1:] / finer[0, 0], -1.0))
             log_bc = np.minimum(log_e[:n_pts] - 0.5 * log_e[n_pts:], 0.0)
-            log_c = float(peak[0] + math.log(finer[0, 0]) + 0.5 * model.kappa * (model.y @ model.y))
+            log_c = float(peak + math.log(finer[0, 0]) + 0.5 * model.kappa * (model.y @ model.y))
             log_c_points = log_c + log_e[n_pts:] + gap
             return log_c, log_c_points, np.sqrt(np.maximum(0.0, -np.expm1(log_bc)))
         trap = finer
@@ -336,7 +354,7 @@ def tabulate_posterior(model: RW1Model, n_points: int = 2001) -> PosteriorInput:
         raise DomainError("tabulation needs at least 8 points")
     prior = np.array([model.prior.as_tuple()])
     k_lo, k_hi, _ = _windows(model, prior, _TABLE_DROP)
-    us = np.linspace(k_lo[0] * _LATTICE_STEP, k_hi[0] * _LATTICE_STEP, n_points)
+    us = np.linspace(k_lo * _LATTICE_STEP, k_hi * _LATTICE_STEP, n_points)
     g = _log_target(model, prior, us, _s_terms(model, us))[0]
     grid = normalize_grid(DensityGrid(us, np.exp(g - g.max()), Scale.LOG_PARAMETER))
     return PosteriorInput(grid, PriorSpec(Family.GAMMA, model.prior), Scale.LOG_PARAMETER)
@@ -352,8 +370,7 @@ def exact_sensitivity(
     """
     base = PriorSpec(Family.GAMMA, model.prior)
     grid = compute_grid(base, epsilon, n_angles=n_angles, allow_partial=allow_partial)
-    points = grid.points
-    priors = np.c_[points.point.gamma1, points.point.gamma2]
+    priors = grid.points.view(np.ndarray)["point"].view((float, 2))  # (gamma1, gamma2) rows
     h = _lattice_pass(model, model.prior.as_tuple(), priors)[2]
     return assemble_result(grid, h)
 

@@ -85,25 +85,25 @@ def assemble_result(grid: PolarGrid, h_post: np.ndarray) -> SensitivityResult:
     through for reporting. The worst angle is the first one attaining the
     maximum ratio.
     """
-    points, epsilon = grid.points, grid.epsilon
+    points, epsilon = grid.points.view(np.ndarray), grid.epsilon  # no recarray attribute lookups
     if not len(points):
         raise DomainError("cannot summarize an empty sensitivity grid")
-    entries = np.empty(len(points), ENTRY_DTYPE).view(np.recarray)
-    entries.phi, entries.point, entries.h_post = points.phi, points.point, h_post
-    entries.ratio = entries.h_post / epsilon
-    ratios = entries.ratio.tolist()
-    worst_index = int(np.argmax(entries.ratio))
+    entries = np.empty(len(points), ENTRY_DTYPE)
+    entries["phi"], entries["point"], entries["h_post"] = points["phi"], points["point"], h_post
+    ratio = entries["ratio"] = entries["h_post"] / epsilon
+    ratios = ratio.tolist()
+    worst_index = int(np.argmax(ratio))
     return SensitivityResult(
         epsilon=epsilon,
         base=grid.base,
-        entries=entries,
+        entries=entries.view(np.recarray),
         worst_case=ratios[worst_index],
-        worst_angle=float(entries.phi[worst_index]),
+        worst_angle=float(entries["phi"][worst_index]),
         worst_index=worst_index,
         mean=math.fsum(ratios) / len(ratios),
         median=_median(ratios),
         min=min(ratios),
-        calibrated_worst=calibrated_ratio(float(entries.h_post[worst_index]), epsilon),
+        calibrated_worst=calibrated_ratio(float(entries["h_post"][worst_index]), epsilon),
         cardinal=grid.cardinal,
         failed_angles=grid.failed_angles,
     )

@@ -276,13 +276,14 @@ class TestComputeGrid:
 
     @pytest.mark.parametrize(
         "base,epsilon,pre_calls,solve_calls",
-        [(b, eps, *((6, 6) if eps < EPS0 else (4, 4)))
+        [(b, eps, *((2, 2) if eps < EPS0 else (3, 3)))
          for b in (GAMMA_BASE, NORMAL_BASE) for eps in (1e-6, 1e-3, EPS0, 1e-2)]
         + [(PriorSpec(Family.GAMMA, ParamPoint(200.0, 0.1)), 1e-6, 6, 10)]
+        + [(PriorSpec(Family.GAMMA, ParamPoint(0.05, 30.0)), 1e-2, 3, 3)]
         + [(GAMMA_BASE, 0.5, 7, 10), (PriorSpec(Family.GAMMA, ParamPoint(0.05, 30.0)), 0.5, 15, 19)],
     )
     def test_closed_form_calls(self, monkeypatch, base, epsilon, pre_calls, solve_calls):
-        # brackets seeded from the Fisher information start next to the root, a
+        # brackets seeded to third order start within O(epsilon^2) of the root, a
         # direction stops once its bracket ends are neighbouring floats, and the
         # Anderson-Bjorck step does not overshoot where f is nearly linear
         import priorscan.contour as contour_mod
@@ -302,6 +303,23 @@ class TestComputeGrid:
         _, _, residual = contour_mod._solve_radii(base, epsilon, phis, *scaling_factors(phis, cardinal))
         assert len(calls) <= solve_calls
         assert np.all(residual <= RESIDUAL_RTOL * epsilon)
+
+    @pytest.mark.parametrize("epsilon", [1e-4, 1e-3, 1e-2])
+    @pytest.mark.parametrize(
+        "base,bound",
+        [(GAMMA_BASE, 2.0), (PriorSpec(Family.GAMMA, ParamPoint(3.0, 2.0)), 2.0), (NORMAL_BASE, 2.0),
+         (UNIT_NORMAL, 2.0), (PriorSpec(Family.GAMMA, ParamPoint(0.05, 30.0)), 12.0)],
+    )
+    def test_seed_is_third_order(self, base, epsilon, bound):
+        # the seed's log radius misses the root by O(epsilon^2), where the Fisher
+        # radius alone misses it by O(epsilon)
+        import priorscan.contour as contour_mod
+
+        phis = -math.pi + 2.0 * math.pi * np.arange(400) / 400
+        ux, uy = np.cos(phis), np.sin(phis) * base.point.gamma2
+        r, _ = contour_mod._radii(base, epsilon, ux, uy)
+        z_unit, shift = contour_mod._seed(base, epsilon, ux, uy)
+        assert np.max(np.abs(z_unit + math.log(epsilon) - shift - np.log(r))) <= bound * epsilon**2
 
     def test_rejects_small_grids_and_bad_epsilon(self):
         with pytest.raises(DomainError):

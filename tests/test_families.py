@@ -16,7 +16,15 @@ from priorscan import (
     log_prior_density,
     tabulate_prior,
 )
-from priorscan.families import _LOG_DROP, _trigamma, hellinger_closed_form, validate_point
+from priorscan.families import (
+    _LOG_DROP,
+    _log_bc,
+    _polygamma,
+    cubic_form,
+    fisher_information,
+    hellinger_closed_form,
+    validate_point,
+)
 from priorscan.grids import trapezoid_mass
 
 param = st.floats(0.01, 100.0)
@@ -244,10 +252,47 @@ def test_trigamma_matches_scipy():
 
     a = np.r_[np.logspace(-3.0, 4.0, 701), 7.9, 8.0, 8.1]
     expected = polygamma(1, a)
-    assert np.max(np.abs(_trigamma(a) / expected - 1.0)) <= 1e-12
+    assert np.max(np.abs(_polygamma(1, a) / expected - 1.0)) <= 1e-12
     # scalars and 2-d arrays are evaluated elementwise
-    assert abs(float(_trigamma(0.5)) / polygamma(1, 0.5) - 1.0) <= 1e-12
-    assert np.array_equal(_trigamma(a.reshape(-1, 2)), _trigamma(a).reshape(-1, 2))
+    assert abs(float(_polygamma(1, 0.5)) / polygamma(1, 0.5) - 1.0) <= 1e-12
+    assert np.array_equal(_polygamma(1, a.reshape(-1, 2)), _polygamma(1, a).reshape(-1, 2))
+
+
+def test_second_polygamma_matches_scipy():
+    from scipy.special import polygamma
+
+    a = np.r_[np.logspace(-3.0, 6.0, 901), 7.9, 8.0, 8.1]
+    assert np.max(np.abs(_polygamma(2, a) / polygamma(2, a) - 1.0)) <= 1e-12
+
+
+def test_fisher_information_is_unchanged():
+    # psi_1 shares its code with psi_2; the gamma entry keeps its exact bits
+    pinned = {
+        1e-3: "0x1.e848348fa1c6dp+19", 0.05: "0x1.918848921e2b7p+8", 0.5: "0x1.3bd3cc9be45dfp+2",
+        1.0: "0x1.a51a6625307d2p+0", 1.7: "0x1.96229d0f55f66p-1", 7.9: "0x1.145697315bf5dp-3",
+        8.0: "0x1.10aa239ffbc55p-3", 200.0: "0x1.4880250c9adbbp-8", 1e6: "0x1.0c6f82d72bcaap-20",
+    }
+    for a, bits in pinned.items():
+        assert fisher_information(Family.GAMMA, a, 3.0) == (float.fromhex(bits), -1.0, a)
+
+
+@pytest.mark.parametrize(
+    "family,base", [(Family.GAMMA, (1.0, 0.34)), (Family.GAMMA, (0.05, 30.0)), (Family.NORMAL, (2.0, 0.001))]
+)
+def test_cubic_form_is_the_third_order_term(family, base):
+    # log BC = -r^2 Q / 8 - r^3 T / 16 + O(r^4) along a step r (x, v g2): fit the
+    # polynomial log BC / r^2 in r between 1e-3 and 1e-2 of the unit Fisher radius
+    g1, g2 = base
+    i11, i12, i22 = fisher_information(family, g1, g2)
+    rho = np.geomspace(1e-3, 1e-2, 60)
+    for phi in np.random.default_rng(5).uniform(-math.pi, math.pi, 32):
+        x, v = math.cos(phi), math.sin(phi)
+        unit = math.sqrt(8.0 / (i11 * x * x + 2.0 * i12 * x * v + i22 * v * v))
+        r = rho * unit
+        log_bc = _log_bc(family, g1, g2, g1 + r * x, g2 + r * v * g2)
+        fit = np.linalg.lstsq(np.vander(rho, 6, increasing=True), log_bc / rho**2, rcond=None)[0]
+        cubic = cubic_form(family, g1, g2, x, v)
+        assert fit[1] / unit**3 == pytest.approx(-cubic / 16.0, rel=1e-6)
 
 
 class TestTabulatePrior:

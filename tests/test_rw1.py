@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -384,20 +385,51 @@ class TestNormconst:
             log_normconst(m, 1e6, 1e-300)
 
 
+def contour_priors(model, eps, n_angles):
+    """The anchor, the midpoints and the points of an ``n_angles`` sweep at ``eps``."""
+    anchor = np.array(model.prior.as_tuple())
+    grid = compute_grid(PriorSpec(Family.GAMMA, model.prior), eps, n_angles=n_angles)
+    points = np.column_stack([grid.points.point.gamma1, grid.points.point.gamma2])
+    return anchor, 0.5 * (anchor + points), points
+
+
 @pytest.mark.parametrize("eps", [1e-4, 0.5])
 @pytest.mark.parametrize("fixture", ["model192", "model2004"])
 def test_sweep_windows_match_reference_walk(fixture, eps, request):
-    # the anchor's window seeds the scan of every other prior of the sweep; each
-    # window must still be the one an independent outward walk finds
+    # each prior of a sweep scanned alone has the window an independent outward walk finds
     model = request.getfixturevalue(fixture)
-    anchor = np.array(model.prior.as_tuple())
-    grid = compute_grid(PriorSpec(Family.GAMMA, model.prior), eps, n_angles=16)
-    points = np.c_[grid.points.point.gamma1, grid.points.point.gamma2]
-    priors = np.vstack([anchor, 0.5 * (anchor + points), points])
-    k_lo, k_hi, _ = rw1._windows(model, priors, 60.0)
-    for (a, b), lo, hi in zip(priors, k_lo, k_hi):
+    anchor, midpoints, points = contour_priors(model, eps, 16)
+    for a, b in np.vstack([anchor, midpoints, points]):
+        lo, hi, _ = rw1._windows(model, (a, b), 60.0)
         expected = tabulation_window(model.y, model.kappa, a, b, drop=60.0)
         assert (lo * rw1._LATTICE_STEP, hi * rw1._LATTICE_STEP) == expected
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-2, 0.3, 0.5])
+@pytest.mark.parametrize("fixture", ["model192", "model2004", "model8004"])
+def test_sweep_window_covers_every_prior(fixture, eps, request):
+    # the pass scans the anchor alone and widens by the tilt; its window must
+    # still hold the window of every prior of the sweep scanned alone, which the
+    # test above ties to the outward walk
+    model = request.getfixturevalue(fixture)
+    anchor, midpoints, points = contour_priors(model, eps, 16)
+    lo, hi, _, _ = rw1._sweep_window(model, anchor, points)
+    for prior in np.vstack([anchor, midpoints, points]):
+        k_lo, k_hi, _ = rw1._windows(model, prior, 60.0)
+        assert lo <= k_lo and k_hi <= hi
+
+
+@pytest.mark.parametrize("far", [(2000.0, 1.0), (1.0, 1e3), (800.0, 0.005), (1e4, 0.01)])
+def test_far_prior_in_a_sweep(model2004, far):
+    # a prior whose posterior lies far from the anchor's: its tilt must neither
+    # overflow nor round E0[expm1(t/2)] below -1 (log1p of it is NaN)
+    anchor = (1.0, 0.005)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, log_c_points, h = _lattice_pass(model2004, anchor, [(1.01, 0.005), far])
+        alone = log_normconst(model2004, *far)
+    assert log_c_points[1] == pytest.approx(alone, rel=1e-12)
+    assert h[1] == 1.0
 
 
 class TestExactPosteriorHellinger:
@@ -455,9 +487,7 @@ class TestDeepFirstLevel:
     anchor, other = (1.0, 0.005), (3.0, 0.001)
 
     def window(self, model):
-        priors = np.array([self.anchor, np.add(self.anchor, self.other) / 2, self.other])
-        k_lo, k_hi, _ = rw1._windows(model, priors, rw1._WINDOW_DROP)
-        lo, hi = int(k_lo.min()), int(k_hi.max())
+        lo, hi, _, _ = rw1._sweep_window(model, np.array(self.anchor), np.array([self.other]))
         assert 4 <= hi - lo < 8
         return lo - 2, hi + 2  # two coarse nodes a side more than the lattice pass takes
 
@@ -491,13 +521,11 @@ class TestDeepFirstLevel:
 
 
 def sweep_priors(model, eps):
-    """The anchor, midpoints and points of a 400-angle sweep, and the lattice
-    pass's window over them in coarse nodes."""
-    anchor = np.array(model.prior.as_tuple())
-    grid = compute_grid(PriorSpec(Family.GAMMA, model.prior), eps, n_angles=400)
-    points = np.c_[grid.points.point.gamma1, grid.points.point.gamma2]
-    k_lo, k_hi, _ = rw1._windows(model, np.vstack([anchor, 0.5 * (anchor + points), points]), rw1._WINDOW_DROP)
-    return anchor, points, int(k_lo.min()), int(k_hi.max())
+    """The anchor and points of a 400-angle sweep, and the lattice pass's window
+    over them and their midpoints in coarse nodes."""
+    anchor, _, points = contour_priors(model, eps, 400)
+    lo, hi, _, _ = rw1._sweep_window(model, anchor, points)
+    return anchor, points, lo, hi
 
 
 @pytest.mark.parametrize("eps", [1e-4, 1e-2])
