@@ -51,7 +51,7 @@ _F_RTOL = 1e-10
 _Z_XTOL = 1e-14
 _Z_RTOL = 4.0 * np.finfo(float).eps
 
-# Cardinal directions in preexplore order: angle, unit step (ux, uy).
+# Cardinal directions in _preexplore order: angle, unit step (ux, uy).
 _CARDINAL_PHI = np.array([0.0, math.pi / 2.0, math.pi, -math.pi / 2.0])
 _CARDINAL_UX = np.array([1.0, 0.0, -1.0, 0.0])
 _CARDINAL_UY = np.array([0.0, 1.0, 0.0, -1.0])
@@ -203,25 +203,22 @@ def _radii(
     return r, np.where(bracketed, d_best, math.nan)
 
 
-def _unreachable(phi: float, epsilon: float) -> ContourUnreachableError:
-    return ContourUnreachableError(
-        phi,
-        f"no Hellinger-{epsilon} point along angle {phi:.6f} within log-radius "
-        f"+-{_Z_MAX:.1f} of the unit Fisher radius inside the family domain",
-    )
-
-
-def preexplore(base: PriorSpec, epsilon: float) -> CardinalModuli:
-    """Solve the four cardinal directions on the unscaled plane.
+def _preexplore(base: PriorSpec, epsilon: float) -> CardinalModuli:
+    """Solve the four cardinal directions on the unscaled plane, the first step
+    of :func:`compute_grid`.
 
     Returns the moduli r*(0), r*(pi/2), r*(pi), r*(-pi/2) used as scaling
     factors by the full polar search.
     """
-    check_epsilon(epsilon)
     r, _ = _radii(base, epsilon, _CARDINAL_UX, _CARDINAL_UY)
     failed = np.flatnonzero(np.isnan(r))
     if failed.size:
-        raise _unreachable(float(_CARDINAL_PHI[failed[0]]), epsilon)
+        phi = float(_CARDINAL_PHI[failed[0]])
+        raise ContourUnreachableError(
+            phi,
+            f"no Hellinger-{epsilon} point along angle {phi:.6f} within log-radius "
+            f"+-{_Z_MAX:.1f} of the unit Fisher radius inside the family domain",
+        )
     return CardinalModuli(*r.tolist())
 
 
@@ -287,7 +284,7 @@ def compute_grid(
     check_epsilon(epsilon)
     if n_angles < 8:
         raise DomainError(f"n_angles must be at least 8, got {n_angles}")
-    cardinal = preexplore(base, epsilon)
+    cardinal = _preexplore(base, epsilon)
     phis = -math.pi + 2.0 * math.pi * np.arange(n_angles) / n_angles
     cx, cy = scaling_factors(phis, cardinal)
     gamma1, gamma2, residual = _solve_radii(base, epsilon, phis, cx, cy)

@@ -76,6 +76,7 @@ import numpy as np
 
 from .contour import PolarGrid
 from .errors import DegeneratePosteriorWarning, DomainError, ReweightingError
+from .families import log_prior_density
 from .grids import PosteriorInput, Scale
 from .params import Family, PriorSpec
 from .sensitivity import SensitivityResult, assemble_result
@@ -83,7 +84,6 @@ from .sensitivity import SensitivityResult, assemble_result
 TAIL_GUARD = 1e-15
 DEGENERATE_GUARD = 1e-12
 _LOG_PRIOR_FLOOR = math.log(1e-300)
-_LOG_2PI = math.log(2.0 * math.pi)
 # Cells (directions x kept support points) per block of a reweighting
 # sweep. The one block buffer stays at 512 kB, cache-sized, however wide
 # the sweep is; at 2**14 to 2**18 cells a 1600 x 8001 sweep took 61, 48,
@@ -121,15 +121,15 @@ def _kept_statistics(inp: PosteriorInput) -> tuple[np.ndarray, np.ndarray, np.nd
     values = inp.posterior.values
     keep = values >= TAIL_GUARD * values.max()
     x = inp.posterior.support[keep]
-    g1, g2 = inp.base_prior.point.as_tuple()
+    log_scale = inp.parametrization is Scale.LOG_PARAMETER
     if inp.base_prior.family is Family.NORMAL:
-        t1 = x - g1
+        t1 = x - inp.base_prior.point.gamma1
         t2 = -0.5 * t1**2
-        log_base = 0.5 * (math.log(g2) - _LOG_2PI) + g2 * t2
     else:
-        log_scale = inp.parametrization is Scale.LOG_PARAMETER
         t1, t2 = (x, -np.exp(x)) if log_scale else (np.log(x), -x)
-        log_base = g1 * math.log(g2) - math.lgamma(g1) + (g1 - 1.0) * t1 + g2 * t2
+    # the natural-scale density at theta; on a log grid the density of log theta less
+    # its Jacobian term, so that no exp(x) underflows to a theta outside the domain
+    log_base = log_prior_density(inp.base_prior, x, inp.parametrization) - (x if log_scale else 0.0)
     if np.any(log_base < _LOG_PRIOR_FLOOR):
         worst = float(x[np.argmin(log_base)])
         raise ReweightingError(
@@ -163,11 +163,11 @@ def _warn_if_degenerate(occupied: np.ndarray) -> None:
         )
 
 
-def _row_sweep(d1, d2, stats, prob, density) -> tuple[np.ndarray, np.ndarray]:
+def _row_sweep(d1, d2, stats, prob, density, limit) -> tuple[np.ndarray, np.ndarray]:
     """``1 - BC`` of the tilts ``(d1[i], d2[i])`` one row of cells each, in the
     variance form of the module docstring, and each row's count of support
     points above the degeneracy guard (all of them unless the row could be
-    degenerate). NaN marks a row with no finite mass.
+    degenerate: ``BC <= limit``). NaN marks a row with no finite mass.
 
     ``stats`` are the tilt statistics centred under ``prob``, the base
     posterior's probabilities at the kept points, and ``density`` its values
@@ -177,13 +177,6 @@ def _row_sweep(d1, d2, stats, prob, density) -> tuple[np.ndarray, np.ndarray]:
     half = 0.5 * np.stack([d1, d2], axis=1)
     with np.errstate(invalid="ignore", over="ignore"):
         reach = np.abs(half) @ np.abs(stats).max(axis=1)  # a bound on max |x|
-    # A row with at most two points above the guard puts all but rho of its
-    # mass m = prob u**2 / E0[u^2] on them, so by Cauchy-Schwarz on either
-    # part BC = sum(sqrt(m prob)) <= sqrt(2 max(prob)) + sqrt(rho), that is
-    # E0[u^2] >= (E0[u] / that)^2; rows within twice that are counted.
-    spacing = prob / density  # the trapezoid weights over the kept mass
-    rho = DEGENERATE_GUARD * spacing.sum() / spacing.min()
-    limit = 2.0 * (math.sqrt(2.0 * prob.max()) + math.sqrt(rho))
     defect = np.full(n, math.nan)
     occupied = np.full(n, width, dtype=np.int64)
     step = max(1, _BLOCK_CELLS // width)
@@ -424,7 +417,13 @@ def _posterior_distances(inp: PosteriorInput, gamma1, gamma2) -> np.ndarray:
     prob = weighted / kept
     stats = np.stack([t1, t2])
     stats -= (stats @ prob)[:, None]
-    rows = (stats, prob, density)
+    # A row with at most two points above the guard puts all but rho of its
+    # mass m = prob u**2 / E0[u^2] on them, so by Cauchy-Schwarz on either
+    # part BC = sum(sqrt(m prob)) <= sqrt(2 max(prob)) + sqrt(rho), that is
+    # E0[u^2] >= (E0[u] / that)^2; rows within twice that are counted.
+    spacing = prob / density  # the trapezoid weights over the kept mass
+    rho = DEGENERATE_GUARD * spacing.sum() / spacing.min()
+    rows = (stats, prob, density, 2.0 * (math.sqrt(2.0 * prob.max()) + math.sqrt(rho)))
     h = np.empty(d1.size)
     by_rows = np.ones(d1.size, dtype=bool)
     if d1.size >= _INTERPOLATE_FROM and np.all(np.isfinite(d1)) and np.all(np.isfinite(d2)):

@@ -65,8 +65,10 @@ _SPECTRAL_CELLS = 1 << 16
 class RW1Model:
     """Data, noise precision and smoothing prior of the random-walk model; frozen, as
     the spectral data built from ``y`` and ``kappa`` is kept on it: the eigenvalues
-    ``_eig`` of R, ``_yhat2_eig`` (``yhat_k^2 lambda_k``, :func:`_dct2`) and the
-    lattice of ``S(u)``, ``_lattice`` (:func:`_s_nodes`)."""
+    ``_eig`` of R, ``lambda_k = 2 - 2 cos(pi k / n)`` for ``k = 0 .. n-1`` (nondecreasing,
+    the first exactly zero: the rank deficiency of the intrinsic field), ``_yhat2_eig``
+    (``yhat_k^2 lambda_k``, :func:`_dct2`) and the lattice of ``S(u)``, ``_lattice``
+    (:func:`_s_nodes`)."""
 
     y: np.ndarray
     kappa: float
@@ -87,7 +89,7 @@ class RW1Model:
             raise DomainError(f"kappa must have a finite square (up to about 1.34e154), "
                               f"got {self.kappa!r}")
         validate_point(Family.GAMMA, self.prior)
-        eig = rw1_eigenvalues(y.size)
+        eig = 2.0 - 2.0 * np.cos(np.pi * np.arange(y.size) / y.size)
         for name, value in (("y", y), ("_eig", eig), ("_yhat2_eig", _dct2(y) ** 2 * eig)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
@@ -95,17 +97,6 @@ class RW1Model:
     @property
     def n(self) -> int:
         return int(self.y.size)
-
-
-def rw1_eigenvalues(n: int) -> np.ndarray:
-    """Eigenvalues ``2 - 2 cos(pi (i - 1) / n)`` of R, nondecreasing.
-
-    The first eigenvalue is exactly zero (the rank deficiency of the
-    intrinsic field).
-    """
-    if n < 2:
-        raise DomainError("eigenvalues need n >= 2")
-    return 2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)
 
 
 def _dct2(y: np.ndarray) -> np.ndarray:
@@ -202,10 +193,11 @@ def _s_nodes(model: RW1Model, level: int, lo: int, hi: int) -> np.ndarray:
     return values[lo - j0 : hi - j0]
 
 
-def _log_target(model: RW1Model, priors: np.ndarray, us: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Log posterior density of ``u = log tau`` given ``s = S(us)``, one row per
-    gamma prior (alpha, beta); ``alpha + (n-1)/2`` absorbs the log Jacobian."""
-    return (priors[:, :1] + (model.n - 1) / 2.0) * us - priors[:, 1:] * np.exp(us) + s
+def _log_target(model: RW1Model, prior, us: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Log posterior density at ``u = log tau`` given ``s = S(us)``, under one gamma
+    prior ``(alpha, beta)``; ``alpha + (n-1)/2`` absorbs the log Jacobian."""
+    alpha, beta = prior
+    return (alpha + (model.n - 1) / 2.0) * us - beta * np.exp(us) + s
 
 
 def _windows(model: RW1Model, prior, drop: float) -> tuple[int, int, float]:
@@ -215,13 +207,12 @@ def _windows(model: RW1Model, prior, drop: float) -> tuple[int, int, float]:
     log density has fallen by ``drop``. The scan of ``u`` in [-50, 50] widens while
     the window is open; a mode on its edge past ``+-_SCAN_LIMIT``, or a window open
     past twice that, is an error."""
-    prior = np.asarray(prior, dtype=float).reshape(1, 2)
     lo, hi, limit = -_SCAN_WIDEN, _SCAN_WIDEN, _SCAN_LIMIT / _LATTICE_STEP
     while True:
         ks = np.arange(lo, hi + 1)
         us, s = ks * _LATTICE_STEP, _s_nodes(model, 0, lo, hi + 1)
         with np.errstate(over="ignore"):  # the check below names the node
-            g = _log_target(model, prior, us, s)[0]
+            g = _log_target(model, prior, us, s)
         if not np.all(np.isfinite(g)):
             bad = float(us[np.argmin(np.isfinite(g))])
             raise NumericalError(f"non-finite posterior integrand at log tau = {bad!r}")
@@ -231,7 +222,7 @@ def _windows(model: RW1Model, prior, drop: float) -> tuple[int, int, float]:
         right = int(np.where(below & (ks > ks[top]), ks, hi + 1).min())
         if lo <= left and right <= hi:
             return left, right, float(g[top])
-        lo, hi, (a, b) = lo - _SCAN_WIDEN * (left < lo), hi + _SCAN_WIDEN * (right > hi), prior[0]
+        lo, hi, (a, b) = lo - _SCAN_WIDEN * (left < lo), hi + _SCAN_WIDEN * (right > hi), prior
         if top in (0, ks.size - 1) and (lo < -limit or hi > limit):
             raise NumericalError(f"posterior mode for prior ({a}, {b}) escaped the log-tau "
                                  f"scan range [{-_SCAN_LIMIT}, {_SCAN_LIMIT}]")
@@ -244,15 +235,16 @@ def _sweep_window(model: RW1Model, anchor: np.ndarray, points: np.ndarray):
 
     The anchor's window (:func:`_windows`) widens one node a side at a time while a
     point or midpoint (log density the anchor's plus ``t`` or ``t / 2``) has not fallen
-    ``_WINDOW_DROP`` below its own peak at that end. Past the scan range a prior still
-    open is scanned alone, which names it if its mode escapes or its tail does not decay."""
+    ``_WINDOW_DROP`` below its own peak at that end. Past the scan range each prior still
+    open is scanned alone, once: the window widens to cover its window, and the scan names
+    the prior if its mode escapes or its tail does not decay."""
     lo, hi, peak = _windows(model, anchor, _WINDOW_DROP)
     # one column per prior, midpoints then points: t = (u, e^u) @ (da, -db)
     tilt = np.kron([0.5, 1.0], ((points - anchor) * [1.0, -1.0]).T)
     while True:
         us = _LATTICE_STEP * np.arange(lo, hi + 1)
         with np.errstate(over="ignore", invalid="ignore"):  # the check below names the node
-            g0 = _log_target(model, anchor[None], us, _s_nodes(model, 0, lo, hi + 1))[0] - peak
+            g0 = _log_target(model, anchor, us, _s_nodes(model, 0, lo, hi + 1)) - peak
             g = np.column_stack([us, np.exp(us)]) @ tilt + g0[:, None]  # nodes x priors
         top = g.max(axis=0)  # a maximum down each column is fast, along each short row slow
         if not np.all(np.isfinite(top)):  # NaN or +inf; -inf is a density of 0
@@ -264,7 +256,8 @@ def _sweep_window(model: RW1Model, anchor: np.ndarray, points: np.ndarray):
         lo, hi = lo - int(open_ends[0].any()), hi + int(open_ends[1].any())
         if max(-lo, hi) > _SCAN_LIMIT / _LATTICE_STEP:
             for prior in np.vstack([0.5 * (anchor + points), points])[open_ends.any(axis=0)]:
-                _windows(model, prior, _WINDOW_DROP)
+                k_lo, k_hi, _ = _windows(model, prior, _WINDOW_DROP)
+                lo, hi = min(lo, k_lo), max(hi, k_hi)
 
 
 def _lattice_pass(model: RW1Model, anchor, points):
@@ -288,7 +281,7 @@ def _lattice_pass(model: RW1Model, anchor, points):
 
     def sums(us, s, weights):
         # sums of f and |f|; rows: 1, then exp(log_w) * expm1(t/2), then * expm1(t)
-        log_w = _log_target(model, anchor[None], us, s)[0] - peak
+        log_w = _log_target(model, anchor, us, s) - peak
         base = weights * np.exp(log_w)
         out = np.empty((2, 1 + 2 * n_pts))
         out[:, 0] = base.sum()
@@ -352,10 +345,10 @@ def tabulate_posterior(model: RW1Model, n_points: int = 2001) -> PosteriorInput:
     """
     if n_points < 8:
         raise DomainError("tabulation needs at least 8 points")
-    prior = np.array([model.prior.as_tuple()])
+    prior = model.prior.as_tuple()
     k_lo, k_hi, _ = _windows(model, prior, _TABLE_DROP)
     us = np.linspace(k_lo * _LATTICE_STEP, k_hi * _LATTICE_STEP, n_points)
-    g = _log_target(model, prior, us, _s_terms(model, us))[0]
+    g = _log_target(model, prior, us, _s_terms(model, us))
     grid = normalize_grid(DensityGrid(us, np.exp(g - g.max()), Scale.LOG_PARAMETER))
     return PosteriorInput(grid, PriorSpec(Family.GAMMA, model.prior), Scale.LOG_PARAMETER)
 

@@ -29,7 +29,7 @@ from priorscan import (
     tabulate_posterior,
     tabulate_prior,
 )
-from priorscan.rw1 import _dct2, _spectral_sums, rw1_eigenvalues
+from priorscan.rw1 import _dct2, _spectral_sums
 
 EPS0 = 0.00354
 DRIVERS_CSV = Path(__file__).resolve().parent.parent / "data" / "drivers.csv"
@@ -232,7 +232,7 @@ def test_criterion_09_linear_algebra_oracles(rng, capsys):
     n = 10000
     tau, kappa = 0.8, 1.3
     y = rng.normal(0.0, 1.0, n)
-    v = idct(_dct2(y) / (tau * rw1_eigenvalues(n) + kappa), norm="ortho")
+    v = idct(_dct2(y) / (tau * RW1Model(y=y, kappa=kappa)._eig + kappa), norm="ortho")
     diag = tau * np.r_[1.0, 2.0 * np.ones(n - 2), 1.0] + kappa
     off = np.full(n - 1, -tau)
     residual = diag * v - y

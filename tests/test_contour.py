@@ -18,7 +18,7 @@ from priorscan import (
     compute_grid,
     hellinger_analytic,
 )
-from priorscan.contour import _solve_radii, preexplore, scaling_factors
+from priorscan.contour import _preexplore, _solve_radii, scaling_factors
 
 EPS0 = 0.00354
 GAMMA_BASE = PriorSpec(Family.GAMMA, ParamPoint(1.0, 0.34))
@@ -58,34 +58,34 @@ def bisect_modulus(base, epsilon, ux, uy, lo=1e-12, hi=None):
 
 class TestPreexplore:
     def test_gamma_cardinals_match_bisection(self):
-        m = preexplore(GAMMA_BASE, EPS0)
+        m = _preexplore(GAMMA_BASE, EPS0)
         assert abs(m.plus_x - bisect_modulus(GAMMA_BASE, EPS0, 1.0, 0.0)) <= 1e-10
         assert abs(m.plus_y - bisect_modulus(GAMMA_BASE, EPS0, 0.0, 1.0)) <= 1e-10
         assert abs(m.minus_x - bisect_modulus(GAMMA_BASE, EPS0, -1.0, 0.0)) <= 1e-10
         assert abs(m.minus_y - bisect_modulus(GAMMA_BASE, EPS0, 0.0, -1.0)) <= 1e-10
 
     def test_normal_mean_direction_is_symmetric(self):
-        m = preexplore(NORMAL_BASE, EPS0)
+        m = _preexplore(NORMAL_BASE, EPS0)
         assert abs(m.plus_x - m.minus_x) <= 1e-12 * m.plus_x
 
     def test_unit_normal_mean_modulus_is_the_calibrated_shift(self):
-        m = preexplore(UNIT_NORMAL, EPS0)
+        m = _preexplore(UNIT_NORMAL, EPS0)
         assert abs(m.plus_x - calibrate(EPS0)) <= 1e-12
 
     def test_diffuse_normal_contour_is_extremely_elongated(self):
         # precision 0.001 tolerates mean shifts ~ eps*sqrt(8/lambda) while
         # the precision direction scales like 4*eps*lambda
-        m = preexplore(NORMAL_BASE, EPS0)
+        m = _preexplore(NORMAL_BASE, EPS0)
         assert m.plus_x / m.plus_y > 1e3
 
     def test_positive_moduli(self):
-        m = preexplore(GAMMA_BASE, EPS0)
+        m = _preexplore(GAMMA_BASE, EPS0)
         assert min(m.plus_x, m.plus_y, m.minus_x, m.minus_y) > 0.0
 
     def test_rejects_bad_epsilon(self):
         for eps in (0.0, -0.1, 0.6, 1.0):
             with pytest.raises(DomainError):
-                preexplore(GAMMA_BASE, eps)
+                compute_grid(GAMMA_BASE, eps)
 
 
 class TestScalingFactors:
@@ -154,12 +154,12 @@ class TestSolveRadius:
 
     def test_unreachable_direction(self):
         # a distance this small needs a log-radius below the search floor: the
-        # solve leaves the direction unbracketed, and preexplore, which solves
-        # this direction first, reports it
+        # solve leaves the direction unbracketed, and the cardinal step, which
+        # solves this direction first, reports it
         _, _, residual = _solve_radii(UNIT_NORMAL, 1e-12, np.zeros(1), np.ones(1), np.ones(1))
         assert np.isnan(residual[0])
         with pytest.raises(ContourUnreachableError) as exc:
-            preexplore(UNIT_NORMAL, 1e-12)
+            compute_grid(UNIT_NORMAL, 1e-12, n_angles=8)
         assert exc.value.phi == 0.0
 
 
@@ -296,7 +296,7 @@ class TestComputeGrid:
             return closed_form(*args)
 
         monkeypatch.setattr(contour_mod, "hellinger_closed_form", counted)
-        cardinal = preexplore(base, epsilon)
+        cardinal = _preexplore(base, epsilon)
         assert len(calls) <= pre_calls
         calls.clear()
         phis = -math.pi + 2.0 * math.pi * np.arange(400) / 400

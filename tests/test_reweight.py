@@ -15,6 +15,7 @@ from priorscan import (
     ParamPoint,
     PosteriorInput,
     PriorSpec,
+    ReweightingError,
     Scale,
     circular_sensitivity,
     compute_grid,
@@ -23,6 +24,7 @@ from priorscan import (
     tabulate_prior,
 )
 from priorscan import reweight
+from priorscan.contour import GRID_DTYPE, CardinalModuli, PolarGrid
 from priorscan.grids import trapezoid_mass
 from priorscan.reweight import DEGENERATE_GUARD, _BLOCK_CELLS, _INTERPOLATE_FROM, _posterior_distances
 
@@ -233,6 +235,36 @@ class TestPosteriorDistance:
         assert interpolant_runs == ([settles] if near else [])
 
 
+class TestBasePriorFloor:
+    """The sweep refuses a posterior that carries mass where the base prior's
+    natural-scale density is below 1e-300 (log -690.78)."""
+
+    # gamma (2, 1) has the natural log density log(theta) - theta: above the floor at
+    # theta = exp(-690.7), below it at exp(-690.8); the density of log(theta) there
+    # is one log(theta) lower, far below, and exp(-800) underflows to theta = 0
+    @pytest.mark.parametrize("left,refused", [(-690.7, False), (-690.8, True), (-800.0, True)])
+    def test_floor_is_on_the_natural_density_of_a_log_grid(self, left, refused):
+        base = PriorSpec(Family.GAMMA, ParamPoint(2.0, 1.0))
+        inp = PosteriorInput(uniform_grid(left, -689.0, scale=Scale.LOG_PARAMETER), base, Scale.LOG_PARAMETER)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if refused:
+                with pytest.raises(ReweightingError, match=r"base prior underflows \(< 1e-300\) at support point -?\d"):
+                    _posterior_distances(inp, [2.1], [1.0])
+            else:
+                assert np.isfinite(_posterior_distances(inp, [2.1], [1.0])).all()
+
+    @pytest.mark.parametrize("width,refused", [(37.1, False), (37.3, True)])
+    def test_floor_of_a_normal_base(self, width, refused):
+        # the unit normal's log density -log(2 pi) / 2 - u^2 / 2 reaches the floor at |u| = 37.14
+        inp = PosteriorInput(uniform_grid(-width, width), NORMAL_SPEC, Scale.NATURAL)
+        if refused:
+            with pytest.raises(ReweightingError, match="base prior underflows"):
+                _posterior_distances(inp, [0.1], [1.0])
+        else:
+            assert np.isfinite(_posterior_distances(inp, [0.1], [1.0])).all()
+
+
 class TestShiftBound:
     """Rows whose tilt reaches far past +-1/2 shift by their max before the
     exp, and a row whose tilt could overflow has no finite mass. Tiled past
@@ -318,3 +350,19 @@ class TestInterpolant:
         h = _posterior_distances(inp, gamma1, gamma2)
         assert interpolant_runs == [False]
         assert np.array_equal(h, by_rows(inp, gamma1, gamma2))
+
+    def test_flat_tilt_box_falls_back_to_rows(self, interpolant_runs):
+        # every prior shares the base's rate, so one axis of the box of tilts is flat:
+        # the interpolant declines and the sweep goes by rows
+        base = PriorSpec(Family.GAMMA, ParamPoint(2.0, 1.0))
+        posterior = tabulate_prior(PriorSpec(Family.GAMMA, ParamPoint(6.0, 3.0)), Scale.LOG_PARAMETER, 401)
+        inp = PosteriorInput(posterior, base, Scale.LOG_PARAMETER)
+        phi = -np.pi + 2.0 * np.pi * np.arange(200) / 200
+        points = np.zeros(200, GRID_DTYPE).view(np.recarray)
+        points.phi, points.point.gamma1, points.point.gamma2 = phi, 2.0 + 0.05 * np.cos(phi), 1.0
+        grid = PolarGrid(base, 0.01, points, CardinalModuli(0.05, 0.05, 0.05, 0.05))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = circular_sensitivity(inp, grid).entries.h_post
+        assert interpolant_runs == [False]
+        assert np.array_equal(h, by_rows(inp, points.point.gamma1, points.point.gamma2))

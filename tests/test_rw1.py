@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -40,7 +41,6 @@ from priorscan.rw1 import (
     _log_target,
     _s_terms,
     _spectral_sums,
-    rw1_eigenvalues,
 )
 from rw1_experiment import synth_counts
 
@@ -60,6 +60,11 @@ def model2004(tmp_path_factory):
 @pytest.fixture(scope="module")
 def model8004(tmp_path_factory):
     return long_model(tmp_path_factory, 8004)
+
+
+def eigenvalues(n):
+    """The eigenvalues of R that an ``n``-observation model keeps."""
+    return RW1Model(y=np.zeros(n), kappa=1.0)._eig
 
 
 def small_model(n=12, kappa=2.0, prior=DEFAULT_PRIOR, seed=7):
@@ -138,36 +143,37 @@ class TestStructure:
         # the production eigenbasis (orthonormal DCT-II) and spectrum rebuild R
         n = 9
         basis = np.column_stack([_dct2(e) for e in np.eye(n)])
-        rebuilt = basis.T @ np.diag(rw1_eigenvalues(n)) @ basis
+        rebuilt = basis.T @ np.diag(eigenvalues(n)) @ basis
         assert np.max(np.abs(rebuilt - dense_structure(n))) <= 1e-14
 
 
 class TestEigenvalues:
     def test_n2_closed_form(self):
-        lam = rw1_eigenvalues(2)
+        lam = eigenvalues(2)
         assert lam[0] == 0.0
         assert lam[1] == pytest.approx(2.0, abs=1e-15)
 
     def test_middle_value_n4(self):
-        assert rw1_eigenvalues(4)[2] == pytest.approx(2.0, abs=1e-15)
+        assert eigenvalues(4)[2] == pytest.approx(2.0, abs=1e-15)
 
     def test_rank_deficiency_is_exact(self):
         for n in (2, 5, 96, 192):
-            assert rw1_eigenvalues(n)[0] == 0.0
+            assert eigenvalues(n)[0] == 0.0
 
     def test_sorted_and_bounded(self):
-        lam = rw1_eigenvalues(50)
+        lam = eigenvalues(50)
         assert np.all(np.diff(lam) > 0.0)
         assert lam[-1] < 4.0
 
     def test_against_dense_spectrum(self):
-        lam = rw1_eigenvalues(10)
+        lam = eigenvalues(10)
         dense = np.linalg.eigvalsh(dense_structure(10))
         assert np.max(np.abs(lam - dense)) <= 1e-9
 
     def test_rejects_tiny_n(self):
+        # the model refuses a single observation before it builds the spectrum
         with pytest.raises(DomainError):
-            rw1_eigenvalues(1)
+            eigenvalues(1)
 
 
 def logdet(tau, kappa, n):
@@ -193,7 +199,7 @@ class TestSpectralSolve:
         n = 40
         tau, kappa = 2.7, 0.6
         y = rng.normal(0.0, 1.0, n)
-        v = idct(_dct2(y) / (tau * rw1_eigenvalues(n) + kappa), norm="ortho")
+        v = idct(_dct2(y) / (tau * eigenvalues(n) + kappa), norm="ortho")
         dense = np.linalg.solve(tau * dense_structure(n) + kappa * np.eye(n), y)
         assert np.allclose(v, dense)
 
@@ -205,7 +211,7 @@ class TestSpectralSolve:
         n = 10000
         tau, kappa = 0.8, 1.3
         y = rng.normal(0.0, 1.0, n)
-        v = idct(_dct2(y) / (tau * rw1_eigenvalues(n) + kappa), norm="ortho")
+        v = idct(_dct2(y) / (tau * eigenvalues(n) + kappa), norm="ortho")
         diag = tau * np.r_[1.0, 2.0 * np.ones(n - 2), 1.0] + kappa
         off = np.full(n - 1, -tau)
         residual = diag * v - y
@@ -231,7 +237,7 @@ class TestLogdetQ:
     def test_closed_form_matches_eigenvalue_sum(self, n):
         # the closed form against an exactly rounded sum of one log per eigenvalue
         us = np.linspace(-50.0, 50.0, 101)
-        eig = rw1_eigenvalues(n)
+        eig = eigenvalues(n)
         for kappa in (0.02, 0.7, 4.2):
             values = _spectral_sums(RW1Model(y=np.zeros(n), kappa=kappa), np.exp(us))[1]
             expected = np.array([math.fsum(np.log(math.exp(u) * eig + kappa)) for u in us])
@@ -281,7 +287,7 @@ class TestSpectralWeights:
     @pytest.mark.parametrize("n", [2, 3, 192])
     def test_fast_transform_matches_dense_basis(self, n):
         m = small_model(n=n, seed=n)
-        expected = dense_spectral_weights(m.y) * rw1_eigenvalues(n)
+        expected = dense_spectral_weights(m.y) * eigenvalues(n)
         assert np.allclose(m._yhat2_eig, expected, rtol=1e-12, atol=1e-14 * expected.max())
 
     @pytest.mark.parametrize("n", [1, 2, 3, 192, 2004, 8004])
@@ -297,8 +303,8 @@ def log_target(model, tau):
     """Production log density of ``u = log tau`` at one ``tau``, with the
     constant ``kappa |y|^2 / 2`` that ``S`` leaves out added back."""
     us = np.array([math.log(tau)])
-    prior = np.array([model.prior.as_tuple()])
-    return float(_log_target(model, prior, us, _s_terms(model, us))[0, 0]) + data_constant(model)
+    g = _log_target(model, model.prior.as_tuple(), us, _s_terms(model, us))
+    return float(g[0]) + data_constant(model)
 
 
 class TestLogUnnormalizedPosterior:
@@ -432,6 +438,74 @@ def test_far_prior_in_a_sweep(model2004, far):
     assert h[1] == 1.0
 
 
+def far_right_model(log_rate):
+    """Zero data and a prior rate of ``exp(log_rate)``: at epsilon 0.3 the sweep's
+    priors have posterior modes near the right end of the log-tau scan range."""
+    return RW1Model(y=np.zeros(24), kappa=1.0, prior=ParamPoint(1.0, math.exp(log_rate)))
+
+
+def test_far_right_sweep_scans_each_prior_once(monkeypatch):
+    # past the scan range each prior still open is scanned alone once and the sweep
+    # takes in its window; a walk that throws each scan away and widens one node at
+    # a time (3,797 scans here) ends on the same window, so the same ratios
+    model = far_right_model(-298.0)
+    windows, scans = rw1._windows, []
+    anchor_lo = windows(model, model.prior.as_tuple(), rw1._WINDOW_DROP)[0]
+
+    def counted(*args):
+        scans.append(None)
+        return windows(*args)
+
+    def discarded(*args):
+        # the anchor's window first, then one node inside it: the sweep keeps its own
+        lo, hi, peak = counted(*args)
+        return (lo, hi, peak) if len(scans) == 1 else (anchor_lo, anchor_lo, peak)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        monkeypatch.setattr(rw1, "_windows", counted)
+        kept = exact_sensitivity(model, 0.3, n_angles=64)
+        n_kept = len(scans)
+        scans.clear()
+        monkeypatch.setattr(rw1, "_windows", discarded)
+        walked = exact_sensitivity(model, 0.3, n_angles=64)
+    assert n_kept <= 1 + 2 * 64 < len(scans)
+    assert np.array_equal(kept.entries.ratio, walked.entries.ratio)
+
+
+def test_escaping_contour_prior_is_named():
+    # a rate e^-299 keeps the anchor's mode inside the scan range but not every
+    # contour prior's: the error names a midpoint or point, not the anchor
+    model = far_right_model(-299.0)
+    anchor, midpoints, points = contour_priors(model, 0.3, 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="escaped the log-tau scan range") as exc:
+            exact_sensitivity(model, 0.3, n_angles=64)
+    named = tuple(float(v) for v in re.search(r"prior \((\S+), (\S+)\)", str(exc.value)).groups())
+    assert named != tuple(anchor)
+    assert named in set(map(tuple, np.vstack([midpoints, points]).tolist()))
+
+
+def test_tail_that_does_not_decay_is_named():
+    # past the data's mode the log density of an alternating series dips by about
+    # 29, then rises with slope alpha = 0.01 and stays within 60 of the peak to
+    # log tau = 600, where a rate of 1e-300 has not yet bent it down
+    model = RW1Model(y=2.5 * (-1.0) ** np.arange(24), kappa=1.0, prior=ParamPoint(0.01, 1e-300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"posterior tail for prior \(0\.01, 1e-300\) does not decay"):
+            exact_sensitivity(model, 1e-3, n_angles=8)
+
+
+def test_non_finite_sweep_integrand_is_named(model96):
+    # a shape of 1e308 overflows the tilt (da u) inside the anchor's window
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="non-finite posterior integrand at log tau = "):
+            _lattice_pass(model96, (1.0, 0.005), [(1.01, 0.005), (1e308, 0.005)])
+
+
 class TestExactPosteriorHellinger:
     def test_identity(self):
         m = small_model()
@@ -474,7 +548,7 @@ def fine_trapezoid(model, prior, lo, hi, per_node=2**10):
     divided by its largest value, and the log of that value (with the constant
     ``kappa |y|^2 / 2`` that ``S`` leaves out added back)."""
     us = np.linspace(lo * rw1._LATTICE_STEP, hi * rw1._LATTICE_STEP, (hi - lo) * per_node + 1)
-    g = _log_target(model, np.array([prior]), us, _s_terms(model, us))[0] + data_constant(model)
+    g = _log_target(model, prior, us, _s_terms(model, us)) + data_constant(model)
     w = np.exp(g - g.max()) * (us[1] - us[0])
     w[[0, -1]] *= 0.5
     return us, w, g.max()

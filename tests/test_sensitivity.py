@@ -30,7 +30,7 @@ from priorscan import (
     tabulate_prior,
 )
 from priorscan import reweight
-from priorscan.contour import GRID_DTYPE, POINT_DTYPE, PolarGrid, preexplore, scaling_factors
+from priorscan.contour import GRID_DTYPE, POINT_DTYPE, PolarGrid, _preexplore, scaling_factors
 from priorscan.sensitivity import ENTRY_DTYPE, POLAR_DTYPE, ROLLED_DTYPE, _median
 
 EPS0 = 0.00354
@@ -45,7 +45,7 @@ def points(gamma1, gamma2):
 def make_grid(phi, point, epsilon=EPS0, failed=()):
     grid = np.zeros(len(phi), GRID_DTYPE).view(np.recarray)
     grid.phi, grid.point = phi, point
-    return PolarGrid(GAMMA_BASE, epsilon, grid, preexplore(GAMMA_BASE, epsilon), failed)
+    return PolarGrid(GAMMA_BASE, epsilon, grid, _preexplore(GAMMA_BASE, epsilon), failed)
 
 
 def make_result(ratios, epsilon=EPS0, failed=()):
@@ -351,7 +351,7 @@ class TestExportPlotData:
         assert "ref_0.1" in series and "ref_1.0" in series
 
     def test_polar_geometry_along_east(self):
-        cardinal = preexplore(GAMMA_BASE, EPS0)
+        cardinal = _preexplore(GAMMA_BASE, EPS0)
         res = assemble_result(make_grid([0.0], points([1.2], [0.34])), [0.5 * EPS0])
         polar, _ = export_plot_data(res)
         sens = [row for row in polar if row["series"] == "sensitivity"][0]
