@@ -32,7 +32,7 @@ _EXPORTS = {
         "ReweightingError",
         "SaturatedCalibrationWarning",
     ),
-    "families": ("hellinger_analytic", "log_prior_density", "tabulate_prior"),
+    "families": ("log_prior_density", "tabulate_prior"),
     "grids": ("DensityGrid", "PosteriorInput", "Scale", "normalize_grid", "read_density_csv"),
     "params": ("DEFAULT_PRIOR", "Family", "ParamPoint", "PriorSpec"),
     "reweight": ("TAIL_GUARD", "circular_sensitivity"),

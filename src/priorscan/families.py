@@ -17,8 +17,8 @@ Fisher form (:func:`fisher_information`) and ``T`` the cubic form (:func:`cubic_
 :func:`tabulate_prior` cuts a density where its log falls ``_LOG_DROP = 50``
 below the peak (normal: mean +/- 10 sd). Only numpy is imported.
 
-``Family``, ``ParamPoint``, ``PriorSpec`` and ``validate_point`` are defined in
-:mod:`.params`, which needs no numpy, and are imported here from there.
+``Family`` and ``PriorSpec`` are defined in :mod:`.params`, which needs no
+numpy, and are imported here from there.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError
 from .grids import DensityGrid, Scale, normalize_grid
-from .params import Family, ParamPoint, PriorSpec, validate_point
+from .params import Family, PriorSpec
 
 _LOG_2PI = math.log(2.0 * math.pi)
 # tabulate_prior's window ends where the log density is this far below its peak
@@ -156,25 +156,15 @@ def _log_bc(family: Family, g1_0, g2_0, g1, g2):
 def hellinger_closed_form(family: Family, g1_0, g2_0, g1, g2) -> np.ndarray:
     """Closed-form Hellinger distance from ``(g1_0, g2_0)`` to each ``(g1, g2)``.
 
-    Array version of :func:`hellinger_analytic` without domain validation:
-    ``sqrt(1 - BC)`` with ``BC`` clamped to at most 1, exactly 0 where the
-    two points coincide, and 0 where the coefficient is not a number.
+    ``sqrt(1 - BC)`` without domain validation, ``BC`` clamped to at most 1:
+    exactly 0 where the two points coincide, and 0 where the coefficient is
+    not a number. Normal ``(mu, lam)``: ``BC = sqrt(2 sqrt(lam0 lam1) / (lam0 +
+    lam1)) exp(-(mu1 - mu0)^2 lam0 lam1 / (4 (lam0 + lam1)))``. Gamma ``(alpha,
+    beta)``: ``BC = Gamma(abar) / bbar^abar sqrt(beta0^alpha0 beta1^alpha1 /
+    (Gamma(alpha0) Gamma(alpha1)))``, ``abar`` and ``bbar`` the mean shape and rate.
     """
     h2 = -np.expm1(np.minimum(_log_bc(family, g1_0, g2_0, g1, g2), 0.0))
     return np.sqrt(np.where(h2 > 0.0, h2, 0.0))
-
-
-def hellinger_analytic(family: Family, p0: ParamPoint, p1: ParamPoint) -> float:
-    """Closed-form Hellinger distance ``sqrt(1 - BC)`` between two priors of ``family``.
-
-    Both points are validated. Normal ``(mu, lam)``: ``BC = sqrt(2 sqrt(lam0 lam1)
-    / (lam0 + lam1)) exp(-(mu1 - mu0)^2 lam0 lam1 / (4 (lam0 + lam1)))``. Gamma
-    ``(alpha, beta)``: ``BC = Gamma(abar) / bbar^abar sqrt(beta0^alpha0 beta1^alpha1
-    / (Gamma(alpha0) Gamma(alpha1)))``, ``abar`` and ``bbar`` the mean shape and rate.
-    """
-    validate_point(family, p0)
-    validate_point(family, p1)
-    return float(hellinger_closed_form(family, *p0.as_tuple(), *p1.as_tuple()))
 
 
 def tabulate_prior(

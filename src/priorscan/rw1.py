@@ -18,9 +18,10 @@ part ``kappa |y|^2 / 2`` only scales the density and is left out of ``S``
 on one dyadic log-tau lattice. All priors of a sweep (base, contour points,
 midpoints) are integrated on that lattice in one array pass. Only the base is
 scanned: a prior's log density is the base's plus the tilt ``t = da u - db e^u``,
-so one array gives each prior's peak, where it is centred, and widens the base's
-window until each falls by ``exp(-60)`` at both ends. With ``t`` the prior log
-ratio and ``E0`` the expectation under the base posterior,
+so the pass's coarse nodes (at least 32 intervals) give each prior's peak and the
+mean its tilt is centred on, and widen the base's window until each falls by
+``exp(-60)`` at both ends. With ``t`` the prior log ratio and ``E0`` the expectation
+under the base posterior,
 
     log BC = log1p(E0[expm1(t/2)]) - 1/2 log1p(E0[expm1(t)])
 
@@ -44,7 +45,7 @@ from .params import DEFAULT_PRIOR, Family, ParamPoint, PriorSpec, validate_point
 from .sensitivity import SensitivityResult, assemble_result
 
 # Log-tau lattice: level L holds u = k * _LATTICE_STEP / 2^L, so each level
-# contains the one below; modes and windows are found on level 0.
+# contains the one below; windows end on level-0 nodes.
 _LATTICE_STEP = 0.5
 _WINDOW_DROP = 60.0  # exp(-60) ~ 9e-27 relative tail cut for quadrature
 _TABLE_DROP = 28.0  # exp(-28) < 1e-12 relative boundary for tabulation
@@ -200,8 +201,8 @@ def _log_target(model: RW1Model, prior, us: np.ndarray, s: np.ndarray) -> np.nda
     return (alpha + (model.n - 1) / 2.0) * us - beta * np.exp(us) + s
 
 
-def _windows(model: RW1Model, prior, drop: float) -> tuple[int, int, float]:
-    """Level-0 window ends and peak log density of one gamma prior's posterior.
+def _windows(model: RW1Model, prior, drop: float) -> tuple[int, int]:
+    """Level-0 window ends of one gamma prior's posterior.
 
     The window ends at the nearest coarse node on either side of the mode where the
     log density has fallen by ``drop``. The scan of ``u`` in [-50, 50] widens while
@@ -221,7 +222,7 @@ def _windows(model: RW1Model, prior, drop: float) -> tuple[int, int, float]:
         left = int(np.where(below & (ks < ks[top]), ks, lo - 1).max())
         right = int(np.where(below & (ks > ks[top]), ks, hi + 1).min())
         if lo <= left and right <= hi:
-            return left, right, float(g[top])
+            return left, right
         lo, hi, (a, b) = lo - _SCAN_WIDEN * (left < lo), hi + _SCAN_WIDEN * (right > hi), prior
         if top in (0, ks.size - 1) and (lo < -limit or hi > limit):
             raise NumericalError(f"posterior mode for prior ({a}, {b}) escaped the log-tau "
@@ -230,58 +231,37 @@ def _windows(model: RW1Model, prior, drop: float) -> tuple[int, int, float]:
             raise NumericalError(f"posterior tail for prior ({a}, {b}) does not decay on the log-tau axis")
 
 
-def _sweep_window(model: RW1Model, anchor: np.ndarray, points: np.ndarray):
-    """Level-0 window of a sweep, the anchor's peak log density and each point's less it.
-
-    The anchor's window (:func:`_windows`) widens one node a side at a time while a
-    point or midpoint (log density the anchor's plus ``t`` or ``t / 2``) has not fallen
-    ``_WINDOW_DROP`` below its own peak at that end. Past the scan range each prior still
-    open is scanned alone, once: the window widens to cover its window, and the scan names
-    the prior if its mode escapes or its tail does not decay."""
-    lo, hi, peak = _windows(model, anchor, _WINDOW_DROP)
-    # one column per prior, midpoints then points: t = (u, e^u) @ (da, -db)
-    tilt = np.kron([0.5, 1.0], ((points - anchor) * [1.0, -1.0]).T)
-    while True:
-        us = _LATTICE_STEP * np.arange(lo, hi + 1)
-        with np.errstate(over="ignore", invalid="ignore"):  # the check below names the node
-            g0 = _log_target(model, anchor, us, _s_nodes(model, 0, lo, hi + 1)) - peak
-            g = np.column_stack([us, np.exp(us)]) @ tilt + g0[:, None]  # nodes x priors
-        top = g.max(axis=0)  # a maximum down each column is fast, along each short row slow
-        if not np.all(np.isfinite(top)):  # NaN or +inf; -inf is a density of 0
-            bad = float(us[np.argmin((g < np.inf).all(axis=1))])
-            raise NumericalError(f"non-finite posterior integrand at log tau = {bad!r}")
-        open_ends = g[[0, -1]] > top - _WINDOW_DROP
-        if not open_ends.any():
-            return lo, hi, peak, top[len(points) :]
-        lo, hi = lo - int(open_ends[0].any()), hi + int(open_ends[1].any())
-        if max(-lo, hi) > _SCAN_LIMIT / _LATTICE_STEP:
-            for prior in np.vstack([0.5 * (anchor + points), points])[open_ends.any(axis=0)]:
-                k_lo, k_hi, _ = _windows(model, prior, _WINDOW_DROP)
-                lo, hi = min(lo, k_lo), max(hi, k_hi)
-
-
 def _lattice_pass(model: RW1Model, anchor, points):
     """``log C`` of an anchor gamma prior and of each point, and the posterior
     Hellinger distance to each point, from one quadrature on the shared lattice.
 
-    With ``t`` the log ratio of a point's posterior kernel to the anchor's,
-    less the gap of their peaks (a constant, which leaves BC unchanged),
-    ``log BC = log E[exp(t/2)] - log E[exp(t)] / 2`` under the anchor's
-    posterior, each ``log E`` formed as ``log1p(E[expm1(.)])``. The window
-    (:func:`_sweep_window`) covers the anchor, points and midpoints; its integrands
-    are analytic and cut at ``exp(-_WINDOW_DROP)``, so trapezoid sums converge
-    geometrically. They start from one pass over every level coarser than the first
-    with 64 intervals, then gain each finer level's new nodes until none changes by
-    more than ``_REL_TOL`` times the integral of its absolute value, by ``_MAX_LEVEL``.
+    With ``t`` the log ratio of a point's posterior kernel to the anchor's less a
+    constant (its mean under the anchor's posterior, or its peak less 600 where that is
+    larger), ``log BC = log E[exp(t/2)] - log E[exp(t)] / 2`` under the anchor's
+    posterior, each ``log E`` formed as ``log1p(E[expm1(.)])``. The integrands are
+    analytic and cut at ``exp(-_WINDOW_DROP)``, so trapezoid sums converge
+    geometrically. They start from one pass over every level coarser than the first with
+    64 intervals, level 0 first; its nodes give the peaks and means, and widen the
+    anchor's window (:func:`_windows`) one node a side while a point or midpoint has not
+    fallen ``_WINDOW_DROP`` below its peak at that end (past the scan range each prior
+    still open is scanned alone, once). Then each finer level's new nodes are added until
+    no sum changes by more than ``_REL_TOL`` times the integral of its absolute value.
     """
     anchor, points = np.asarray(anchor, dtype=float), np.asarray(points, dtype=float).reshape(-1, 2)
     n_pts = len(points)
-    lo, hi, peak, gap = _sweep_window(model, anchor, points)
-    half_tilt = 0.5 * np.column_stack([points - anchor, gap]) * [1.0, -1.0, -1.0]
+    lo, hi = _windows(model, anchor, _WINDOW_DROP)
+    # one column per prior, midpoints then points: t = (u, e^u) @ (da, -db)
+    tilt = np.kron([0.5, 1.0], ((points - anchor) * [1.0, -1.0]).T)
 
-    def sums(us, s, weights):
+    def level_nodes(level):
+        # the nodes that lattice level ``level`` adds inside the window, and S there
+        if level == 0:
+            return _LATTICE_STEP * np.arange(lo, hi + 1), _s_nodes(model, 0, lo, hi + 1)
+        j0, j1 = lo << (level - 1), hi << (level - 1)
+        return (2 * np.arange(j0, j1) + 1) * (_LATTICE_STEP / 2**level), _s_nodes(model, level, j0, j1)
+
+    def sums(us, log_w, weights):
         # sums of f and |f|; rows: 1, then exp(log_w) * expm1(t/2), then * expm1(t)
-        log_w = _log_target(model, anchor, us, s) - peak
         base = weights * np.exp(log_w)
         out = np.empty((2, 1 + 2 * n_pts))
         out[:, 0] = base.sum()
@@ -295,43 +275,64 @@ def _lattice_pass(model: RW1Model, anchor, points):
                 if far is None:  # sums of p * base as matrix-vector products, base >= 0
                     dst[:, block] = p @ base, np.abs(p, out=p) @ base
                     continue
-                # log_w + t <= ~0, so this form cannot overflow where log_w underflows; pairwise
+                # log_w + t <= ~600, so this form cannot overflow where log_w underflows; pairwise
                 # sums as for the base's, so a row of -base sums to exactly minus the base's
                 p, t = p * base, k * half[far]
                 p[far] = weights[far[1]] * np.exp(log_w[far[1]] + t) - base[far[1]]
                 dst[:, block] = p.sum(axis=1), np.abs(p, out=p).sum(axis=1)
         return out
 
-    def level_nodes(level):
-        # the nodes that lattice level ``level`` adds inside the window, and S there
-        if level == 0:
-            return _LATTICE_STEP * np.arange(lo, hi + 1), _s_nodes(model, 0, lo, hi + 1)
-        j0, j1 = lo << (level - 1), hi << (level - 1)
-        return (2 * np.arange(j0, j1) + 1) * (_LATTICE_STEP / 2**level), _s_nodes(model, level, j0, j1)
-
-    # Convergence is first checked at level first, so the levels below first are
-    # only ever used as their joint trapezoid sum: one pass over all their nodes,
-    # level 0 first, whose two ends take half weight.
-    first = max(1, math.ceil(math.log2(64 / (hi - lo))))  # first level with >= 64 intervals
-    us, s = map(np.concatenate, zip(*map(level_nodes, range(first))))
-    h = _LATTICE_STEP / 2 ** (first - 1)
-    weights = np.full(us.size, h)
-    weights[[0, hi - lo]] = 0.5 * h
-    trap = sums(us, s, weights)
-    for level in range(first, _MAX_LEVEL + 1):
-        us, s = level_nodes(level)
-        finer = 0.5 * trap + sums(us, s, np.full(us.size, _LATTICE_STEP / 2**level))
-        converged = np.abs(finer[0] - trap[0]) <= _REL_TOL * finer[1]
-        if converged.all():
-            with np.errstate(divide="ignore"):  # BC below 1e-308 gives H = 1
-                # E0[expm1(t/2)] of a far prior is -1 less its rounding: clamp it there
-                log_e = np.log1p(np.maximum(finer[0, 1:] / finer[0, 0], -1.0))
-            log_bc = np.minimum(log_e[:n_pts] - 0.5 * log_e[n_pts:], 0.0)
-            log_c = float(peak + math.log(finer[0, 0]) + 0.5 * model.kappa * (model.y @ model.y))
-            log_c_points = log_c + log_e[n_pts:] + gap
-            return log_c, log_c_points, np.sqrt(np.maximum(0.0, -np.expm1(log_bc)))
-        trap = finer
-    a, b = np.vstack([anchor, points, points])[np.argmin(converged)]
+    priors = np.vstack([anchor, points, points])  # the prior of each column of sums
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checks name the node or prior
+        while True:
+            first = max(1, math.ceil(math.log2(64 / (hi - lo))))  # first level with >= 64 intervals
+            us, s = map(np.concatenate, zip(*map(level_nodes, range(first))))
+            log_w = _log_target(model, anchor, us, s)
+            peak = log_w.max()
+            log_w -= peak
+            xy = np.column_stack([us, np.exp(us)])
+            reach = np.ptp(xy, axis=0) @ np.abs(tilt).max(axis=1, initial=0.0)  # >= each tilt's range
+            # the two level-0 ends, then the nodes where a column's maximum can lie
+            rows = np.r_[0, hi - lo, np.flatnonzero(log_w >= -reach)]
+            g = xy[rows] @ tilt + log_w[rows, None]  # nodes x priors
+            top = g.max(axis=0)  # a maximum down each column is fast, along each short row slow
+            if not np.all(np.isfinite(top)):  # NaN or +inf; -inf is a density of 0
+                bad = float(us[rows[np.argmin((g < np.inf).all(axis=1))]])
+                raise NumericalError(f"non-finite posterior integrand at log tau = {bad!r}")
+            open_ends = g[:2] > top - _WINDOW_DROP
+            if not open_ends.any():
+                break
+            lo, hi = lo - int(open_ends[0].any()), hi + int(open_ends[1].any())
+            if max(-lo, hi) > _SCAN_LIMIT / _LATTICE_STEP:
+                for prior in np.vstack([0.5 * (anchor + points), points])[open_ends.any(axis=0)]:
+                    k_lo, k_hi = _windows(model, prior, _WINDOW_DROP)
+                    lo, hi = min(lo, k_lo), max(hi, k_hi)
+        weights = np.full(us.size, _LATTICE_STEP / 2 ** (first - 1))
+        weights[[0, hi - lo]] *= 0.5
+        # t: each tilt less its mean (no rounding floor), or less its peak - 600 (no overflow)
+        base = weights * np.exp(log_w)
+        shift = np.maximum((base @ xy) @ tilt[:, n_pts:] / base.sum(), top[n_pts:] - 600.0)
+        half_tilt = 0.5 * np.column_stack([points - anchor, shift]) * [1.0, -1.0, -1.0]
+        trap = sums(us, log_w, weights)
+        for level in range(first, _MAX_LEVEL + 1):
+            us, s = level_nodes(level)
+            log_w = _log_target(model, anchor, us, s) - peak
+            finer = 0.5 * trap + sums(us, log_w, np.full(us.size, _LATTICE_STEP / 2**level))
+            # E0[expm1(t/2)] of a far prior is -1 less its rounding: clamp it there (BC below
+            # 1e-308 gives H = 1); a point's E0[expm1(t)] at -1 would be a log C of -inf
+            log_e = np.log1p(np.maximum(finer[0, 1:] / finer[0, 0], -1.0))
+            bad = ~np.isfinite(finer).all(axis=0)
+            bad[1 + n_pts :] |= ~np.isfinite(log_e[n_pts:])
+            if bad.any():
+                a, b = priors[np.argmax(bad)]
+                raise NumericalError(f"quadrature for prior ({a}, {b}) is not finite")
+            converged = np.abs(finer[0] - trap[0]) <= _REL_TOL * finer[1]
+            if converged.all():
+                log_bc = np.minimum(log_e[:n_pts] - 0.5 * log_e[n_pts:], 0.0)
+                log_c = float(peak + math.log(finer[0, 0]) + 0.5 * model.kappa * (model.y @ model.y))
+                return log_c, log_c + log_e[n_pts:] + shift, np.sqrt(np.maximum(0.0, -np.expm1(log_bc)))
+            trap = finer
+    a, b = priors[np.argmin(converged)]
     raise NumericalError(f"quadrature for prior ({a}, {b}) did not converge to {_REL_TOL} "
                          f"within {_MAX_LEVEL} refinement levels")
 
@@ -346,7 +347,7 @@ def tabulate_posterior(model: RW1Model, n_points: int = 2001) -> PosteriorInput:
     if n_points < 8:
         raise DomainError("tabulation needs at least 8 points")
     prior = model.prior.as_tuple()
-    k_lo, k_hi, _ = _windows(model, prior, _TABLE_DROP)
+    k_lo, k_hi = _windows(model, prior, _TABLE_DROP)
     us = np.linspace(k_lo * _LATTICE_STEP, k_hi * _LATTICE_STEP, n_points)
     g = _log_target(model, prior, us, _s_terms(model, us))
     grid = normalize_grid(DensityGrid(us, np.exp(g - g.max()), Scale.LOG_PARAMETER))

@@ -12,7 +12,9 @@ reweighting (:func:`reweight_posterior`), which evaluates both priors with
 ``log_prior_density`` and shares no tilt code with the reweighting sweep.
 :func:`reweighted_distances_longdouble` evaluates the sweep's trapezoid
 formula in long double from each family's density, sharing no code with
-it either. :func:`write_density_csv` writes the posterior CSVs the tests read.
+it either. :func:`write_density_csv` writes the posterior CSVs the tests read, and
+:func:`hellinger_analytic` is the package's closed-form distance of two validated
+priors, which no production path needs.
 """
 
 from __future__ import annotations
@@ -24,7 +26,16 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gammaln, polygamma
 
-from priorscan import TAIL_GUARD, DensityGrid, Family, Scale, log_prior_density, normalize_grid
+from priorscan import (
+    TAIL_GUARD,
+    DensityGrid,
+    Family,
+    PriorSpec,
+    Scale,
+    log_prior_density,
+    normalize_grid,
+)
+from priorscan.families import hellinger_closed_form
 
 
 def log_normal_pdf(x, mu, lam):
@@ -89,7 +100,7 @@ def hellinger_grid(g0, g1):
     supports the linear re-interpolation limits small distances (on 4001-point
     grids, gamma (3, 2) vs (3 + 4.5e-6, 2) comes out 2.3e-3 relative high, normal
     (0, 1) vs (2.8e-6, 1) 5e-4); for two priors of one family use
-    :func:`priorscan.hellinger_analytic`.
+    :func:`hellinger_analytic`.
     """
     a0, a1 = common_support(g0, g1)
     lo, hi = a0.support[0], a0.support[-1]
@@ -160,6 +171,13 @@ def reweighted_distances_longdouble(inp, gamma1, gamma2, chunk=64):
         root_new = np.sqrt(new / (new @ w)[:, None])
         out[lo : lo + chunk] = np.sqrt(0.5 * ((root_new - root_base) ** 2 @ w))
     return out
+
+
+def hellinger_analytic(family, p0, p1):
+    """Closed-form Hellinger distance ``sqrt(1 - BC)`` between two priors of
+    ``family`` (``priorscan.families.hellinger_closed_form``), both points validated."""
+    PriorSpec(family, p0), PriorSpec(family, p1)  # each validates its point
+    return float(hellinger_closed_form(family, *p0.as_tuple(), *p1.as_tuple()))
 
 
 def hellinger_normal_quad(p0, p1):

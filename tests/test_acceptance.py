@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import AlignmentError, dense_logdet_q, hellinger_grid
+from oracles import AlignmentError, dense_logdet_q, hellinger_analytic, hellinger_grid
 from priorscan import (
     Family,
     ParamPoint,
@@ -23,7 +23,6 @@ from priorscan import (
     circular_sensitivity,
     compute_grid,
     exact_sensitivity,
-    hellinger_analytic,
     ingest_timeseries,
     inverse_calibrate,
     tabulate_posterior,

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import hellinger_difference_form
+from oracles import hellinger_analytic, hellinger_difference_form
 from priorscan import (
     RESIDUAL_RTOL,
     CardinalModuli,
@@ -16,7 +16,6 @@ from priorscan import (
     PriorSpec,
     calibrate,
     compute_grid,
-    hellinger_analytic,
 )
 from priorscan.contour import _preexplore, _solve_radii, scaling_factors
 

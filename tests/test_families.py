@@ -5,14 +5,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import hellinger_difference_form, hellinger_gamma_quad, hellinger_normal_quad
+from oracles import (
+    hellinger_analytic,
+    hellinger_difference_form,
+    hellinger_gamma_quad,
+    hellinger_normal_quad,
+)
 from priorscan import (
     DomainError,
     Family,
     ParamPoint,
     PriorSpec,
     Scale,
-    hellinger_analytic,
     log_prior_density,
     tabulate_prior,
 )
@@ -23,8 +27,8 @@ from priorscan.families import (
     cubic_form,
     fisher_information,
     hellinger_closed_form,
-    validate_point,
 )
+from priorscan.params import validate_point
 from priorscan.grids import trapezoid_mass
 
 param = st.floats(0.01, 100.0)

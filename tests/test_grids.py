@@ -11,6 +11,7 @@ from oracles import (
     AlignmentError,
     common_support,
     hellinger_difference_form,
+    hellinger_analytic,
     hellinger_gamma_quad,
     hellinger_grid,
     write_density_csv,
@@ -23,7 +24,6 @@ from priorscan import (
     ParamPoint,
     PriorSpec,
     Scale,
-    hellinger_analytic,
     ingest_timeseries,
     normalize_grid,
     read_density_csv,

@@ -5,7 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import hellinger_grid, reweight_posterior, reweighted_distances_longdouble
+from oracles import (
+    hellinger_analytic,
+    hellinger_grid,
+    reweight_posterior,
+    reweighted_distances_longdouble,
+)
 from priorscan import (
     TAIL_GUARD,
     DegeneratePosteriorWarning,
@@ -19,7 +24,6 @@ from priorscan import (
     Scale,
     circular_sensitivity,
     compute_grid,
-    hellinger_analytic,
     normalize_grid,
     tabulate_prior,
 )

@@ -1,7 +1,9 @@
 import dataclasses
+import json
 import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,11 +20,13 @@ from oracles import (
 )
 from priorscan import (
     DEFAULT_PRIOR,
+    ContourUnreachableError,
     DomainError,
     Family,
     IngestionError,
     NumericalError,
     ParamPoint,
+    PartialGridError,
     PriorSpec,
     RW1Model,
     Scale,
@@ -33,6 +37,7 @@ from priorscan import (
     tabulate_posterior,
 )
 from priorscan import rw1
+from priorscan.cli import main
 from priorscan.grids import trapezoid_mass
 from priorscan.sensitivity import ENTRY_DTYPE
 from priorscan.rw1 import (
@@ -370,7 +375,7 @@ class TestNormconst:
         # a far, sharply peaked prior needs finer nodes than the others of
         # the sweep; capping the refinement must name it, not the base
         m = small_model(n=24)
-        monkeypatch.setattr(rw1, "_MAX_LEVEL", 4)
+        monkeypatch.setattr(rw1, "_MAX_LEVEL", 3)
         _lattice_pass(m, (1.0, 0.005), [(1.01, 0.005), (1.0, 0.0051)])
         with pytest.raises(NumericalError, match=r"prior \(200\.0, 1\.0\) did not converge"):
             _lattice_pass(m, (1.0, 0.005), [(1.01, 0.005), (200.0, 1.0)])
@@ -406,9 +411,23 @@ def test_sweep_windows_match_reference_walk(fixture, eps, request):
     model = request.getfixturevalue(fixture)
     anchor, midpoints, points = contour_priors(model, eps, 16)
     for a, b in np.vstack([anchor, midpoints, points]):
-        lo, hi, _ = rw1._windows(model, (a, b), 60.0)
+        lo, hi = rw1._windows(model, (a, b), 60.0)
         expected = tabulation_window(model.y, model.kappa, a, b, drop=60.0)
         assert (lo * rw1._LATTICE_STEP, hi * rw1._LATTICE_STEP) == expected
+
+
+def sweep_window(model, anchor, points):
+    """The level-0 window, in coarse nodes, of a lattice pass over ``anchor``,
+    ``points`` and their midpoints: the last level-0 range it asks S for."""
+    requests, s_nodes = [], rw1._s_nodes
+
+    def recorded(model, level, lo, hi):
+        requests.append((level, lo, hi - 1))
+        return s_nodes(model, level, lo, hi)
+
+    with mock.patch.object(rw1, "_s_nodes", recorded):
+        _lattice_pass(model, anchor, points)
+    return [(lo, hi) for level, lo, hi in requests if level == 0][-1]
 
 
 @pytest.mark.parametrize("eps", [1e-4, 1e-2, 0.3, 0.5])
@@ -419,9 +438,9 @@ def test_sweep_window_covers_every_prior(fixture, eps, request):
     # test above ties to the outward walk
     model = request.getfixturevalue(fixture)
     anchor, midpoints, points = contour_priors(model, eps, 16)
-    lo, hi, _, _ = rw1._sweep_window(model, anchor, points)
+    lo, hi = sweep_window(model, anchor, points)
     for prior in np.vstack([anchor, midpoints, points]):
-        k_lo, k_hi, _ = rw1._windows(model, prior, 60.0)
+        k_lo, k_hi = rw1._windows(model, prior, 60.0)
         assert lo <= k_lo and k_hi <= hi
 
 
@@ -458,8 +477,8 @@ def test_far_right_sweep_scans_each_prior_once(monkeypatch):
 
     def discarded(*args):
         # the anchor's window first, then one node inside it: the sweep keeps its own
-        lo, hi, peak = counted(*args)
-        return (lo, hi, peak) if len(scans) == 1 else (anchor_lo, anchor_lo, peak)
+        lo, hi = counted(*args)
+        return (lo, hi) if len(scans) == 1 else (anchor_lo, anchor_lo)
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -504,6 +523,132 @@ def test_non_finite_sweep_integrand_is_named(model96):
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="non-finite posterior integrand at log tau = "):
             _lattice_pass(model96, (1.0, 0.005), [(1.01, 0.005), (1e308, 0.005)])
+
+
+@pytest.mark.parametrize("point", [(1e306, 0.005), (1.0, 1e308)])
+def test_non_finite_sums_are_named(point):
+    # a shape of 1e306 keeps the window closed (its log density, near 1e308, absorbs the
+    # drop of 60) and a rate of 1e308 overflows the tilt: the quadrature names the prior
+    model = RW1Model(y=np.zeros(24), kappa=1.0)
+    message = re.escape(f"quadrature for prior {tuple(map(float, point))} is not finite")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=message):
+            _lattice_pass(model, (1.0, 0.005), [(1.01, 0.005), point])
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.1, 0.2, 0.3])
+def test_dominant_prior_moves_the_posterior_as_far_as_itself(counts_csv, eps):
+    # a prior of shape 1e4 outweighs 192 months of data, so every ratio is about 1; its
+    # posterior (log-tau sd about 0.01) falls between level-0 nodes 0.5 apart, so the
+    # integrands must be scaled by their largest values on finer nodes
+    model = ingest_timeseries(counts_csv, prior=ParamPoint(10000.0, 0.01))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ratios = exact_sensitivity(model, eps, n_angles=64).entries.ratio
+    assert np.max(np.abs(ratios - 1.0)) <= 1e-3
+
+
+def rw1_cli(tmp_path, capsys, counts, *args):
+    """Exit code, stderr lines and JSON report of ``priorscan rw1`` on ``counts``."""
+    path = write_counts(tmp_path / "counts.csv", [int(c) for c in counts])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["rw1", "--data", str(path), *args, "--outdir", str(tmp_path / "out")])
+    report = tmp_path / "out" / "rw1.json"
+    return code, capsys.readouterr().err.splitlines(), json.loads(report.read_text()) if code == 0 else None
+
+
+def test_concentrated_posterior_through_the_cli(tmp_path, capsys):
+    # prior shape 7980 against a kappa of 8386 on 96 months: a log-tau sd near 0.01
+    kappa, prior = 8385.863274145486, ParamPoint(7979.85484355881, 0.0032928288300745796)
+    code, lines, report = rw1_cli(
+        tmp_path, capsys, synth_counts(seed=3, n_months=96), "--kappa", repr(kappa),
+        "--prior", f"{prior.gamma1!r},{prior.gamma2!r}", "--epsilon", "0.07024303048935247")
+    assert code == 0
+    assert [line for line in lines if line.startswith("warning:")] == [
+        "warning: super-sensitivity detected (worst case > 1)"]
+    # every 50th angle against a long-double trapezoid over the window of each prior
+    # and midpoint (an independent walk), 4096 intervals per coarse node, t centred
+    model = ingest_timeseries(tmp_path / "counts.csv", kappa=kappa, prior=prior)
+    entries = report["entries"][::50]
+    anchor = np.array(prior.as_tuple())
+    points = np.array([(e["gamma1"], e["gamma2"]) for e in entries])
+    windows = [tabulation_window(model.y, kappa, a, b, drop=60.0)
+               for a, b in np.vstack([anchor, points, 0.5 * (anchor + points)])]
+    lo, hi = min(w[0] for w in windows) - 0.5, max(w[1] for w in windows) + 0.5
+    us = np.linspace(lo, hi, round((hi - lo) / rw1._LATTICE_STEP) * 4096 + 1)
+    g = _log_target(model, prior.as_tuple(), us, _s_terms(model, us)).astype(np.longdouble)
+    w = np.exp(g - g.max())
+    w[[0, -1]] *= 0.5
+    w /= w.sum()
+    u = us.astype(np.longdouble)
+    da, db = (points - anchor).T.astype(np.longdouble)
+    t = np.multiply.outer(da, u) - np.multiply.outer(db, np.exp(u))
+    t -= (t @ w)[:, None]
+    log_bc = np.log1p(np.expm1(t / 2) @ w) - 0.5 * np.log1p(np.expm1(t) @ w)
+    expected = np.sqrt(-np.expm1(log_bc)).astype(float)
+    assert expected.min() < 1e-5 and expected.max() == 1.0
+    assert [e["h_post"] for e in entries] == pytest.approx(expected, rel=1e-9)
+
+
+def test_posterior_narrower_than_the_lattice_exits_4(tmp_path, capsys):
+    # shape 1e8 puts the posterior's log-tau sd near 1e-4, below the spacing of any
+    # coarse pass: its sums overflow, and the error names the prior after no warning
+    counts = np.round((30.0 + np.cumsum(np.random.default_rng(7).normal(0.0, 0.4, 96))) ** 2)
+    code, lines, _ = rw1_cli(tmp_path, capsys, counts, "--prior", "1e8,1e6", "--epsilon", "0.01")
+    assert code == 4
+    assert [line for line in lines if line.startswith(("warning:", "error:"))] == [
+        "error: quadrature for prior (100000000.0, 1000000.0) is not finite"]
+
+
+def contract_draws(seed, count):
+    """Series length, kappa, prior and epsilon of ``count`` seeded draws: n 24, 96 or
+    192, and kappa, shape, rate and epsilon log-uniform on [1e-2, 1e8], [1e-2, 1e4],
+    [1e-8, 1e4] and [1e-4, 0.5]."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.choice([24, 96, 192]))
+        kappa, a, b, eps = 10.0 ** rng.uniform([-2, -2, -8, -4], [8, 4, 4, math.log10(0.5)])
+        yield n, float(kappa), ParamPoint(float(a), float(b)), float(eps)
+
+
+@pytest.fixture(scope="module")
+def contract_csvs(tmp_path_factory):
+    return {n: write_counts(tmp_path_factory.mktemp(f"series{n}") / "counts.csv",
+                            synth_counts(seed=n, n_months=n).astype(int)) for n in (24, 96, 192)}
+
+
+def test_exact_sweeps_answer_or_name_their_error(contract_csvs):
+    # every draw gives distances in [0, 1] or a contour or numerical error (exit 3 or
+    # 4), with no numpy warning; a NaN distance would be a DomainError here
+    answered = 0
+    for n, kappa, prior, eps in contract_draws(2, 300):
+        model = ingest_timeseries(contract_csvs[n], kappa=kappa, prior=prior)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                h = exact_sensitivity(model, eps, n_angles=64).entries.h_post
+            except (ContourUnreachableError, PartialGridError, NumericalError):
+                continue
+        assert np.all((h >= 0.0) & (h <= 1.0)), (n, kappa, prior, eps)
+        answered += 1
+    assert answered >= 290
+
+
+def test_rw1_command_answers_or_exits_documented(tmp_path, capsys, contract_csvs):
+    for i, (n, kappa, prior, eps) in enumerate(contract_draws(32, 16)):
+        argv = ["rw1", "--data", str(contract_csvs[n]), "--kappa", repr(kappa), "--prior",
+                f"{prior.gamma1!r},{prior.gamma2!r}", "--epsilon", repr(eps), "--n-angles", "64",
+                "--outdir", str(tmp_path / str(i))]
+        code = main(argv)
+        lines = capsys.readouterr().err.splitlines()
+        assert code in (0, 3, 4), (argv, lines)
+        assert not [line for line in lines if " encountered in " in line], (argv, lines)  # numpy's
+        assert sum(line.startswith("error: ") for line in lines) == (code != 0), (argv, lines)
+        if code == 0:
+            h = [e["h_post"] for e in json.loads((tmp_path / str(i) / "rw1.json").read_text())["entries"]]
+            assert all(0.0 <= v <= 1.0 for v in h), argv
 
 
 class TestExactPosteriorHellinger:
@@ -561,7 +706,7 @@ class TestDeepFirstLevel:
     anchor, other = (1.0, 0.005), (3.0, 0.001)
 
     def window(self, model):
-        lo, hi, _, _ = rw1._sweep_window(model, np.array(self.anchor), np.array([self.other]))
+        lo, hi = sweep_window(model, self.anchor, [self.other])
         assert 4 <= hi - lo < 8
         return lo - 2, hi + 2  # two coarse nodes a side more than the lattice pass takes
 
@@ -598,7 +743,7 @@ def sweep_priors(model, eps):
     """The anchor and points of a 400-angle sweep, and the lattice pass's window
     over them and their midpoints in coarse nodes."""
     anchor, _, points = contour_priors(model, eps, 400)
-    lo, hi, _, _ = rw1._sweep_window(model, anchor, points)
+    lo, hi = sweep_window(model, anchor, points)
     return anchor, points, lo, hi
 
 
