@@ -27,11 +27,19 @@ Of all points evaluated in the bracket, the one with the smallest defect
 ``|H - epsilon|`` is returned. The log-radius keeps the problem well conditioned
 across the many orders of magnitude separating axis scales (for diffuse priors the
 two cardinal moduli can differ by a factor of 1e4 and more).
+
+The contour depends on the base prior, ``epsilon`` and ``n_angles`` alone, never on
+a model or posterior, so a process traces each one once. The search is deterministic
+and gives bitwise-identical grids for identical inputs; on that guarantee
+:func:`compute_grid` keeps each successful trace, read-only, in a least-recently-used
+cache of at most ``2**16`` directions (about 2 MB) and hands it to later calls with
+the same inputs.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +63,12 @@ _Z_RTOL = 4.0 * np.finfo(float).eps
 _CARDINAL_PHI = np.array([0.0, math.pi / 2.0, math.pi, -math.pi / 2.0])
 _CARDINAL_UX = np.array([1.0, 0.0, -1.0, 0.0])
 _CARDINAL_UY = np.array([0.0, 1.0, 0.0, -1.0])
+
+# Traced contours by (base, epsilon, n_angles), least recently used first, holding at
+# most _CACHE_ANGLES directions in all: 2 MB of GRID_DTYPE rows
+_CACHE_ANGLES = 2**16
+_cache: dict[tuple, tuple] = {}
+_cache_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -86,7 +100,8 @@ class PolarGrid:
     order, one row each: the angle ``phi``, the contour ``point`` (fields
     ``gamma1`` and ``gamma2``) and the defect ``residual = |H - epsilon|``.
     Columns read as arrays (``points.point.gamma1``), rows as records
-    (``points[0].phi``).
+    (``points[0].phi``). ``points`` is read-only: every grid traced from the
+    same inputs in a process shares it.
     """
 
     base: PriorSpec
@@ -255,6 +270,42 @@ def _solve_radii(
     return base.point.gamma1 + r * ux, base.point.gamma2 + r * uy, residual
 
 
+def _trace(base: PriorSpec, epsilon: float, n_angles: int):
+    """Read-only points, cardinal moduli and failed angles of the contour over
+    ``n_angles`` directions, traced on the first call with these inputs.
+
+    Raises :class:`ContourUnreachableError` (never cached) where the pre-exploration
+    fails. A new trace evicts the least recently used ones until its directions fit the
+    budget; a trace larger than the whole budget is returned but not kept.
+    """
+    key = (base, epsilon, n_angles)
+    with _cache_lock:
+        entry = _cache.pop(key, None)
+        if entry is not None:
+            _cache[key] = entry  # now the most recently used
+            return entry
+    cardinal = _preexplore(base, epsilon)
+    phis = -math.pi + 2.0 * math.pi * np.arange(n_angles) / n_angles
+    cx, cy = scaling_factors(phis, cardinal)
+    gamma1, gamma2, residual = _solve_radii(base, epsilon, phis, cx, cy)
+    solved = residual <= epsilon * RESIDUAL_RTOL
+    points = np.empty(np.count_nonzero(solved), GRID_DTYPE)  # filled as a plain ndarray
+    points["phi"], points["residual"] = phis[solved], residual[solved]
+    points["point"]["gamma1"], points["point"]["gamma2"] = gamma1[solved], gamma2[solved]
+    points.setflags(write=False)  # shared by every later call with this key
+    entry = (points.view(np.recarray), cardinal, tuple(phis[~solved].tolist()))
+    with _cache_lock:
+        _cache.pop(key, None)
+        held = sum(k[2] for k in _cache)
+        while _cache and held + n_angles > _CACHE_ANGLES:
+            oldest = next(iter(_cache))
+            del _cache[oldest]
+            held -= oldest[2]
+        if n_angles <= _CACHE_ANGLES:
+            _cache[key] = entry
+    return entry
+
+
 def compute_grid(
     base: PriorSpec,
     epsilon: float,
@@ -273,7 +324,10 @@ def compute_grid(
 
     All directions are solved in one batch of array operations; the
     search is deterministic, so identical inputs produce bitwise
-    identical grids, reported in increasing-angle order.
+    identical grids, reported in increasing-angle order. A process traces
+    each (``base``, ``epsilon``, ``n_angles``) once, within a budget of
+    ``2**16`` cached directions, and later calls share that trace: the
+    returned ``points`` are read-only.
 
     Each direction is searched within a factor ``exp(+-20)`` of the radius
     of unit Fisher distance, so every base reaches ``epsilon`` down to about
@@ -284,21 +338,13 @@ def compute_grid(
     check_epsilon(epsilon)
     if n_angles < 8:
         raise DomainError(f"n_angles must be at least 8, got {n_angles}")
-    cardinal = _preexplore(base, epsilon)
-    phis = -math.pi + 2.0 * math.pi * np.arange(n_angles) / n_angles
-    cx, cy = scaling_factors(phis, cardinal)
-    gamma1, gamma2, residual = _solve_radii(base, epsilon, phis, cx, cy)
-    solved = residual <= epsilon * RESIDUAL_RTOL
-    points = np.empty(np.count_nonzero(solved), GRID_DTYPE)  # filled as a plain ndarray
-    points["phi"], points["residual"] = phis[solved], residual[solved]
-    points["point"]["gamma1"], points["point"]["gamma2"] = gamma1[solved], gamma2[solved]
-    failed = tuple(phis[~solved].tolist())
+    points, cardinal, failed = _trace(base, epsilon, n_angles)
     if failed and not allow_partial:
         raise PartialGridError(failed)
     return PolarGrid(
         base=base,
         epsilon=epsilon,
-        points=points.view(np.recarray),
+        points=points,
         cardinal=cardinal,
         failed_angles=failed,
     )

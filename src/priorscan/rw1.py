@@ -360,7 +360,10 @@ def exact_sensitivity(
     """Circular sensitivity with exact posterior distances on every direction.
 
     All directions of the epsilon-contour around ``model.prior`` share one
-    lattice pass anchored at the base posterior.
+    lattice pass anchored at the base posterior. The contour does not depend on
+    the model: a process traces it once per (prior, ``epsilon``, ``n_angles``),
+    within :func:`.compute_grid`'s budget of ``2**16`` cached directions, and
+    every sweep with those inputs reuses it.
     """
     base = PriorSpec(Family.GAMMA, model.prior)
     grid = compute_grid(base, epsilon, n_angles=n_angles, allow_partial=allow_partial)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from priorscan import ingest_timeseries
+from priorscan import contour, ingest_timeseries
 from rw1_experiment import synth_counts
 
 settings.register_profile(
@@ -35,3 +35,12 @@ def model96(counts_csv):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(autouse=True)
+def cold_contours():
+    """Every test traces its contours afresh, as a new process would: a test that
+    patches the solver must not get a grid an earlier test cached."""
+    contour._cache.clear()
+    yield
+    contour._cache.clear()

@@ -1,5 +1,7 @@
 import math
-from dataclasses import replace
+import sys
+import threading
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from priorscan import (
     calibrate,
     compute_grid,
 )
+import priorscan.contour as contour_mod
 from priorscan.contour import _preexplore, _solve_radii, scaling_factors
 
 EPS0 = 0.00354
@@ -361,3 +364,142 @@ class TestComputeGrid:
         assert len(grid.points) + len(grid.failed_angles) == 16
         solved_phis = {gp.phi for gp in grid.points}
         assert solved_phis.isdisjoint(grid.failed_angles)
+
+
+def grid_bytes(grid):
+    """A grid's points, cardinal moduli and failed angles as bytes, so equality is bitwise."""
+    return (
+        grid.points.tobytes(),
+        np.array(astuple(grid.cardinal)).tobytes(),
+        np.array(grid.failed_angles).tobytes(),
+    )
+
+
+def cold_grid(base, epsilon, n_angles, allow_partial=True):
+    contour_mod._cache.clear()
+    return compute_grid(base, epsilon, n_angles=n_angles, allow_partial=allow_partial)
+
+
+class TestTraceCache:
+    @pytest.mark.parametrize("n_angles", [64, 400])
+    @pytest.mark.parametrize("epsilon", [1e-4, 1e-2, 0.3])
+    @pytest.mark.parametrize("base", [GAMMA_BASE, NORMAL_BASE])
+    def test_hit_equals_a_cold_trace(self, base, epsilon, n_angles):
+        first = compute_grid(base, epsilon, n_angles=n_angles, allow_partial=True)
+        hit = compute_grid(base, epsilon, n_angles=n_angles, allow_partial=True)
+        assert hit.points is first.points
+        assert grid_bytes(hit) == grid_bytes(cold_grid(base, epsilon, n_angles))
+
+    def test_numpy_float_epsilon_shares_the_trace(self):
+        first = compute_grid(GAMMA_BASE, 1e-3, n_angles=64)
+        eps = np.float64(1e-3)
+        hit = compute_grid(GAMMA_BASE, eps, n_angles=64)
+        assert hit.points is first.points
+        # the grid carries the caller's own epsilon
+        assert hit.epsilon is eps
+        assert grid_bytes(hit) == grid_bytes(cold_grid(GAMMA_BASE, eps, 64))
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            (PriorSpec(Family.NORMAL, GAMMA_BASE.point), EPS0, 16),
+            (PriorSpec(Family.GAMMA, ParamPoint(1.0, 0.35)), EPS0, 16),
+            (GAMMA_BASE, 1e-3, 16),
+            (GAMMA_BASE, EPS0, 24),
+        ],
+        ids=["family", "base", "epsilon", "n_angles"],
+    )
+    def test_keys_that_differ_do_not_collide(self, other):
+        reference = compute_grid(GAMMA_BASE, EPS0, n_angles=16)
+        warm = compute_grid(*other)
+        assert warm.points.tobytes() != reference.points.tobytes()
+        assert grid_bytes(warm) == grid_bytes(cold_grid(*other))
+
+    def test_partial_hit_still_raises(self, monkeypatch):
+        original = contour_mod._solve_radii
+
+        def flaky(base, epsilon, phi, cx, cy):
+            gamma1, gamma2, residual = original(base, epsilon, phi, cx, cy)
+            return gamma1, gamma2, np.where(phi > 1.5, np.nan, residual)
+
+        monkeypatch.setattr(contour_mod, "_solve_radii", flaky)
+        partial = compute_grid(GAMMA_BASE, EPS0, n_angles=16, allow_partial=True)
+        monkeypatch.undo()
+        # the cached partial trace answers both calls, not a new trace
+        with pytest.raises(PartialGridError) as exc:
+            compute_grid(GAMMA_BASE, EPS0, n_angles=16)
+        assert exc.value.failed_angles == partial.failed_angles
+        again = compute_grid(GAMMA_BASE, EPS0, n_angles=16, allow_partial=True)
+        assert again.points is partial.points
+        assert again.failed_angles == partial.failed_angles
+
+    def test_points_are_read_only(self):
+        grid = compute_grid(GAMMA_BASE, EPS0, n_angles=16)
+        with pytest.raises(ValueError):
+            grid.points.residual[0] = 0.0
+        with pytest.raises(ValueError):
+            grid.points[0] = grid.points[1]
+        with pytest.raises(ValueError):
+            grid.points.view(np.ndarray)["point"]["gamma1"][0] = 0.0
+
+    def test_failures_are_not_cached(self, monkeypatch):
+        calls = []
+        original = contour_mod._preexplore
+
+        def counted(base, epsilon):
+            calls.append(epsilon)
+            return original(base, epsilon)
+
+        monkeypatch.setattr(contour_mod, "_preexplore", counted)
+        for _ in range(2):
+            with pytest.raises(ContourUnreachableError):
+                compute_grid(UNIT_NORMAL, 1e-12, n_angles=8)
+        assert len(calls) == 2
+        assert not contour_mod._cache
+
+    def test_least_recently_used_goes_first(self, monkeypatch):
+        monkeypatch.setattr(contour_mod, "_CACHE_ANGLES", 48)
+        for eps in (1e-3, 2e-3, 3e-3):
+            compute_grid(GAMMA_BASE, eps, n_angles=16)
+        compute_grid(GAMMA_BASE, 1e-3, n_angles=16)
+        compute_grid(GAMMA_BASE, 4e-3, n_angles=16)
+        assert [key[1] for key in contour_mod._cache] == [3e-3, 1e-3, 4e-3]
+        compute_grid(GAMMA_BASE, 5e-3, n_angles=32)
+        assert [key[1] for key in contour_mod._cache] == [4e-3, 5e-3]
+
+    def test_grid_over_the_budget_is_not_kept(self):
+        for eps in (1e-3, 2e-3):
+            compute_grid(GAMMA_BASE, eps, n_angles=16)
+        big = compute_grid(GAMMA_BASE, EPS0, n_angles=contour_mod._CACHE_ANGLES + 1)
+        assert len(big.points) == contour_mod._CACHE_ANGLES + 1
+        assert not contour_mod._cache
+
+    def test_concurrent_lookups_and_evictions(self, monkeypatch):
+        # a budget of two 16-angle grids: nearly every trace evicts another thread's
+        monkeypatch.setattr(contour_mod, "_CACHE_ANGLES", 32)
+        epsilons = (1e-3, 2e-3, 3e-3)
+        cold = {eps: grid_bytes(cold_grid(GAMMA_BASE, eps, 16)) for eps in epsilons}
+        errors, done = [], []
+
+        def worker(offset):
+            try:
+                for i in range(30):
+                    eps = epsilons[(i + offset) % 3]
+                    assert grid_bytes(compute_grid(GAMMA_BASE, eps, n_angles=16)) == cold[eps]
+                done.append(offset)
+            except Exception as exc:  # reported below, on the test's own thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and sorted(done) == [0, 1, 2, 3]
+        assert sum(key[2] for key in contour_mod._cache) <= 32
