@@ -28,9 +28,8 @@ from priorscan import (
     tabulate_prior,
 )
 from priorscan import reweight
-from priorscan.contour import GRID_DTYPE, CardinalModuli, PolarGrid
 from priorscan.grids import trapezoid_mass
-from priorscan.reweight import DEGENERATE_GUARD, _BLOCK_CELLS, _INTERPOLATE_FROM, _posterior_distances
+from priorscan.reweight import DEGENERATE_GUARD, _BLOCK_CELLS, _posterior_distances
 
 
 def uniform_grid(lo, hi, n=9, scale=Scale.NATURAL):
@@ -39,9 +38,9 @@ def uniform_grid(lo, hi, n=9, scale=Scale.NATURAL):
     return DensityGrid(support, values, scale)
 
 
-def flat_likelihood_input(spec, scale=Scale.NATURAL):
+def flat_likelihood_input(spec, scale=Scale.NATURAL, n_points=4001):
     """Posterior equals the prior when the likelihood carries no information."""
-    return PosteriorInput(tabulate_prior(spec, scale), spec, scale)
+    return PosteriorInput(tabulate_prior(spec, scale, n_points), spec, scale)
 
 
 NORMAL_SPEC = PriorSpec(Family.NORMAL, ParamPoint(0.0, 1.0))
@@ -49,31 +48,42 @@ GAMMA_SPEC = PriorSpec(Family.GAMMA, ParamPoint(1.0, 0.34))
 
 
 @pytest.fixture
-def interpolant_runs(monkeypatch):
-    """Whether each call of the sweep's interpolant settled (it returns None when not)."""
-    runs = []
-    real = reweight._interpolated_distances
+def row_calls(monkeypatch):
+    """The tilts ``(d1, d2)`` and the width of every row sweep run, in order."""
+    calls = []
+    real = reweight._row_sweep
 
-    def spy(*args):
-        found = real(*args)
-        runs.append(found is not None)
-        return found
+    def spy(d1, d2, stats, *rest):
+        calls.append((d1, d2, stats.shape[1]))
+        return real(d1, d2, stats, *rest)
 
-    monkeypatch.setattr(reweight, "_interpolated_distances", spy)
-    return runs
+    monkeypatch.setattr(reweight, "_row_sweep", spy)
+    return calls
 
 
 def by_rows(inp, gamma1, gamma2):
-    """The sweep with every direction by rows, however many there are."""
+    """The sweep with every direction by rows on the full grid."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(reweight, "_INTERPOLATE_FROM", math.inf)
+        patch.setattr(reweight, "_MIN_INTERVALS", math.inf)
         return _posterior_distances(inp, gamma1, gamma2)
 
 
-def conjugate_input(family, seed, n_points=8001):
+def on_full_grid(inp, row_calls, gamma1, gamma2):
+    """Mask of the directions that the recorded sweep ran on every kept point."""
+    width = np.count_nonzero(inp.posterior.values >= TAIL_GUARD * inp.posterior.values.max())
+    d1, d2 = reweight._tilt(inp.base_prior, gamma1, gamma2)
+    full = [(a, b) for a, b, w in row_calls if w == width]
+    if not full:
+        return np.zeros(d1.size, dtype=bool)
+    ((a, b),) = full
+    return np.isin(d1, a) & np.isin(d2, b)
+
+
+def conjugate_case(family, seed):
     """A random prior and its conjugate posterior for a short sample, as the
     benchmark draws them: gamma on a normal precision, tabulated on the log
-    scale, or normal on a normal mean, on the natural scale."""
+    scale, or normal on a normal mean, on the natural scale. The sample has
+    at least 6 (gamma) or 3 (normal) points, so the likelihood is never flat."""
     rng = np.random.default_rng(seed)
     if family is Family.GAMMA:
         prior = (rng.uniform(0.5, 3.0), rng.uniform(0.2, 2.0))
@@ -85,8 +95,24 @@ def conjugate_input(family, seed, n_points=8001):
         x = rng.normal(rng.normal(prior[0], 1.0 / math.sqrt(prior[1])), 1.0 / math.sqrt(kappa), n)
         precision = prior[1] + n * kappa
         post, scale = ((prior[1] * prior[0] + kappa * x.sum()) / precision, precision), Scale.NATURAL
+    return prior, post, scale
+
+
+def conjugate_input(family, seed, n_points=8001):
+    """The posterior of :func:`conjugate_case` tabulated on ``n_points``, under its prior."""
+    prior, post, scale = conjugate_case(family, seed)
     grid = tabulate_prior(PriorSpec(family, ParamPoint(*post)), scale, n_points)
     return PosteriorInput(grid, PriorSpec(family, ParamPoint(*prior)), scale)
+
+
+def moved_posterior(family, prior, post, new):
+    """The conjugate posterior of the sample behind ``prior -> post`` under the
+    prior ``new``, each sum written in differences of nearby values."""
+    if family is Family.GAMMA:
+        return post[0] + (new[0] - prior[0]), post[1] + (new[1] - prior[1])
+    step = new[1] - prior[1]
+    precision = post[1] + step
+    return post[0] + (step * (new[0] - post[0]) + prior[1] * (new[0] - prior[0])) / precision, precision
 
 
 class TestPosteriorInput:
@@ -199,28 +225,27 @@ class TestPosteriorDistance:
         inp = PosteriorInput(skew, NORMAL_SPEC, Scale.NATURAL)
         assert posterior_distance(inp, NORMAL_SPEC) <= 1e-6
 
-    @pytest.mark.parametrize("near", [0, _INTERPOLATE_FROM])
+    @pytest.mark.parametrize("n_points", [2001, 8001])
     @pytest.mark.parametrize(
-        "support,base,shapes,rates,settles",
+        "spacing,lo,hi,base,shapes,rates",
         [
-            # equal interior weights; on this flat posterior the random tilts
-            # that cannot make it degenerate still span a box so wide that
-            # the interpolant does not settle (see TestInterpolant)
-            (np.linspace(0.5, 600.5, 2001), (1.0, 1.0), (0.5, 5.0), (1e-3, 1e3), False),
+            # equal interior weights
+            (np.linspace, 0.5, 600.5, (1.0, 1.0), (0.5, 5.0), (1e-3, 1e3)),
             # trapezoid weights spanning five orders of magnitude
-            (np.geomspace(1e-2, 1e3, 2001), (1.0, 0.1), (1.0, 1e5), (1e-2, 1e2), True),
+            (np.geomspace, 1e-2, 1e3, (1.0, 0.1), (1.0, 1e5), (1e-2, 1e2)),
         ],
     )
     def test_degenerate_count_matches_one_direction_at_a_time(
-        self, support, base, shapes, rates, settles, near, interpolant_runs
+        self, spacing, lo, hi, base, shapes, rates, n_points, row_calls
     ):
-        # ``near`` directions close to the base join the sweep: with them it
-        # passes the crossover, and the interpolant takes the directions it
-        # can (or none, if it does not settle) and rows the rest
+        # 100 random directions and 100 close to the base; on 8001 points the sweep
+        # runs strides first, and a direction whose mass sits on the last support
+        # point must not settle there
+        support = spacing(lo, hi, n_points)
         grid = normalize_grid(DensityGrid(support, np.ones_like(support), Scale.NATURAL))
         inp = PosteriorInput(grid, PriorSpec(Family.GAMMA, ParamPoint(*base)), Scale.NATURAL)
         rng = np.random.default_rng(1)
-        n = 100
+        n = near = 100
         assert n > _BLOCK_CELLS // support.size
         gamma1 = np.r_[np.exp(rng.uniform(*np.log(shapes), n)), base[0] * rng.uniform(1.0, 1.001, near)]
         gamma2 = np.r_[np.exp(rng.uniform(*np.log(rates), n)), base[1] * rng.uniform(1.0, 1.001, near)]
@@ -236,7 +261,7 @@ class TestPosteriorDistance:
         expected = f"on {occupied.min()} support point(s) in {few} of {n + near} direction(s)"
         with pytest.warns(DegeneratePosteriorWarning, match=re.escape(expected)):
             _posterior_distances(inp, gamma1, gamma2)
-        assert interpolant_runs == ([settles] if near else [])
+        assert (len(row_calls) > 1) == (n_points == 8001)
 
 
 class TestBasePriorFloor:
@@ -271,9 +296,9 @@ class TestBasePriorFloor:
 
 class TestShiftBound:
     """Rows whose tilt reaches far past +-1/2 shift by their max before the
-    exp, and a row whose tilt could overflow has no finite mass. Tiled past
-    the crossover, the sweep interpolates the directions it can and runs the
-    rest by rows, with the same results, warning and NaNs."""
+    exp, and a row whose tilt could overflow has no finite mass. On 8001
+    points the sweep runs strides first and the full grid takes the
+    directions they do not settle, with the same results, warning and NaNs."""
 
     # On the normal (0, 1) base, whose support reaches |u| = 10, a mean-100
     # tilt puts its row's max 500 half-log units above its value at the base
@@ -281,92 +306,165 @@ class TestShiftBound:
     # 1e7 leaves mass on one support point, at the base peak and at the edge.
     PRIORS = [(0.3, 1.2), (-60.0, 0.5), (100.0, 1.0), (0.0, 1e7), (100.0, 1e7)]
 
-    @pytest.mark.parametrize("tiles", [1, _INTERPOLATE_FROM])
-    def test_rows_match_one_grid_per_direction(self, tiles, interpolant_runs):
-        inp = flat_likelihood_input(NORMAL_SPEC)
+    @pytest.mark.parametrize("n_points", [4001, 8001])
+    def test_rows_match_one_grid_per_direction(self, n_points, row_calls):
+        inp = flat_likelihood_input(NORMAL_SPEC, n_points=n_points)
         assert inp.posterior.support[-1] >= 10.0
-        gamma1, gamma2 = np.tile(np.array(self.PRIORS).T, tiles)
-        expected = f"on 1 support point(s) in {2 * tiles} of {5 * tiles} direction(s)"
+        gamma1, gamma2 = np.array(self.PRIORS).T
+        expected = "on 1 support point(s) in 2 of 5 direction(s)"
         with pytest.warns(DegeneratePosteriorWarning, match=re.escape(expected)) as record:
             h = _posterior_distances(inp, gamma1, gamma2)
         assert len(record) == 1
-        assert interpolant_runs == ([True] if tiles > 1 else [])
-        for h_row, point in zip(h.reshape(tiles, -1).T, self.PRIORS):
+        assert (len(row_calls) > 1) == (n_points == 8001)
+        for h_row, point in zip(h, self.PRIORS):
             moved = reweight_posterior(inp, PriorSpec(Family.NORMAL, ParamPoint(*point)))
-            assert np.all(np.abs(h_row - hellinger_grid(moved, inp.posterior)) <= 1e-9)
+            assert abs(h_row - hellinger_grid(moved, inp.posterior)) <= 1e-9
 
-    @pytest.mark.parametrize("tiles", [1, _INTERPOLATE_FROM])
-    def test_non_finite_tilt_gives_nan(self, tiles, interpolant_runs):
-        # a non-finite tilt sends the whole sweep through rows; a row with no
-        # finite mass is not counted as degenerate
-        inp = flat_likelihood_input(NORMAL_SPEC)
-        gamma1 = np.tile([0.3, math.nan, math.inf, 100.0], tiles)
-        gamma2 = np.tile([1.2, 1.0, 1.0, -math.inf], tiles)
+    @pytest.mark.parametrize("n_points", [4001, 8001])
+    def test_non_finite_tilt_gives_nan(self, n_points):
+        # a row with no finite mass is not counted as degenerate, on strides or
+        # on the full grid
+        inp = flat_likelihood_input(NORMAL_SPEC, n_points=n_points)
+        gamma1 = [0.3, math.nan, math.inf, 100.0]
+        gamma2 = [1.2, 1.0, 1.0, -math.inf]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             warnings.simplefilter("error", DegeneratePosteriorWarning)
-            h = _posterior_distances(inp, gamma1, gamma2).reshape(tiles, -1)
-        assert np.isfinite(h[:, 0]).all() and np.isnan(h[:, 1:]).all()
-        assert interpolant_runs == []
+            h = _posterior_distances(inp, gamma1, gamma2)
+        assert np.isfinite(h[0]) and np.isnan(h[1:]).all()
 
 
-class TestInterpolant:
-    """Past the crossover, directions whose tilt cannot make the posterior
-    degenerate come from a Chebyshev interpolant of the centred log-MGF."""
+class TestStrides:
+    """On a kept run of at least 64 * 64 intervals the rows run first on every
+    s-th kept point counted back from the last, s the coarsest power of two
+    that leaves 64 intervals, and on every 2s-th; a direction whose 1 - BC at
+    the two agree takes the value at s, the others are compared again at s/2,
+    and the full grid takes the rest, and every direction whose tilt lifts an
+    end of the kept run above the tolerance."""
 
-    # 64 directions run by rows only, 200 by the interpolant
     @pytest.mark.parametrize("n_angles", [64, 200])
     @pytest.mark.parametrize("eps", [1e-6, 1e-4, 1e-2])
     @pytest.mark.parametrize("family,seed", [(Family.GAMMA, 21), (Family.NORMAL, 22)])
-    def test_matches_long_double_sweep(self, family, seed, eps, n_angles, interpolant_runs):
+    def test_matches_long_double_sweep(self, family, seed, eps, n_angles, row_calls):
         inp = conjugate_input(family, seed)
         grid = compute_grid(inp.base_prior, eps, n_angles=n_angles)
-        interpolated = len(grid.points) >= _INTERPOLATE_FROM
-        assert interpolated == (n_angles == 200)
         g1, g2 = grid.points.point.gamma1, grid.points.point.gamma2
         ratios = circular_sensitivity(inp, grid).entries.ratio
-        assert interpolant_runs == ([True] if interpolated else [])
+        assert not on_full_grid(inp, row_calls, g1, g2).any()
         expected = reweighted_distances_longdouble(inp, g1, g2) / eps
         assert np.max(np.abs(ratios / expected - 1.0)) <= 1e-11
 
+    # on gamma seed 24 at eps 0.3 and 0.5 some directions settle at s/2 and some
+    # run on the full grid
     @pytest.mark.parametrize("eps", [1e-4, 1e-2, 0.3, 0.5])
-    @pytest.mark.parametrize("family,seed", [(Family.GAMMA, 23), (Family.NORMAL, 24)])
-    def test_agrees_with_rows(self, family, seed, eps, interpolant_runs):
+    @pytest.mark.parametrize("family,seed", [(Family.GAMMA, 23), (Family.GAMMA, 24), (Family.NORMAL, 24)])
+    def test_agrees_with_rows(self, family, seed, eps):
         inp = conjugate_input(family, seed)
         grid = compute_grid(inp.base_prior, eps, n_angles=1600)
         g1, g2 = grid.points.point.gamma1, grid.points.point.gamma2
         h = _posterior_distances(inp, g1, g2)
-        assert interpolant_runs == [True]
         rows = by_rows(inp, g1, g2)
-        # rows in variance form have no rounding floor; the gap is the
-        # interpolant's own error, 3.7e-13 at most here
+        # the gap between two strides is about 3x the error of the finer one, so
+        # an accepted H is within about a sixth of the 2e-11 tolerance; 7.2e-12 at
+        # worst on 20 conjugate posteriors of 8001 points
         assert np.all(np.abs(h / rows - 1.0) <= 1e-11)
 
-    def test_unsettled_coefficients_fall_back_to_rows(self, interpolant_runs):
-        # On a flat posterior L(b) along an axis is log(sinh(b) / b), whose
-        # complex zeros at i pi k lie close to a wide box of tilts: the
-        # coefficients still fall by only about 10% a degree at degree 32.
-        support = np.linspace(0.5, 4.5, 2001)
-        grid = normalize_grid(DensityGrid(support, np.ones_like(support), Scale.NATURAL))
-        inp = PosteriorInput(grid, PriorSpec(Family.GAMMA, ParamPoint(10.0, 10.0)), Scale.NATURAL)
-        phi = np.linspace(0.0, 2.0 * np.pi, 400, endpoint=False)
-        gamma1, gamma2 = 10.0 + 9.0 * np.cos(phi), 10.0 + 5.0 * np.sin(phi)
-        h = _posterior_distances(inp, gamma1, gamma2)
-        assert interpolant_runs == [False]
-        assert np.array_equal(h, by_rows(inp, gamma1, gamma2))
+    def test_strides_halve_once_before_the_full_grid(self, row_calls):
+        # here 277 of 1600 directions lift an end of the kept run and go to the full
+        # grid; 3 of the others fail the first pair and settle at s/2
+        inp = conjugate_input(Family.GAMMA, 24)
+        grid = compute_grid(inp.base_prior, 0.3, n_angles=1600)
+        _posterior_distances(inp, grid.points.point.gamma1, grid.points.point.gamma2)
+        (first, _, _), (second, _, _), (half, _, _), (full, _, _) = row_calls
+        assert first.size == second.size and half.size > 0
+        assert 0 < 1600 - first.size <= full.size < 1600 - first.size + half.size
 
-    def test_flat_tilt_box_falls_back_to_rows(self, interpolant_runs):
-        # every prior shares the base's rate, so one axis of the box of tilts is flat:
-        # the interpolant declines and the sweep goes by rows
-        base = PriorSpec(Family.GAMMA, ParamPoint(2.0, 1.0))
-        posterior = tabulate_prior(PriorSpec(Family.GAMMA, ParamPoint(6.0, 3.0)), Scale.LOG_PARAMETER, 401)
-        inp = PosteriorInput(posterior, base, Scale.LOG_PARAMETER)
-        phi = -np.pi + 2.0 * np.pi * np.arange(200) / 200
-        points = np.zeros(200, GRID_DTYPE).view(np.recarray)
-        points.phi, points.point.gamma1, points.point.gamma2 = phi, 2.0 + 0.05 * np.cos(phi), 1.0
-        grid = PolarGrid(base, 0.01, points, CardinalModuli(0.05, 0.05, 0.05, 0.05))
+    @pytest.mark.parametrize("eps", [0.3, 0.5])
+    @pytest.mark.parametrize("prior", [(0.5, 2.0), (1.0, 0.34), (0.05, 30.0), (3.0, 2.0)], ids=str)
+    def test_disagreeing_strides_run_on_the_full_grid(self, prior, eps, row_calls):
+        # with a flat likelihood the moved posteriors pile up at an edge of the
+        # kept run, where strides converge slowly or not at all: the directions
+        # they do not settle are the full grid's rows of those directions alone
+        spec = PriorSpec(Family.GAMMA, ParamPoint(*prior))
+        inp = flat_likelihood_input(spec, Scale.LOG_PARAMETER, n_points=8001)
+        grid = compute_grid(spec, eps, n_angles=1600)
+        g1, g2 = grid.points.point.gamma1, grid.points.point.gamma2
+        h = _posterior_distances(inp, g1, g2)
+        full = on_full_grid(inp, row_calls, g1, g2)
+        assert full.any()
+        assert np.array_equal(h[full], by_rows(inp, g1[full], g2[full]))
+        # a direction whose tilt lifts an end of the kept run goes to the full grid:
+        # without that, two strides agreed by chance on (3, 2), up to 2.2e-10 off
+        assert np.max(np.abs(h / by_rows(inp, g1, g2) - 1.0)) <= 1e-11
+
+    def test_directions_that_could_be_degenerate_run_on_the_full_grid(self, row_calls):
+        # a rate of 3e7 or 1e8 moves all the mass onto the first support point, whose
+        # base probability is about 1e-24: BC is below 1e-10 on every stride, so
+        # 1 - BC agrees to within the tolerance there, but the tilt lifts that end of
+        # the kept run and the direction runs on the full grid, where it is counted
+        support = np.geomspace(1e-3, 1e3, 8001)
+        posterior = normalize_grid(DensityGrid(support, (support / 1e3) ** 2.4, Scale.NATURAL))
+        inp = PosteriorInput(posterior, PriorSpec(Family.GAMMA, ParamPoint(1.0, 0.1)), Scale.NATURAL)
+        gamma1, gamma2 = np.array([1.0, 1.01, 1.0, 1.0]), np.array([0.101, 0.1, 1e8, 3e7])
+        expected = "on 1 support point(s) in 2 of 4 direction(s)"
+        with pytest.warns(DegeneratePosteriorWarning, match=re.escape(expected)):
+            h = _posterior_distances(inp, gamma1, gamma2)
+        assert on_full_grid(inp, row_calls, gamma1, gamma2)[2:].all()
+        with pytest.warns(DegeneratePosteriorWarning):
+            assert np.array_equal(h[2:], by_rows(inp, gamma1[2:], gamma2[2:]))
+
+    def test_kept_set_with_a_gap_runs_on_the_full_grid(self, row_calls):
+        # two modes 30 standard deviations apart: the kept support points form
+        # two runs, and every direction goes by rows on the full grid
+        support = np.linspace(-25.0, 25.0, 8001)
+        values = np.exp(-0.5 * (support + 15.0) ** 2) + np.exp(-0.5 * (support - 15.0) ** 2)
+        posterior = normalize_grid(DensityGrid(support, values, Scale.NATURAL))
+        base = PriorSpec(Family.NORMAL, ParamPoint(0.0, 0.01))
+        inp = PosteriorInput(posterior, base, Scale.NATURAL)
+        keep = posterior.values >= TAIL_GUARD * posterior.values.max()
+        assert np.count_nonzero(np.diff(keep.astype(int)) == 1) == 2
+        grid = compute_grid(base, 0.1, n_angles=64)
+        g1, g2 = grid.points.point.gamma1, grid.points.point.gamma2
+        h = _posterior_distances(inp, g1, g2)
+        assert [(a.size, width) for a, _, width in row_calls] == [(64, np.count_nonzero(keep))]
+        assert np.max(np.abs(h / reweighted_distances_longdouble(inp, g1, g2) - 1.0)) <= 1e-11
+
+
+class TestConjugateContract:
+    """Seeded contract draws: conjugate posteriors of both families
+    (:func:`conjugate_case`, whose samples have at least 3 points, so no
+    likelihood is flat; flat likelihoods are checked against full-grid rows in
+    TestStrides) tabulated on 43 to 8001 points, at eps from 1e-6 to 0.5,
+    swept through :func:`circular_sensitivity` and checked against the closed
+    form of the moved conjugate posterior."""
+
+    DRAWS = 60
+
+    @staticmethod
+    def draw(i):
+        rng = np.random.default_rng([11, i])
+        family = (Family.GAMMA, Family.NORMAL)[i % 2]
+        n_points = round(math.exp(rng.uniform(math.log(43), math.log(8001))))
+        return family, 1000 + i, n_points, 10 ** rng.uniform(-6.0, math.log10(0.5))
+
+    @pytest.mark.parametrize("i", range(DRAWS))
+    def test_matches_closed_form(self, i):
+        family, seed, n_points, eps = self.draw(i)
+        prior, post, _ = conjugate_case(family, seed)
+        inp = conjugate_input(family, seed, n_points)
+        grid = compute_grid(inp.base_prior, eps, n_angles=64)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             h = circular_sensitivity(inp, grid).entries.h_post
-        assert interpolant_runs == [False]
-        assert np.array_equal(h, by_rows(inp, points.point.gamma1, points.point.gamma2))
+        g1, g2 = grid.points.point.gamma1, grid.points.point.gamma2
+        # the sweep's own formula in long double: the kernel's error, at most
+        # 1.1e-13 over these draws
+        assert np.max(np.abs(h / reweighted_distances_longdouble(inp, g1, g2) - 1.0)) <= 1e-11
+        truth = [
+            hellinger_analytic(family, ParamPoint(*post), ParamPoint(*moved_posterior(family, prior, post, new)))
+            for new in zip(g1, g2)
+        ]
+        # the tabulation's error too, as measured on these draws: at most 4.2e-9
+        # from 64 points (draw 29, normal on 431 points at eps 1.5e-6) and 5.2e-7
+        # below (draw 44: 45 points resolve a gamma posterior of shape 5 no better)
+        assert np.max(np.abs(h / truth - 1.0)) <= (1e-8 if n_points >= 64 else 1e-6)
