@@ -1,33 +1,31 @@
 """Exact posterior machinery for a conjugate first-order random-walk model.
 
-Observations ``y`` of length ``n`` follow ``y | x, tau ~ N(x, (kappa I)^-1)``
-with a latent first-order random walk ``x``: an intrinsic Gaussian field of
-rank ``n - 1`` with smoothing precision ``tau`` and structure matrix ``R``
-(tridiagonal: 2 on the interior diagonal, 1 at the two corners, -1 off the
-diagonal). With a gamma ``(alpha, beta)`` prior on ``tau`` the latent field
-integrates out in closed form and the marginal posterior of ``tau`` is
+Observations ``y`` of length ``n`` follow ``y | x, tau ~ N(x, (kappa I)^-1)`` with a
+latent first-order random walk ``x``: an intrinsic Gaussian field of rank ``n - 1`` with
+smoothing precision ``tau`` and structure matrix ``R`` (tridiagonal: 2 on the interior
+diagonal, 1 at the two corners, -1 off the diagonal). With a gamma ``(alpha, beta)``
+prior on ``tau`` the latent field integrates out in closed form and the marginal
+posterior of ``tau`` is
 
     pi(tau | y) ~ tau^(alpha + (n-1)/2 - 1) exp(-beta tau + S(log tau)),
     S(u) = -log|Q|/2 + kappa^2 y' Q^-1 y / 2,   Q = e^u R + kappa I.
 
-``R`` has eigenvalues ``2 - 2 cos(pi (i - 1) / n)``, ``i = 1..n``, so the
-quadratic form in ``S`` is one sum over the spectrum and ``log|Q|`` has a
-closed form (a ratio of hyperbolic sines). The quadratic form's constant
-part ``kappa |y|^2 / 2`` only scales the density and is left out of ``S``
-(it is added back to ``log C``). ``S`` is evaluated once per model
-on one dyadic log-tau lattice. All priors of a sweep (base, contour points,
-midpoints) are integrated on that lattice in one array pass. Only the base is
-scanned: a prior's log density is the base's plus the tilt ``t = da u - db e^u``,
-so the pass's coarse nodes (at least 32 intervals) give each prior's peak and the
-mean its tilt is centred on, and widen the base's window until each falls by
-``exp(-60)`` at both ends. With ``t`` the prior log ratio and ``E0`` the expectation
-under the base posterior,
+``R`` has eigenvalues ``2 - 2 cos(pi (i - 1) / n)``, ``i = 1..n``, so the quadratic form
+in ``S`` is one sum over the spectrum and ``log|Q|`` has a closed form (a ratio of
+hyperbolic sines). The quadratic form's constant part ``kappa |y|^2 / 2`` only scales
+the density and is left out of ``S`` (it is added back to ``log C``). ``S`` is evaluated
+once per model on one dyadic log-tau lattice. All priors of a sweep (base, contour
+points, midpoints) are integrated on that lattice in one array pass, on one window: a
+prior's log density is the base's plus the tilt ``t = da u - db e^u``, so one scan of the
+base, with the extremes of the tilts and a bound between nodes, finds every node where
+some prior is within ``exp(-60)`` of its peak. With ``E0`` the expectation under the
+base posterior,
 
     log BC = log1p(E0[expm1(t/2)]) - 1/2 log1p(E0[expm1(t)])
 
-gives the exact Hellinger distance without differences of O(100) log
-normalizing constants. This module is the exact oracle the reweighting
-engine is validated against, and shares no code with it.
+gives the exact Hellinger distance without differences of O(100) log normalizing
+constants. This module is the exact oracle the reweighting engine is validated against,
+and shares no code with it.
 """
 
 from __future__ import annotations
@@ -44,8 +42,8 @@ from .grids import DensityGrid, PosteriorInput, Scale, normalize_grid, read_colu
 from .params import DEFAULT_PRIOR, Family, ParamPoint, PriorSpec, validate_point
 from .sensitivity import SensitivityResult, assemble_result
 
-# Log-tau lattice: level L holds u = k * _LATTICE_STEP / 2^L, so each level
-# contains the one below; windows end on level-0 nodes.
+# Log-tau lattice: level L holds u = k * _LATTICE_STEP / 2^L and every level below it;
+# windows end on level-0 nodes.
 _LATTICE_STEP = 0.5
 _WINDOW_DROP = 60.0  # exp(-60) ~ 9e-27 relative tail cut for quadrature
 _TABLE_DROP = 28.0  # exp(-28) < 1e-12 relative boundary for tabulation
@@ -56,20 +54,19 @@ _REL_TOL = 1e-11  # trapezoid sums settle to this fraction of the integral of |f
 # Cells per block of the (priors x nodes) products: 120 kB temporaries stay in cache and
 # under malloc's 128 kB mmap threshold, so no page faults.
 _BLOCK_CELLS = 15 << 10
-# Cells per block of the (tau values x eigenvalues) reciprocals, in one buffer per call.
-# For 516 tau values x 8004 eigenvalues (2 vCPUs, median of 15) the quadratic form took
-# 9.8 ms at 15k cells, 7.0 at 2^15, 6.5 at 2^16 and 2^17, and 8.4 at 2^18.
+# Cells per block of the (tau values x eigenvalues) reciprocals, in one buffer per call. For
+# 516 x 8004 (2 vCPUs, median of 15) the quadratic form took 9.8 ms at 15k cells, 7.0 at
+# 2^15, 6.5 at 2^16 and 2^17, and 8.4 at 2^18.
 _SPECTRAL_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
 class RW1Model:
-    """Data, noise precision and smoothing prior of the random-walk model; frozen, as
-    the spectral data built from ``y`` and ``kappa`` is kept on it: the eigenvalues
-    ``_eig`` of R, ``lambda_k = 2 - 2 cos(pi k / n)`` for ``k = 0 .. n-1`` (nondecreasing,
-    the first exactly zero: the rank deficiency of the intrinsic field), ``_yhat2_eig``
-    (``yhat_k^2 lambda_k``, :func:`_dct2`) and the lattice of ``S(u)``, ``_lattice``
-    (:func:`_s_nodes`)."""
+    """Data, noise precision and smoothing prior of the random-walk model; frozen, as the
+    spectral data built from ``y`` and ``kappa`` is kept on it: the eigenvalues ``_eig`` of R,
+    ``lambda_k = 2 - 2 cos(pi k / n)`` for ``k = 0 .. n-1`` (nondecreasing, the first exactly
+    zero: the rank deficiency of the intrinsic field), ``_yhat2_eig`` (``yhat_k^2
+    lambda_k``, :func:`_dct2`) and the lattice of ``S(u)``, ``_lattice`` (:func:`_s_nodes`)."""
 
     y: np.ndarray
     kappa: float
@@ -87,8 +84,7 @@ class RW1Model:
         if not (math.isfinite(self.kappa) and self.kappa > 0.0):
             raise DomainError(f"kappa must be positive, got {self.kappa!r}")
         if math.isinf(self.kappa * self.kappa):  # the model's kappa^2 y' Q^-1 y / 2
-            raise DomainError(f"kappa must have a finite square (up to about 1.34e154), "
-                              f"got {self.kappa!r}")
+            raise DomainError(f"kappa must have a finite square (up to about 1.34e154), got {self.kappa!r}")
         validate_point(Family.GAMMA, self.prior)
         eig = 2.0 - 2.0 * np.cos(np.pi * np.arange(y.size) / y.size)
         for name, value in (("y", y), ("_eig", eig), ("_yhat2_eig", _dct2(y) ** 2 * eig)):
@@ -103,11 +99,10 @@ class RW1Model:
 def _dct2(y: np.ndarray) -> np.ndarray:
     """Orthonormal DCT-II of ``y``: its coordinates in the eigenbasis of R.
 
-    The free-boundary second-difference matrix is diagonalized by the
-    orthonormal DCT-II vectors ``v_k(j) = cos(pi k (2j-1) / (2n))`` (up to
-    normalization), with eigenvalues ``2 - 2 cos(pi k / n)``. With ``V`` the
-    FFT of ``y`` reordered even indices up, odd down,
-    ``sum_j y_j cos(pi k (2j+1) / (2n))`` is ``Re(exp(-i pi k / (2n)) V_k)``.
+    The free-boundary second-difference matrix is diagonalized by the orthonormal DCT-II
+    vectors ``v_k(j) = cos(pi k (2j-1) / (2n))`` (up to normalization), with eigenvalues
+    ``2 - 2 cos(pi k / n)``. With ``V`` the FFT of ``y`` reordered even indices up, odd
+    down, ``sum_j y_j cos(pi k (2j+1) / (2n))`` is ``Re(exp(-i pi k / (2n)) V_k)``.
     """
     k = np.arange(y.size)
     v = np.fft.fft(np.concatenate((y[::2], y[1::2][::-1]))) * np.exp(-0.5j * np.pi * k / y.size)
@@ -121,36 +116,19 @@ def _blocks(rows: int, width: int):
 
 
 def _spectral_sums(model: RW1Model, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``kappa^2 y' Q^-1 y / 2 - kappa |y|^2 / 2`` and ``log det Q`` across many
-    tau values.
+    """``kappa^2 y' Q^-1 y / 2 - kappa |y|^2 / 2`` and ``log det Q`` (:func:`_log_det`) at many taus.
 
-    Elimination-based solves lose the ``kappa I`` regularization once
-    ``kappa / tau`` drops below machine epsilon (the last pivot cancels to
-    zero); the spectral form stays accurate for any ``tau >= 0``. As
-    ``kappa^2 / (tau lambda_k + kappa) = kappa - kappa tau lambda_k / (tau
-    lambda_k + kappa)`` and ``sum yhat_k^2 = |y|^2``, the quadratic form less
-    its constant ``kappa |y|^2 / 2`` is
+    Elimination-based solves lose the ``kappa I`` regularization once ``kappa / tau``
+    drops below machine epsilon (the last pivot cancels to zero); the spectral form stays
+    accurate for any ``tau >= 0``. As ``kappa^2 / (tau lambda_k + kappa) = kappa - kappa tau
+    lambda_k / (tau lambda_k + kappa)`` and ``sum yhat_k^2 = |y|^2``, the quadratic form
+    less its constant ``kappa |y|^2 / 2`` is
 
         -(kappa tau / 2) sum yhat_k^2 lambda_k / (tau lambda_k + kappa),
 
-    which keeps the constant's rounding (it is 2e7 at kappa 1e5 on a 96-month
-    series) out of the lattice's convergence test. It is one reciprocal and
-    one matrix-vector product per block of tau values.
-
-    ``log det Q`` needs no sum: ``prod_k (2 cosh(phi) - 2 cos(pi k / n))`` over
-    ``k = 1..n-1`` is the Chebyshev value ``sinh(n phi) / sinh(phi)``, so with
-    ``cosh(phi) = 1 + kappa / (2 tau)``
-
-        det Q = tau^(n-1) kappa sinh(n phi) / sinh(phi).
-
-    With ``m = (sqrt(kappa) + sqrt(kappa + 4 tau)) / 2`` one has
-    ``exp(phi) = m^2 / tau`` and ``1 - exp(-phi) = q = sqrt(kappa) / m``, so
-
-        log det Q = log kappa + 2 (n-1) log m
-                    + log(1 - exp(-2 n phi)) - log(q (2 - q)),
-
-    which neither overflows nor cancels the ``(n-1) log tau`` and ``(n-1) phi``
-    terms of the sinh form against each other; ``tau = 0`` gives ``n log kappa``.
+    which keeps the constant's rounding (it is 2e7 at kappa 1e5 on a 96-month series) out
+    of the lattice's convergence test. It is one reciprocal and one matrix-vector product
+    per block of tau values.
     """
     taus = np.asarray(taus, dtype=float)
     n, kappa = model.n, model.kappa
@@ -161,12 +139,32 @@ def _spectral_sums(model: RW1Model, taus: np.ndarray) -> tuple[np.ndarray, np.nd
         d = np.multiply.outer(taus[lo : lo + rows], eig, out=buf[: taus.size - lo])
         d += kappa
         quad[lo : lo + rows] = np.reciprocal(d, out=d) @ weights
-    root = math.sqrt(kappa)
+    return -0.5 * kappa * (taus * quad), _log_det(model, taus)
+
+
+def _log_det(model: RW1Model, taus: np.ndarray) -> np.ndarray:
+    """``log det Q`` across many tau values, with no sum over the spectrum.
+
+    ``prod_k (2 cosh(phi) - 2 cos(pi k / n))`` over ``k = 1..n-1`` is the Chebyshev value
+    ``sinh(n phi) / sinh(phi)``, so with ``cosh(phi) = 1 + kappa / (2 tau)``
+
+        det Q = tau^(n-1) kappa sinh(n phi) / sinh(phi).
+
+    With ``m = (sqrt(kappa) + sqrt(kappa + 4 tau)) / 2`` one has ``exp(phi) = m^2 / tau``
+    and ``1 - exp(-phi) = q = sqrt(kappa) / m``, so
+
+        log det Q = log kappa + 2 (n-1) log m
+                    + log(1 - exp(-2 n phi)) - log(q (2 - q)),
+
+    which neither overflows nor cancels the ``(n-1) log tau`` and ``(n-1) phi`` terms of
+    the sinh form against each other; ``tau = 0`` gives ``n log kappa``.
+    """
+    n, kappa, root = model.n, model.kappa, math.sqrt(model.kappa)
     m = 0.5 * (root + np.sqrt(kappa + 4.0 * taus))
     q = root / m
     with np.errstate(divide="ignore"):  # q = 1 at tau = 0: exp(-2 n phi) = 0
         log_ratio = np.log(-np.expm1(2.0 * n * np.log1p(-q))) - np.log(q * (2.0 - q))
-    return -0.5 * kappa * (taus * quad), math.log(kappa) + 2.0 * (n - 1) * np.log(m) + log_ratio
+    return math.log(kappa) + 2.0 * (n - 1) * np.log(m) + log_ratio
 
 
 def _s_terms(model: RW1Model, us: np.ndarray) -> np.ndarray:
@@ -179,9 +177,9 @@ def _s_terms(model: RW1Model, us: np.ndarray) -> np.ndarray:
 def _s_nodes(model: RW1Model, level: int, lo: int, hi: int) -> np.ndarray:
     """``S`` at the nodes ``j = lo .. hi - 1`` that lattice level ``level`` adds.
 
-    Level 0 holds ``u = j * _LATTICE_STEP``, level ``L >= 1`` the odd nodes
-    ``u = (2j + 1) * _LATTICE_STEP / 2^L``. Each level is kept on the model
-    as one contiguous array that grows to cover every range asked for.
+    Level 0 holds ``u = j * _LATTICE_STEP``, level ``L >= 1`` the odd nodes ``u = (2j + 1)
+    * _LATTICE_STEP / 2^L``. Each level is kept on the model as one contiguous array that
+    grows to cover every range asked for.
     """
     j0, values = model._lattice.get(level, (lo, np.empty(0)))
     j1 = j0 + values.size
@@ -201,57 +199,93 @@ def _log_target(model: RW1Model, prior, us: np.ndarray, s: np.ndarray) -> np.nda
     return (alpha + (model.n - 1) / 2.0) * us - beta * np.exp(us) + s
 
 
-def _windows(model: RW1Model, prior, drop: float) -> tuple[int, int]:
-    """Level-0 window ends of one gamma prior's posterior.
+def _windows(model: RW1Model, anchor, points, drop: float) -> tuple[int, int]:
+    """Level-0 window ends holding, each within ``drop`` of its peak, the posteriors of
+    the gamma prior ``anchor``, of the ``points`` and of their midpoints with it.
 
-    The window ends at the nearest coarse node on either side of the mode where the
-    log density has fallen by ``drop``. The scan of ``u`` in [-50, 50] widens while
-    the window is open; a mode on its edge past ``+-_SCAN_LIMIT``, or a window open
-    past twice that, is an error."""
-    lo, hi, limit = -_SCAN_WIDEN, _SCAN_WIDEN, _SCAN_LIMIT / _LATTICE_STEP
+    Relative to the anchor's at its peak node ``u0``, a prior's log density on the scanned
+    nodes is at most the anchor's plus ``da (u - u0) - db (e^u - e^u0)`` at the signed
+    extremes of ``(da, db)``. Intervals where that bound, carried between nodes, reaches
+    ``-drop`` are flagged. If one lies past the anchor's own window (its nodes above
+    ``-drop`` and one more a side), each prior's own values on the flagged nodes give its
+    bound and best node, and the window is the hull of the intervals within ``drop`` of one.
+    The scan (``u`` in [-50, 50]) widens by 50 a side while a prior is within ``drop`` at its
+    edge: past ``+-_SCAN_LIMIT`` one whose best node is that edge has escaped, and past
+    twice that one does not decay.
+
+    Between nodes ``h`` apart ``L = a u - b e^u + S`` stays below its chord plus ``(b e^u +
+    W) d (h - d) / 2`` with ``-S'' <= W``: per eigenvalue, ``-S''`` has the term ``s (1-s) (1/2
+    + c (1 - 2s)) <= s (1-s) (1/2 + c)``, ``s = tau lambda / (tau lambda + kappa)`` and ``c =
+    kappa yhat^2 / 2``, which moves by at most a factor ``e^|du|``. So ``W`` is the rise of
+    ``log|Q|'/2`` (at most its next mean slope less its last) plus the fall of ``quad`` over
+    the interval, divided by ``1 - e^-h``.
+    """
+    def bound(v, j0, j1, rate):  # on the intervals of nodes j0 .. j1 - 1, of densities <= v there
+        m = (w[j0 : j1 - 1] + rate * eu[j0 + 1 : j1]) * (h * h / 8.0)  # the margin at mid-interval
+        t = np.maximum(2.0 * m - 0.5 * np.abs(np.diff(v)), 0.0)  # chord + margin peaks at
+        return np.maximum(v[..., :-1], v[..., 1:]) + t * t / (4.0 * m)  # max(v) + (2m - |dv|/2)^2 / 4m
+
+    anchor, points = np.asarray(anchor, dtype=float), np.reshape(np.asarray(points, dtype=float), (-1, 2))
+    d = np.ascontiguousarray(points.T) - anchor[:, None]  # the extremes include the anchor's 0
+    (da_lo, db_lo), (da_hi, db_hi), h = d.min(axis=1, initial=0.0), d.max(axis=1, initial=0.0), _LATTICE_STEP
+    lo, hi, limit = -_SCAN_WIDEN, _SCAN_WIDEN, _SCAN_LIMIT / h
     while True:
-        ks = np.arange(lo, hi + 1)
-        us, s = ks * _LATTICE_STEP, _s_nodes(model, 0, lo, hi + 1)
+        ext = np.arange(lo - 1, hi + 2) * h
+        us, s, e_ext = ext[1:-1], _s_nodes(model, 0, lo, hi + 1), np.exp(ext)
         with np.errstate(over="ignore"):  # the check below names the node
-            g = _log_target(model, prior, us, s)
+            g = _log_target(model, anchor, us, s)
         if not np.all(np.isfinite(g)):
             bad = float(us[np.argmin(np.isfinite(g))])
             raise NumericalError(f"non-finite posterior integrand at log tau = {bad!r}")
         top = int(np.argmax(g))
-        below = g <= g[top] - drop
-        left = int(np.where(below & (ks < ks[top]), ks, lo - 1).max())
-        right = int(np.where(below & (ks > ks[top]), ks, hi + 1).min())
-        if lo <= left and right <= hi:
-            return left, right
-        lo, hi, (a, b) = lo - _SCAN_WIDEN * (left < lo), hi + _SCAN_WIDEN * (right > hi), prior
-        if top in (0, ks.size - 1) and (lo < -limit or hi > limit):
-            raise NumericalError(f"posterior mode for prior ({a}, {b}) escaped the log-tau "
-                                 f"scan range [{-_SCAN_LIMIT}, {_SCAN_LIMIT}]")
-        if lo < -2 * limit or hi > 2 * limit:
-            raise NumericalError(f"posterior tail for prior ({a}, {b}) does not decay on the log-tau axis")
+        g -= g[top]
+        own = np.flatnonzero(g > -drop)[[0, -1]] + [-1, 1]  # the anchor's own window
+        ld, eu = _log_det(model, e_ext), e_ext[1:-1]  # W on each interval, as above:
+        step, quad = (ld[1:] - ld[:-1]) / (2.0 * h), s + 0.5 * ld[1:-1]
+        w = np.maximum(step[2:] - step[:-2] + quad[:-1] - quad[1:], 1e-300) / (1.0 - math.exp(-h))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            du, de = us - us[top], eu - eu[top]
+            v = g + np.where(du < 0, da_lo * du - db_hi * de, da_hi * du - db_lo * de)
+            flagged = ~(bound(v, 0, us.size, anchor[1] + db_hi) <= -drop)  # NaN: an overflow
+            j0, j1 = np.flatnonzero(flagged)[[0, -1]] + [0, 2]  # the flagged nodes' span
+            if j0 == own[0] and j1 - 1 == own[1]:
+                return lo + int(j0), lo + int(j1) - 1
+            priors = np.vstack([anchor, points, 0.5 * (anchor + points)])  # the priors errors name
+            p = g[j0:j1] + (priors - anchor) @ np.vstack([du[j0:j1], -de[j0:j1]])
+            hot = bound(p, j0, j1, priors[:, 1:]) > p.max(axis=1, keepdims=True) - drop  # NaN: not hot
+        edges = hot[:, [0, -1]] & [j0 == 0, j1 == us.size]
+        if not edges.any():
+            first, last = np.flatnonzero(hot.any(axis=0))[[0, -1]] + j0
+            return lo + int(first), lo + int(last) + 1
+        lo, hi = lo - _SCAN_WIDEN * int(edges[:, 0].any()), hi + _SCAN_WIDEN * int(edges[:, 1].any())
+        if max(-lo, hi) > limit:
+            escaped = (edges & np.equal.outer(p.argmax(axis=1), [0, j1 - j0 - 1])).any(axis=1)
+            a, b = priors[np.argmax(escaped if escaped.any() else edges.any(axis=1))]
+            if escaped.any() or max(-lo, hi) > 2 * limit:
+                raise NumericalError(f"posterior mode for prior ({a}, {b}) escaped the log-tau scan range "
+                                     f"[{-_SCAN_LIMIT}, {_SCAN_LIMIT}]" if escaped.any() else
+                                     f"posterior tail for prior ({a}, {b}) does not decay on the log-tau axis")
 
 
 def _lattice_pass(model: RW1Model, anchor, points):
-    """``log C`` of an anchor gamma prior and of each point, and the posterior
-    Hellinger distance to each point, from one quadrature on the shared lattice.
+    """``log C`` of an anchor gamma prior and of each point, and the posterior Hellinger
+    distance to each point, from one quadrature on the shared lattice.
 
-    With ``t`` the log ratio of a point's posterior kernel to the anchor's less a
-    constant (its mean under the anchor's posterior, or its peak less 600 where that is
-    larger), ``log BC = log E[exp(t/2)] - log E[exp(t)] / 2`` under the anchor's
-    posterior, each ``log E`` formed as ``log1p(E[expm1(.)])``. The integrands are
-    analytic and cut at ``exp(-_WINDOW_DROP)``, so trapezoid sums converge
-    geometrically. They start from one pass over every level coarser than the first with
-    64 intervals, level 0 first; its nodes give the peaks and means, and widen the
-    anchor's window (:func:`_windows`) one node a side while a point or midpoint has not
-    fallen ``_WINDOW_DROP`` below its peak at that end (past the scan range each prior
-    still open is scanned alone, once). Then each finer level's new nodes are added until
-    no sum changes by more than ``_REL_TOL`` times the integral of its absolute value.
+    With ``t`` the log ratio of a point's posterior kernel to the anchor's less a constant
+    (its mean under the anchor's posterior, or its peak less 600 where that is larger),
+    ``log BC = log E[exp(t/2)] - log E[exp(t)] / 2`` under the anchor's posterior, each
+    ``log E`` formed as ``log1p(E[expm1(.)])``. The integrands are analytic and cut at
+    ``exp(-_WINDOW_DROP)`` (:func:`_windows`), so trapezoid sums converge geometrically.
+    They start from one pass over every level coarser than the first with 64 intervals,
+    whose nodes give the peaks and means; then each finer level's new nodes are added
+    until no sum changes by more than ``_REL_TOL`` times the integral of its absolute value.
     """
     anchor, points = np.asarray(anchor, dtype=float), np.asarray(points, dtype=float).reshape(-1, 2)
     n_pts = len(points)
-    lo, hi = _windows(model, anchor, _WINDOW_DROP)
+    lo, hi = _windows(model, anchor, points, _WINDOW_DROP)
     # one column per prior, midpoints then points: t = (u, e^u) @ (da, -db)
-    tilt = np.kron([0.5, 1.0], ((points - anchor) * [1.0, -1.0]).T)
+    tilt = ((points - anchor) * [1.0, -1.0]).T
+    tilt = np.hstack([0.5 * tilt, tilt])
 
     def level_nodes(level):
         # the nodes that lattice level ``level`` adds inside the window, and S there
@@ -282,37 +316,26 @@ def _lattice_pass(model: RW1Model, anchor, points):
                 dst[:, block] = p.sum(axis=1), np.abs(p, out=p).sum(axis=1)
         return out
 
-    priors = np.vstack([anchor, points, points])  # the prior of each column of sums
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checks name the node or prior
-        while True:
-            first = max(1, math.ceil(math.log2(64 / (hi - lo))))  # first level with >= 64 intervals
-            us, s = map(np.concatenate, zip(*map(level_nodes, range(first))))
-            log_w = _log_target(model, anchor, us, s)
-            peak = log_w.max()
-            log_w -= peak
-            xy = np.column_stack([us, np.exp(us)])
-            reach = np.ptp(xy, axis=0) @ np.abs(tilt).max(axis=1, initial=0.0)  # >= each tilt's range
-            # the two level-0 ends, then the nodes where a column's maximum can lie
-            rows = np.r_[0, hi - lo, np.flatnonzero(log_w >= -reach)]
-            g = xy[rows] @ tilt + log_w[rows, None]  # nodes x priors
-            top = g.max(axis=0)  # a maximum down each column is fast, along each short row slow
-            if not np.all(np.isfinite(top)):  # NaN or +inf; -inf is a density of 0
-                bad = float(us[rows[np.argmin((g < np.inf).all(axis=1))]])
-                raise NumericalError(f"non-finite posterior integrand at log tau = {bad!r}")
-            open_ends = g[:2] > top - _WINDOW_DROP
-            if not open_ends.any():
-                break
-            lo, hi = lo - int(open_ends[0].any()), hi + int(open_ends[1].any())
-            if max(-lo, hi) > _SCAN_LIMIT / _LATTICE_STEP:
-                for prior in np.vstack([0.5 * (anchor + points), points])[open_ends.any(axis=0)]:
-                    k_lo, k_hi = _windows(model, prior, _WINDOW_DROP)
-                    lo, hi = min(lo, k_lo), max(hi, k_hi)
+        first = max(1, math.ceil(math.log2(64 / (hi - lo))))  # first level with >= 64 intervals
+        us, s = map(np.concatenate, zip(*map(level_nodes, range(first))))
+        log_w = _log_target(model, anchor, us, s)
+        peak = log_w.max()
+        log_w -= peak
+        xy = np.column_stack([us, np.exp(us)])
+        reach = np.abs(tilt).max(axis=1, initial=0.0) @ (xy[hi - lo] - xy[0])  # >= each tilt's range
+        rows = np.flatnonzero(log_w >= -reach)  # the nodes where a column's maximum can lie
+        g = xy[rows] @ tilt + log_w[rows, None]  # nodes x priors
+        top = g.max(axis=0)  # a maximum down each column is fast, along each short row slow
+        if not np.all(np.isfinite(top)):  # NaN or +inf; -inf is a density of 0
+            bad = float(us[rows[np.argmin((g < np.inf).all(axis=1))]])
+            raise NumericalError(f"non-finite posterior integrand at log tau = {bad!r}")
         weights = np.full(us.size, _LATTICE_STEP / 2 ** (first - 1))
         weights[[0, hi - lo]] *= 0.5
         # t: each tilt less its mean (no rounding floor), or less its peak - 600 (no overflow)
         base = weights * np.exp(log_w)
         shift = np.maximum((base @ xy) @ tilt[:, n_pts:] / base.sum(), top[n_pts:] - 600.0)
-        half_tilt = 0.5 * np.column_stack([points - anchor, shift]) * [1.0, -1.0, -1.0]
+        half_tilt = np.column_stack([0.5 * tilt[:, n_pts:].T, -0.5 * shift])
         trap = sums(us, log_w, weights)
         for level in range(first, _MAX_LEVEL + 1):
             us, s = level_nodes(level)
@@ -324,7 +347,7 @@ def _lattice_pass(model: RW1Model, anchor, points):
             bad = ~np.isfinite(finer).all(axis=0)
             bad[1 + n_pts :] |= ~np.isfinite(log_e[n_pts:])
             if bad.any():
-                a, b = priors[np.argmax(bad)]
+                a, b = np.vstack([anchor, points, points])[np.argmax(bad)]  # each column's prior
                 raise NumericalError(f"quadrature for prior ({a}, {b}) is not finite")
             converged = np.abs(finer[0] - trap[0]) <= _REL_TOL * finer[1]
             if converged.all():
@@ -332,7 +355,7 @@ def _lattice_pass(model: RW1Model, anchor, points):
                 log_c = float(peak + math.log(finer[0, 0]) + 0.5 * model.kappa * (model.y @ model.y))
                 return log_c, log_c + log_e[n_pts:] + shift, np.sqrt(np.maximum(0.0, -np.expm1(log_bc)))
             trap = finer
-    a, b = priors[np.argmin(converged)]
+    a, b = np.vstack([anchor, points, points])[np.argmin(converged)]
     raise NumericalError(f"quadrature for prior ({a}, {b}) did not converge to {_REL_TOL} "
                          f"within {_MAX_LEVEL} refinement levels")
 
@@ -340,30 +363,25 @@ def _lattice_pass(model: RW1Model, anchor, points):
 def tabulate_posterior(model: RW1Model, n_points: int = 2001) -> PosteriorInput:
     """Tabulate the exact posterior of ``log tau`` for the reweighting engine.
 
-    ``n_points`` equispaced points span the window where the density stays
-    above 1e-12 of its peak, paired with the model's gamma base prior and
-    the log-parameter flag.
+    ``n_points`` equispaced points span the window where the density stays above 1e-12
+    of its peak, paired with the model's gamma base prior and the log-parameter flag.
     """
     if n_points < 8:
         raise DomainError("tabulation needs at least 8 points")
     prior = model.prior.as_tuple()
-    k_lo, k_hi = _windows(model, prior, _TABLE_DROP)
-    us = np.linspace(k_lo * _LATTICE_STEP, k_hi * _LATTICE_STEP, n_points)
+    us = np.linspace(*np.multiply(_windows(model, prior, (), _TABLE_DROP), _LATTICE_STEP), n_points)
     g = _log_target(model, prior, us, _s_terms(model, us))
     grid = normalize_grid(DensityGrid(us, np.exp(g - g.max()), Scale.LOG_PARAMETER))
     return PosteriorInput(grid, PriorSpec(Family.GAMMA, model.prior), Scale.LOG_PARAMETER)
 
 
-def exact_sensitivity(
-    model: RW1Model, epsilon: float, n_angles: int = 400, allow_partial: bool = False
-) -> SensitivityResult:
+def exact_sensitivity(model: RW1Model, epsilon: float, n_angles: int = 400,
+                      allow_partial: bool = False) -> SensitivityResult:
     """Circular sensitivity with exact posterior distances on every direction.
 
-    All directions of the epsilon-contour around ``model.prior`` share one
-    lattice pass anchored at the base posterior. The contour does not depend on
-    the model: a process traces it once per (prior, ``epsilon``, ``n_angles``),
-    within :func:`.compute_grid`'s budget of ``2**16`` cached directions, and
-    every sweep with those inputs reuses it.
+    All directions of the epsilon-contour around ``model.prior`` share one lattice pass
+    anchored at the base posterior. The contour does not depend on the model: a process
+    traces it once per (prior, ``epsilon``, ``n_angles``) (:func:`.compute_grid`).
     """
     base = PriorSpec(Family.GAMMA, model.prior)
     grid = compute_grid(base, epsilon, n_angles=n_angles, allow_partial=allow_partial)
@@ -372,54 +390,36 @@ def exact_sensitivity(
     return assemble_result(grid, h)
 
 
-def ingest_timeseries(
-    path,
-    window: str | None = None,
-    kappa: float | None = None,
-    prior: ParamPoint = DEFAULT_PRIOR,
-) -> RW1Model:
+def ingest_timeseries(path, window: str | None = None, kappa: float | None = None,
+                      prior: ParamPoint = DEFAULT_PRIOR) -> RW1Model:
     """Build an :class:`RW1Model` from a CSV of monthly counts.
 
-    The CSV needs a header row and either a single count column or
-    ``date,count`` columns. Rows are assumed to start in January and the
-    series must cover whole years. Processing order: the window (``full``
-    or ``last96``) is applied to the raw counts first, then counts are
-    square-root transformed, seasonality is removed by subtracting
-    per-calendar-month means, and the residuals are centered. ``kappa``
+    The CSV needs a header row and either a single count column or ``date,count``
+    columns. Rows are assumed to start in January and the series must cover whole
+    years. Processing order: the window (``full`` or ``last96``) is applied to the raw
+    counts first, then counts are square-root transformed, seasonality is removed by
+    subtracting per-calendar-month means, and the residuals are centered. ``kappa``
     defaults to ``1 / variance`` of the residuals.
     """
     path = Path(path)
     counts = read_columns(path, (-1,), "count")[0]
     if np.any(~np.isfinite(counts)) or np.any(counts <= 0.0):
         raise IngestionError(f"{path}: counts must be finite and positive")
-
-    if window in (None, "full"):
-        pass
-    elif window == "last96":
+    if window == "last96":
         if counts.size < 96:
             raise IngestionError(f"{path}: series of length {counts.size} has no last-96 window")
         counts = counts[-96:]
-    else:
+    elif window not in (None, "full"):
         raise IngestionError(f"unknown window {window!r}; expected 'full' or 'last96'")
     if counts.size % 12 != 0:
-        raise IngestionError(
-            f"{path}: length {counts.size} does not divide into whole years of monthly data"
-        )
+        raise IngestionError(f"{path}: length {counts.size} does not divide into whole years of monthly data")
     if counts.size < 24:
         raise IngestionError(f"{path}: need at least two years of monthly data")
 
     roots = np.sqrt(counts)
-    months = np.arange(counts.size) % 12
-    residuals = roots.copy()
-    for m in range(12):
-        sel = months == m
-        residuals[sel] -= roots[sel].mean()
+    residuals = roots - np.tile([roots[m::12].mean() for m in range(12)], counts.size // 12)
     residuals -= residuals.mean()
     variance = float(residuals.var(ddof=1))
     if variance == 0.0:
-        raise IngestionError(
-            f"{path}: residuals are constant; the noise precision is undefined"
-        )
-    if kappa is None:
-        kappa = 1.0 / variance
-    return RW1Model(y=residuals, kappa=kappa, prior=prior)
+        raise IngestionError(f"{path}: residuals are constant; the noise precision is undefined")
+    return RW1Model(y=residuals, kappa=1.0 / variance if kappa is None else kappa, prior=prior)

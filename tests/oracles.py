@@ -14,7 +14,9 @@ reweighting (:func:`reweight_posterior`), which evaluates both priors with
 formula in long double from each family's density, sharing no code with
 it either. :func:`write_density_csv` writes the posterior CSVs the tests read, and
 :func:`hellinger_analytic` is the package's closed-form distance of two validated
-priors, which no production path needs.
+priors, which no production path needs. :func:`rw1_hellinger_longdouble` gives the exact
+random-walk engine's distances in long double from a dense scan of each prior's own
+posterior, with none of the engine's window or lattice code.
 """
 
 from __future__ import annotations
@@ -366,3 +368,72 @@ def tabulation_window(y, kappa, alpha, beta, drop=28.0, step=0.5):
             k += direction
         bounds.append(k * step)
     return tuple(bounds)
+
+
+def _rw1_s_longdouble(y, kappa, us):
+    """``S(u) = kappa^2/2 sum_k yhat_k^2 / (e^u lambda_k + kappa) - 1/2 sum_k log(e^u lambda_k
+    + kappa)`` in long double, from the closed-form eigenvalues and the dense DCT basis."""
+    ld, n = np.longdouble, y.size
+    lam = (2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)).astype(ld)
+    yhat2 = _dense_weights_of(np.asarray(y, dtype=float).tobytes()).astype(ld)
+    kappa, out = ld(kappa), np.empty(us.size, dtype=ld)
+    for lo in range(0, us.size, 512):
+        d = np.exp(us[lo : lo + 512, None]) * lam + kappa
+        out[lo : lo + 512] = 0.5 * kappa**2 * (yhat2 / d).sum(axis=1) - 0.5 * np.log(d).sum(axis=1)
+    return out
+
+
+def rw1_hellinger_longdouble(y, kappa, anchor, points, drop=80.0, per_window=128):
+    """Posterior Hellinger distances of the random-walk model (data ``y``, noise precision
+    ``kappa``) between the gamma prior ``anchor`` and each of ``points``, in long double.
+
+    A prior's log posterior of ``u = log tau`` is ``(alpha + (n-1)/2) u - beta e^u + S(u)``
+    (:func:`_rw1_s_longdouble`). Each prior's own (the anchor, the point and their
+    midpoint) is scanned over [-300, 300] in steps of 1/16; its window runs from the scan
+    node before the first within ``drop`` of its best to the node after the last. A mode
+    within 60 of the peak is taken in even if the scan reads it 20 nats low (one of log-tau
+    sd 0.01, a shape near 1e4, reads at most 5 low). A direction sums on the hull of its
+    three windows, with ``per_window`` intervals across the narrowest. With ``t`` the log
+    prior ratio, ``BC = E[e^(t/2)] / E[e^t]^(1/2)`` under the anchor's normalized posterior,
+    each ``log E`` a log-sum-exp over the log weights, so no weight underflows where another
+    prior has its mass. Where ``H^2 < 0.05`` that difference cancels, and ``log BC = log1p(-V
+    / E[e^t]) / 2`` instead, ``V`` the variance of ``expm1(t/2)`` summed about its mean: no
+    term cancels however small ``H`` is. None of the engine's window, lattice or quadrature
+    code runs.
+    """
+    ld, n = np.longdouble, np.asarray(y).size
+    scan = np.arange(-4800, 4801).astype(ld) / 16
+    s_scan = _rw1_s_longdouble(y, kappa, scan)
+
+    def log_posterior(prior, us, s):
+        a, b = (ld(v) for v in prior)
+        return (a + ld(n - 1) / 2) * us - b * np.exp(us) + s
+
+    def window(prior):
+        g = log_posterior(prior, scan, s_scan)
+        near = np.flatnonzero(g >= g.max() - drop)
+        return scan[max(near[0] - 1, 0)], scan[min(near[-1] + 1, scan.size - 1)]
+
+    def log_sum_exp(x):
+        top = x.max()
+        return top + np.log(np.exp(x - top).sum())
+
+    a0, own, out = np.asarray(anchor, dtype=ld), window(anchor), []
+    for point in np.asarray(points, dtype=ld).reshape(-1, 2):
+        windows = [own, window(point), window((a0 + point) / 2)]
+        lo, hi = min(w[0] for w in windows), max(w[1] for w in windows)
+        step = min(w[1] - w[0] for w in windows) / per_window
+        us = np.linspace(lo, hi, int(np.ceil((hi - lo) / step)) + 1)
+        log_w = log_posterior(anchor, us, _rw1_s_longdouble(y, kappa, us))
+        log_w[[0, -1]] -= np.log(ld(2))
+        log_w -= log_sum_exp(log_w)
+        da, db = point - a0
+        t = da * us - db * np.exp(us)
+        t -= t @ np.exp(log_w)
+        log_bc = log_sum_exp(t / 2 + log_w) - log_sum_exp(t + log_w) / 2
+        if log_bc > -0.05:  # h < 0.22: the posteriors overlap, and t stays small where they have mass
+            w, e = np.exp(log_w), np.expm1(t / 2)
+            var = (e - e @ w) ** 2 @ w
+            log_bc = np.log1p(-var / ((1 + e @ w) ** 2 + var)) / 2
+        out.append(float(np.sqrt(-np.expm1(min(log_bc, ld(0))))))
+    return np.array(out)
