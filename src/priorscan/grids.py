@@ -12,6 +12,7 @@ ties a normalized posterior grid to its base prior.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -114,19 +115,25 @@ def _read_csv_rows(path: Path, key: int) -> tuple[list[str], list[tuple[int, lis
 
 
 def _parse_columns(path: Path, usecols: tuple[int, ...]):
-    """Columns ``usecols`` of the data rows from one ``np.loadtxt`` call, or None
-    unless they are what the row reader gives: the first physical line is a header
-    with a field per column, the first not a number; no line is over the csv field
-    limit or holds a NUL; and numpy reads one row per later non-blank line."""
+    """Columns ``usecols`` of the data rows by one ``np.loadtxt`` call on the lines of one
+    read (split at \\n, or at \\r if no \\n), or None unless they are the row reader's. With
+    C-level ``str`` operations: the first line is a header with a field per column, the
+    first not a number; the text has no NUL and no lone \\r beside a \\n; no line, with its
+    end, is over the csv field limit (each aligned block of half the limit holds a line
+    end, or the lines are measured). And numpy reads one row per later non-blank line."""
     try:
         with path.open(newline="") as fh:
-            lines = fh.readlines()  # split at \n, \r and \r\n only, as csv splits
+            text = fh.read()
+        lines = text.split(end := "\n" if "\n" in text else "\r")  # csv's, where no \r stands alone
         reader = csv.reader(body := iter(lines))
-        header = next(reader, [])
-        rows = len(lines) - 1 - sum(map(lines.count, ("\n", "\r\n", "\r")))
+        header, limit = next(reader, []), csv.field_size_limit()
+        half = max(limit // 2, 1)  # a line over the limit holds a whole aligned block this long
+        rows = len(lines) - 1 - lines.count("") - lines.count("\r")  # less the header, blank lines
         if (reader.line_num != 1 or len(header) < len(usecols) or rows < 1
-                or _is_number(header[usecols[0]]) or "\0" in "".join(lines)
-                or max(map(len, lines)) > csv.field_size_limit()):
+                or _is_number(header[usecols[0]]) or "\0" in text
+                or end == "\n" and "\r" in text and re.search("\r(?!\n)", text)  # a lone \r
+                or any(text.find(end, k - half, k) < 0 for k in range(half, len(text) + 1, half))
+                and max(max(map(len, lines[:-1])) + 1, len(lines[-1])) > limit):
             return None
         columns = np.loadtxt(body, delimiter=",", quotechar='"', comments=None,
                              usecols=usecols, ndmin=2, unpack=True)
@@ -138,10 +145,10 @@ def _parse_columns(path: Path, usecols: tuple[int, ...]):
 def read_columns(path: Path, usecols: tuple[int, ...], noun: str) -> np.ndarray:
     """Columns ``usecols``, ``(0, 1)`` or ``(-1,)``, of a CSV file's data rows.
 
-    numpy parses the data rows in one call (see :func:`_parse_columns`); a file it
-    refuses or might misread is read again row by row, to name the physical line
-    of an error (a row without the read columns, or a "non-numeric ``noun``") or
-    to accept what only ``float`` parses, such as ``1_000``."""
+    One read of the file, checked by :func:`_parse_columns`, feeds one numpy parse; a file
+    it refuses or might misread is read again row by row, to name the physical line of an
+    error (a row without the read columns, or a "non-numeric ``noun``") or to accept what
+    only ``float`` parses, such as ``1_000``."""
     columns = _parse_columns(path, usecols)
     if columns is not None:
         return columns

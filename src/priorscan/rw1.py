@@ -19,13 +19,14 @@ points, midpoints) are integrated on that lattice in one array pass, on one wind
 prior's log density is the base's plus the tilt ``t = da u - db e^u``, so one scan of the
 base, with the extremes of the tilts and a bound between nodes, finds every node where
 some prior is within ``exp(-60)`` of its peak. With ``E0`` the expectation under the
-base posterior,
+base posterior and ``e = expm1(t/2)``,
 
-    log BC = log1p(E0[expm1(t/2)]) - 1/2 log1p(E0[expm1(t)])
+    1 - BC^2 = Var0(e) / E0[e^t] = (E0[e^2] - E0[e]^2) / (1 + 2 E0[e] + E0[e^2])
 
 gives the exact Hellinger distance without differences of O(100) log normalizing
-constants. This module is the exact oracle the reweighting engine is validated against,
-and shares no code with it.
+constants, and without a float64 floor at small distances (``t`` is centred, so
+``E0[e]^2`` stays far below ``E0[e^2]``). This module is the exact oracle the
+reweighting engine is validated against, and shares no code with it.
 """
 
 from __future__ import annotations
@@ -272,9 +273,9 @@ def _lattice_pass(model: RW1Model, anchor, points):
     distance to each point, from one quadrature on the shared lattice.
 
     With ``t`` the log ratio of a point's posterior kernel to the anchor's less a constant
-    (its mean under the anchor's posterior, or its peak less 600 where that is larger),
-    ``log BC = log E[exp(t/2)] - log E[exp(t)] / 2`` under the anchor's posterior, each
-    ``log E`` formed as ``log1p(E[expm1(.)])``. The integrands are analytic and cut at
+    (its mean under the anchor's posterior, or its peak less 600 where that is larger) and
+    ``e = expm1(t/2)``, the sums give ``x = E[e]`` and ``y = E[e^2]`` under the anchor's
+    posterior, and ``E[exp(t)] = 1 + 2x + y``. The integrands are analytic and cut at
     ``exp(-_WINDOW_DROP)`` (:func:`_windows`), so trapezoid sums converge geometrically.
     They start from one pass over every level coarser than the first with 64 intervals,
     whose nodes give the peaks and means; then each finer level's new nodes are added
@@ -295,24 +296,27 @@ def _lattice_pass(model: RW1Model, anchor, points):
         return (2 * np.arange(j0, j1) + 1) * (_LATTICE_STEP / 2**level), _s_nodes(model, level, j0, j1)
 
     def sums(us, log_w, weights):
-        # sums of f and |f|; rows: 1, then exp(log_w) * expm1(t/2), then * expm1(t)
+        # sums of f and |f|; rows: 1, then exp(log_w) * e, then * e^2, with e = expm1(t/2)
         base = weights * np.exp(log_w)
         out = np.empty((2, 1 + 2 * n_pts))
         out[:, 0] = base.sum()
+        rows_e, rows_sq = out[:, 1 : 1 + n_pts], out[:, 1 + n_pts :]
         stats = np.vstack([us, np.exp(us), np.ones(us.size)])  # t / 2 = half_tilt @ stats
         for block in _blocks(n_pts, us.size):
             half = half_tilt[block] @ stats
             e = np.expm1(np.minimum(half, 0.5))
-            full = e * (e + 2.0)  # expm1(min(t, 1)) = expm1(2 min(t/2, 1/2))
-            far = np.nonzero(half >= 0.5) if half.max() >= 0.5 else None
-            for dst, p, k in ((out[:, 1 : 1 + n_pts], e, 1.0), (out[:, 1 + n_pts :], full, 2.0)):
-                if far is None:  # sums of p * base as matrix-vector products, base >= 0
-                    dst[:, block] = p @ base, np.abs(p, out=p) @ base
-                    continue
-                # log_w + t <= ~600, so this form cannot overflow where log_w underflows; pairwise
-                # sums as for the base's, so a row of -base sums to exactly minus the base's
-                p, t = p * base, k * half[far]
-                p[far] = weights[far[1]] * np.exp(log_w[far[1]] + t) - base[far[1]]
+            sq = e * e
+            if half.max() < 0.5:  # matrix-vector products, as base >= 0 (and e^2 >= 0)
+                rows_sq[:, block] = sq @ base
+                rows_e[:, block] = e @ base, np.abs(e, out=e) @ base
+                continue
+            # log_w + t <= ~600, so these forms cannot overflow where log_w underflows; pairwise
+            # sums as for the base's, so a row of -base sums to exactly minus the base's
+            far = np.nonzero(half >= 0.5)
+            w, lw, b = weights[far[1]], log_w[far[1]], base[far[1]]
+            a, e, sq = w * np.exp(lw + half[far]), e * base, sq * base
+            e[far], sq[far] = a - b, w * np.exp(lw + 2.0 * half[far]) - 2.0 * a + b
+            for dst, p in ((rows_e, e), (rows_sq, sq)):
                 dst[:, block] = p.sum(axis=1), np.abs(p, out=p).sum(axis=1)
         return out
 
@@ -341,19 +345,20 @@ def _lattice_pass(model: RW1Model, anchor, points):
             us, s = level_nodes(level)
             log_w = _log_target(model, anchor, us, s) - peak
             finer = 0.5 * trap + sums(us, log_w, np.full(us.size, _LATTICE_STEP / 2**level))
-            # E0[expm1(t/2)] of a far prior is -1 less its rounding: clamp it there (BC below
-            # 1e-308 gives H = 1); a point's E0[expm1(t)] at -1 would be a log C of -inf
-            log_e = np.log1p(np.maximum(finer[0, 1:] / finer[0, 0], -1.0))
+            # x = E0[e] and y = E0[e^2], so E0[e^t] = 1 + 2x + y; where that is 0, log C is -inf
+            x, y = finer[0, 1 : 1 + n_pts] / finer[0, 0], finer[0, 1 + n_pts :] / finer[0, 0]
+            log_m = np.log1p(2.0 * x + y)
             bad = ~np.isfinite(finer).all(axis=0)
-            bad[1 + n_pts :] |= ~np.isfinite(log_e[n_pts:])
+            bad[1 + n_pts :] |= ~np.isfinite(log_m)
             if bad.any():
                 a, b = np.vstack([anchor, points, points])[np.argmax(bad)]  # each column's prior
                 raise NumericalError(f"quadrature for prior ({a}, {b}) is not finite")
             converged = np.abs(finer[0] - trap[0]) <= _REL_TOL * finer[1]
             if converged.all():
-                log_bc = np.minimum(log_e[:n_pts] - 0.5 * log_e[n_pts:], 0.0)
+                # 1 - BC^2 = (y - x^2) / E0[e^t], and 1 - BC = (1 - BC^2) / (1 + BC)
+                v = np.clip((y - x * x) / (1.0 + 2.0 * x + y), 0.0, 1.0)
                 log_c = float(peak + math.log(finer[0, 0]) + 0.5 * model.kappa * (model.y @ model.y))
-                return log_c, log_c + log_e[n_pts:] + shift, np.sqrt(np.maximum(0.0, -np.expm1(log_bc)))
+                return log_c, log_c + log_m + shift, np.sqrt(v / (1.0 + np.sqrt(1.0 - v)))
             trap = finer
     a, b = np.vstack([anchor, points, points])[np.argmin(converged)]
     raise NumericalError(f"quadrature for prior ({a}, {b}) did not converge to {_REL_TOL} "

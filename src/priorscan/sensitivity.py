@@ -162,21 +162,19 @@ def export_plot_data(result: SensitivityResult) -> tuple[np.recarray, np.recarra
     one row per angle with the worst direction flagged and constant
     reference lines at 0.5 and 1.0.
     """
-    entries = result.entries
-    n, levels = len(entries), len(REFERENCE_LEVELS)
+    entries, n = result.entries, len(result.entries)
     cxs, cys = scaling_factors(entries.phi, result.cardinal)
-    # one row of ratios per series, and x = g1 + rho * cos * c_x in that order; the
-    # libm cos and sin, which np.cos and np.sin need not match to the last bit
-    rho = np.vstack([entries.ratio, *(np.full(n, level) for level in REFERENCE_LEVELS)])
+    # the libm cos and sin, which np.cos and np.sin need not match to the last bit
     phis = entries.phi.tolist()
     cos, sin = (np.fromiter(map(f, phis), float, n) for f in (math.cos, math.sin))
-    polar = np.empty((1 + levels) * n, POLAR_DTYPE).view(np.recarray)
-    series = ["sensitivity", *(f"ref_{level:.1f}" for level in REFERENCE_LEVELS)]
-    polar.series = np.repeat(series, n)
-    polar.phi = np.tile(entries.phi, 1 + levels)
-    polar.ratio = rho.ravel()
-    polar.x = (result.base.point.gamma1 + rho * cos * cxs).ravel()
-    polar.y = (result.base.point.gamma2 + rho * sin * cys).ravel()
+    # row by row, one-row temporaries: x = g1 + rho * cos * c_x in that order
+    table = np.empty((1 + len(REFERENCE_LEVELS), n), POLAR_DTYPE)
+    names = ["sensitivity", *(f"ref_{level:.1f}" for level in REFERENCE_LEVELS)]
+    for row, name, rho in zip(table, names, [entries.ratio, *REFERENCE_LEVELS]):
+        row["series"], row["phi"], row["ratio"] = name, entries.phi, rho
+        row["x"] = result.base.point.gamma1 + rho * cos * cxs
+        row["y"] = result.base.point.gamma2 + rho * sin * cys
+    polar = table.reshape(-1).view(np.recarray)
 
     rolled = np.zeros(n, ROLLED_DTYPE).view(np.recarray)
     rolled.phi, rolled.ratio, rolled.ref_half, rolled.ref_one = entries.phi, entries.ratio, 0.5, 1.0

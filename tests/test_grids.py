@@ -405,3 +405,19 @@ class TestColumnarParse:
         else:
             with pytest.raises(IngestionError, match="cannot read .*field larger than field limit"):
                 read_density_csv(path)
+
+
+def test_every_line_end_keeps_a_posterior_on_numpy(tmp_path):
+    # an 8001-line posterior, as the benchmark and the CLI write it, with each line end
+    # csv splits at: numpy parses all three copies, bitwise as the row reader does
+    post = tabulate_prior(PriorSpec(Family.GAMMA, ParamPoint(1.0, 0.34)), Scale.LOG_PARAMETER, 8001)
+    lines = ["x,density", *(f"{x!r},{v!r}" for x, v in zip(post.support.tolist(), post.values.tolist()))]
+    parsed = set()
+    for name, end in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes("".join(line + end for line in lines).encode())
+        columns = _parse_columns(path, (0, 1))
+        assert columns is not None, name
+        assert columns.tobytes() == _row_columns(path, (0, 1)).tobytes(), name
+        parsed.add(columns.tobytes())
+    assert len(parsed) == 1

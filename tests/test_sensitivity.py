@@ -366,6 +366,45 @@ class TestExportPlotData:
         assert all(row["ref_half"] == 0.5 and row["ref_one"] == 1.0 for row in rolled)
         assert [row["ratio"] for row in rolled] == [e.ratio for e in res.entries]
 
+    @pytest.mark.parametrize(
+        "base,scale,epsilon",
+        [
+            (GAMMA_BASE, Scale.LOG_PARAMETER, EPS0),
+            (NORMAL_BASE, Scale.NATURAL, EPS0),
+            (PriorSpec(Family.GAMMA, ParamPoint(0.03, 1.0)), Scale.LOG_PARAMETER, 0.5),
+        ],
+        ids=["gamma", "normal", "gamma_failed_angles"],
+    )
+    def test_tables_match_the_whole_table_construction(self, base, scale, epsilon):
+        # the tables, filled in place row by row, hold the bytes of the first construction
+        grid = compute_grid(base, epsilon, n_angles=64, allow_partial=True)
+        res = circular_sensitivity(PosteriorInput(tabulate_prior(base, scale), base, scale), grid)
+        assert bool(res.failed_angles) is (epsilon > EPS0)
+        for table, expected in zip(export_plot_data(res), whole_table_plot_data(res)):
+            assert type(table) is np.recarray and table.dtype == expected.dtype
+            assert table.tobytes() == expected.tobytes()
+
+
+def whole_table_plot_data(result):
+    """export_plot_data as first written: each column built whole (np.repeat, np.tile and
+    (1 + levels) x n temporaries) and then copied into its table."""
+    entries = result.entries
+    n, levels = len(entries), len(REFERENCE_LEVELS)
+    cxs, cys = scaling_factors(entries.phi, result.cardinal)
+    rho = np.vstack([entries.ratio, *(np.full(n, level) for level in REFERENCE_LEVELS)])
+    phis = entries.phi.tolist()
+    cos, sin = (np.fromiter(map(f, phis), float, n) for f in (math.cos, math.sin))
+    polar = np.empty((1 + levels) * n, POLAR_DTYPE).view(np.recarray)
+    polar.series = np.repeat(["sensitivity", *(f"ref_{level:.1f}" for level in REFERENCE_LEVELS)], n)
+    polar.phi = np.tile(entries.phi, 1 + levels)
+    polar.ratio = rho.ravel()
+    polar.x = (result.base.point.gamma1 + rho * cos * cxs).ravel()
+    polar.y = (result.base.point.gamma2 + rho * sin * cys).ravel()
+    rolled = np.zeros(n, ROLLED_DTYPE).view(np.recarray)
+    rolled.phi, rolled.ratio, rolled.ref_half, rolled.ref_one = entries.phi, entries.ratio, 0.5, 1.0
+    rolled.is_worst[result.worst_index] = 1
+    return polar, rolled
+
 
 class TestJsonExport:
     def test_fixed_layout(self):
