@@ -18,8 +18,11 @@ once per model on one dyadic log-tau lattice. All priors of a sweep (base, conto
 points, midpoints) are integrated on that lattice in one array pass, on one window: a
 prior's log density is the base's plus the tilt ``t = da u - db e^u``, so one scan of the
 base, with the extremes of the tilts and a bound between nodes, finds every node where
-some prior is within ``exp(-60)`` of its peak. With ``E0`` the expectation under the
-base posterior and ``e = expm1(t/2)``,
+some prior is within ``exp(-60)`` of its peak. What depends on the base alone is kept on
+the model with ``S``: its scans, and its side of the pass on the last window (each level's
+nodes, log density, weights and sums), so an epsilon sweep on one model pays for the base
+once and runs only its tilts. With ``E0`` the expectation under the base posterior and
+``e = expm1(t/2)``,
 
     1 - BC^2 = Var0(e) / E0[e^t] = (E0[e^2] - E0[e]^2) / (1 + 2 E0[e] + E0[e^2])
 
@@ -67,7 +70,10 @@ class RW1Model:
     spectral data built from ``y`` and ``kappa`` is kept on it: the eigenvalues ``_eig`` of R,
     ``lambda_k = 2 - 2 cos(pi k / n)`` for ``k = 0 .. n-1`` (nondecreasing, the first exactly
     zero: the rank deficiency of the intrinsic field), ``_yhat2_eig`` (``yhat_k^2
-    lambda_k``, :func:`_dct2`) and the lattice of ``S(u)``, ``_lattice`` (:func:`_s_nodes`)."""
+    lambda_k``, :func:`_dct2`), the lattice of ``S(u)``, ``_lattice`` (:func:`_s_nodes`), and
+    what an exact sweep computes from S for its anchor alone: the anchor's scans of the level-0
+    nodes, ``_scans`` (:func:`_windows`), and its side of the lattice pass on the last window
+    used, ``_passes`` (:func:`_lattice_pass`). So an epsilon sweep on one model pays for its base once."""
 
     y: np.ndarray
     kappa: float
@@ -75,6 +81,8 @@ class RW1Model:
     _eig: np.ndarray = field(init=False, repr=False, compare=False)
     _yhat2_eig: np.ndarray = field(init=False, repr=False, compare=False)
     _lattice: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _scans: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _passes: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         y = np.array(self.y, dtype=float)
@@ -231,30 +239,35 @@ def _windows(model: RW1Model, anchor, points, drop: float) -> tuple[int, int]:
     (da_lo, db_lo), (da_hi, db_hi), h = d.min(axis=1, initial=0.0), d.max(axis=1, initial=0.0), _LATTICE_STEP
     lo, hi, limit = -_SCAN_WIDEN, _SCAN_WIDEN, _SCAN_LIMIT / h
     while True:
-        ext = np.arange(lo - 1, hi + 2) * h
-        us, s, e_ext = ext[1:-1], _s_nodes(model, 0, lo, hi + 1), np.exp(ext)
-        with np.errstate(over="ignore"):  # the check below names the node
-            g = _log_target(model, anchor, us, s)
-        if not np.all(np.isfinite(g)):
-            bad = float(us[np.argmin(np.isfinite(g))])
-            raise NumericalError(f"non-finite posterior integrand at log tau = {bad!r}")
-        top = int(np.argmax(g))
-        g -= g[top]
+        key = (tuple(anchor.tolist()), lo, hi)
+        if (kept := model._scans.get(key)) is None:  # the anchor's side: the last anchor's scans are kept
+            ext = np.arange(lo - 1, hi + 2) * h
+            us, s, e_ext = ext[1:-1], _s_nodes(model, 0, lo, hi + 1), np.exp(ext)
+            with np.errstate(over="ignore"):  # the check below names the node
+                g = _log_target(model, anchor, us, s)
+            if not np.all(np.isfinite(g)):
+                bad = float(us[np.argmin(np.isfinite(g))])
+                raise NumericalError(f"non-finite posterior integrand at log tau = {bad!r}")
+            top = int(np.argmax(g))
+            g -= g[top]
+            ld, eu = _log_det(model, e_ext), e_ext[1:-1]  # W on each interval, as above:
+            step, quad = (ld[1:] - ld[:-1]) / (2.0 * h), s + 0.5 * ld[1:-1]
+            w = np.maximum(step[2:] - step[:-2] + quad[:-1] - quad[1:], 1e-300) / (1.0 - math.exp(-h))
+            if any(k[0] != key[0] for k in list(model._scans)):
+                model._scans.clear()
+            model._scans[key] = kept = g, w, eu, us - us[top], eu - eu[top]
+        g, w, eu, du, de = kept
         own = np.flatnonzero(g > -drop)[[0, -1]] + [-1, 1]  # the anchor's own window
-        ld, eu = _log_det(model, e_ext), e_ext[1:-1]  # W on each interval, as above:
-        step, quad = (ld[1:] - ld[:-1]) / (2.0 * h), s + 0.5 * ld[1:-1]
-        w = np.maximum(step[2:] - step[:-2] + quad[:-1] - quad[1:], 1e-300) / (1.0 - math.exp(-h))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            du, de = us - us[top], eu - eu[top]
             v = g + np.where(du < 0, da_lo * du - db_hi * de, da_hi * du - db_lo * de)
-            flagged = ~(bound(v, 0, us.size, anchor[1] + db_hi) <= -drop)  # NaN: an overflow
+            flagged = ~(bound(v, 0, g.size, anchor[1] + db_hi) <= -drop)  # NaN: an overflow
             j0, j1 = np.flatnonzero(flagged)[[0, -1]] + [0, 2]  # the flagged nodes' span
             if j0 == own[0] and j1 - 1 == own[1]:
                 return lo + int(j0), lo + int(j1) - 1
             priors = np.vstack([anchor, points, 0.5 * (anchor + points)])  # the priors errors name
             p = g[j0:j1] + (priors - anchor) @ np.vstack([du[j0:j1], -de[j0:j1]])
             hot = bound(p, j0, j1, priors[:, 1:]) > p.max(axis=1, keepdims=True) - drop  # NaN: not hot
-        edges = hot[:, [0, -1]] & [j0 == 0, j1 == us.size]
+        edges = hot[:, [0, -1]] & [j0 == 0, j1 == g.size]
         if not edges.any():
             first, last = np.flatnonzero(hot.any(axis=0))[[0, -1]] + j0
             return lo + int(first), lo + int(last) + 1
@@ -266,6 +279,29 @@ def _windows(model: RW1Model, anchor, points, drop: float) -> tuple[int, int]:
                 raise NumericalError(f"posterior mode for prior ({a}, {b}) escaped the log-tau scan range "
                                      f"[{-_SCAN_LIMIT}, {_SCAN_LIMIT}]" if escaped.any() else
                                      f"posterior tail for prior ({a}, {b}) does not decay on the log-tau axis")
+
+
+def _level_nodes(model: RW1Model, lo: int, hi: int, level: int):
+    """The nodes that lattice level ``level`` adds inside the level-0 window ``lo .. hi``, and S there."""
+    if level == 0:
+        return _LATTICE_STEP * np.arange(lo, hi + 1), _s_nodes(model, 0, lo, hi + 1)
+    j0, j1 = lo << (level - 1), hi << (level - 1)
+    return (2 * np.arange(j0, j1) + 1) * (_LATTICE_STEP / 2**level), _s_nodes(model, level, j0, j1)
+
+
+def _anchor_level(model: RW1Model, anchor: np.ndarray, lo: int, hi: int, levels, peak=None):
+    """The anchor's side of the nodes that ``levels`` add in the window ``lo .. hi`` (level 0 first):
+    nodes, log density less ``peak`` (by default its maximum), trapezoid weights, their products
+    ``base``, the sum of ``base``, the stats ``(u, e^u, 1)`` and ``peak``."""
+    us, s = map(np.concatenate, zip(*(_level_nodes(model, lo, hi, level) for level in levels)))
+    log_w = _log_target(model, anchor, us, s)
+    peak = log_w.max() if peak is None else peak
+    log_w -= peak
+    weights = np.full(us.size, _LATTICE_STEP / 2 ** levels[-1])
+    if levels[0] == 0:
+        weights[[0, hi - lo]] *= 0.5
+    base = weights * np.exp(log_w)
+    return us, log_w, weights, base, base.sum(), np.vstack([us, np.exp(us), np.ones(us.size)]), peak
 
 
 def _lattice_pass(model: RW1Model, anchor, points):
@@ -280,6 +316,7 @@ def _lattice_pass(model: RW1Model, anchor, points):
     They start from one pass over every level coarser than the first with 64 intervals,
     whose nodes give the peaks and means; then each finer level's new nodes are added
     until no sum changes by more than ``_REL_TOL`` times the integral of its absolute value.
+    Only the tilts' side runs per call: the anchor's is kept on the model, level by level.
     """
     anchor, points = np.asarray(anchor, dtype=float), np.asarray(points, dtype=float).reshape(-1, 2)
     n_pts = len(points)
@@ -288,25 +325,17 @@ def _lattice_pass(model: RW1Model, anchor, points):
     tilt = ((points - anchor) * [1.0, -1.0]).T
     tilt = np.hstack([0.5 * tilt, tilt])
 
-    def level_nodes(level):
-        # the nodes that lattice level ``level`` adds inside the window, and S there
-        if level == 0:
-            return _LATTICE_STEP * np.arange(lo, hi + 1), _s_nodes(model, 0, lo, hi + 1)
-        j0, j1 = lo << (level - 1), hi << (level - 1)
-        return (2 * np.arange(j0, j1) + 1) * (_LATTICE_STEP / 2**level), _s_nodes(model, level, j0, j1)
-
-    def sums(us, log_w, weights):
+    def sums(us, log_w, weights, base, total, stats, _):
         # sums of f and |f|; rows: 1, then exp(log_w) * e, then * e^2, with e = expm1(t/2)
-        base = weights * np.exp(log_w)
         out = np.empty((2, 1 + 2 * n_pts))
-        out[:, 0] = base.sum()
+        out[:, 0] = total
         rows_e, rows_sq = out[:, 1 : 1 + n_pts], out[:, 1 + n_pts :]
-        stats = np.vstack([us, np.exp(us), np.ones(us.size)])  # t / 2 = half_tilt @ stats
-        for block in _blocks(n_pts, us.size):
+        for block in _blocks(n_pts, us.size):  # t / 2 = half_tilt @ stats
             half = half_tilt[block] @ stats
-            e = np.expm1(np.minimum(half, 0.5))
+            near = half.max() < 0.5
+            e = np.expm1(half if near else np.minimum(half, 0.5))
             sq = e * e
-            if half.max() < 0.5:  # matrix-vector products, as base >= 0 (and e^2 >= 0)
+            if near:  # matrix-vector products, as base >= 0 (and e^2 >= 0)
                 rows_sq[:, block] = sq @ base
                 rows_e[:, block] = e @ base, np.abs(e, out=e) @ base
                 continue
@@ -322,11 +351,14 @@ def _lattice_pass(model: RW1Model, anchor, points):
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checks name the node or prior
         first = max(1, math.ceil(math.log2(64 / (hi - lo))))  # first level with >= 64 intervals
-        us, s = map(np.concatenate, zip(*map(level_nodes, range(first))))
-        log_w = _log_target(model, anchor, us, s)
-        peak = log_w.max()
-        log_w -= peak
-        xy = np.column_stack([us, np.exp(us)])
+        key = (tuple(anchor.tolist()), lo, hi)
+        if (kept := model._passes.get(key)) is None:  # the anchor's side, kept for the last window used
+            coarse = _anchor_level(model, anchor, lo, hi, range(first))
+            xy = np.column_stack([coarse[0], np.exp(coarse[0])])
+            model._passes.clear()
+            model._passes[key] = kept = xy, coarse[3] @ xy, {first - 1: coarse}
+        xy, base_xy, levels = kept
+        us, log_w, _, _, total, _, peak = coarse = levels[first - 1]
         reach = np.abs(tilt).max(axis=1, initial=0.0) @ (xy[hi - lo] - xy[0])  # >= each tilt's range
         rows = np.flatnonzero(log_w >= -reach)  # the nodes where a column's maximum can lie
         g = xy[rows] @ tilt + log_w[rows, None]  # nodes x priors
@@ -334,17 +366,14 @@ def _lattice_pass(model: RW1Model, anchor, points):
         if not np.all(np.isfinite(top)):  # NaN or +inf; -inf is a density of 0
             bad = float(us[rows[np.argmin((g < np.inf).all(axis=1))]])
             raise NumericalError(f"non-finite posterior integrand at log tau = {bad!r}")
-        weights = np.full(us.size, _LATTICE_STEP / 2 ** (first - 1))
-        weights[[0, hi - lo]] *= 0.5
         # t: each tilt less its mean (no rounding floor), or less its peak - 600 (no overflow)
-        base = weights * np.exp(log_w)
-        shift = np.maximum((base @ xy) @ tilt[:, n_pts:] / base.sum(), top[n_pts:] - 600.0)
+        shift = np.maximum(base_xy @ tilt[:, n_pts:] / total, top[n_pts:] - 600.0)
         half_tilt = np.column_stack([0.5 * tilt[:, n_pts:].T, -0.5 * shift])
-        trap = sums(us, log_w, weights)
+        trap = sums(*coarse)
         for level in range(first, _MAX_LEVEL + 1):
-            us, s = level_nodes(level)
-            log_w = _log_target(model, anchor, us, s) - peak
-            finer = 0.5 * trap + sums(us, log_w, np.full(us.size, _LATTICE_STEP / 2**level))
+            if level not in levels:
+                levels[level] = _anchor_level(model, anchor, lo, hi, [level], peak)
+            finer = 0.5 * trap + sums(*levels[level])
             # x = E0[e] and y = E0[e^2], so E0[e^t] = 1 + 2x + y; where that is 0, log C is -inf
             x, y = finer[0, 1 : 1 + n_pts] / finer[0, 0], finer[0, 1 + n_pts :] / finer[0, 0]
             log_m = np.log1p(2.0 * x + y)

@@ -55,12 +55,13 @@ class AlignmentError(ValueError):
 def common_support(g0, g1):
     """Resample two grids onto the intersection of their support ranges.
 
-    Identical supports are returned unchanged. Otherwise both grids are
-    linearly interpolated onto an equispaced grid over the overlap, with
-    as many points as the finer input. Values are carried over without
-    renormalization, so the aligned grids still represent the original
-    densities restricted to the overlap (density outside a grid's range
-    is treated as zero mass).
+    Identical supports are returned unchanged. Otherwise the square root of
+    each density is interpolated by four-point Lagrange polynomials
+    (:func:`_interp_cubic`) onto an equispaced grid over the overlap, with as
+    many points as the finer input, and squared. Values are carried over
+    without renormalization, so the aligned grids still represent the
+    original densities restricted to the overlap (density outside a grid's
+    range is treated as zero mass).
     """
     if g0.scale is not g1.scale:
         raise AlignmentError(f"cannot align grids on scales {g0.scale} and {g1.scale}")
@@ -75,11 +76,27 @@ def common_support(g0, g1):
         )
     m = max(len(g0), len(g1))
     xs = np.linspace(lo, hi, m)
-    v0 = np.interp(xs, g0.support, g0.values)
-    v1 = np.interp(xs, g1.support, g1.values)
+    v0 = _interp_cubic(xs, g0.support, np.sqrt(g0.values)) ** 2
+    v1 = _interp_cubic(xs, g1.support, np.sqrt(g1.values)) ** 2
     if not np.any(v0 > 0.0) or not np.any(v1 > 0.0):
         raise AlignmentError("no density mass inside the overlapping support range")
     return DensityGrid(xs, v0, g0.scale), DensityGrid(xs, v1, g1.scale)
+
+
+def _interp_cubic(x, xp, fp):
+    """``fp`` at ``x`` (inside ``[xp[0], xp[-1]]``) from the cubic through the four nearest
+    nodes ``xp``, or linearly on fewer. Linear interpolation of either grid's density, its
+    square root or its log is second order, so at tiny distances on supports offset by a
+    fraction of a node the two grids' errors do not cancel: gamma (3, 2) vs (3 + 4.5e-6, 2)
+    on 4001-point log grids came out 3.5e-3 to 3.8e-3 relative high in all three forms."""
+    if len(xp) < 4:
+        return np.interp(x, xp, fp)
+    k = np.clip(np.searchsorted(xp, x) - 2, 0, len(xp) - 4)[:, None] + np.arange(4)
+    nodes, out = xp[k], np.zeros(len(x))
+    for i in range(4):
+        others = [j for j in range(4) if j != i]
+        out += np.prod((x[:, None] - nodes[:, others]) / (nodes[:, [i]] - nodes[:, others]), axis=1) * fp[k[:, i]]
+    return out
 
 
 def _mass_beyond(grid, lo, hi):
@@ -99,9 +116,9 @@ def hellinger_grid(g0, g1):
     support, plus half the mass each grid has outside it, integrated on that
     grid's own nodes. Unlike ``sqrt(1 - BC)``, this stays accurate for
     distances far below sqrt(machine epsilon) on one support. On different
-    supports the linear re-interpolation limits small distances (on 4001-point
-    grids, gamma (3, 2) vs (3 + 4.5e-6, 2) comes out 2.3e-3 relative high, normal
-    (0, 1) vs (2.8e-6, 1) 5e-4); for two priors of one family use
+    supports the re-interpolation limits small distances (on 4001-point grids,
+    gamma (3, 2) vs (3 + 4.5e-6, 2) comes out 8.1e-8 relative high, normal
+    (0, 1) vs (2.8e-6, 1) 1.1e-9); for two priors of one family use
     :func:`hellinger_analytic`.
     """
     a0, a1 = common_support(g0, g1)

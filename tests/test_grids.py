@@ -228,23 +228,24 @@ class TestHellingerGrid:
         assert hellinger_grid(g0, g1) == pytest.approx(expected, rel=1e-7)
 
     @pytest.mark.parametrize(
-        "family,p0,p1,scale",
+        "family,p0,p1,scale,rel",
         [
-            ("gamma", (3.0, 2.0), (3.0 + 4.5e-6, 2.0), Scale.LOG_PARAMETER),
-            ("normal", (0.0, 1.0), (2.8e-6, 1.0), Scale.NATURAL),
+            ("gamma", (3.0, 2.0), (3.0 + 4.5e-6, 2.0), Scale.LOG_PARAMETER, 2e-7),
+            ("normal", (0.0, 1.0), (2.8e-6, 1.0), Scale.NATURAL, 3e-9),
         ],
     )
-    def test_tiny_distance_on_different_supports(self, family, p0, p1, scale):
+    def test_tiny_distance_on_different_supports(self, family, p0, p1, scale, rel):
         # each prior tabulated on its own window: the mass beyond the overlap
         # must come from each grid's own nodes, not from a difference of two
-        # O(1) trapezoid sums on different meshes
+        # O(1) trapezoid sums on different meshes; the cubic resampling reads
+        # 8.1e-8 (gamma) and 1.1e-9 (normal) relative high, linear 3.8e-3 and 5e-4
         g0, g1 = (
             tabulate_prior(PriorSpec(Family(family), ParamPoint(*p)), scale, 4001)
             for p in (p0, p1)
         )
         assert not np.array_equal(g0.support, g1.support)
         expected = hellinger_difference_form(family, p0, p1)
-        assert hellinger_grid(g0, g1) == pytest.approx(expected, rel=5e-3)
+        assert hellinger_grid(g0, g1) == pytest.approx(expected, rel=rel)
 
     def test_log_scale_matches_quadrature(self):
         p0, p1 = ParamPoint(2.0, 1.0), ParamPoint(4.0, 2.0)

@@ -417,10 +417,17 @@ def test_sweep_windows_match_reference_walk(fixture, eps, request):
         assert (lo * rw1._LATTICE_STEP, hi * rw1._LATTICE_STEP) == expected
 
 
+def fresh(model):
+    """A copy of ``model`` that keeps nothing yet: its lattice pass asks S for every node
+    it uses (a model that has swept keeps its anchor's side and asks for none)."""
+    return RW1Model(model.y, model.kappa, model.prior)
+
+
 def sweep_window(model, anchor, points):
     """The level-0 window, in coarse nodes, of a lattice pass over ``anchor``,
-    ``points`` and their midpoints: the last level-0 range it asks S for."""
-    requests, s_nodes = [], rw1._s_nodes
+    ``points`` and their midpoints: the last level-0 range it asks S for, on a
+    fresh copy of ``model``."""
+    model, requests, s_nodes = fresh(model), [], rw1._s_nodes
 
     def recorded(model, level, lo, hi):
         requests.append((level, lo, hi - 1))
@@ -829,7 +836,7 @@ def test_sweep_stops_at_first_level_with_64_intervals(fixture, eps, request, mon
         return s_nodes(model, level, lo, hi)
 
     monkeypatch.setattr(rw1, "_s_nodes", recorded)
-    exact_sensitivity(model, eps, n_angles=400)
+    exact_sensitivity(fresh(model), eps, n_angles=400)
     assert max(levels) <= max(1, math.ceil(math.log2(64 / (hi - lo))))
 
 
@@ -849,6 +856,29 @@ def test_sweep_distances_against_fine_trapezoid(fixture, eps, request):
     expected = np.sqrt(-np.expm1(log_bc))
     h = _lattice_pass(model, tuple(anchor), points)[2]
     assert np.max(np.abs(h - expected)) <= 1e-13
+
+
+@pytest.mark.parametrize("fixture", ["model192", "model2004", "model8004"])
+def test_warm_sweeps_equal_a_fresh_models_bitwise(fixture, request):
+    # the anchor's side kept on a model (its scans, and its lattice pass on the last
+    # window used) gives the bits a fresh model gives, whatever the model served before
+    model = fresh(request.getfixturevalue(fixture))
+    exact_sensitivity(model, 1e-4, n_angles=400)
+    tabulated = tabulate_posterior(model).posterior.values
+    assert tabulated.tobytes() == tabulate_posterior(fresh(model)).posterior.values.tobytes()
+    _lattice_pass(model, (3.0, 0.001), [(3.03, 0.001), (2.97, 0.0011)])  # another anchor
+    windows = set()
+    # the sweep's own window after another anchor, one widened by a far point, then its own
+    # again: rebuilt, then kept
+    for eps, far in ((1e-2, []), (1e-2, [(30.0, 0.005)]), (1e-3, []), (1e-2, [])):
+        anchor, _, points = contour_priors(model, eps, 400)
+        points = np.vstack([points, *far])
+        warm, cold = _lattice_pass(model, tuple(anchor), points), _lattice_pass(fresh(model), tuple(anchor), points)
+        assert warm[0] == cold[0]
+        assert warm[1].tobytes() == cold[1].tobytes() and warm[2].tobytes() == cold[2].tobytes()
+        assert len(model._passes) == 1  # one window per model, the last one used
+        windows |= model._passes.keys()
+    assert len(windows) == 2
 
 
 @pytest.mark.parametrize("rows,width", [(0, 5), (1, 201), (76, 201), (77, 201), (153, 201), (1000, 3), (5, 1 << 20)])
