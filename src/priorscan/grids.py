@@ -12,7 +12,6 @@ ties a normalized posterior grid to its base prior.
 from __future__ import annotations
 
 import csv
-import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -131,7 +130,7 @@ def _parse_columns(path: Path, usecols: tuple[int, ...]):
         rows = len(lines) - 1 - lines.count("") - lines.count("\r")  # less the header, blank lines
         if (reader.line_num != 1 or len(header) < len(usecols) or rows < 1
                 or _is_number(header[usecols[0]]) or "\0" in text
-                or end == "\n" and "\r" in text and re.search("\r(?!\n)", text)  # a lone \r
+                or end == "\n" and "\r" in text and text.count("\r") != text.count("\r\n")  # a lone \r
                 or any(text.find(end, k - half, k) < 0 for k in range(half, len(text) + 1, half))
                 and max(max(map(len, lines[:-1])) + 1, len(lines[-1])) > limit):
             return None

@@ -14,14 +14,15 @@ posterior of ``tau`` is
 in ``S`` is one sum over the spectrum and ``log|Q|`` has a closed form (a ratio of
 hyperbolic sines). The quadratic form's constant part ``kappa |y|^2 / 2`` only scales
 the density and is left out of ``S`` (it is added back to ``log C``). ``S`` is evaluated
-once per model on one dyadic log-tau lattice. All priors of a sweep (base, contour
+on one dyadic log-tau lattice, at the nodes each scan or level uses, and is not kept, so a
+sweep's bits depend only on the model and its priors. All priors of a sweep (base, contour
 points, midpoints) are integrated on that lattice in one array pass, on one window: a
 prior's log density is the base's plus the tilt ``t = da u - db e^u``, so one scan of the
 base, with the extremes of the tilts and a bound between nodes, finds every node where
 some prior is within ``exp(-60)`` of its peak. What depends on the base alone is kept on
-the model with ``S``: its scans, and its side of the pass on the last window (each level's
-nodes, log density, weights and sums), so an epsilon sweep on one model pays for the base
-once and runs only its tilts. With ``E0`` the expectation under the base posterior and
+the model: its scans, and its side of the pass on the last window (each level's nodes,
+log density, weights and sums), so an epsilon sweep on one model pays for the base once
+and runs only its tilts. With ``E0`` the expectation under the base posterior and
 ``e = expm1(t/2)``,
 
     1 - BC^2 = Var0(e) / E0[e^t] = (E0[e^2] - E0[e]^2) / (1 + 2 E0[e] + E0[e^2])
@@ -70,17 +71,16 @@ class RW1Model:
     spectral data built from ``y`` and ``kappa`` is kept on it: the eigenvalues ``_eig`` of R,
     ``lambda_k = 2 - 2 cos(pi k / n)`` for ``k = 0 .. n-1`` (nondecreasing, the first exactly
     zero: the rank deficiency of the intrinsic field), ``_yhat2_eig`` (``yhat_k^2
-    lambda_k``, :func:`_dct2`), the lattice of ``S(u)``, ``_lattice`` (:func:`_s_nodes`), and
-    what an exact sweep computes from S for its anchor alone: the anchor's scans of the level-0
-    nodes, ``_scans`` (:func:`_windows`), and its side of the lattice pass on the last window
-    used, ``_passes`` (:func:`_lattice_pass`). So an epsilon sweep on one model pays for its base once."""
+    lambda_k``, :func:`_dct2`), and what an exact sweep computes from S for its anchor alone:
+    the anchor's scans of the level-0 nodes, ``_scans`` (:func:`_windows`), and its side of the
+    lattice pass on the last window used, ``_passes`` (:func:`_lattice_pass`). So an epsilon
+    sweep on one model pays for its base once. S itself is not kept (:func:`_s_terms`)."""
 
     y: np.ndarray
     kappa: float
     prior: ParamPoint = DEFAULT_PRIOR
     _eig: np.ndarray = field(init=False, repr=False, compare=False)
     _yhat2_eig: np.ndarray = field(init=False, repr=False, compare=False)
-    _lattice: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _scans: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _passes: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
@@ -183,24 +183,6 @@ def _s_terms(model: RW1Model, us: np.ndarray) -> np.ndarray:
     return quad - 0.5 * logdet
 
 
-def _s_nodes(model: RW1Model, level: int, lo: int, hi: int) -> np.ndarray:
-    """``S`` at the nodes ``j = lo .. hi - 1`` that lattice level ``level`` adds.
-
-    Level 0 holds ``u = j * _LATTICE_STEP``, level ``L >= 1`` the odd nodes ``u = (2j + 1)
-    * _LATTICE_STEP / 2^L``. Each level is kept on the model as one contiguous array that
-    grows to cover every range asked for.
-    """
-    j0, values = model._lattice.get(level, (lo, np.empty(0)))
-    j1 = j0 + values.size
-    if lo < j0 or hi > j1:
-        odd, h = int(level > 0), _LATTICE_STEP / 2**level
-        left, right = np.arange(min(lo, j0), j0), np.arange(j1, max(hi, j1))
-        values = np.concatenate((_s_terms(model, ((1 + odd) * left + odd) * h), values,
-                                 _s_terms(model, ((1 + odd) * right + odd) * h)))
-        model._lattice[level] = j0, values = min(lo, j0), values
-    return values[lo - j0 : hi - j0]
-
-
 def _log_target(model: RW1Model, prior, us: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Log posterior density at ``u = log tau`` given ``s = S(us)``, under one gamma
     prior ``(alpha, beta)``; ``alpha + (n-1)/2`` absorbs the log Jacobian."""
@@ -242,7 +224,8 @@ def _windows(model: RW1Model, anchor, points, drop: float) -> tuple[int, int]:
         key = (tuple(anchor.tolist()), lo, hi)
         if (kept := model._scans.get(key)) is None:  # the anchor's side: the last anchor's scans are kept
             ext = np.arange(lo - 1, hi + 2) * h
-            us, s, e_ext = ext[1:-1], _s_nodes(model, 0, lo, hi + 1), np.exp(ext)
+            us, e_ext = ext[1:-1], np.exp(ext)
+            s = _s_terms(model, us)
             with np.errstate(over="ignore"):  # the check below names the node
                 g = _log_target(model, anchor, us, s)
             if not np.all(np.isfinite(g)):
@@ -281,20 +264,15 @@ def _windows(model: RW1Model, anchor, points, drop: float) -> tuple[int, int]:
                                      f"posterior tail for prior ({a}, {b}) does not decay on the log-tau axis")
 
 
-def _level_nodes(model: RW1Model, lo: int, hi: int, level: int):
-    """The nodes that lattice level ``level`` adds inside the level-0 window ``lo .. hi``, and S there."""
-    if level == 0:
-        return _LATTICE_STEP * np.arange(lo, hi + 1), _s_nodes(model, 0, lo, hi + 1)
-    j0, j1 = lo << (level - 1), hi << (level - 1)
-    return (2 * np.arange(j0, j1) + 1) * (_LATTICE_STEP / 2**level), _s_nodes(model, level, j0, j1)
-
-
 def _anchor_level(model: RW1Model, anchor: np.ndarray, lo: int, hi: int, levels, peak=None):
-    """The anchor's side of the nodes that ``levels`` add in the window ``lo .. hi`` (level 0 first):
-    nodes, log density less ``peak`` (by default its maximum), trapezoid weights, their products
-    ``base``, the sum of ``base``, the stats ``(u, e^u, 1)`` and ``peak``."""
-    us, s = map(np.concatenate, zip(*(_level_nodes(model, lo, hi, level) for level in levels)))
-    log_w = _log_target(model, anchor, us, s)
+    """The anchor's side of the nodes that ``levels`` add in the window ``lo .. hi`` (level 0 first;
+    it holds ``u = j * _LATTICE_STEP``, and level ``L >= 1`` adds the odd multiples of ``_LATTICE_STEP
+    / 2^L``): nodes, log density less ``peak`` (by default its maximum), trapezoid weights, their
+    products ``base``, the sum of ``base``, the stats ``(u, e^u, 1)`` and ``peak``."""
+    us = np.concatenate([_LATTICE_STEP * np.arange(lo, hi + 1) if level == 0 else
+                         (2 * np.arange(lo << (level - 1), hi << (level - 1)) + 1) * (_LATTICE_STEP / 2**level)
+                         for level in levels])
+    log_w = _log_target(model, anchor, us, _s_terms(model, us))
     peak = log_w.max() if peak is None else peak
     log_w -= peak
     weights = np.full(us.size, _LATTICE_STEP / 2 ** levels[-1])

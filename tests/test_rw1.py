@@ -3,7 +3,6 @@ import json
 import math
 import re
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -112,8 +111,8 @@ class TestModel:
         assert m.prior == ParamPoint(1.0, 0.005)
 
     def test_fields_cannot_outlive_their_lattice(self):
-        # the lattice of S(u) kept on the model depends on y and kappa: a reassigned
-        # kappa was swept on the old lattice, and a negative one was accepted
+        # the base's scans and lattice pass kept on the model depend on y and kappa: a
+        # reassigned kappa would be swept on the old ones, and a negative one accepted
         m = small_model(n=48, kappa=0.5)
         before = exact_sensitivity(m, 1e-3, n_angles=64).worst_case
         for name, value in (("kappa", 5.0), ("kappa", -1.0), ("y", np.zeros(48))):
@@ -425,17 +424,8 @@ def fresh(model):
 
 def sweep_window(model, anchor, points):
     """The level-0 window, in coarse nodes, of a lattice pass over ``anchor``,
-    ``points`` and their midpoints: the last level-0 range it asks S for, on a
-    fresh copy of ``model``."""
-    model, requests, s_nodes = fresh(model), [], rw1._s_nodes
-
-    def recorded(model, level, lo, hi):
-        requests.append((level, lo, hi - 1))
-        return s_nodes(model, level, lo, hi)
-
-    with mock.patch.object(rw1, "_s_nodes", recorded):
-        _lattice_pass(model, anchor, points)
-    return [(lo, hi) for level, lo, hi in requests if level == 0][-1]
+    ``points`` and their midpoints, on a fresh copy of ``model``."""
+    return rw1._windows(fresh(model), anchor, points, rw1._WINDOW_DROP)
 
 
 @pytest.mark.parametrize("eps", [1e-4, 1e-2, 0.3, 0.5])
@@ -823,20 +813,14 @@ def sweep_priors(model, eps):
 
 @pytest.mark.parametrize("eps", [1e-4, 1e-2])
 @pytest.mark.parametrize("fixture", ["model192", "model2004", "model8004"])
-def test_sweep_stops_at_first_level_with_64_intervals(fixture, eps, request, monkeypatch):
+def test_sweep_stops_at_first_level_with_64_intervals(fixture, eps, request):
     # the integrands are analytic and cut where they have fallen by exp(-60), so
     # trapezoid sums converge geometrically: the first refinement meets the tolerance
     model = request.getfixturevalue(fixture)
     _, _, lo, hi = sweep_priors(model, eps)
-    levels = []
-    s_nodes = rw1._s_nodes
-
-    def recorded(model, level, lo, hi):
-        levels.append(level)
-        return s_nodes(model, level, lo, hi)
-
-    monkeypatch.setattr(rw1, "_s_nodes", recorded)
-    exact_sensitivity(fresh(model), eps, n_angles=400)
+    model = fresh(model)
+    exact_sensitivity(model, eps, n_angles=400)
+    (levels,) = [kept[2] for kept in model._passes.values()]  # the levels the pass summed
     assert max(levels) <= max(1, math.ceil(math.log2(64 / (hi - lo))))
 
 
@@ -879,6 +863,25 @@ def test_warm_sweeps_equal_a_fresh_models_bitwise(fixture, request):
         assert len(model._passes) == 1  # one window per model, the last one used
         windows |= model._passes.keys()
     assert len(windows) == 2
+
+
+HISTORY_DRAWS = [draw for i, draw in enumerate(contract_draws(2, 300)) if i in (16, 28, 29)]
+
+
+@pytest.mark.parametrize("history", ["wider_sweep", "other_anchor"])
+@pytest.mark.parametrize("draw", HISTORY_DRAWS, ids=["draw16", "draw28", "draw29"])
+def test_sweeps_after_a_history_equal_a_fresh_models_bitwise(draw, history, contract_csvs):
+    # S at a node is computed for each request, never kept: a sweep after a wider sweep,
+    # or after a pass on another anchor, asks S for the nodes a fresh model asks for
+    n, kappa, prior, eps = draw
+    model = ingest_timeseries(contract_csvs[n], kappa=kappa, prior=prior)
+    a, b = prior.as_tuple()
+    if history == "wider_sweep":
+        exact_sensitivity(model, min(0.5, 4.0 * eps), n_angles=64)
+    else:
+        _lattice_pass(model, (1.5 * a, 0.7 * b), [(1.6 * a, 0.7 * b)])
+    warm = exact_sensitivity(model, eps, n_angles=64).entries.h_post
+    assert warm.tobytes() == exact_sensitivity(fresh(model), eps, n_angles=64).entries.h_post.tobytes()
 
 
 @pytest.mark.parametrize("rows,width", [(0, 5), (1, 201), (76, 201), (77, 201), (153, 201), (1000, 3), (5, 1 << 20)])
