@@ -244,16 +244,14 @@ def scaling_factors(phi: float | np.ndarray, moduli: CardinalModuli):
     -x modulus elsewhere; ``c_y`` is the +y modulus on the closed interval
     [0, pi] and the -y modulus elsewhere. At the boundary angles the first
     (closed) interval wins; the choice is immaterial because the affected
-    coordinate carries a vanishing cos/sin factor there. ``phi`` may be an
-    array, in which case both scalings are arrays of its shape.
+    coordinate carries a vanishing cos/sin factor there. Both scalings are
+    arrays of the shape of ``phi`` (0-d for a scalar).
     """
     phi = np.asarray(phi, dtype=float)
     if not np.all((-math.pi <= phi) & (phi <= math.pi)):
         raise DomainError(f"angle must lie in [-pi, pi], got {phi!r}")
     cx = np.where((-math.pi / 2.0 <= phi) & (phi <= math.pi / 2.0), moduli.plus_x, moduli.minus_x)
     cy = np.where((0.0 <= phi) & (phi <= math.pi), moduli.plus_y, moduli.minus_y)
-    if phi.ndim == 0:
-        return float(cx), float(cy)
     return cx, cy
 
 

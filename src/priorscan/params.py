@@ -42,8 +42,6 @@ def validate_point(family: Family, point: ParamPoint) -> None:
     elif family is Family.GAMMA:
         if g1 <= 0.0 or g2 <= 0.0:
             raise DomainError(f"gamma shape and rate must be positive, got {point}")
-    else:  # pragma: no cover - enum is closed
-        raise DomainError(f"unknown family {family}")
 
 
 @dataclass(frozen=True)

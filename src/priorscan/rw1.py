@@ -15,14 +15,15 @@ in ``S`` is one sum over the spectrum and ``log|Q|`` has a closed form (a ratio 
 hyperbolic sines). The quadratic form's constant part ``kappa |y|^2 / 2`` only scales
 the density and is left out of ``S`` (it is added back to ``log C``). ``S`` is evaluated
 on one dyadic log-tau lattice, at the nodes each scan or level uses, and is not kept, so a
-sweep's bits depend only on the model and its priors. All priors of a sweep (base, contour
-points, midpoints) are integrated on that lattice in one array pass, on one window: a
-prior's log density is the base's plus the tilt ``t = da u - db e^u``, so one scan of the
-base, with the extremes of the tilts and a bound between nodes, finds every node where
-some prior is within ``exp(-60)`` of its peak. What depends on the base alone is kept on
-the model: its scans, and its side of the pass on the last window (each level's nodes,
-log density, weights and sums), so an epsilon sweep on one model pays for the base once
-and runs only its tilts. With ``E0`` the expectation under the base posterior and
+sweep's bits depend only on the model and its priors. The model's own prior is the base of
+every sweep and tabulation. All priors of a sweep (base, contour points, midpoints) are
+integrated on that lattice in one array pass, on one window: a prior's log density is the
+base's plus the tilt ``t = da u - db e^u``, so one scan of the base, with the extremes of
+the tilts and a bound between nodes, finds every node where some prior is within
+``exp(-60)`` of its peak. What depends on the base alone is kept on the model: its scans,
+per scan range, and its side of the pass for the last window (each level's nodes, log
+density, weights and sums), so an epsilon sweep on one model pays for the base once and
+runs only its tilts. With ``E0`` the expectation under the base posterior and
 ``e = expm1(t/2)``,
 
     1 - BC^2 = Var0(e) / E0[e^t] = (E0[e^2] - E0[e]^2) / (1 + 2 E0[e] + E0[e^2])
@@ -52,6 +53,7 @@ from .sensitivity import SensitivityResult, assemble_result
 _LATTICE_STEP = 0.5
 _WINDOW_DROP = 60.0  # exp(-60) ~ 9e-27 relative tail cut for quadrature
 _TABLE_DROP = 28.0  # exp(-28) < 1e-12 relative boundary for tabulation
+_TABLE_POINTS = 16  # tabulated points within exp(-_TABLE_DROP) of the peak a posterior needs
 _SCAN_LIMIT = 300.0
 _SCAN_WIDEN = 100  # level-0 nodes (50 on the log-tau axis) added per widening
 _MAX_LEVEL = 16
@@ -71,10 +73,11 @@ class RW1Model:
     spectral data built from ``y`` and ``kappa`` is kept on it: the eigenvalues ``_eig`` of R,
     ``lambda_k = 2 - 2 cos(pi k / n)`` for ``k = 0 .. n-1`` (nondecreasing, the first exactly
     zero: the rank deficiency of the intrinsic field), ``_yhat2_eig`` (``yhat_k^2
-    lambda_k``, :func:`_dct2`), and what an exact sweep computes from S for its anchor alone:
-    the anchor's scans of the level-0 nodes, ``_scans`` (:func:`_windows`), and its side of the
-    lattice pass on the last window used, ``_passes`` (:func:`_lattice_pass`). So an epsilon
-    sweep on one model pays for its base once. S itself is not kept (:func:`_s_terms`)."""
+    lambda_k``, :func:`_dct2`), and what the exact engine computes from S for ``prior`` alone,
+    the base of every sweep and tabulation: its scans of the level-0 nodes, one per scan range
+    (``_scans``, :func:`_windows`), and its side of the lattice pass for the last window used
+    (``_passes``, :func:`_lattice_pass`). So an epsilon sweep on one model pays for its base
+    once. S itself is not kept (:func:`_s_terms`)."""
 
     y: np.ndarray
     kappa: float
@@ -190,9 +193,9 @@ def _log_target(model: RW1Model, prior, us: np.ndarray, s: np.ndarray) -> np.nda
     return (alpha + (model.n - 1) / 2.0) * us - beta * np.exp(us) + s
 
 
-def _windows(model: RW1Model, anchor, points, drop: float) -> tuple[int, int]:
+def _windows(model: RW1Model, points, drop: float) -> tuple[int, int]:
     """Level-0 window ends holding, each within ``drop`` of its peak, the posteriors of
-    the gamma prior ``anchor``, of the ``points`` and of their midpoints with it.
+    the model's prior (the anchor), of the ``points`` and of their midpoints with it.
 
     Relative to the anchor's at its peak node ``u0``, a prior's log density on the scanned
     nodes is at most the anchor's plus ``da (u - u0) - db (e^u - e^u0)`` at the signed
@@ -216,13 +219,12 @@ def _windows(model: RW1Model, anchor, points, drop: float) -> tuple[int, int]:
         t = np.maximum(2.0 * m - 0.5 * np.abs(np.diff(v)), 0.0)  # chord + margin peaks at
         return np.maximum(v[..., :-1], v[..., 1:]) + t * t / (4.0 * m)  # max(v) + (2m - |dv|/2)^2 / 4m
 
-    anchor, points = np.asarray(anchor, dtype=float), np.reshape(np.asarray(points, dtype=float), (-1, 2))
+    anchor, points = np.array(model.prior.as_tuple()), np.reshape(np.asarray(points, dtype=float), (-1, 2))
     d = np.ascontiguousarray(points.T) - anchor[:, None]  # the extremes include the anchor's 0
     (da_lo, db_lo), (da_hi, db_hi), h = d.min(axis=1, initial=0.0), d.max(axis=1, initial=0.0), _LATTICE_STEP
     lo, hi, limit = -_SCAN_WIDEN, _SCAN_WIDEN, _SCAN_LIMIT / h
     while True:
-        key = (tuple(anchor.tolist()), lo, hi)
-        if (kept := model._scans.get(key)) is None:  # the anchor's side: the last anchor's scans are kept
+        if (kept := model._scans.get((lo, hi))) is None:  # the anchor's side, kept per scan range
             ext = np.arange(lo - 1, hi + 2) * h
             us, e_ext = ext[1:-1], np.exp(ext)
             s = _s_terms(model, us)
@@ -236,9 +238,7 @@ def _windows(model: RW1Model, anchor, points, drop: float) -> tuple[int, int]:
             ld, eu = _log_det(model, e_ext), e_ext[1:-1]  # W on each interval, as above:
             step, quad = (ld[1:] - ld[:-1]) / (2.0 * h), s + 0.5 * ld[1:-1]
             w = np.maximum(step[2:] - step[:-2] + quad[:-1] - quad[1:], 1e-300) / (1.0 - math.exp(-h))
-            if any(k[0] != key[0] for k in list(model._scans)):
-                model._scans.clear()
-            model._scans[key] = kept = g, w, eu, us - us[top], eu - eu[top]
+            model._scans[lo, hi] = kept = g, w, eu, us - us[top], eu - eu[top]
         g, w, eu, du, de = kept
         own = np.flatnonzero(g > -drop)[[0, -1]] + [-1, 1]  # the anchor's own window
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -264,15 +264,15 @@ def _windows(model: RW1Model, anchor, points, drop: float) -> tuple[int, int]:
                                      f"posterior tail for prior ({a}, {b}) does not decay on the log-tau axis")
 
 
-def _anchor_level(model: RW1Model, anchor: np.ndarray, lo: int, hi: int, levels, peak=None):
-    """The anchor's side of the nodes that ``levels`` add in the window ``lo .. hi`` (level 0 first;
-    it holds ``u = j * _LATTICE_STEP``, and level ``L >= 1`` adds the odd multiples of ``_LATTICE_STEP
-    / 2^L``): nodes, log density less ``peak`` (by default its maximum), trapezoid weights, their
-    products ``base``, the sum of ``base``, the stats ``(u, e^u, 1)`` and ``peak``."""
+def _anchor_level(model: RW1Model, lo: int, hi: int, levels, peak=None):
+    """The model's prior's side of the nodes that ``levels`` add in the window ``lo .. hi`` (level 0
+    first; it holds ``u = j * _LATTICE_STEP``, and level ``L >= 1`` adds the odd multiples of
+    ``_LATTICE_STEP / 2^L``): nodes, log density less ``peak`` (by default its maximum), trapezoid
+    weights, their products ``base``, the sum of ``base``, the stats ``(u, e^u, 1)`` and ``peak``."""
     us = np.concatenate([_LATTICE_STEP * np.arange(lo, hi + 1) if level == 0 else
                          (2 * np.arange(lo << (level - 1), hi << (level - 1)) + 1) * (_LATTICE_STEP / 2**level)
                          for level in levels])
-    log_w = _log_target(model, anchor, us, _s_terms(model, us))
+    log_w = _log_target(model, model.prior.as_tuple(), us, _s_terms(model, us))
     peak = log_w.max() if peak is None else peak
     log_w -= peak
     weights = np.full(us.size, _LATTICE_STEP / 2 ** levels[-1])
@@ -282,9 +282,9 @@ def _anchor_level(model: RW1Model, anchor: np.ndarray, lo: int, hi: int, levels,
     return us, log_w, weights, base, base.sum(), np.vstack([us, np.exp(us), np.ones(us.size)]), peak
 
 
-def _lattice_pass(model: RW1Model, anchor, points):
-    """``log C`` of an anchor gamma prior and of each point, and the posterior Hellinger
-    distance to each point, from one quadrature on the shared lattice.
+def _lattice_pass(model: RW1Model, points):
+    """``log C`` of the model's gamma prior (the anchor) and of each point, and the
+    posterior Hellinger distance to each point, from one quadrature on the shared lattice.
 
     With ``t`` the log ratio of a point's posterior kernel to the anchor's less a constant
     (its mean under the anchor's posterior, or its peak less 600 where that is larger) and
@@ -296,9 +296,9 @@ def _lattice_pass(model: RW1Model, anchor, points):
     until no sum changes by more than ``_REL_TOL`` times the integral of its absolute value.
     Only the tilts' side runs per call: the anchor's is kept on the model, level by level.
     """
-    anchor, points = np.asarray(anchor, dtype=float), np.asarray(points, dtype=float).reshape(-1, 2)
+    anchor, points = np.array(model.prior.as_tuple()), np.asarray(points, dtype=float).reshape(-1, 2)
     n_pts = len(points)
-    lo, hi = _windows(model, anchor, points, _WINDOW_DROP)
+    lo, hi = _windows(model, points, _WINDOW_DROP)
     # one column per prior, midpoints then points: t = (u, e^u) @ (da, -db)
     tilt = ((points - anchor) * [1.0, -1.0]).T
     tilt = np.hstack([0.5 * tilt, tilt])
@@ -329,12 +329,11 @@ def _lattice_pass(model: RW1Model, anchor, points):
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checks name the node or prior
         first = max(1, math.ceil(math.log2(64 / (hi - lo))))  # first level with >= 64 intervals
-        key = (tuple(anchor.tolist()), lo, hi)
-        if (kept := model._passes.get(key)) is None:  # the anchor's side, kept for the last window used
-            coarse = _anchor_level(model, anchor, lo, hi, range(first))
+        if (kept := model._passes.get((lo, hi))) is None:  # the anchor's side, kept for the last window used
+            coarse = _anchor_level(model, lo, hi, range(first))
             xy = np.column_stack([coarse[0], np.exp(coarse[0])])
             model._passes.clear()
-            model._passes[key] = kept = xy, coarse[3] @ xy, {first - 1: coarse}
+            model._passes[lo, hi] = kept = xy, coarse[3] @ xy, {first - 1: coarse}
         xy, base_xy, levels = kept
         us, log_w, _, _, total, _, peak = coarse = levels[first - 1]
         reach = np.abs(tilt).max(axis=1, initial=0.0) @ (xy[hi - lo] - xy[0])  # >= each tilt's range
@@ -350,7 +349,7 @@ def _lattice_pass(model: RW1Model, anchor, points):
         trap = sums(*coarse)
         for level in range(first, _MAX_LEVEL + 1):
             if level not in levels:
-                levels[level] = _anchor_level(model, anchor, lo, hi, [level], peak)
+                levels[level] = _anchor_level(model, lo, hi, [level], peak)
             finer = 0.5 * trap + sums(*levels[level])
             # x = E0[e] and y = E0[e^2], so E0[e^t] = 1 + 2x + y; where that is 0, log C is -inf
             x, y = finer[0, 1 : 1 + n_pts] / finer[0, 0], finer[0, 1 + n_pts :] / finer[0, 0]
@@ -376,14 +375,23 @@ def tabulate_posterior(model: RW1Model, n_points: int = 2001) -> PosteriorInput:
     """Tabulate the exact posterior of ``log tau`` for the reweighting engine.
 
     ``n_points`` equispaced points span the window where the density stays above 1e-12
-    of its peak, paired with the model's gamma base prior and the log-parameter flag.
+    of its peak, paired with the model's gamma base prior and the log-parameter flag. The
+    window spans at least one level-0 interval, so a posterior with fewer than
+    ``_TABLE_POINTS`` points above that cut (a spacing wider than about one posterior sd) is
+    refused: on a 96-month series, reweighting such tables put worst cases 1.1e-6 (15
+    points) to 0.34 (3 points) relative off.
     """
     if n_points < 8:
         raise DomainError("tabulation needs at least 8 points")
     prior = model.prior.as_tuple()
-    us = np.linspace(*np.multiply(_windows(model, prior, (), _TABLE_DROP), _LATTICE_STEP), n_points)
+    us = np.linspace(*np.multiply(_windows(model, (), _TABLE_DROP), _LATTICE_STEP), n_points)
     g = _log_target(model, prior, us, _s_terms(model, us))
-    grid = normalize_grid(DensityGrid(us, np.exp(g - g.max()), Scale.LOG_PARAMETER))
+    g -= g.max()
+    if (inside := np.count_nonzero(g > -_TABLE_DROP)) < _TABLE_POINTS:
+        raise NumericalError(f"posterior for prior {prior} is too narrow for a {n_points}-point tabulation: "
+                             f"{inside} points lie within exp(-{_TABLE_DROP:g}) of its peak, "
+                             f"fewer than {_TABLE_POINTS}")
+    grid = normalize_grid(DensityGrid(us, np.exp(g), Scale.LOG_PARAMETER))
     return PosteriorInput(grid, PriorSpec(Family.GAMMA, model.prior), Scale.LOG_PARAMETER)
 
 
@@ -398,7 +406,7 @@ def exact_sensitivity(model: RW1Model, epsilon: float, n_angles: int = 400,
     base = PriorSpec(Family.GAMMA, model.prior)
     grid = compute_grid(base, epsilon, n_angles=n_angles, allow_partial=allow_partial)
     priors = grid.points.view(np.ndarray)["point"].view((float, 2))  # (gamma1, gamma2) rows
-    h = _lattice_pass(model, model.prior.as_tuple(), priors)[2]
+    h = _lattice_pass(model, priors)[2]
     return assemble_result(grid, h)
 
 

@@ -68,15 +68,6 @@ class SensitivityResult:
         return self.worst_case > 1.0
 
 
-def _median(values: list[float]) -> float:
-    """The median as ``statistics.median`` defines it: the middle value of the
-    sorted list, or the mean of the middle two (without loading ``statistics``,
-    which imports ``decimal`` and ``fractions``)."""
-    values = sorted(values)
-    half = len(values) // 2
-    return values[half] if len(values) % 2 else (values[half - 1] + values[half]) / 2
-
-
 def assemble_result(grid: PolarGrid, h_post: np.ndarray) -> SensitivityResult:
     """Build a :class:`SensitivityResult` from the posterior distance ``h_post[i]``
     of each solved direction ``grid.points[i]``.
@@ -101,7 +92,7 @@ def assemble_result(grid: PolarGrid, h_post: np.ndarray) -> SensitivityResult:
         worst_angle=float(entries["phi"][worst_index]),
         worst_index=worst_index,
         mean=math.fsum(ratios) / len(ratios),
-        median=_median(ratios),
+        median=float(np.median(ratio)),
         min=min(ratios),
         calibrated_worst=calibrated_ratio(float(entries["h_post"][worst_index]), epsilon),
         cardinal=grid.cardinal,

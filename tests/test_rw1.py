@@ -79,6 +79,13 @@ def small_model(n=12, kappa=2.0, prior=DEFAULT_PRIOR, seed=7):
     return RW1Model(y=y, kappa=kappa, prior=prior)
 
 
+def fresh(model, prior=None):
+    """A copy of ``model``, under the gamma prior ``prior`` (a pair) if given, that keeps
+    nothing yet: its lattice pass asks S for every node it uses (a model that has swept
+    keeps its prior's side and asks for none)."""
+    return RW1Model(model.y, model.kappa, model.prior if prior is None else ParamPoint(*prior))
+
+
 class TestModel:
     def test_minimum_length(self):
         RW1Model(y=np.array([0.1, -0.1]), kappa=1.0)
@@ -340,13 +347,13 @@ class TestLogUnnormalizedPosterior:
 
 def log_normconst(model, alpha, beta):
     """``log C(alpha, beta)`` of the tau posterior: a lattice pass with no other prior."""
-    return _lattice_pass(model, (alpha, beta), [])[0]
+    return _lattice_pass(fresh(model, (alpha, beta)), [])[0]
 
 
 def exact_distance(model, p0, p1):
     """Posterior Hellinger distance between gamma priors ``p0`` and ``p1``: a lattice
     pass anchored at ``p0`` with the one point ``p1``."""
-    return float(_lattice_pass(model, p0.as_tuple(), [p1.as_tuple()])[2][0])
+    return float(_lattice_pass(fresh(model, p0.as_tuple()), [p1.as_tuple()])[2][0])
 
 
 class TestNormconst:
@@ -366,7 +373,7 @@ class TestNormconst:
         anchor = (1.3, 0.7)
         points = [(1.3 * (1 + da), 0.7 * (1 + db)) for da, db in
                   ((0.05, 0.0), (0.0, -0.05), (-0.03, 0.04), (1e-4, 1e-4), (0.2, -0.1))]
-        log_c, log_c_points, _ = _lattice_pass(RW1Model(y=y, kappa=kappa), anchor, points)
+        log_c, log_c_points, _ = _lattice_pass(RW1Model(y=y, kappa=kappa, prior=ParamPoint(*anchor)), points)
         for (a, b), value in zip([anchor, *points], [log_c, *log_c_points]):
             brute = brute_force_log_normconst_n2(y, kappa, a, b)
             assert value == pytest.approx(brute - log_offset_constant_n2(y, kappa, a, b), abs=1e-8)
@@ -374,11 +381,11 @@ class TestNormconst:
     def test_unconverged_prior_is_named(self, monkeypatch):
         # a far, sharply peaked prior needs finer nodes than the others of
         # the sweep; capping the refinement must name it, not the base
-        m = small_model(n=24)
+        m = small_model(n=24)  # prior (1.0, 0.005)
         monkeypatch.setattr(rw1, "_MAX_LEVEL", 3)
-        _lattice_pass(m, (1.0, 0.005), [(1.01, 0.005), (1.0, 0.0051)])
+        _lattice_pass(m, [(1.01, 0.005), (1.0, 0.0051)])
         with pytest.raises(NumericalError, match=r"prior \(200\.0, 1\.0\) did not converge"):
-            _lattice_pass(m, (1.0, 0.005), [(1.01, 0.005), (200.0, 1.0)])
+            _lattice_pass(m, [(1.01, 0.005), (200.0, 1.0)])
 
     def test_self_convergence_under_tolerance_change(self, monkeypatch):
         m = small_model(n=24)
@@ -411,21 +418,15 @@ def test_sweep_windows_match_reference_walk(fixture, eps, request):
     model = request.getfixturevalue(fixture)
     anchor, midpoints, points = contour_priors(model, eps, 16)
     for a, b in np.vstack([anchor, midpoints, points]):
-        lo, hi = rw1._windows(model, (a, b), (), 60.0)
+        lo, hi = rw1._windows(fresh(model, (a, b)), (), 60.0)
         expected = tabulation_window(model.y, model.kappa, a, b, drop=60.0)
         assert (lo * rw1._LATTICE_STEP, hi * rw1._LATTICE_STEP) == expected
 
 
-def fresh(model):
-    """A copy of ``model`` that keeps nothing yet: its lattice pass asks S for every node
-    it uses (a model that has swept keeps its anchor's side and asks for none)."""
-    return RW1Model(model.y, model.kappa, model.prior)
-
-
-def sweep_window(model, anchor, points):
-    """The level-0 window, in coarse nodes, of a lattice pass over ``anchor``,
+def sweep_window(model, points):
+    """The level-0 window, in coarse nodes, of a lattice pass over the model's prior,
     ``points`` and their midpoints, on a fresh copy of ``model``."""
-    return rw1._windows(fresh(model), anchor, points, rw1._WINDOW_DROP)
+    return rw1._windows(fresh(model), points, rw1._WINDOW_DROP)
 
 
 @pytest.mark.parametrize("eps", [1e-4, 1e-2, 0.3, 0.5])
@@ -436,20 +437,19 @@ def test_sweep_window_covers_every_prior(fixture, eps, request):
     # test above ties to the outward walk
     model = request.getfixturevalue(fixture)
     anchor, midpoints, points = contour_priors(model, eps, 16)
-    lo, hi = sweep_window(model, anchor, points)
+    lo, hi = sweep_window(model, points)
     for prior in np.vstack([anchor, midpoints, points]):
-        k_lo, k_hi = rw1._windows(model, prior, (), 60.0)
+        k_lo, k_hi = rw1._windows(fresh(model, prior), (), 60.0)
         assert lo <= k_lo and k_hi <= hi
 
 
 @pytest.mark.parametrize("far", [(2000.0, 1.0), (1.0, 1e3), (800.0, 0.005), (1e4, 0.01)])
 def test_far_prior_in_a_sweep(model2004, far):
-    # a prior whose posterior lies far from the anchor's: its tilt must neither
-    # overflow nor round E0[expm1(t/2)] below -1 (log1p of it is NaN)
-    anchor = (1.0, 0.005)
+    # a prior whose posterior lies far from the anchor's (the model's (1.0, 0.005)): its tilt
+    # must neither overflow nor round E0[expm1(t/2)] below -1 (log1p of it is NaN)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, log_c_points, h = _lattice_pass(model2004, anchor, [(1.01, 0.005), far])
+        _, log_c_points, h = _lattice_pass(model2004, [(1.01, 0.005), far])
         alone = log_normconst(model2004, *far)
     assert log_c_points[1] == pytest.approx(alone, rel=1e-12)
     assert h[1] == 1.0
@@ -511,7 +511,7 @@ def test_non_finite_sweep_integrand_is_named(model96):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="non-finite posterior integrand at log tau = "):
-            _lattice_pass(model96, (1.0, 0.005), [(1.01, 0.005), (1e308, 0.005)])
+            _lattice_pass(model96, [(1.01, 0.005), (1e308, 0.005)])
 
 
 @pytest.mark.parametrize("point", [(1e306, 0.005), (1.0, 1e308)])
@@ -523,7 +523,7 @@ def test_non_finite_sums_are_named(point):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match=message):
-            _lattice_pass(model, (1.0, 0.005), [(1.01, 0.005), point])
+            _lattice_pass(model, [(1.01, 0.005), point])
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2, 0.3])
@@ -581,14 +581,50 @@ def test_concentrated_posterior_through_the_cli(tmp_path, capsys):
     assert [e["h_post"] for e in entries] == pytest.approx(expected, rel=1e-9)
 
 
-def test_posterior_narrower_than_the_lattice_exits_4(tmp_path, capsys):
+def walk_counts():
+    """96 monthly counts of a squared random walk, as CI writes ``counts.csv``."""
+    return np.round((30.0 + np.cumsum(np.random.default_rng(7).normal(0.0, 0.4, 96))) ** 2)
+
+
+@pytest.mark.parametrize("engine,error", [
+    ("exact", "quadrature for prior (100000000.0, 1000000.0) is not finite"),
+    ("reweight", "posterior for prior (100000000.0, 1000000.0) is too narrow for a 2001-point tabulation: "
+                 "3 points lie within exp(-28) of its peak, fewer than 16"),
+], ids=["exact", "reweight"])
+def test_posterior_narrower_than_the_lattice_exits_4(tmp_path, capsys, engine, error):
     # shape 1e8 puts the posterior's log-tau sd near 1e-4, below the spacing of any
-    # coarse pass: its sums overflow, and the error names the prior after no warning
-    counts = np.round((30.0 + np.cumsum(np.random.default_rng(7).normal(0.0, 0.4, 96))) ** 2)
-    code, lines, _ = rw1_cli(tmp_path, capsys, counts, "--prior", "1e8,1e6", "--epsilon", "0.01")
+    # coarse pass (its sums overflow) and of the tabulation: the error names the prior
+    # after no warning
+    code, lines, _ = rw1_cli(tmp_path, capsys, walk_counts(), "--prior", "1e8,1e6", "--epsilon", "0.01",
+                             "--engine", engine)
     assert code == 4
-    assert [line for line in lines if line.startswith(("warning:", "error:"))] == [
-        "error: quadrature for prior (100000000.0, 1000000.0) is not finite"]
+    assert [line for line in lines if line.startswith(("warning:", "error:"))] == [f"error: {error}"]
+
+
+def narrow_model(tmp_path, shape):
+    path = write_counts(tmp_path / "counts.csv", [int(c) for c in walk_counts()])
+    return ingest_timeseries(path, prior=ParamPoint(shape, shape / 100.0))
+
+
+@pytest.mark.parametrize("shape", [1e6, 3e6])
+def test_narrow_posterior_tabulates_as_finely_as_needed(tmp_path, shape):
+    # 30 and 17 of the 2001 points lie within exp(-28) of the peak: the reweighted ratios
+    # agree with those of a tabulation 50 times finer
+    model = narrow_model(tmp_path, shape)
+    grid = compute_grid(PriorSpec(Family.GAMMA, model.prior), 0.00354, n_angles=64)
+    coarse, fine = (circular_sensitivity(tabulate_posterior(model, n_points=k), grid).entries.ratio
+                    for k in (2001, 100001))
+    assert coarse == pytest.approx(fine, rel=1e-8)
+
+
+@pytest.mark.parametrize("shape", [5e6, 1e7, 1e8])
+def test_posterior_too_narrow_to_tabulate_is_refused(tmp_path, shape):
+    # 14, 10 and 3 points within exp(-28) of the peak: reweighted, their worst cases were off
+    # by 3.5e-5, 1.9e-2 and 0.34 relative, with no warning
+    model = narrow_model(tmp_path, shape)
+    name = re.escape(f"prior {(shape, shape / 100.0)} is too narrow for a 2001-point tabulation")
+    with pytest.raises(NumericalError, match=name):
+        tabulate_posterior(model)
 
 
 def contract_draws(seed, count):
@@ -702,14 +738,15 @@ def test_narrow_mode_between_coarse_nodes():
     # anchor's shape is 22.9 less, which leaves its narrow mode 100 nats below its other.
     n = 24
     cosine = np.cos(np.pi * (2 * np.arange(1, n + 1) - 1) / (2 * n))
-    model = RW1Model(y=209.97596700098043 * cosine / np.linalg.norm(cosine), kappa=1.193988928592151)
     point = (4600.0 - (n - 1) / 2, 1.0778679429956248)
     anchor = (point[0] - 22.9, point[1])
-    lo, hi = rw1._windows(model, anchor, [point], 60.0)
+    model = RW1Model(y=209.97596700098043 * cosine / np.linalg.norm(cosine), kappa=1.193988928592151,
+                     prior=ParamPoint(*anchor))
+    lo, hi = rw1._windows(model, [point], 60.0)
     assert lo * rw1._LATTICE_STEP <= 3.0 and 8.25 < hi * rw1._LATTICE_STEP
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        h = _lattice_pass(model, anchor, [point])[2][0]
+        h = _lattice_pass(model, [point])[2][0]
     expected = rw1_hellinger_longdouble(model.y, model.kappa, anchor, [point])[0]
     assert 0.9 < expected < 1.0
     assert h == pytest.approx(expected, rel=1e-8)
@@ -770,7 +807,7 @@ class TestDeepFirstLevel:
     anchor, other = (1.0, 0.005), (3.0, 0.001)
 
     def window(self, model):
-        lo, hi = sweep_window(model, self.anchor, [self.other])
+        lo, hi = sweep_window(model, [self.other])  # the model's prior is the anchor
         assert 4 <= hi - lo < 8
         return lo - 2, hi + 2  # two coarse nodes a side more than the lattice pass takes
 
@@ -807,7 +844,7 @@ def sweep_priors(model, eps):
     """The anchor and points of a 400-angle sweep, and the lattice pass's window
     over them and their midpoints in coarse nodes."""
     anchor, _, points = contour_priors(model, eps, 400)
-    lo, hi = sweep_window(model, anchor, points)
+    lo, hi = sweep_window(model, points)
     return anchor, points, lo, hi
 
 
@@ -838,26 +875,25 @@ def test_sweep_distances_against_fine_trapezoid(fixture, eps, request):
     t -= (t @ w)[:, None]
     log_bc = np.log1p(np.expm1(t / 2) @ w) - 0.5 * np.log1p(np.expm1(t) @ w)
     expected = np.sqrt(-np.expm1(log_bc))
-    h = _lattice_pass(model, tuple(anchor), points)[2]
+    h = _lattice_pass(model, points)[2]
     assert np.max(np.abs(h - expected)) <= 1e-13
 
 
 @pytest.mark.parametrize("fixture", ["model192", "model2004", "model8004"])
 def test_warm_sweeps_equal_a_fresh_models_bitwise(fixture, request):
-    # the anchor's side kept on a model (its scans, and its lattice pass on the last
+    # the prior's side kept on a model (its scans, and its lattice pass on the last
     # window used) gives the bits a fresh model gives, whatever the model served before
     model = fresh(request.getfixturevalue(fixture))
     exact_sensitivity(model, 1e-4, n_angles=400)
     tabulated = tabulate_posterior(model).posterior.values
     assert tabulated.tobytes() == tabulate_posterior(fresh(model)).posterior.values.tobytes()
-    _lattice_pass(model, (3.0, 0.001), [(3.03, 0.001), (2.97, 0.0011)])  # another anchor
     windows = set()
-    # the sweep's own window after another anchor, one widened by a far point, then its own
+    # the sweep's own window after a tabulation, one widened by a far point, then its own
     # again: rebuilt, then kept
     for eps, far in ((1e-2, []), (1e-2, [(30.0, 0.005)]), (1e-3, []), (1e-2, [])):
-        anchor, _, points = contour_priors(model, eps, 400)
+        _, _, points = contour_priors(model, eps, 400)
         points = np.vstack([points, *far])
-        warm, cold = _lattice_pass(model, tuple(anchor), points), _lattice_pass(fresh(model), tuple(anchor), points)
+        warm, cold = _lattice_pass(model, points), _lattice_pass(fresh(model), points)
         assert warm[0] == cold[0]
         assert warm[1].tobytes() == cold[1].tobytes() and warm[2].tobytes() == cold[2].tobytes()
         assert len(model._passes) == 1  # one window per model, the last one used
@@ -868,20 +904,28 @@ def test_warm_sweeps_equal_a_fresh_models_bitwise(fixture, request):
 HISTORY_DRAWS = [draw for i, draw in enumerate(contract_draws(2, 300)) if i in (16, 28, 29)]
 
 
-@pytest.mark.parametrize("history", ["wider_sweep", "other_anchor"])
+@pytest.mark.parametrize("history", ["wider_sweep", "wider_sweep_then_tabulation"])
 @pytest.mark.parametrize("draw", HISTORY_DRAWS, ids=["draw16", "draw28", "draw29"])
 def test_sweeps_after_a_history_equal_a_fresh_models_bitwise(draw, history, contract_csvs):
     # S at a node is computed for each request, never kept: a sweep after a wider sweep,
-    # or after a pass on another anchor, asks S for the nodes a fresh model asks for
+    # and after a tabulation too, asks S for the nodes a fresh model asks for; the model
+    # keeps the scan of every scan range it served
     n, kappa, prior, eps = draw
     model = ingest_timeseries(contract_csvs[n], kappa=kappa, prior=prior)
-    a, b = prior.as_tuple()
-    if history == "wider_sweep":
-        exact_sensitivity(model, min(0.5, 4.0 * eps), n_angles=64)
-    else:
-        _lattice_pass(model, (1.5 * a, 0.7 * b), [(1.6 * a, 0.7 * b)])
-    warm = exact_sensitivity(model, eps, n_angles=64).entries.h_post
-    assert warm.tobytes() == exact_sensitivity(fresh(model), eps, n_angles=64).entries.h_post.tobytes()
+
+    def sweep(e):
+        return lambda m: exact_sensitivity(m, e, n_angles=64).entries.h_post
+
+    ops = [sweep(min(0.5, 4.0 * eps)), sweep(eps)]
+    if history == "wider_sweep_then_tabulation":
+        ops.insert(1, tabulate_posterior)
+    served = set()
+    for op in ops:
+        alone = fresh(model)
+        warm, cold = op(model), op(alone)
+        served |= alone._scans.keys()
+    assert warm.tobytes() == cold.tobytes()
+    assert model._scans.keys() == served
 
 
 @pytest.mark.parametrize("rows,width", [(0, 5), (1, 201), (76, 201), (77, 201), (153, 201), (1000, 3), (5, 1 << 20)])
