@@ -14,24 +14,28 @@ posterior of ``tau`` is
 in ``S`` is one sum over the spectrum and ``log|Q|`` has a closed form (a ratio of
 hyperbolic sines). The quadratic form's constant part ``kappa |y|^2 / 2`` only scales
 the density and is left out of ``S`` (it is added back to ``log C``). ``S`` is evaluated
-on one dyadic log-tau lattice, at the nodes each scan or level uses, and is not kept, so a
-sweep's bits depend only on the model and its priors. The model's own prior is the base of
-every sweep and tabulation. All priors of a sweep (base, contour points, midpoints) are
-integrated on that lattice in one array pass, on one window: a prior's log density is the
-base's plus the tilt ``t = da u - db e^u``, so one scan of the base, with the extremes of
-the tilts and a bound between nodes, finds every node where some prior is within
-``exp(-60)`` of its peak. What depends on the base alone is kept on the model: its scans,
-per scan range, and its side of the pass for the last window (each level's nodes, log
-density, weights and sums), so an epsilon sweep on one model pays for the base once and
-runs only its tilts. With ``E0`` the expectation under the base posterior and
-``e = expm1(t/2)``,
+on one dyadic log-tau lattice, at the nodes each scan or level uses; only a scan keeps its
+own, to add the nodes it skipped, so a sweep's bits depend only on the model and its priors.
+The model's own prior is the base of every sweep and tabulation. All priors of a sweep
+(base, contour points, midpoints) are integrated on that lattice in one array pass, on one
+window: a prior's log density is the base's plus the tilt ``t = da u - db e^u``, so one scan
+of the base, with the extremes of the tilts and a bound between nodes, finds every node
+where some prior is within ``exp(-60)`` of its peak. The scan evaluates S only where a
+closed-form bound lets the base come within ``exp(-80)`` of its peak, and the rest only for a
+sweep that reaches them, so every window is a full scan's. What depends on the base alone is
+kept on the model: its scans, per scan range, and its side of the pass for the last window
+(each level's nodes, log density, weights and sums), so an epsilon sweep on one model pays
+for the base once and runs only its tilts. With ``E0`` the expectation under the base
+posterior and ``e = expm1(t/2)``,
 
     1 - BC^2 = Var0(e) / E0[e^t] = (E0[e^2] - E0[e]^2) / (1 + 2 E0[e] + E0[e^2])
 
 gives the exact Hellinger distance without differences of O(100) log normalizing
 constants, and without a float64 floor at small distances (``t`` is centred, so
-``E0[e]^2`` stays far below ``E0[e^2]``). This module is the exact oracle the
-reweighting engine is validated against, and shares no code with it.
+``E0[e]^2`` stays far below ``E0[e^2]``). The sums are matrix-vector products; only a
+direction whose ``t/2`` reaches 0.5 on some node takes a form in the log weights, with
+pairwise sums. This module is the exact oracle the reweighting engine is validated
+against, and shares no code with it.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ _WINDOW_DROP = 60.0  # exp(-60) ~ 9e-27 relative tail cut for quadrature
 _TABLE_DROP = 28.0  # exp(-28) < 1e-12 relative boundary for tabulation
 _TABLE_POINTS = 16  # tabulated points within exp(-_TABLE_DROP) of the peak a posterior needs
 _SCAN_LIMIT = 300.0
+_SCREEN_DROP = 80.0  # the scan evaluates S where its bound is within exp(-80) of the peak
 _SCAN_WIDEN = 100  # level-0 nodes (50 on the log-tau axis) added per widening
 _MAX_LEVEL = 16
 _REL_TOL = 1e-11  # trapezoid sums settle to this fraction of the integral of |f|
@@ -75,9 +80,9 @@ class RW1Model:
     zero: the rank deficiency of the intrinsic field), ``_yhat2_eig`` (``yhat_k^2
     lambda_k``, :func:`_dct2`), and what the exact engine computes from S for ``prior`` alone,
     the base of every sweep and tabulation: its scans of the level-0 nodes, one per scan range
-    (``_scans``, :func:`_windows`), and its side of the lattice pass for the last window used
+    (``_scans``, :func:`_scan`), and its side of the lattice pass for the last window used
     (``_passes``, :func:`_lattice_pass`). So an epsilon sweep on one model pays for its base
-    once. S itself is not kept (:func:`_s_terms`)."""
+    once. The lattice pass does not keep S (:func:`_s_terms`)."""
 
     y: np.ndarray
     kappa: float
@@ -193,6 +198,57 @@ def _log_target(model: RW1Model, prior, us: np.ndarray, s: np.ndarray) -> np.nda
     return (alpha + (model.n - 1) / 2.0) * us - beta * np.exp(us) + s
 
 
+def _scan(model: RW1Model, lo: int, hi: int, s=None):
+    """The model's prior's side of the level-0 scan ``lo .. hi`` (:func:`_windows`): its log
+    density less its peak, the margins ``W``, ``e^u``, ``u`` and ``e^u`` less theirs at the peak,
+    and S, NaN on the nodes not evaluated. Given ``s``, S is evaluated where it is NaN.
+
+    Without ``s``, S is evaluated where ``L - quad = a u - b e^u - log|Q|/2`` (closed form)
+    peaks, then only where the log density can come within ``_SCREEN_DROP`` of its value there.
+    ``quad <= 0`` is nonincreasing in ``u``, and so is ``-quad / tau = (kappa / 2) sum yhat^2
+    lambda / (tau lambda + kappa)``. So between evaluated nodes ``l < u < r``, ``quad(u)`` lies
+    in ``[max(quad(r), quad(l) e^(u-l)), min(quad(l), quad(r) e^(u-r))]``, and never below
+    ``-kappa |y|^2 / 2``. A skipped node holds the upper bound of the log density, and its
+    intervals the bound of ``W``, so a window that reaches no skipped node is a full scan's.
+    """
+    h, prior = _LATTICE_STEP, model.prior.as_tuple()
+    ext = np.arange(lo - 1, hi + 2) * h
+    us, e_ext = ext[1:-1], np.exp(ext)
+    ld, eu = _log_det(model, e_ext), e_ext[1:-1]
+    floor = -0.5 * model.kappa * (model.y @ model.y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        free = _log_target(model, prior, us, -0.5 * ld[1:-1])  # L - quad >= L
+        if s is not None:
+            todo = np.isnan(s)
+        elif np.all(np.isfinite(free)) and math.isfinite(floor):
+            s, k = np.full(us.size, np.nan), int(np.argmax(free))
+            s[k] = _s_terms(model, us[k : k + 1])[0]
+            q = s[k] + 0.5 * ld[k + 1]  # quad at u_k bounds it on either side, as below
+            todo = free + np.where(us < us[k], q * np.exp(us - us[k]), q) > free[k] + q - _SCREEN_DROP
+            todo[k] = False
+        else:  # no bound: a full scan
+            s, todo = np.full(us.size, np.nan), np.full(us.size, True)
+        known, i = todo | ~np.isnan(s), np.arange(us.size)
+        s[todo] = _s_terms(model, us[todo])
+        left = np.maximum.accumulate(np.where(known, i, 0))
+        right = np.minimum.accumulate(np.where(known, i, us.size - 1)[::-1])[::-1]
+        quad = s + 0.5 * ld[1:-1]
+        q_l, q_r = np.where(known[left], quad[left], np.nan), np.where(known[right], quad[right], np.nan)
+        q_hi = np.fmin(q_l, np.fmin(q_r * np.exp(us - us[right]), 0.0))
+        q_lo = np.fmax(np.fmax(q_r, q_l * np.exp(us - us[left])), floor)
+        q_hi[known], q_lo[known] = quad[known], quad[known]
+        g = np.where(known, _log_target(model, prior, us, s), free + q_hi)
+    if not np.all(np.isfinite(g)):
+        if not known.all():  # as a full scan would, name the first such node
+            return _scan(model, lo, hi, s)
+        bad = float(us[np.argmin(np.isfinite(g))])
+        raise NumericalError(f"non-finite posterior integrand at log tau = {bad!r}")
+    top = int(np.argmax(np.where(known, g, -np.inf)))
+    step = (ld[1:] - ld[:-1]) / (2.0 * h)  # W on each interval, as in _windows:
+    w = np.maximum(step[2:] - step[:-2] + q_hi[:-1] - q_lo[1:], 1e-300) / (1.0 - math.exp(-h))
+    return g - g[top], w, eu, us - us[top], eu - eu[top], s
+
+
 def _windows(model: RW1Model, points, drop: float) -> tuple[int, int]:
     """Level-0 window ends holding, each within ``drop`` of its peak, the posteriors of
     the model's prior (the anchor), of the ``points`` and of their midpoints with it.
@@ -205,7 +261,8 @@ def _windows(model: RW1Model, points, drop: float) -> tuple[int, int]:
     bound and best node, and the window is the hull of the intervals within ``drop`` of one.
     The scan (``u`` in [-50, 50]) widens by 50 a side while a prior is within ``drop`` at its
     edge: past ``+-_SCAN_LIMIT`` one whose best node is that edge has escaped, and past
-    twice that one does not decay.
+    twice that one does not decay. Flagged nodes that reach one the scan skipped (:func:`_scan`)
+    have it evaluate the rest, once per scan range.
 
     Between nodes ``h`` apart ``L = a u - b e^u + S`` stays below its chord plus ``(b e^u +
     W) d (h - d) / 2`` with ``-S'' <= W``: per eigenvalue, ``-S''`` has the term ``s (1-s) (1/2
@@ -224,27 +281,17 @@ def _windows(model: RW1Model, points, drop: float) -> tuple[int, int]:
     (da_lo, db_lo), (da_hi, db_hi), h = d.min(axis=1, initial=0.0), d.max(axis=1, initial=0.0), _LATTICE_STEP
     lo, hi, limit = -_SCAN_WIDEN, _SCAN_WIDEN, _SCAN_LIMIT / h
     while True:
-        if (kept := model._scans.get((lo, hi))) is None:  # the anchor's side, kept per scan range
-            ext = np.arange(lo - 1, hi + 2) * h
-            us, e_ext = ext[1:-1], np.exp(ext)
-            s = _s_terms(model, us)
-            with np.errstate(over="ignore"):  # the check below names the node
-                g = _log_target(model, anchor, us, s)
-            if not np.all(np.isfinite(g)):
-                bad = float(us[np.argmin(np.isfinite(g))])
-                raise NumericalError(f"non-finite posterior integrand at log tau = {bad!r}")
-            top = int(np.argmax(g))
-            g -= g[top]
-            ld, eu = _log_det(model, e_ext), e_ext[1:-1]  # W on each interval, as above:
-            step, quad = (ld[1:] - ld[:-1]) / (2.0 * h), s + 0.5 * ld[1:-1]
-            w = np.maximum(step[2:] - step[:-2] + quad[:-1] - quad[1:], 1e-300) / (1.0 - math.exp(-h))
-            model._scans[lo, hi] = kept = g, w, eu, us - us[top], eu - eu[top]
-        g, w, eu, du, de = kept
+        if (scan := model._scans.get((lo, hi))) is None:  # the anchor's side, kept per scan range
+            scan = model._scans[lo, hi] = _scan(model, lo, hi)
+        g, w, eu, du, de, s = scan
         own = np.flatnonzero(g > -drop)[[0, -1]] + [-1, 1]  # the anchor's own window
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             v = g + np.where(du < 0, da_lo * du - db_hi * de, da_hi * du - db_lo * de)
             flagged = ~(bound(v, 0, g.size, anchor[1] + db_hi) <= -drop)  # NaN: an overflow
             j0, j1 = np.flatnonzero(flagged)[[0, -1]] + [0, 2]  # the flagged nodes' span
+            if np.isnan(s[j0:j1]).any():  # a node the scan skipped: evaluate them all
+                model._scans[lo, hi] = _scan(model, lo, hi, s.copy())
+                continue
             if j0 == own[0] and j1 - 1 == own[1]:
                 return lo + int(j0), lo + int(j1) - 1
             priors = np.vstack([anchor, points, 0.5 * (anchor + points)])  # the priors errors name
@@ -312,19 +359,22 @@ def _lattice_pass(model: RW1Model, points):
             half = half_tilt[block] @ stats
             near = half.max() < 0.5
             e = np.expm1(half if near else np.minimum(half, 0.5))
-            sq = e * e
-            if near:  # matrix-vector products, as base >= 0 (and e^2 >= 0)
-                rows_sq[:, block] = sq @ base
-                rows_e[:, block] = e @ base, np.abs(e, out=e) @ base
+            rows_sq[:, block] = (e * e) @ base  # matrix-vector products for every row, as base >= 0
+            rows_e[:, block] = e @ base, np.abs(e, out=e) @ base
+            if near:
                 continue
-            # log_w + t <= ~600, so these forms cannot overflow where log_w underflows; pairwise
-            # sums as for the base's, so a row of -base sums to exactly minus the base's
-            far = np.nonzero(half >= 0.5)
-            w, lw, b = weights[far[1]], log_w[far[1]], base[far[1]]
-            a, e, sq = w * np.exp(lw + half[far]), e * base, sq * base
-            e[far], sq[far] = a - b, w * np.exp(lw + 2.0 * half[far]) - 2.0 * a + b
+            # the far rows again (NaN: far): log_w + t <= ~600, so these forms cannot overflow
+            # where log_w underflows; pairwise sums as for the base's, so a row of -base sums
+            # to exactly minus the base's
+            far_rows = np.flatnonzero(~(half.max(axis=1) < 0.5))
+            half = half[far_rows]
+            e, far = np.expm1(np.minimum(half, 0.5)), np.flatnonzero(half >= 0.5)
+            cells = far % us.size
+            w, lw, b, half = weights[cells], log_w[cells], base[cells], half.ravel()[far]
+            a, sq, e = w * np.exp(lw + half), e * e * base, e * base
+            e.ravel()[far], sq.ravel()[far] = a - b, w * np.exp(lw + 2.0 * half) - 2.0 * a + b
             for dst, p in ((rows_e, e), (rows_sq, sq)):
-                dst[:, block] = p.sum(axis=1), np.abs(p, out=p).sum(axis=1)
+                dst[:, block.start + far_rows] = p.sum(axis=1), np.abs(p, out=p).sum(axis=1)
         return out
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checks name the node or prior

@@ -84,6 +84,7 @@ def assemble_result(grid: PolarGrid, h_post: np.ndarray) -> SensitivityResult:
     ratio = entries["ratio"] = entries["h_post"] / epsilon
     ratios = ratio.tolist()
     worst_index = int(np.argmax(ratio))
+    ordered, middle = sorted(ratios), len(ratios) // 2  # np.median's floats, without numpy.ma
     return SensitivityResult(
         epsilon=epsilon,
         base=grid.base,
@@ -92,7 +93,7 @@ def assemble_result(grid: PolarGrid, h_post: np.ndarray) -> SensitivityResult:
         worst_angle=float(entries["phi"][worst_index]),
         worst_index=worst_index,
         mean=math.fsum(ratios) / len(ratios),
-        median=float(np.median(ratio)),
+        median=ordered[middle] if len(ratios) % 2 else (ordered[middle - 1] + ordered[middle]) / 2,
         min=min(ratios),
         calibrated_worst=calibrated_ratio(float(entries["h_post"][worst_index]), epsilon),
         cardinal=grid.cardinal,

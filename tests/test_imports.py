@@ -90,6 +90,22 @@ def test_exact_engine_loads_no_reweighting(tmp_path, counts_csv):
     assert (tmp_path / "rw1.json").is_file()
 
 
+def test_result_making_commands_load_no_numpy_ma(tmp_path, counts_csv):
+    # a result's median is taken without numpy's NaN check, which imports numpy.ma (12-14 ms
+    # of each process's start-up)
+    from oracles import write_density_csv
+    from priorscan import Family, ParamPoint, PriorSpec, Scale, tabulate_prior
+
+    posterior = tmp_path / "posterior.csv"
+    write_density_csv(posterior, tabulate_prior(PriorSpec(Family.GAMMA, ParamPoint(1.0, 0.34)), Scale.LOG_PARAMETER))
+    runs = {"sensitivity": ["--family", "gamma", "--gamma0", "1,0.34", "--log-scale", "--posterior", str(posterior)],
+            "rw1": ["--data", str(counts_csv)]}
+    for command, args in runs.items():
+        outdir = tmp_path / command
+        assert cli_modules_after(("numpy.ma",), [command, *args, "--outdir", str(outdir)]) == []
+        assert any(outdir.glob("*.json"))
+
+
 def test_tabulate_prior_loads_no_scipy():
     # numpy is the only runtime dependency: the tabulation windows are solved with it alone
     code = (

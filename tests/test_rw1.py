@@ -901,6 +901,80 @@ def test_warm_sweeps_equal_a_fresh_models_bitwise(fixture, request):
     assert len(windows) == 2
 
 
+@pytest.mark.parametrize("fixture", ["model2004", "model8004"])
+def test_cold_sweep_evaluates_s_only_where_the_base_can_hold_mass(fixture, request, monkeypatch):
+    # S costs about 1.6 ns per eigenvalue and node. The scan evaluates it where its closed-form
+    # bound lets the base's posterior come within exp(-80) of its peak (21 to 23 of its 201
+    # nodes here) and the lattice pass on its own nodes (97 here): 118 and 120 in all, against
+    # 298 with every scan node
+    sizes, s_terms = [], rw1._s_terms
+    monkeypatch.setattr(rw1, "_s_terms", lambda model, us: (sizes.append(us.size), s_terms(model, us))[1])
+    exact_sensitivity(fresh(request.getfixturevalue(fixture)), 1e-4)
+    assert sum(sizes) <= 130
+
+
+def screened_and_full_scans(model):
+    """The scan of ``u`` in [-50, 50] on a fresh copy of ``model``, and with S on every node."""
+    lo, hi = -rw1._SCAN_WIDEN, rw1._SCAN_WIDEN
+    return rw1._scan(fresh(model), lo, hi), rw1._scan(fresh(model), lo, hi, np.full(hi - lo + 1, np.nan))
+
+
+@pytest.mark.parametrize("source", ["model192", "model2004", "model8004", *range(0, 300, 10)])
+def test_skipped_scan_nodes_hold_upper_bounds(source, contract_csvs, request):
+    # a skipped node's log density and its intervals' W bound the full scan's, which every
+    # window test above relies on
+    if isinstance(source, str):
+        model = request.getfixturevalue(source)
+    else:
+        n, kappa, prior, _ = list(contract_draws(2, 300))[source]
+        model = ingest_timeseries(contract_csvs[n], kappa=kappa, prior=prior)
+    try:
+        (g, w, *_, s), (g_full, w_full, *_) = screened_and_full_scans(model)
+    except NumericalError:
+        return
+    skipped = np.isnan(s)
+    assert not skipped[np.argmax(g_full)] and np.all(g[skipped] <= -rw1._SCREEN_DROP)
+    assert np.all(g[skipped] >= g_full[skipped] - 1e-12 * np.abs(g_full[skipped]))  # rounding
+    touching = skipped[:-1] | skipped[1:]
+    assert np.all(w[touching] >= w_full[touching] - 1e-9 * (1.0 + w_full[touching]))  # W cancels
+    assert np.allclose(g[~skipped], g_full[~skipped], rtol=1e-12, atol=1e-9)
+
+
+def test_a_direction_keeps_its_bits_beside_a_far_point(model192):
+    # a far point (t/2 >= 0.5 on some node) sits in the first block of rows, beside
+    # direction 0, or after every direction, in a later block; the set of priors, so the
+    # window and the levels, is the same. Only the far row takes the far form, so each
+    # direction that keeps its row keeps its bits, and the far point's h is the same too
+    _, _, points = contour_priors(model192, 1e-3, 400)
+    far = [30.0, 0.005]
+    beside = np.vstack([points[:1], far, points[2:], points[1:2]])
+    apart = np.vstack([points, far])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h_beside, h_apart = _lattice_pass(fresh(model192), beside)[2], _lattice_pass(fresh(model192), apart)[2]
+    kept = np.r_[0, 2:400]
+    assert h_beside[kept].tobytes() == h_apart[kept].tobytes()
+    assert h_beside[1] == h_apart[400]
+
+
+@pytest.mark.parametrize("fixture", ["model192", "model2004"])
+def test_a_screened_scan_serves_wider_sweeps_and_tabulation_as_a_fresh_model(fixture, request):
+    # the cold sweep's scan skips most nodes; a sweep at 0.3 with a far point reaches some
+    # of them at n = 192, which the scan then evaluates: at each step the model gives the
+    # bits of a fresh one
+    model = fresh(request.getfixturevalue(fixture))
+    for eps, far in ((1e-4, []), (0.3, [(30.0, 0.005)])):
+        _, _, points = contour_priors(model, eps, 400)
+        points = np.vstack([points, *far])
+        warm, cold = _lattice_pass(model, points), _lattice_pass(fresh(model), points)
+        assert warm[0] == cold[0]
+        assert warm[1].tobytes() == cold[1].tobytes() and warm[2].tobytes() == cold[2].tobytes()
+    skipped = np.isnan(model._scans[-rw1._SCAN_WIDEN, rw1._SCAN_WIDEN][-1]).sum()
+    assert (skipped == 0) == (fixture == "model192")  # 180 of 201 skipped at n = 2004
+    assert tabulate_posterior(model).posterior.values.tobytes() == \
+        tabulate_posterior(fresh(model)).posterior.values.tobytes()
+
+
 HISTORY_DRAWS = [draw for i, draw in enumerate(contract_draws(2, 300)) if i in (16, 28, 29)]
 
 

@@ -75,7 +75,7 @@ class TestAssembleResult:
         ],
     )
     def test_summary_statistics_match_the_statistics_module(self, ratios):
-        # without statistics: fmean is fsum / len, median numpy's
+        # without statistics: fmean is fsum / len, median the middle of the sorted ratios
         res = make_result(ratios, epsilon=0.5)
         values = res.entries.ratio.tolist()
         assert res.mean == statistics.fmean(values)
@@ -87,7 +87,7 @@ class TestAssembleResult:
          [0.1, 0.7, 0.2, 0.7, 0.3, 0.1, 0.9]],
     )
     def test_median_is_bitwise_the_statistics_median(self, values):
-        # a result's median is numpy's; both overflow to inf on [1e308, 1.7e308], where
+        # a result's median, sorted in Python, is numpy's; both overflow to inf on [1e308, 1.7e308], where
         # numpy also warns (a result never holds those ratios: its mean's fsum raises first)
         with np.errstate(over="ignore"):
             assert float(np.median(values)) == statistics.median(values)
