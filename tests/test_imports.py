@@ -155,6 +155,7 @@ def test_public_api_size():
     names = priorscan.__all__
     assert names == sorted(set(names))
     assert all(hasattr(priorscan, name) for name in names)
+    assert set(names) <= set(dir(priorscan))
     assert len(names) <= 40
     # contours and results are record arrays, with no object per direction
     assert not hasattr(priorscan, "GridPoint") and not hasattr(priorscan, "SensitivityEntry")

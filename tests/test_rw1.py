@@ -37,15 +37,16 @@ from priorscan import (
     tabulate_posterior,
 )
 from priorscan import rw1
-from priorscan.cli import main
+from priorscan.cli import DEFAULT_EPSILON, main
 from priorscan.grids import trapezoid_mass
 from priorscan.sensitivity import ENTRY_DTYPE
 from priorscan.rw1 import (
     _dct2,
     _lattice_pass,
+    _log_det,
     _log_target,
+    _quad,
     _s_terms,
-    _spectral_sums,
 )
 from rw1_experiment import synth_counts
 
@@ -148,7 +149,7 @@ class TestStructure:
         # series is kappa y'y / 2 whatever the smoothing
         m = RW1Model(y=np.full(6, 0.7), kappa=2.0)
         taus = np.array([0.0, 1.0, 1e3, 1e9])
-        values = _spectral_sums(m, taus)[0] + data_constant(m)
+        values = _quad(m, taus) + data_constant(m)
         assert np.allclose(values, 0.5 * m.kappa * float(m.y @ m.y), rtol=1e-13)
 
     def test_matches_entrywise_oracle(self):
@@ -189,8 +190,8 @@ class TestEigenvalues:
 
 
 def logdet(tau, kappa, n):
-    """``log det(tau R + kappa I)`` from the production spectral sums (``y`` plays no part)."""
-    return float(_spectral_sums(RW1Model(y=np.zeros(n), kappa=kappa), np.array([tau]))[1][0])
+    """``log det(tau R + kappa I)`` from the production closed form (``y`` plays no part)."""
+    return float(_log_det(RW1Model(y=np.zeros(n), kappa=kappa), np.array([tau]))[0])
 
 
 def data_constant(model):
@@ -199,9 +200,9 @@ def data_constant(model):
 
 
 def quad(model, tau):
-    """``kappa^2 y' Q^-1 y / 2`` from the production spectral sums, with the
+    """``kappa^2 y' Q^-1 y / 2`` from the production spectral sum, with the
     constant ``kappa |y|^2 / 2`` added back."""
-    return float(_spectral_sums(model, np.array([tau]))[0][0]) + data_constant(model)
+    return float(_quad(model, np.array([tau]))[0]) + data_constant(model)
 
 
 class TestSpectralSolve:
@@ -251,7 +252,7 @@ class TestLogdetQ:
         us = np.linspace(-50.0, 50.0, 101)
         eig = eigenvalues(n)
         for kappa in (0.02, 0.7, 4.2):
-            values = _spectral_sums(RW1Model(y=np.zeros(n), kappa=kappa), np.exp(us))[1]
+            values = _log_det(RW1Model(y=np.zeros(n), kappa=kappa), np.exp(us))
             expected = np.array([math.fsum(np.log(math.exp(u) * eig + kappa)) for u in us])
             assert np.max(np.abs(values - expected) / np.abs(expected)) <= 1e-13
             assert logdet(0.0, kappa, n) == pytest.approx(n * math.log(kappa), rel=1e-14)
@@ -278,7 +279,7 @@ class TestQuadTerm:
         # LAPACK solve; they must coincide wherever both are well conditioned
         m = small_model(n=30)
         taus = np.array([1e-3, 0.01, 0.5, 1.0, 20.0, 1e4])
-        batch = _spectral_sums(m, taus)[0] + data_constant(m)
+        batch = _quad(m, taus) + data_constant(m)
         scalar = np.array([dense_quad_term(m.y, t, m.kappa) for t in taus])
         assert np.allclose(batch, scalar, rtol=1e-10)
 
@@ -627,6 +628,42 @@ def test_posterior_too_narrow_to_tabulate_is_refused(tmp_path, shape):
         tabulate_posterior(model)
 
 
+@pytest.mark.parametrize("shape", [1.5e6, 2.2e6, 2.5e6, 2.8e6, 3e6, 3.3e6, 3.6e6])
+def test_large_prior_shape_answers_as_the_reweighting_route(tmp_path, shape):
+    # at shape 1.5e6, a u and b e^u are 6.8e6 and 1.35e6: summed as they stand, they left
+    # about 1e-9 nats of rounding on each node, and the lattice's sums stalled above their
+    # 1e-11 tolerance from level 11 to 16. Taken about a node near the peak they settle, and
+    # the ratios are the reweighting route's: at most 1.6e-7 apart, at shape 3.6e6, where
+    # the route's 2001-point table is that far off a 100001-point one
+    model = narrow_model(tmp_path, shape)
+    grid = compute_grid(PriorSpec(Family.GAMMA, model.prior), DEFAULT_EPSILON)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exact = exact_sensitivity(model, DEFAULT_EPSILON).entries.ratio
+    reweighted = circular_sensitivity(tabulate_posterior(model), grid).entries.ratio
+    assert np.max(np.abs(exact - reweighted)) <= 1e-6
+
+
+def test_a_screened_scan_names_the_non_finite_node_a_full_scan_names(monkeypatch):
+    # kappa |y|^2 / 2 = 1.6e308 is finite, so the scan screens its nodes; a log density is not
+    # finite on some node, so it evaluates the nodes it skipped and names the first such node,
+    # as a scan of every node does
+    model = RW1Model(y=math.sqrt(1e307) * (-1.0) ** np.arange(4), kappa=8.0,
+                     prior=ParamPoint(1e306, 1e306 * math.exp(-45)))
+    message = re.escape("non-finite posterior integrand at log tau = 49.5")
+    lo, hi = -rw1._SCAN_WIDEN, rw1._SCAN_WIDEN
+    with pytest.raises(NumericalError, match=message):
+        rw1._scan(fresh(model), lo, hi, np.full(hi - lo + 1, np.nan))
+    skipped, scan = [], rw1._scan  # per call, the nodes given without quad (None: not given)
+    monkeypatch.setattr(rw1, "_scan", lambda *args: (
+        skipped.append(np.isnan(args[3]).sum() if len(args) > 3 else None), scan(*args))[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=message):
+            tabulate_posterior(model)
+    assert skipped[0] is None and 0 < skipped[1] < hi - lo + 1 and len(skipped) == 2
+
+
 def contract_draws(seed, count):
     """Series length, kappa, prior and epsilon of ``count`` seeded draws: n 24, 96 or
     192, and kappa, shape, rate and epsilon log-uniform on [1e-2, 1e8], [1e-2, 1e4],
@@ -857,7 +894,7 @@ def test_sweep_stops_at_first_level_with_64_intervals(fixture, eps, request):
     _, _, lo, hi = sweep_priors(model, eps)
     model = fresh(model)
     exact_sensitivity(model, eps, n_angles=400)
-    (levels,) = [kept[2] for kept in model._passes.values()]  # the levels the pass summed
+    (levels,) = model._passes.values()  # the levels the pass summed
     assert max(levels) <= max(1, math.ceil(math.log2(64 / (hi - lo))))
 
 
@@ -903,18 +940,18 @@ def test_warm_sweeps_equal_a_fresh_models_bitwise(fixture, request):
 
 @pytest.mark.parametrize("fixture", ["model2004", "model8004"])
 def test_cold_sweep_evaluates_s_only_where_the_base_can_hold_mass(fixture, request, monkeypatch):
-    # S costs about 1.6 ns per eigenvalue and node. The scan evaluates it where its closed-form
-    # bound lets the base's posterior come within exp(-80) of its peak (21 to 23 of its 201
-    # nodes here) and the lattice pass on its own nodes (97 here): 118 and 120 in all, against
-    # 298 with every scan node
-    sizes, s_terms = [], rw1._s_terms
-    monkeypatch.setattr(rw1, "_s_terms", lambda model, us: (sizes.append(us.size), s_terms(model, us))[1])
+    # S's quadratic form costs about 1.6 ns per eigenvalue and node. The scan evaluates it where
+    # its closed-form bound lets the base's posterior come within exp(-80) of its peak (21 to 23
+    # of its 201 nodes here) and the lattice pass on its own nodes (97 here): 118 and 120 in all,
+    # against 298 with every scan node
+    sizes, quad = [], rw1._quad
+    monkeypatch.setattr(rw1, "_quad", lambda model, taus: (sizes.append(taus.size), quad(model, taus))[1])
     exact_sensitivity(fresh(request.getfixturevalue(fixture)), 1e-4)
     assert sum(sizes) <= 130
 
 
 def screened_and_full_scans(model):
-    """The scan of ``u`` in [-50, 50] on a fresh copy of ``model``, and with S on every node."""
+    """The scan of ``u`` in [-50, 50] on a fresh copy of ``model``, and with ``quad`` on every node."""
     lo, hi = -rw1._SCAN_WIDEN, rw1._SCAN_WIDEN
     return rw1._scan(fresh(model), lo, hi), rw1._scan(fresh(model), lo, hi, np.full(hi - lo + 1, np.nan))
 
@@ -929,10 +966,10 @@ def test_skipped_scan_nodes_hold_upper_bounds(source, contract_csvs, request):
         n, kappa, prior, _ = list(contract_draws(2, 300))[source]
         model = ingest_timeseries(contract_csvs[n], kappa=kappa, prior=prior)
     try:
-        (g, w, *_, s), (g_full, w_full, *_) = screened_and_full_scans(model)
+        (g, w, *_, quad), (g_full, w_full, *_) = screened_and_full_scans(model)
     except NumericalError:
         return
-    skipped = np.isnan(s)
+    skipped = np.isnan(quad)
     assert not skipped[np.argmax(g_full)] and np.all(g[skipped] <= -rw1._SCREEN_DROP)
     assert np.all(g[skipped] >= g_full[skipped] - 1e-12 * np.abs(g_full[skipped]))  # rounding
     touching = skipped[:-1] | skipped[1:]
