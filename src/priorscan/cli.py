@@ -187,7 +187,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                        help="gamma prior on the smoothing precision "
                        f"(default {DEFAULT_PRIOR.gamma1:g},{DEFAULT_PRIOR.gamma2:g})")
     p_rw1.add_argument("--engine", choices=["exact", "reweight"], default="exact",
-                       help="posterior distances: closed-form constants or grid reweighting "
+                       help="posterior distances: exact lattice sums or grid reweighting "
                        "(default %(default)s)")
 
     for name, p in sub.choices.items():

@@ -92,7 +92,7 @@ POINT_DTYPE = np.dtype([("gamma1", float), ("gamma2", float)])
 GRID_DTYPE = np.dtype([("phi", float), ("point", POINT_DTYPE), ("residual", float)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolarGrid:
     """An epsilon-contour sampled over equidistant angles.
 

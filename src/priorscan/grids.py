@@ -34,7 +34,7 @@ class Scale(str, Enum):
     LOG_PARAMETER = "log"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityGrid:
     """Density values tabulated on a strictly increasing support.
 
@@ -177,7 +177,7 @@ def read_density_csv(path, scale: Scale = Scale.NATURAL) -> DensityGrid:
         raise IngestionError(f"{path}: {exc}") from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PosteriorInput:
     """A normalized marginal posterior tied to the prior it was computed under.
 

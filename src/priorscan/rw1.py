@@ -13,7 +13,7 @@ posterior of ``tau`` is
 ``R`` has eigenvalues ``2 - 2 cos(pi (i - 1) / n)``, ``i = 1..n``, so the quadratic form
 in ``S`` is one sum over the spectrum and ``log|Q|`` has a closed form (a ratio of
 hyperbolic sines). The quadratic form's constant part ``kappa |y|^2 / 2`` only scales
-the density and is left out of ``S`` (it is added back to ``log C``). ``S`` is evaluated
+the density and is left out of ``S``. ``S`` is evaluated
 on one dyadic log-tau lattice, at the nodes each scan or level uses; only a scan keeps its
 quadratic form, to add the nodes it skipped, so a sweep's bits depend only on the model and
 its priors. The model's own prior is the base of every sweep and tabulation, and its log
@@ -25,9 +25,9 @@ the extremes of the tilts and a bound between nodes, finds every node where some
 within ``exp(-60)`` of its peak. The scan evaluates S only where a
 closed-form bound lets the base come within ``exp(-80)`` of its peak, and the rest only for a
 sweep that reaches them, so every window is a full scan's. What depends on the base alone is
-kept on the model: its scans, per scan range, and its side of the pass for the last window
-(per level: nodes, log density, weights and sums), so an epsilon sweep on one model pays
-for the base once and runs only its tilts. With ``E0`` the expectation under the base
+kept on the model: its scans, per scan range, and its side of the pass, per window (per
+level: nodes, log density, weights and sums), so an epsilon sweep on one model pays for the
+base once per window and runs only its tilts. With ``E0`` the expectation under the base
 posterior and ``e = expm1(t/2)``,
 
     1 - BC^2 = Var0(e) / E0[e^t] = (E0[e^2] - E0[e]^2) / (1 + 2 E0[e] + E0[e^2])
@@ -74,7 +74,7 @@ _BLOCK_CELLS = 15 << 10
 _SPECTRAL_CELLS = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RW1Model:
     """Data, noise precision and smoothing prior of the random-walk model; frozen, as the
     spectral data built from ``y`` and ``kappa`` is kept on it: the eigenvalues ``_eig`` of R,
@@ -82,17 +82,17 @@ class RW1Model:
     zero: the rank deficiency of the intrinsic field), ``_yhat2_eig`` (``yhat_k^2
     lambda_k``, :func:`_dct2`), and what the exact engine computes from S for ``prior`` alone,
     the base of every sweep and tabulation: its scans of the level-0 nodes, one per scan range
-    (``_scans``, :func:`_scan`), and its side of the lattice pass for the last window used, level
-    by level (``_passes``, :func:`_lattice_pass`). So an epsilon sweep on one model pays for its
-    base once. The lattice pass does not keep S (:func:`_s_terms`)."""
+    (``_scans``, :func:`_scan`), and its side of the lattice pass, one per window, level by level
+    (``_passes``, :func:`_lattice_pass`). So an epsilon sweep on one model pays for its base once
+    per window. The lattice pass does not keep S (:func:`_s_terms`). Models compare by identity."""
 
     y: np.ndarray
     kappa: float
     prior: ParamPoint = DEFAULT_PRIOR
-    _eig: np.ndarray = field(init=False, repr=False, compare=False)
-    _yhat2_eig: np.ndarray = field(init=False, repr=False, compare=False)
-    _scans: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    _passes: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _eig: np.ndarray = field(init=False, repr=False)
+    _yhat2_eig: np.ndarray = field(init=False, repr=False)
+    _scans: dict = field(init=False, repr=False, default_factory=dict)
+    _passes: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         y = np.array(self.y, dtype=float)
@@ -193,10 +193,10 @@ def _s_terms(model: RW1Model, us: np.ndarray) -> np.ndarray:
     return _quad(model, taus) - 0.5 * _log_det(model, taus)
 
 
-def _log_target(model: RW1Model, prior, us: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Log posterior density at ``u = log tau`` given ``s = S(us)``, under one gamma
+def _log_target(model: RW1Model, us: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Log posterior density at ``u = log tau`` given ``s = S(us)``, under the model's gamma
     prior ``(alpha, beta)``; ``alpha + (n-1)/2`` absorbs the log Jacobian."""
-    alpha, beta = prior
+    alpha, beta = model.prior.as_tuple()
     return (alpha + (model.n - 1) / 2.0) * us - beta * np.exp(us) + s
 
 
@@ -212,7 +212,7 @@ def _base_log_density(model: RW1Model, us: np.ndarray, centre=None):
     """
     s, (alpha, beta) = _s_terms(model, us), model.prior.as_tuple()
     if centre is None:
-        j = np.argmax(_log_target(model, (alpha, beta), us, s))
+        j = np.argmax(_log_target(model, us, s))
         centre = us[j], s[j]
     uc, sc = centre
     du = us - uc
@@ -234,13 +234,13 @@ def _scan(model: RW1Model, lo: int, hi: int, quad=None):
     ``quad`` (on an evaluated node, ``quad`` itself), and the intervals of a skipped node hold the
     bound of ``W``, so a window that reaches no skipped node is a full scan's.
     """
-    h, prior = _LATTICE_STEP, model.prior.as_tuple()
+    h = _LATTICE_STEP
     ext = np.arange(lo - 1, hi + 2) * h
     us, e_ext = ext[1:-1], np.exp(ext)
     ld, eu = _log_det(model, e_ext), e_ext[1:-1]
     floor = -0.5 * model.kappa * (model.y @ model.y)
     with np.errstate(over="ignore", invalid="ignore"):
-        free = _log_target(model, prior, us, -0.5 * ld[1:-1])  # L - quad >= L
+        free = _log_target(model, us, -0.5 * ld[1:-1])  # L - quad >= L
         if quad is not None:
             todo = np.isnan(quad)
         elif np.all(np.isfinite(free)) and math.isfinite(floor):
@@ -332,37 +332,37 @@ def _windows(model: RW1Model, points, drop: float) -> tuple[int, int]:
                                      f"posterior tail for prior ({a}, {b}) does not decay on the log-tau axis")
 
 
-def _anchor_level(model: RW1Model, lo: int, hi: int, levels, centre=None):
-    """The model's prior's side of the nodes that ``levels`` add in the window ``lo .. hi`` (level 0
-    first; it holds ``u = j * _LATTICE_STEP``, and level ``L >= 1`` adds the odd multiples of
-    ``_LATTICE_STEP / 2^L``): nodes, log density less its value at the ``centre`` node (by default
-    the best of these nodes; :func:`_base_log_density`), trapezoid weights, their products ``base``,
-    the sum of ``base``, the stats ``(u, e^u, 1)`` and the centre."""
-    us = np.concatenate([_LATTICE_STEP * np.arange(lo, hi + 1) if level == 0 else
-                         (2 * np.arange(lo << (level - 1), hi << (level - 1)) + 1) * (_LATTICE_STEP / 2**level)
-                         for level in levels])
+def _anchor_level(model: RW1Model, lo: int, hi: int, level: int, every: int, centre=None):
+    """The model's prior's side of every ``every``-th node of ``level`` in the window ``lo .. hi``
+    (level ``L`` holds ``u = k * _LATTICE_STEP / 2^L``): with ``every`` 1 the level's whole
+    trapezoid grid, with 2 the odd nodes it adds to the level below. Nodes, log density less its
+    value at the ``centre`` node (by default the best of these nodes; :func:`_base_log_density`),
+    trapezoid weights, their products ``base``, the sum of ``base``, the stats ``(u, e^u, 1)`` and
+    the centre."""
+    us = np.arange((lo << level) + every - 1, (hi << level) + 1, every) * (_LATTICE_STEP / 2**level)
     log_w, centre = _base_log_density(model, us, centre)
-    weights = np.full(us.size, _LATTICE_STEP / 2 ** levels[-1])
-    if levels[0] == 0:
-        weights[[0, hi - lo]] *= 0.5
+    weights = np.full(us.size, _LATTICE_STEP / 2**level)
+    if every == 1:
+        weights[[0, -1]] *= 0.5
     base = weights * np.exp(log_w)
     return us, log_w, weights, base, base.sum(), np.vstack([us, np.exp(us), np.ones(us.size)]), centre
 
 
 def _lattice_pass(model: RW1Model, points):
-    """``log C`` of the model's gamma prior (the anchor) and of each point, and the
-    posterior Hellinger distance to each point, from one quadrature on the shared lattice.
+    """The posterior Hellinger distance from the model's gamma prior (the anchor) to each point,
+    from one quadrature on the shared lattice.
 
     With ``t`` the log ratio of a point's posterior kernel to the anchor's less a constant
     (its mean under the anchor's posterior, or its peak less 600 where that is larger) and
     ``e = expm1(t/2)``, the sums give ``x = E[e]`` and ``y = E[e^2]`` under the anchor's
     posterior, and ``E[exp(t)] = 1 + 2x + y``. The integrands are analytic and cut at
     ``exp(-_WINDOW_DROP)`` (:func:`_windows`, where the midpoints set the window too), so
-    trapezoid sums converge geometrically. They start from one pass over every level coarser
-    than the first with 64 intervals, whose nodes give each point's peak and its tilt's mean;
-    then each finer level's new nodes are added until no sum changes by more than
-    ``_REL_TOL`` times the integral of its absolute value. Only the tilts' side runs per call:
-    the anchor's is kept on the model, level by level (:func:`_anchor_level`).
+    trapezoid sums converge geometrically. They start from the trapezoid grid of the level
+    before the first with 64 intervals, whose nodes give each point's peak and its tilt's mean;
+    then each finer level's odd nodes are added until no sum changes by more than ``_REL_TOL``
+    times the integral of its absolute value. The distance needs no normalizing constant:
+    ``1 - BC^2 = (y - x^2) / (1 + 2x + y)``. Only the tilts' side runs per call: the anchor's is
+    kept on the model per window, level by level (:func:`_anchor_level`).
     """
     anchor, points = np.array(model.prior.as_tuple()), np.asarray(points, dtype=float).reshape(-1, 2)
     n_pts = len(points)
@@ -398,11 +398,10 @@ def _lattice_pass(model: RW1Model, points):
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checks name the node or prior
         first = max(1, math.ceil(math.log2(64 / (hi - lo))))  # first level with >= 64 intervals
-        if (levels := model._passes.get((lo, hi))) is None:  # the anchor's side, kept for the last window used
-            model._passes.clear()
-            model._passes[lo, hi] = levels = {first - 1: _anchor_level(model, lo, hi, range(first))}
+        if (levels := model._passes.get((lo, hi))) is None:  # the anchor's side, kept per window
+            levels = model._passes[lo, hi] = {first - 1: _anchor_level(model, lo, hi, first - 1, 1)}
         us, log_w, _, base, total, stats, centre = coarse = levels[first - 1]
-        reach = np.abs(tilt).max(axis=1, initial=0.0) @ (stats[:2, hi - lo] - stats[:2, 0])  # >= any tilt's span
+        reach = np.abs(tilt).max(axis=1, initial=0.0) @ (stats[:2, -1] - stats[:2, 0])  # >= any tilt's span
         rows = np.flatnonzero(log_w >= -reach)  # the nodes where a column's maximum can lie
         g = stats[:2, rows].T @ tilt + log_w[rows, None]  # nodes x points
         top = g.max(axis=0)  # a maximum down each column is fast, along each short row slow
@@ -415,23 +414,21 @@ def _lattice_pass(model: RW1Model, points):
         trap = sums(*coarse)
         for level in range(first, _MAX_LEVEL + 1):
             if level not in levels:
-                levels[level] = _anchor_level(model, lo, hi, [level], centre)
+                levels[level] = _anchor_level(model, lo, hi, level, 2, centre)
             finer = 0.5 * trap + sums(*levels[level])
-            # x = E0[e] and y = E0[e^2], so E0[e^t] = 1 + 2x + y; where that is 0, log C is -inf
+            # x = E0[e] and y = E0[e^2], so E0[e^t] = 1 + 2x + y, which must be positive and finite
             x, y = finer[0, 1 : 1 + n_pts] / finer[0, 0], finer[0, 1 + n_pts :] / finer[0, 0]
-            log_m = np.log1p(2.0 * x + y)
+            m = 1.0 + 2.0 * x + y
             bad = ~np.isfinite(finer).all(axis=0)
-            bad[1 + n_pts :] |= ~np.isfinite(log_m)
+            bad[1 + n_pts :] |= ~((m > 0.0) & (m < np.inf))
             if bad.any():
                 a, b = np.vstack([anchor, points, points])[np.argmax(bad)]  # each column's prior
                 raise NumericalError(f"quadrature for prior ({a}, {b}) is not finite")
             converged = np.abs(finer[0] - trap[0]) <= _REL_TOL * finer[1]
             if converged.all():
                 # 1 - BC^2 = (y - x^2) / E0[e^t], and 1 - BC = (1 - BC^2) / (1 + BC)
-                v = np.clip((y - x * x) / (1.0 + 2.0 * x + y), 0.0, 1.0)
-                log_c = float(_log_target(model, model.prior.as_tuple(), *centre)  # the density at the centre
-                              + math.log(finer[0, 0]) + 0.5 * model.kappa * (model.y @ model.y))
-                return log_c, log_c + log_m + shift, np.sqrt(v / (1.0 + np.sqrt(1.0 - v)))
+                v = np.clip((y - x * x) / m, 0.0, 1.0)
+                return np.sqrt(v / (1.0 + np.sqrt(1.0 - v)))
             trap = finer
     a, b = np.vstack([anchor, points, points])[np.argmin(converged)]
     raise NumericalError(f"quadrature for prior ({a}, {b}) did not converge to {_REL_TOL} "
@@ -473,8 +470,7 @@ def exact_sensitivity(model: RW1Model, epsilon: float, n_angles: int = 400,
     base = PriorSpec(Family.GAMMA, model.prior)
     grid = compute_grid(base, epsilon, n_angles=n_angles, allow_partial=allow_partial)
     priors = grid.points.view(np.ndarray)["point"].view((float, 2))  # (gamma1, gamma2) rows
-    h = _lattice_pass(model, priors)[2]
-    return assemble_result(grid, h)
+    return assemble_result(grid, _lattice_pass(model, priors))
 
 
 def ingest_timeseries(path, window: str | None = None, kappa: float | None = None,

@@ -33,7 +33,7 @@ ROLLED_DTYPE = np.dtype(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SensitivityResult:
     """Sensitivity of a posterior to prior perturbations of size epsilon.
 
