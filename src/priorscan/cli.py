@@ -27,7 +27,6 @@ import json
 import os
 import re
 import sys
-import tempfile
 import warnings
 from dataclasses import asdict
 from pathlib import Path
@@ -62,7 +61,9 @@ _SWITCH_VALUES = {"1": True, "true": True, "yes": True, "on": True,
 
 def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    # a new file under a unique name, with the mode open(path, "w") gives: 0o666 less the umask
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

@@ -31,15 +31,15 @@ two cardinal moduli can differ by a factor of 1e4 and more).
 The contour depends on the base prior, ``epsilon`` and ``n_angles`` alone, never on
 a model or posterior, so a process traces each one once. The search is deterministic
 and gives bitwise-identical grids for identical inputs; on that guarantee
-:func:`compute_grid` keeps each successful trace, read-only, in a least-recently-used
-cache of at most ``2**16`` directions (about 2 MB) and hands it to later calls with
-the same inputs.
+:func:`compute_grid` keeps the 32 most recently used successful traces of at most
+``2**11`` directions each, read-only (at most ``2**16`` rows, 2 MB), and hands them to
+later calls with the same inputs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,11 +64,11 @@ _CARDINAL_PHI = np.array([0.0, math.pi / 2.0, math.pi, -math.pi / 2.0])
 _CARDINAL_UX = np.array([1.0, 0.0, -1.0, 0.0])
 _CARDINAL_UY = np.array([0.0, 1.0, 0.0, -1.0])
 
-# Traced contours by (base, epsilon, n_angles), least recently used first, holding at
-# most _CACHE_ANGLES directions in all: 2 MB of GRID_DTYPE rows
-_CACHE_ANGLES = 2**16
-_cache: dict[tuple, tuple] = {}
-_cache_lock = threading.Lock()
+# compute_grid keeps _TRACES traces of at most _TRACE_ANGLES directions each: 2**16
+# GRID_DTYPE rows, 2 MB, in all. It refuses grids of more than _MAX_ANGLES directions.
+_TRACES = 32
+_TRACE_ANGLES = 2**11
+_MAX_ANGLES = 2**16
 
 
 @dataclass(frozen=True)
@@ -268,20 +268,16 @@ def _solve_radii(
     return base.point.gamma1 + r * ux, base.point.gamma2 + r * uy, residual
 
 
+@functools.lru_cache(maxsize=_TRACES)
 def _trace(base: PriorSpec, epsilon: float, n_angles: int):
     """Read-only points, cardinal moduli and failed angles of the contour over
-    ``n_angles`` directions, traced on the first call with these inputs.
+    ``n_angles`` directions.
 
-    Raises :class:`ContourUnreachableError` (never cached) where the pre-exploration
-    fails. A new trace evicts the least recently used ones until its directions fit the
-    budget; a trace larger than the whole budget is returned but not kept.
+    A memo of the ``_TRACES`` most recently used calls. It keeps no call that raised,
+    so a :class:`ContourUnreachableError` from the pre-exploration is never kept;
+    :func:`compute_grid` calls the unkept ``_trace.__wrapped__`` for grids of more
+    than ``_TRACE_ANGLES`` directions.
     """
-    key = (base, epsilon, n_angles)
-    with _cache_lock:
-        entry = _cache.pop(key, None)
-        if entry is not None:
-            _cache[key] = entry  # now the most recently used
-            return entry
     cardinal = _preexplore(base, epsilon)
     phis = -math.pi + 2.0 * math.pi * np.arange(n_angles) / n_angles
     cx, cy = scaling_factors(phis, cardinal)
@@ -290,18 +286,8 @@ def _trace(base: PriorSpec, epsilon: float, n_angles: int):
     points = np.empty(np.count_nonzero(solved), GRID_DTYPE)  # filled as a plain ndarray
     points["phi"], points["residual"] = phis[solved], residual[solved]
     points["point"]["gamma1"], points["point"]["gamma2"] = gamma1[solved], gamma2[solved]
-    points.setflags(write=False)  # shared by every later call with this key
-    entry = (points.view(np.recarray), cardinal, tuple(phis[~solved].tolist()))
-    with _cache_lock:
-        _cache.pop(key, None)
-        held = sum(k[2] for k in _cache)
-        while _cache and held + n_angles > _CACHE_ANGLES:
-            oldest = next(iter(_cache))
-            del _cache[oldest]
-            held -= oldest[2]
-        if n_angles <= _CACHE_ANGLES:
-            _cache[key] = entry
-    return entry
+    points.setflags(write=False)  # shared by every later call with these inputs
+    return points.view(np.recarray), cardinal, tuple(phis[~solved].tolist())
 
 
 def compute_grid(
@@ -322,10 +308,12 @@ def compute_grid(
 
     All directions are solved in one batch of array operations; the
     search is deterministic, so identical inputs produce bitwise
-    identical grids, reported in increasing-angle order. A process traces
-    each (``base``, ``epsilon``, ``n_angles``) once, within a budget of
-    ``2**16`` cached directions, and later calls share that trace: the
-    returned ``points`` are read-only.
+    identical grids, reported in increasing-angle order. A process keeps
+    the 32 most recently used traces of up to ``2**11`` directions, each
+    traced once per (``base``, ``epsilon``, ``n_angles``), and later calls
+    share that trace: the returned ``points`` are read-only. Larger grids
+    are traced on every call, and more than ``2**16`` directions raise
+    :class:`DomainError`.
 
     Each direction is searched within a factor ``exp(+-20)`` of the radius
     of unit Fisher distance, so every base reaches ``epsilon`` down to about
@@ -334,9 +322,10 @@ def compute_grid(
     about 1e-77) or ``(1e300, 1)`` (about 0.01 against a float spacing of 1e284).
     """
     check_epsilon(epsilon)
-    if n_angles < 8:
-        raise DomainError(f"n_angles must be at least 8, got {n_angles}")
-    points, cardinal, failed = _trace(base, epsilon, n_angles)
+    if not 8 <= n_angles <= _MAX_ANGLES:
+        raise DomainError(f"n_angles must lie in [8, {_MAX_ANGLES}], got {n_angles}")
+    trace = _trace if n_angles <= _TRACE_ANGLES else _trace.__wrapped__
+    points, cardinal, failed = trace(base, epsilon, n_angles)
     if failed and not allow_partial:
         raise PartialGridError(failed)
     return PolarGrid(

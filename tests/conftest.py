@@ -41,6 +41,6 @@ def rng():
 def cold_contours():
     """Every test traces its contours afresh, as a new process would: a test that
     patches the solver must not get a grid an earlier test cached."""
-    contour._cache.clear()
+    contour._trace.cache_clear()
     yield
-    contour._cache.clear()
+    contour._trace.cache_clear()

@@ -18,7 +18,8 @@ priors, which no production path needs. :func:`rw1_hellinger_longdouble` gives t
 random-walk engine's distances in long double from a dense scan of each prior's own
 posterior, with none of the engine's window or lattice code, and
 :func:`rw1_hellinger_cumulants` gives them to third order in the prior change from the base
-posterior's cumulants, cheap enough at any series length.
+posterior's cumulants, cheap enough at any series length; :func:`rw1_local_limit` gives the
+ratios' limits as the change goes to 0 from the same posterior rule.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import math
 import numpy as np
 from scipy import integrate
 from scipy.fft import dct
+from scipy.linalg import eigh
 from scipy.special import gammaln, polygamma
 
 from priorscan import (
@@ -459,19 +461,15 @@ def rw1_hellinger_longdouble(y, kappa, anchor, points, drop=80.0, per_window=128
     return np.array(out)
 
 
-def rw1_hellinger_cumulants(y, kappa, anchor, points, n_nodes=2001, drop=60.0):
-    """Posterior Hellinger distances of the random-walk model between the gamma prior
-    ``anchor`` and each of ``points``, to third order in the prior change.
+def _rw1_centred_statistics(y, kappa, anchor, n_nodes, drop):
+    """The statistics ``T = (u, -e^u)`` of ``u = log tau``, centred, on the nodes of a
+    trapezoid rule for the random-walk posterior (data ``y``, noise precision ``kappa``)
+    under the gamma prior ``anchor``, and the rule's normalized weights.
 
-    A prior ratio tilts the posterior of ``u = log tau`` by ``d . T``, with ``d`` the change of
-    ``(alpha, beta)`` and ``T = (u, -e^u)``, so the posteriors form an exponential family in
-    ``T``: ``log BC = A(eta + d/2) - (A(eta) + A(eta + d)) / 2``, ``A`` its log partition
-    function, and ``H^2 = 1 - BC = d' K2 d / 8 + K3[d, d, d] / 16 + O(|d|^4)``, ``K2`` and
-    ``K3`` the second and third cumulants of ``T`` under the anchor's posterior. ``S`` comes
-    from scipy's orthonormal DCT of ``y`` and a direct sum of ``log(tau lambda_k + kappa)``,
-    and the cumulants from a trapezoid rule on ``n_nodes`` nodes over the nodes of a scan of
-    [-50, 50] in steps of 1/2 within ``drop`` of its best, and one more a side. None of the
-    engine's code runs.
+    ``S`` comes from scipy's orthonormal DCT of ``y`` and a direct sum of ``log(tau lambda_k
+    + kappa)``, and the rule has ``n_nodes`` nodes over the nodes of a scan of [-50, 50] in
+    steps of 1/2 within ``drop`` of its best, and one more a side. None of the engine's code
+    runs.
     """
     y = np.asarray(y, dtype=float)
     n, (a, b) = y.size, anchor
@@ -496,8 +494,38 @@ def rw1_hellinger_cumulants(y, kappa, anchor, points, n_nodes=2001, drop=60.0):
     w[[0, -1]] *= 0.5
     w /= w.sum()
     t = np.vstack([us, -np.exp(us)])
-    c = t - (t @ w)[:, None]
+    return t - (t @ w)[:, None], w
+
+
+def rw1_hellinger_cumulants(y, kappa, anchor, points, n_nodes=2001, drop=60.0):
+    """Posterior Hellinger distances of the random-walk model between the gamma prior
+    ``anchor`` and each of ``points``, to third order in the prior change.
+
+    A prior ratio tilts the posterior of ``u = log tau`` by ``d . T``, with ``d`` the change of
+    ``(alpha, beta)`` and ``T = (u, -e^u)``, so the posteriors form an exponential family in
+    ``T``: ``log BC = A(eta + d/2) - (A(eta) + A(eta + d)) / 2``, ``A`` its log partition
+    function, and ``H^2 = 1 - BC = d' K2 d / 8 + K3[d, d, d] / 16 + O(|d|^4)``, ``K2`` and
+    ``K3`` the second and third cumulants of ``T`` under the anchor's posterior, taken from
+    the rule of :func:`_rw1_centred_statistics`.
+    """
+    c, w = _rw1_centred_statistics(y, kappa, anchor, n_nodes, drop)
     k2, k3 = (c * w) @ c.T, np.einsum("in,jn,kn,n->ijk", c, c, c, w)
     d = np.asarray(points, dtype=float).reshape(-1, 2) - np.asarray(anchor, dtype=float)
     h2 = np.einsum("pi,ij,pj->p", d, k2, d) / 8.0 + np.einsum("pi,pj,pk,ijk->p", d, d, d, k3) / 16.0
     return np.sqrt(h2)
+
+
+def rw1_local_limit(y, kappa, prior, n_nodes=2001, drop=60.0):
+    """The least and the greatest ratio ``H_post / H_prior`` of the random-walk model about
+    the gamma prior ``prior = (a, b)`` as the prior change ``d`` goes to 0: ``sqrt`` of the
+    least and greatest eigenvalue of ``C_prior^-1 C_post``.
+
+    To second order both distances are ``H^2 = d' C d / 8``, ``C`` the covariance of ``T =
+    (log tau, -tau)``: ``C_post`` is the ``K2`` of :func:`rw1_hellinger_cumulants` and
+    ``C_prior = [[psi1(a), -1/b], [-1/b, a/b^2]]``, the gamma prior's own.
+    """
+    c, w = _rw1_centred_statistics(y, kappa, prior, n_nodes, drop)
+    a, b = prior
+    c_prior = np.array([[polygamma(1, a), -1.0 / b], [-1.0 / b, a / b**2]])
+    lo, hi = eigh((c * w) @ c.T, c_prior, eigvals_only=True)
+    return math.sqrt(lo), math.sqrt(hi)

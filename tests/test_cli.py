@@ -246,6 +246,19 @@ class TestGridCommand:
         )
         assert not list(tmp_path.glob("*.tmp"))
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_files_take_the_mode_of_the_umask(self, tmp_path, umask, mode):
+        argv = ["grid", "--family", "gamma", "--gamma0", "1,0.34", "--n-angles", "16",
+                "--outdir", str(tmp_path)]
+        old = os.umask(umask)
+        try:
+            assert main(argv) == EXIT_OK
+        finally:
+            os.umask(old)
+        written = sorted(tmp_path.iterdir())
+        assert [path.name for path in written] == ["grid_contour.csv", "grid_moduli.json"]
+        assert [path.stat().st_mode & 0o777 for path in written] == [mode, mode]
+
     def test_failed_replace_leaves_no_temp_file(self, tmp_path, monkeypatch, capsys):
         def refuse(src, dst):
             raise OSError("replace refused")
@@ -255,6 +268,15 @@ class TestGridCommand:
                 "--outdir", str(tmp_path)]
         assert main(argv) == 2
         assert capsys.readouterr().err.splitlines() == ["error: replace refused"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_too_many_angles_exits_2(self, tmp_path, capsys):
+        argv = ["grid", "--family", "gamma", "--gamma0", "1,0.34", "--n-angles", str(10**15),
+                "--outdir", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: n_angles must lie in [8, 65536], got {10**15}"
+        ]
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("gamma0, message", [("1", "expected 'a,b', got '1'"),

@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import threading
@@ -329,6 +330,14 @@ class TestComputeGrid:
         with pytest.raises(DomainError):
             compute_grid(GAMMA_BASE, 0.7)
 
+    def test_rejects_grids_over_the_limit_before_tracing(self, monkeypatch):
+        monkeypatch.setattr(contour_mod, "_preexplore", None)  # any trace fails with TypeError
+        for n_angles in (2**16 + 1, 10**15):
+            with pytest.raises(DomainError, match="n_angles"):
+                compute_grid(GAMMA_BASE, EPS0, n_angles=n_angles)
+        monkeypatch.undo()
+        assert len(compute_grid(GAMMA_BASE, EPS0, n_angles=2**16).points) == 2**16
+
     def test_unreachable_epsilon_propagates(self):
         with pytest.raises(ContourUnreachableError):
             compute_grid(UNIT_NORMAL, 1e-12, n_angles=8)
@@ -376,7 +385,7 @@ def grid_bytes(grid):
 
 
 def cold_grid(base, epsilon, n_angles, allow_partial=True):
-    contour_mod._cache.clear()
+    contour_mod._trace.cache_clear()
     return compute_grid(base, epsilon, n_angles=n_angles, allow_partial=allow_partial)
 
 
@@ -455,28 +464,44 @@ class TestTraceCache:
             with pytest.raises(ContourUnreachableError):
                 compute_grid(UNIT_NORMAL, 1e-12, n_angles=8)
         assert len(calls) == 2
-        assert not contour_mod._cache
+        assert contour_mod._trace.cache_info().currsize == 0
 
     def test_least_recently_used_goes_first(self, monkeypatch):
-        monkeypatch.setattr(contour_mod, "_CACHE_ANGLES", 48)
-        for eps in (1e-3, 2e-3, 3e-3):
-            compute_grid(GAMMA_BASE, eps, n_angles=16)
-        compute_grid(GAMMA_BASE, 1e-3, n_angles=16)
-        compute_grid(GAMMA_BASE, 4e-3, n_angles=16)
-        assert [key[1] for key in contour_mod._cache] == [3e-3, 1e-3, 4e-3]
-        compute_grid(GAMMA_BASE, 5e-3, n_angles=32)
-        assert [key[1] for key in contour_mod._cache] == [4e-3, 5e-3]
+        memo = functools.lru_cache(maxsize=3)(contour_mod._trace.__wrapped__)
+        monkeypatch.setattr(contour_mod, "_trace", memo)
+        traced = []
+        original = contour_mod._preexplore
 
-    def test_grid_over_the_budget_is_not_kept(self):
-        for eps in (1e-3, 2e-3):
+        def spy(base, epsilon):
+            traced.append(epsilon)
+            return original(base, epsilon)
+
+        monkeypatch.setattr(contour_mod, "_preexplore", spy)
+        for eps in (1e-3, 2e-3, 3e-3, 1e-3, 4e-3):
             compute_grid(GAMMA_BASE, eps, n_angles=16)
-        big = compute_grid(GAMMA_BASE, EPS0, n_angles=contour_mod._CACHE_ANGLES + 1)
-        assert len(big.points) == contour_mod._CACHE_ANGLES + 1
-        assert not contour_mod._cache
+        # the hit on 1e-3 made 2e-3 the least recently used: 4e-3 evicted it
+        assert traced == [1e-3, 2e-3, 3e-3, 4e-3]
+        for eps in (3e-3, 1e-3, 4e-3, 2e-3):
+            compute_grid(GAMMA_BASE, eps, n_angles=16)
+        assert traced == [1e-3, 2e-3, 3e-3, 4e-3, 2e-3]
+
+    def test_grid_over_the_trace_limit_is_not_kept(self):
+        limit = contour_mod._TRACE_ANGLES
+        # the kept rows fit in 2 MiB
+        assert contour_mod._TRACES * limit * contour_mod.GRID_DTYPE.itemsize <= 2 << 20
+        kept = compute_grid(GAMMA_BASE, EPS0, n_angles=limit)
+        big = compute_grid(GAMMA_BASE, EPS0, n_angles=limit + 1)
+        assert len(big.points) == limit + 1
+        assert contour_mod._trace.cache_info().currsize == 1
+        assert compute_grid(GAMMA_BASE, EPS0, n_angles=limit).points is kept.points
+        again = compute_grid(GAMMA_BASE, EPS0, n_angles=limit + 1)
+        assert again.points is not big.points
+        assert grid_bytes(again) == grid_bytes(big)
 
     def test_concurrent_lookups_and_evictions(self, monkeypatch):
-        # a budget of two 16-angle grids: nearly every trace evicts another thread's
-        monkeypatch.setattr(contour_mod, "_CACHE_ANGLES", 32)
+        # room for two of the three grids: nearly every trace evicts another thread's
+        memo = functools.lru_cache(maxsize=2)(contour_mod._trace.__wrapped__)
+        monkeypatch.setattr(contour_mod, "_trace", memo)
         epsilons = (1e-3, 2e-3, 3e-3)
         cold = {eps: grid_bytes(cold_grid(GAMMA_BASE, eps, 16)) for eps in epsilons}
         errors, done = [], []
@@ -502,4 +527,4 @@ class TestTraceCache:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == [] and sorted(done) == [0, 1, 2, 3]
-        assert sum(key[2] for key in contour_mod._cache) <= 32
+        assert contour_mod._trace.cache_info().currsize <= 2

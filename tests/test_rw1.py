@@ -17,6 +17,7 @@ from oracles import (
     log_offset_constant_n2,
     rw1_hellinger_cumulants,
     rw1_hellinger_longdouble,
+    rw1_local_limit,
     tabulation_window,
 )
 from priorscan import (
@@ -710,16 +711,38 @@ def test_exact_sweep_matches_the_long_double_oracle(draw, contract_csvs):
     assert entries.h_post == pytest.approx(expected, rel=1e-8, abs=0.0)
 
 
+def sweep(model, eps, engine):
+    """One engine's sweep about the model's own prior."""
+    if engine == "exact":
+        return exact_sensitivity(model, eps)
+    grid = compute_grid(PriorSpec(Family.GAMMA, model.prior), eps)
+    return circular_sensitivity(tabulate_posterior(model), grid)
+
+
+@pytest.mark.parametrize("engine", ["exact", "reweight"])
 @pytest.mark.parametrize("eps", [1e-3, 1e-4])
 @pytest.mark.parametrize("fixture", ["model192", "model2004", "model8004"])
-def test_exact_sweep_matches_the_cumulant_oracle(fixture, eps, request):
+def test_sweep_matches_the_cumulant_oracle(fixture, eps, engine, request):
     # to third order in the prior change, H^2 follows from the base posterior's cumulants, with
     # S from scipy's DCT (the long-double oracle's dense basis is 512 MB at n = 8004): the next
-    # order leaves 0.09, 0.022 and 0.0048 eps^2 relative on these models
+    # order leaves 0.076, 0.022 and 0.0048 eps^2 relative on these models, on either engine (the
+    # reweighting table's own error is 9e-11 or less)
     model = request.getfixturevalue(fixture)
-    entries = exact_sensitivity(model, eps).entries
+    entries = sweep(model, eps, engine).entries
     expected = rw1_hellinger_cumulants(model.y, model.kappa, model.prior.as_tuple(), entry_points(entries))
     assert np.max(np.abs(entries.h_post / expected - 1.0)) <= 0.2 * eps**2
+
+
+@pytest.mark.parametrize("engine", ["exact", "reweight"])
+@pytest.mark.parametrize("eps", [1e-3, 1e-4])
+@pytest.mark.parametrize("fixture", ["model192", "model2004", "model8004"])
+def test_worst_case_tends_to_the_local_limit(fixture, eps, engine, request):
+    # as eps -> 0 the worst ratio tends to sqrt(lambda_max(C_prior^-1 C_post)): 0.516, 0.280
+    # and 0.137 on these models, which the sweeps exceed by 1.7-1.8e-3 at eps 1e-3 and by
+    # 2.7e-5 to 1.1e-4 at eps 1e-4
+    model = request.getfixturevalue(fixture)
+    _, limit = rw1_local_limit(model.y, model.kappa, model.prior.as_tuple())
+    assert 0.0 <= sweep(model, eps, engine).worst_case / limit - 1.0 <= 2.5 * eps
 
 
 def test_smallest_distances_at_benchmark_size_match_the_long_double_oracle(model2004):
